@@ -16,6 +16,7 @@ Unknown outcome is not a nonzeroness claim.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -336,48 +337,84 @@ class ZeroCertificate:
 def _solve_exact(columns, target):
     """Solve sum_i x_i * columns_i = target exactly over the rationals.
 
-    Sparse Gaussian elimination on the row (= graph key) equations; returns a
-    dict column-index -> coefficient, or None when inconsistent.
+    Right-looking sparse Gaussian elimination on the row (= graph key)
+    equations.  The next pivot row is the active row of least Markowitz cost
+    (Markowitz 1957), but a row always pivots on its lowest column index, so
+    the pivot columns are the leading positions of an echelon basis of the
+    row space whatever the row order.  With free variables set to zero, the
+    solution therefore depends on the system alone.  Returns a dict
+    column-index -> coefficient, or None when inconsistent.
     """
-    rows = {}
+    keys = sorted(set(target).union(*columns))
+    rank_of = {key: r for r, key in enumerate(keys)}
+    rows = [{} for _ in keys]
     for j, col in enumerate(columns):
         for key, val in col.items():
-            rows.setdefault(key, {})[j] = val
-    pivots = []                    # (variable, row dict, rhs)
-    pivot_of_var = {}
-    for key in sorted(set(rows) | set(target)):
-        row = dict(rows.get(key, {}))
-        rhs = target.get(key, Fraction(0))
-        # reduce against existing pivots
-        for var, prow, prhs in pivots:
-            if var in row:
-                f = row.pop(var)
-                for j, val in prow.items():
-                    if j == var:
-                        continue
-                    row[j] = row.get(j, Fraction(0)) - f * val
-                    if row[j] == 0:
-                        del row[j]
-                rhs -= f * prhs
-        if not row:
-            if rhs != 0:
-                return None
+            rows[rank_of[key]][j] = val
+    rhs = [target.get(key, Fraction(0)) for key in keys]
+    rows_of = {}                   # column -> active rows containing it
+    for r, row in enumerate(rows):
+        if not row and rhs[r] != 0:
+            return None
+        for j in row:
+            rows_of.setdefault(j, set()).add(r)
+
+    def cost(r):
+        row = rows[r]
+        c = min(row)
+        return ((len(row) - 1) * (len(rows_of[c]) - 1), len(row), r)
+
+    heap = [cost(r) for r, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    pivots = []                    # (column, normalized row, rhs)
+    while heap:
+        entry = heapq.heappop(heap)
+        r = entry[2]
+        row = rows[r]
+        if not row:                # already pivoted or emptied
             continue
-        var = min(row)
-        lead = row[var]
+        current = cost(r)
+        if current != entry:       # stale entry: requeue at its current cost
+            heapq.heappush(heap, current)
+            continue
+        rows[r] = None
+        for j in row:
+            rows_of[j].discard(r)
+        c = min(row)
+        lead = row[c]
         prow = {j: v / lead for j, v in row.items()}
-        prhs = rhs / lead
-        pivots.append((var, prow, prhs))
-        pivot_of_var[var] = (prow, prhs)
-    # back substitution, free variables set to zero
+        prhs = rhs[r] / lead
+        pivots.append((c, prow, prhs))
+        # eliminate c from the active rows that contain it
+        for r2 in rows_of.pop(c):
+            row2 = rows[r2]
+            f = -row2.pop(c)
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                if j in row2:
+                    val = row2[j] + f * v
+                    if val == 0:
+                        del row2[j]
+                        rows_of[j].discard(r2)
+                    else:
+                        row2[j] = val
+                else:
+                    row2[j] = f * v
+                    rows_of[j].add(r2)
+            rhs[r2] += f * prhs
+            if row2:
+                heapq.heappush(heap, cost(r2))
+            elif rhs[r2] != 0:
+                return None
+    # back substitution in reverse pivot order, free variables set to zero
     solution = {}
-    for var, prow, prhs in reversed(pivots):
+    for c, prow, prhs in reversed(pivots):
         value = prhs
         for j, v in prow.items():
-            if j == var:
-                continue
-            value -= v * solution.get(j, Fraction(0))
-        solution[var] = value
+            if j != c:
+                value -= v * solution.get(j, 0)
+        solution[c] = value
     return {j: v for j, v in solution.items() if v != 0}
 
 
@@ -418,8 +455,8 @@ def span_zero_test(expr, budget=3, max_relations=200000):
         basis = generate_wdvv_relations(expr.support(), expr.ambient,
                                         rounds=rounds, max_relations=max_relations)
         usable = _reachable_relations(basis, expr.support())
-        if not all(any(k in basis.relations[i]._terms for i in usable)
-                   for k in target):
+        touched = set().union(*(basis.relations[i]._terms for i in usable))
+        if not touched.issuperset(target):
             continue
         columns = [dict(basis.relations[i]._terms) for i in usable]
         solution = _solve_exact(columns, target)
@@ -427,9 +464,12 @@ def span_zero_test(expr, budget=3, max_relations=200000):
             continue
         combination = tuple(sorted((v, usable[j]) for j, v in solution.items()))
         # re-substitution check: the certificate must reproduce the input
-        total = Expression(expr.ambient, _raw={})
+        acc = {}
         for c, i in combination:
-            total = total + basis.relations[i].scale(c)
+            for k, v in basis.relations[i]._terms.items():
+                acc[k] = acc.get(k, Fraction(0)) + c * v
+        total = Expression(expr.ambient,
+                           _raw={k: v for k, v in acc.items() if v != 0})
         if total != expr:
             raise AssertionError("certificate failed re-substitution")
         return ZeroCertificate(True, combination, basis, rounds, "wdvv-span")

@@ -1,10 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautrel.expressions import parse_bracket
 from tautrel.reduce import (
+    _reachable_relations,
+    _solve_exact,
     choose_partner_pair,
     distribute,
     eliminate_all_psi,
@@ -338,3 +342,143 @@ def test_single_reduction_steps_preserve_pairings():
 def test_zero_expression_pairs_to_zero():
     e = parse_bracket("<x1 x2 x3 x4>_0")
     assert all(v == 0 for _b, v in pair_with_psi_monomials(e - e))
+
+
+# ---------------------------------------------------------------------------
+# exact span solver against a left-looking reference
+
+
+def left_looking_solve(columns, target):
+    """Reference oracle: rows in sorted key order, each reduced against every
+    earlier pivot, pivoting on its lowest column index."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, val in col.items():
+            rows.setdefault(key, {})[j] = val
+    pivots = []
+    for key in sorted(set(rows) | set(target)):
+        row = dict(rows.get(key, {}))
+        rhs = target.get(key, Fraction(0))
+        for var, prow, prhs in pivots:
+            if var in row:
+                f = row.pop(var)
+                for j, val in prow.items():
+                    if j == var:
+                        continue
+                    row[j] = row.get(j, Fraction(0)) - f * val
+                    if row[j] == 0:
+                        del row[j]
+                rhs -= f * prhs
+        if not row:
+            if rhs != 0:
+                return None
+            continue
+        var = min(row)
+        lead = row[var]
+        pivots.append((var, {j: v / lead for j, v in row.items()}, rhs / lead))
+    solution = {}
+    for var, prow, prhs in reversed(pivots):
+        value = prhs
+        for j, v in prow.items():
+            if j != var:
+                value -= v * solution.get(j, Fraction(0))
+        solution[var] = value
+    return {j: v for j, v in solution.items() if v != 0}
+
+
+def rebuild(columns, solution):
+    acc = {}
+    for j, x in solution.items():
+        for key, val in columns[j].items():
+            acc[key] = acc.get(key, Fraction(0)) + x * val
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+def shuffled_dict(d, rng):
+    items = list(d.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+ENTRY = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
+
+
+@st.composite
+def sparse_systems(draw):
+    """(columns, target) with integer entries in -2..2 and a rational target.
+
+    The target is either A*x (consistent), arbitrary, or A*x broken on a row
+    that repeats the sum of two others, or on a key no column touches (both
+    inconsistent).  A row that sums two others and a column that is the
+    difference of two others make the system rank-deficient.
+    """
+    n_rows = draw(st.integers(1, 7))
+    n_cols = draw(st.integers(0, 8))
+    matrix = [[draw(ENTRY) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n_rows)))[:2]
+        matrix.append([x + y for x, y in zip(matrix[a], matrix[b])])
+    if n_cols >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(n_cols)))[:2]
+        for row in matrix:
+            row.append(row[a] - row[b])
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    kind = draw(st.sampled_from(["image", "arbitrary", "broken", "untouched"]))
+    if kind == "arbitrary":
+        rhs = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+               for _ in range(n_rows)]
+    else:
+        x = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+             for _ in range(n_cols)]
+        rhs = [sum((row[j] * x[j] for j in range(n_cols)), Fraction(0))
+               for row in matrix]
+        if kind == "broken":
+            a, b = (0, 1) if n_rows >= 2 else (0, 0)
+            matrix.append([p + q for p, q in zip(matrix[a], matrix[b])])
+            rhs.append(rhs[a] + rhs[b] + 1)
+        elif kind == "untouched":
+            matrix.append([0] * n_cols)
+            rhs.append(Fraction(draw(st.sampled_from([-2, -1, 1, 2]))))
+    # distinct keys whose sorted order is not the generation order
+    keys = draw(st.permutations(range(len(matrix))))
+    columns = [{keys[i]: Fraction(row[j]) for i, row in enumerate(matrix) if row[j]}
+               for j in range(n_cols)]
+    target = {keys[i]: v for i, v in enumerate(rhs) if v != 0}
+    return columns, target, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
+def test_solve_exact_matches_left_looking_oracle(system, seed):
+    columns, target, kind = system
+    expected = left_looking_solve(columns, target)
+    got = _solve_exact(columns, target)
+    assert got == expected
+    if kind == "image":
+        assert got is not None
+    if kind in ("broken", "untouched"):
+        assert got is None
+    if got is not None:
+        assert rebuild(columns, got) == target
+    # neither the insertion order of keys nor their sorted order matters
+    rng = random.Random(seed)
+    shuffled = [shuffled_dict(col, rng) for col in columns]
+    assert _solve_exact(shuffled, shuffled_dict(target, rng)) == expected
+    keys = sorted(set(target).union(*columns))
+    renamed = dict(zip(keys, rng.sample(keys, len(keys))))
+    assert _solve_exact([{renamed[k]: v for k, v in col.items()} for col in columns],
+                        {renamed[k]: v for k, v in target.items()}) == expected
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "i1"])
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
+    expr = parse_bracket(fixture_text(name))
+    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    usable = _reachable_relations(basis, expr.support())
+    columns = [dict(basis.relations[i]._terms) for i in usable]
+    target = dict(expr._terms)
+    solution = _solve_exact(columns, target)
+    assert solution is not None
+    assert solution == left_looking_solve(columns, target)
+    assert rebuild(columns, solution) == target
