@@ -7,7 +7,6 @@ from .graphs import (
     GraphBuilder,
     RootedTreeView,
     automorphism_order,
-    canonical_form,
     canonical_key,
     genus,
     graph_from_key,

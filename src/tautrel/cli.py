@@ -47,10 +47,15 @@ def _weights(text):
 
 
 def default_budget():
+    """Rounds from ``TAUTREL_BUDGET`` (3 when unset); a bad value is an error."""
+    text = os.environ.get("TAUTREL_BUDGET", "3")
     try:
-        return int(os.environ.get("TAUTREL_BUDGET", "3"))
+        budget = int(text)
+        if budget >= 1:
+            return budget
     except ValueError:
-        return 3
+        pass
+    raise ValueError("TAUTREL_BUDGET must be a positive integer, not %r" % text)
 
 
 def _format_expression(expr, fmt):
@@ -239,12 +244,14 @@ def cmd_reduce(args):
 def build_parser():
     parser = _Parser(prog="tautrel",
                      description="exact calculus for psi-decorated boundary classes")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; results never depend on the thread count")
     sub = parser.add_subparsers(dest="command", required=True)
+    try:
+        budget = default_budget()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     def common(p):
-        p.add_argument("--budget", type=int, default=default_budget(),
+        p.add_argument("--budget", type=int, default=budget,
                        help="relation-closure rounds (env TAUTREL_BUDGET)")
         p.add_argument("--max-relations", type=int, default=200000)
         p.add_argument("--out", help="write the JSON report to a file")

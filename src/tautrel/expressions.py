@@ -275,10 +275,6 @@ def from_terms(terms, ambient=None):
     return Expression(ambient, terms)
 
 
-def ambient_of_graph(dg):
-    return make_ambient(genus(dg.graph), dg.graph.leg_labels())
-
-
 # ---------------------------------------------------------------------------
 # bracket grammar
 

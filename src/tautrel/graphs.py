@@ -100,18 +100,9 @@ class DecoratedGraph:
     graph: DualGraph
     exponents: tuple
 
-    def exponent(self, h):
-        return self.exponents[h]
-
-    def psi_degree(self):
-        return sum(self.exponents)
-
     def degree(self):
         """Complex cohomological degree of the pushed-forward class."""
         return self.graph.n_edges() + sum(self.exponents)
-
-    def vertex_psi_degree(self, v):
-        return sum(self.exponents[h] for h in self.graph.halves_at(v))
 
 
 def validate(graph):
@@ -338,10 +329,6 @@ def graph_from_key(key):
         for _ in range(extras):
             b.add_leg(v, EXTRA, 0)
     return b.build()
-
-
-def canonical_form(dg):
-    return graph_from_key(canonical_key(dg))
 
 
 @lru_cache(maxsize=None)

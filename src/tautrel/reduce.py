@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -219,23 +219,22 @@ def distribute(expr, label):
 
 @dataclass(frozen=True)
 class RelationBasis:
+    """Relations found by a closure run, with the state needed to resume it.
+
+    ``support`` holds every graph key reached so far.  ``processed`` holds
+    the keys of the contracted source graphs already instantiated,
+    ``signatures`` the normalized relations already kept, and ``frontier``
+    the keys that joined the support in the last round; an empty frontier
+    after a round means the closure is closed.
+    """
+
     ambient: object
     relations: tuple
     support: frozenset
     rounds: int
-
-
-def _wdvv_split_sum(dg, vertex, pair_a, pair_b):
-    """Sum over splittings separating pair_a from pair_b at a genus-0 vertex."""
-    g = dg.graph
-    pool = [h for h in g.halves_at(vertex)
-            if h not in pair_a and h not in pair_b]
-    terms = []
-    for r in range(len(pool) + 1):
-        for companions in itertools.combinations(pool, r):
-            side = frozenset({*pair_a, *companions})
-            terms.append((Fraction(1), split_vertex(dg, vertex, side, 0, 0)))
-    return terms
+    processed: frozenset = field(default=frozenset(), repr=False)
+    signatures: frozenset = field(default=frozenset(), repr=False)
+    frontier: frozenset = field(default=frozenset(), repr=False)
 
 
 def wdvv_relations_at(dg, vertex):
@@ -243,23 +242,46 @@ def wdvv_relations_at(dg, vertex):
 
     For each unordered quadruple of half-edges, the two independent exchange
     relations; every relation is an expression that vanishes as a class.
+    Splitting a stable, psi-free genus-0 vertex so that each side keeps two
+    of the quadruple yields valid stable graphs of the same genus and legs,
+    so the relations are assembled from canonical keys directly.
     """
     g = dg.graph
     halves = g.halves_at(vertex)
     if g.genera[vertex] != 0 or len(halves) < 4:
         return []
-    if any(dg.exponents[h] for h in range(g.n_half_edges)):
+    if any(dg.exponents):
         raise ValueError("WDVV instantiation expects psi-free graphs")
     ambient = make_ambient(graphs.genus(g), g.leg_labels())
+    key_of_side = {}
+
+    def split_keys(pair_a, pair_b):
+        """Keys of the splittings separating pair_a from pair_b."""
+        pool = [h for h in halves if h not in pair_a and h not in pair_b]
+        keys = []
+        for r in range(len(pool) + 1):
+            for companions in itertools.combinations(pool, r):
+                side = frozenset({*pair_a, *companions})
+                key = key_of_side.get(side)
+                if key is None:
+                    key = key_of_side[side] = canonical_key(
+                        split_vertex(dg, vertex, side, 0, 0))
+                keys.append(key)
+        return keys
+
     out = []
     for quad in itertools.combinations(sorted(halves), 4):
         a, b, c, d = quad
-        base = _wdvv_split_sum(dg, vertex, (a, b), (c, d))
+        base = split_keys((a, b), (c, d))
         for other in ((a, c), (b, d)), ((a, d), (b, c)):
-            swapped = _wdvv_split_sum(dg, vertex, *other)
-            rel = Expression(ambient, base) - Expression(ambient, swapped)
-            if not rel.is_zero():
-                out.append(rel)
+            acc = {}
+            for key in base:
+                acc[key] = acc.get(key, 0) + 1
+            for key in split_keys(*other):
+                acc[key] = acc.get(key, 0) - 1
+            terms = {k: Fraction(n) for k, n in acc.items() if n}
+            if terms:
+                out.append(Expression(ambient, _raw=terms))
     return out
 
 
@@ -269,35 +291,43 @@ def _relation_signature(rel):
     return tuple((k, c / lead) for k, c in items)
 
 
-def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000):
+def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
+                            resume=None):
     """Exchange relations reachable from the support within a round budget.
 
-    Each round contracts one edge of every known graph and instantiates the
-    exchange relations at every genus-0 vertex of the contraction; graphs
-    appearing in new relations join the support for the next round.
+    Each round contracts one edge of every graph that joined the support in
+    the previous round (older graphs were contracted before) and
+    instantiates the exchange relations at every genus-0 vertex of each new
+    contraction; graphs appearing in new relations join the support for the
+    next round.  ``resume`` takes a basis this function returned earlier for
+    the same support and continues its closure up to ``rounds`` rounds in
+    all; the result equals that of a fresh call with the same ``rounds``.
     """
-    known = set(support)
-    processed_sources = set()
-    relations = []
-    seen_signatures = set()
-    rounds_used = 0
-    for _round in range(rounds):
+    if resume is None:
+        support = frozenset(support)
+        resume = RelationBasis(ambient, (), support, 0, frontier=support)
+    if resume.rounds >= rounds or (resume.rounds and not resume.frontier):
+        return resume
+    known = set(resume.support)
+    processed = set(resume.processed)
+    seen_signatures = set(resume.signatures)
+    relations = list(resume.relations)
+    frontier = resume.frontier
+    rounds_used = resume.rounds
+    while rounds_used < rounds:
         rounds_used += 1
-        sources = {}
-        for key in sorted(known):
+        sources = set()
+        for key in frontier:
             dg = graph_from_key(key)
             for h, p in dg.graph.edges():
                 if dg.graph.vertex_of[h] == dg.graph.vertex_of[p]:
                     continue
-                source = contract_edge(dg, h)
-                skey = canonical_key(source)
-                if skey not in processed_sources:
-                    sources[skey] = source
-        if not sources:
-            break
-        new_graphs = False
+                skey = canonical_key(contract_edge(dg, h))
+                if skey not in processed:
+                    sources.add(skey)
+        frontier = set()
         for skey in sorted(sources):
-            processed_sources.add(skey)
+            processed.add(skey)
             source = graph_from_key(skey)
             for v in range(source.graph.n_vertices):
                 for rel in wdvv_relations_at(source, v):
@@ -309,13 +339,15 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000):
                     if len(relations) > max_relations:
                         raise OverflowError(
                             "relation budget exceeded (%d)" % max_relations)
-                    for key in rel.support():
+                    for key in rel._terms:
                         if key not in known:
                             known.add(key)
-                            new_graphs = True
-        if not new_graphs:
+                            frontier.add(key)
+        if not frontier:
             break
-    return RelationBasis(ambient, tuple(relations), frozenset(known), rounds_used)
+    return RelationBasis(ambient, tuple(relations), frozenset(known), rounds_used,
+                         frozenset(processed), frozenset(seen_signatures),
+                         frozenset(frontier))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +474,8 @@ def _reachable_relations(basis, target_keys):
 def span_zero_test(expr, budget=3, max_relations=200000):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
-    Escalates the relation-closure round count up to ``budget``; a returned
+    Escalates the relation-closure round count up to ``budget``, resuming
+    the closure of the previous round; a returned
     Zero certificate is re-verified by substitution before being reported.
     Unknown is a budget-bounded outcome, not a nonzeroness proof.
     """
@@ -451,9 +484,14 @@ def span_zero_test(expr, budget=3, max_relations=200000):
     if expr.is_zero():
         return ZeroCertificate(True, (), None, 0, "normalizes to zero")
     target = dict(expr._terms)
+    basis = None
     for rounds in range(1, budget + 1):
+        previous = basis
         basis = generate_wdvv_relations(expr.support(), expr.ambient,
-                                        rounds=rounds, max_relations=max_relations)
+                                        rounds=rounds, max_relations=max_relations,
+                                        resume=basis)
+        if previous is not None and len(basis.relations) == len(previous.relations):
+            continue               # no new relation: the last outcome stands
         usable = _reachable_relations(basis, expr.support())
         touched = set().union(*(basis.relations[i]._terms for i in usable))
         if not touched.issuperset(target):

@@ -271,13 +271,14 @@ def shape_class(shape, weights):
     """Sum over acceptable extra-leg assignments of the forgotten decorated tree."""
     weights = _as_weights(weights)
     ambient = make_ambient(graphs.genus(shape.graph), shape.graph.leg_labels())
-    total = Expression(ambient, _raw={})
+    acc = {}
     for assignment in acceptable_assignments(shape, weights):
         tree = add_extras(shape, assignment)
         decorated = weight_decoration(tree, weights)
         term = Expression(ambient, [(1, decorated)])
-        total = total + forget_extra_legs(term)
-    return total
+        for key, c in forget_extra_legs(term)._terms.items():
+            acc[key] = acc.get(key, 0) + c
+    return Expression(ambient, _raw={k: c for k, c in acc.items() if c != 0})
 
 
 def weighted_tree_class(genus_value, n_frozen, weights):
@@ -287,8 +288,9 @@ def weighted_tree_class(genus_value, n_frozen, weights):
     ambient = make_ambient(genus_value,
                            ["U%d" % i for i in range(1, len(weights) + 1)]
                            + ["V%d" % j for j in range(1, n_frozen + 1)])
-    total = Expression(ambient, _raw={})
+    acc = {}
     for shape in shapes:
         sign = -1 if shape.n_edges() % 2 else 1
-        total = total + shape_class(shape, weights).scale(sign)
-    return total
+        for key, c in shape_class(shape, weights)._terms.items():
+            acc[key] = acc.get(key, 0) + sign * c
+    return Expression(ambient, _raw={k: c for k, c in acc.items() if c != 0})

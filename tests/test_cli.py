@@ -161,7 +161,20 @@ def test_budget_env_variable(monkeypatch):
     monkeypatch.setenv("TAUTREL_BUDGET", "5")
     assert default_budget() == 5
     monkeypatch.setenv("TAUTREL_BUDGET", "junk")
-    assert default_budget() == 3
+    with pytest.raises(ValueError, match="TAUTREL_BUDGET"):
+        default_budget()
+
+
+@pytest.mark.parametrize("value", ["junk", "2.5", "", "0", "-1"])
+def test_bad_budget_env_is_a_usage_error(value):
+    env = dict(os.environ, TAUTREL_BUDGET=value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tautrel.cli", "verify",
+         "--g", "1", "--m", "2", "--d", "2,1"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "TAUTREL_BUDGET" in proc.stderr
 
 
 def test_console_entry_point():

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautrel.expressions import parse_bracket
+from tautrel.expressions import Expression, make_ambient, parse_bracket
+from tautrel.graphs import (
+    canonical_key,
+    contract_edge,
+    genus,
+    graph_from_key,
+    split_vertex,
+)
 from tautrel.reduce import (
     _reachable_relations,
     _solve_exact,
@@ -20,7 +27,9 @@ from tautrel.reduce import (
     psi_reduce_genus0,
     psi_reduce_genus1,
     span_zero_test,
+    wdvv_relations_at,
 )
+from tautrel.treeclass import weighted_tree_class
 
 from conftest import (
     fixture_text,
@@ -482,3 +491,118 @@ def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     assert solution is not None
     assert solution == left_looking_solve(columns, target)
     assert rebuild(columns, solution) == target
+
+
+# ---------------------------------------------------------------------------
+# incremental relation closure and trusted relation assembly
+
+
+def closure_target(name):
+    if name == "b131":
+        return eliminate_all_psi(weighted_tree_class(1, 3, (1, 1, 1)))
+    return parse_bracket(fixture_text(name))
+
+
+def relation_lists(basis):
+    """Every relation as its (key, coefficient) list, in stored order."""
+    return [list(rel._terms.items()) for rel in basis.relations]
+
+
+def overflow_round(expr, max_relations, resumed):
+    """First round of 1..3 whose closure exceeds max_relations, or None."""
+    basis = None
+    for rounds in (1, 2, 3):
+        try:
+            basis = generate_wdvv_relations(
+                expr.support(), expr.ambient, rounds=rounds,
+                max_relations=max_relations, resume=basis if resumed else None)
+        except OverflowError:
+            return rounds
+    return None
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "i1", "b131"])
+def test_resumed_closure_equals_fresh_closure(name):
+    expr = closure_target(name)
+    fresh = [generate_wdvv_relations(expr.support(), expr.ambient, rounds=r)
+             for r in (1, 2, 3)]
+    basis = None
+    for rounds, expected in zip((1, 2, 3), fresh):
+        basis = generate_wdvv_relations(expr.support(), expr.ambient,
+                                        rounds=rounds, resume=basis)
+        assert relation_lists(basis) == relation_lists(expected)
+        assert basis.relations == expected.relations
+        assert basis.support == expected.support
+        assert basis.rounds == expected.rounds
+    first, second = len(fresh[0].relations), len(fresh[1].relations)
+    assert overflow_round(expr, first // 2, resumed=True) == 1
+    assert overflow_round(expr, first // 2, resumed=False) == 1
+    grows = 2 if second > first else None
+    assert overflow_round(expr, first, resumed=True) == grows
+    assert overflow_round(expr, first, resumed=False) == grows
+
+
+def test_resume_past_a_closed_closure_returns_it():
+    expr = closure_target("i1")
+    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=1)
+    assert basis.rounds == 1 and not basis.frontier
+    again = generate_wdvv_relations(expr.support(), expr.ambient, rounds=3,
+                                    resume=basis)
+    assert again is basis
+    assert generate_wdvv_relations(expr.support(), expr.ambient,
+                                   rounds=3).rounds == 1
+
+
+def split_sum_reference(dg, vertex, pair_a, pair_b):
+    g = dg.graph
+    pool = [h for h in g.halves_at(vertex)
+            if h not in pair_a and h not in pair_b]
+    terms = []
+    for r in range(len(pool) + 1):
+        for companions in itertools.combinations(pool, r):
+            side = frozenset({*pair_a, *companions})
+            terms.append((Fraction(1), split_vertex(dg, vertex, side, 0, 0)))
+    return terms
+
+
+def wdvv_relations_reference(dg, vertex):
+    """Reference oracle: every term goes through the validating constructor."""
+    g = dg.graph
+    halves = g.halves_at(vertex)
+    if g.genera[vertex] != 0 or len(halves) < 4:
+        return []
+    ambient = make_ambient(genus(g), g.leg_labels())
+    out = []
+    for a, b, c, d in itertools.combinations(sorted(halves), 4):
+        base = split_sum_reference(dg, vertex, (a, b), (c, d))
+        for other in ((a, c), (b, d)), ((a, d), (b, c)):
+            swapped = split_sum_reference(dg, vertex, *other)
+            rel = Expression(ambient, base) - Expression(ambient, swapped)
+            if not rel.is_zero():
+                out.append(rel)
+    return out
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "i1"])
+def test_trusted_relations_match_validating_construction(name):
+    expr = parse_bracket(fixture_text(name))
+    sources = set()
+    for key in expr.support():
+        dg = graph_from_key(key)
+        for h, p in dg.graph.edges():
+            if dg.graph.vertex_of[h] != dg.graph.vertex_of[p]:
+                sources.add(canonical_key(contract_edge(dg, h)))
+    checked = 0
+    for skey in sorted(sources):
+        source = graph_from_key(skey)
+        for v in range(source.graph.n_vertices):
+            if source.graph.genera[v] != 0:
+                continue
+            got = wdvv_relations_at(source, v)
+            expected = wdvv_relations_reference(source, v)
+            assert got == expected
+            assert [list(r._terms.items()) for r in got] == \
+                [list(r._terms.items()) for r in expected]
+            assert all(isinstance(c, Fraction) for r in got for c in r._terms.values())
+            checked += len(got)
+    assert checked > 0
