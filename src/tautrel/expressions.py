@@ -235,25 +235,12 @@ def attach_vertex(expr, leg_label, genus_v, legs):
     out = []
     for coeff, dg in expr.terms():
         g = dg.graph
-        b = GraphBuilder()
-        for genus_w in g.genera:
-            b.add_vertex(genus_w)
-        new_v = b.add_vertex(genus_v)
-        remap = {}
-        glue = None
-        for h in range(g.n_half_edges):
-            if g.labels[h] == leg_label:
-                glue = remap[h] = b.add_half(g.vertex_of[h], dg.exponents[h])
-            elif g.labels[h] is not None:
-                remap[h] = b.add_leg(g.vertex_of[h], g.labels[h], dg.exponents[h])
-            else:
-                remap[h] = b.add_half(g.vertex_of[h], dg.exponents[h])
-        if glue is None:
+        if leg_label not in g.labels:
             raise ValueError("no leg labeled %r" % leg_label)
-        for h, p in g.edges():
-            b.pair(remap[h], remap[p])
-        other = b.add_half(new_v, 0)
-        b.pair(glue, other)
+        glue = g.labels.index(leg_label)
+        b = GraphBuilder.copy_of(dg, drop=(glue,))
+        new_v = b.add_vertex(genus_v)
+        b.add_edge(g.vertex_of[glue], new_v, dg.exponents[glue], 0)
         for label, exp in legs:
             b.add_leg(new_v, label, exp)
         out.append((coeff, b.build()))
@@ -352,6 +339,8 @@ class _Parser:
                 if kind2 != "number":
                     raise ValueError("malformed rational coefficient")
                 den = int(tok2)
+                if den == 0:
+                    raise ValueError("zero denominator in coefficient")
             coeff *= Fraction(num, den)
             self.expect("*")
         factors = [self.parse_factor()]
@@ -395,24 +384,25 @@ _EXTRA_NAME = re.compile(r"^W\d*$")
 
 
 def _term_graph(factors):
-    occurrences = {}
-    for v, (genus_v, items) in enumerate(factors):
-        for name, exp in items:
-            occurrences.setdefault(_pair_base(name), []).append((v, name, exp))
     b = GraphBuilder()
     for genus_v, _items in factors:
         b.add_vertex(genus_v)
+    occurrences = {}
+    for v, (_genus_v, items) in enumerate(factors):
+        for name, exp in items:
+            if not _EXTRA_NAME.match(name):
+                occurrences.setdefault(_pair_base(name), []).append((v, name, exp))
+            elif exp != 0:
+                raise ValueError("extra leg %r cannot carry an exponent" % name)
+            else:
+                # extra legs are anonymous, so one W-name may recur
+                b.add_leg(v, EXTRA, 0)
     for base, occ in sorted(occurrences.items()):
         if len(occ) == 1:
             v, name, exp = occ[0]
             if name.endswith("*"):
                 raise ValueError("unmatched half-edge star %r" % name)
-            if _EXTRA_NAME.match(name):
-                if exp != 0:
-                    raise ValueError("extra leg %r cannot carry an exponent" % name)
-                b.add_leg(v, EXTRA, 0)
-            else:
-                b.add_leg(v, name, exp)
+            b.add_leg(v, name, exp)
         elif len(occ) == 2:
             (v1, n1, e1), (v2, n2, e2) = occ
             if {n1, n2} != {base, base + "*"}:
@@ -496,25 +486,36 @@ def _coefficient_str(coeff):
     return "%d/%d" % (coeff.numerator, coeff.denominator)
 
 
-def render_bracket(expr):
-    """Render in the ASCII bracket grammar with Aut-normalized coefficients."""
+def _render(expr, factor, item, prefix):
+    """Shared body of the bracket and LaTeX renderers.
+
+    ``factor(items, genus)`` prints one vertex from its joined items,
+    ``item(name, exponent)`` prints one half-edge, and ``prefix(magnitude)``
+    prints a coefficient magnitude other than 1 in front of its term.
+    """
     if expr.is_zero():
         return "0"
     chunks = []
     for coeff, dg in expr.terms():
         shown = coeff * automorphism_order(dg)
         body = " ".join(
-            "<%s>_%d" % (" ".join(_item_str(name, exp) for name, exp in items),
-                         dg.graph.genera[v])
+            factor(" ".join(item(name, exp) for name, exp in items), dg.graph.genera[v])
             for v, items in enumerate(_display_layout(dg)))
         mag = abs(shown)
-        prefix = "" if mag == 1 else _coefficient_str(mag) + " * "
-        chunks.append(("-" if shown < 0 else "+", prefix + body))
+        if mag != 1:
+            body = prefix(mag) + body
+        chunks.append(("-" if shown < 0 else "+", body))
     sign, first = chunks[0]
     out = ("-" if sign == "-" else "") + first
     for sign, body in chunks[1:]:
         out += " %s %s" % (sign, body)
     return out
+
+
+def render_bracket(expr):
+    """Render in the ASCII bracket grammar with Aut-normalized coefficients."""
+    return _render(expr, lambda items, genus_v: "<%s>_%d" % (items, genus_v),
+                   _item_str, lambda mag: _coefficient_str(mag) + " * ")
 
 
 def _item_str(name, exp):
@@ -540,29 +541,14 @@ def _latex_name(name):
 
 
 def render_latex(expr):
-    if expr.is_zero():
-        return "0"
-    chunks = []
-    for coeff, dg in expr.terms():
-        shown = coeff * automorphism_order(dg)
-        body = " ".join(
-            r"\left< %s \right>_{%d}" % (
-                " ".join(_latex_item(name, exp) for name, exp in items),
-                dg.graph.genera[v])
-            for v, items in enumerate(_display_layout(dg)))
-        mag = abs(shown)
-        if mag == 1:
-            prefix = ""
-        elif mag.denominator == 1:
-            prefix = "%d \\, " % mag.numerator
-        else:
-            prefix = "\\frac{%d}{%d} \\, " % (mag.numerator, mag.denominator)
-        chunks.append(("-" if shown < 0 else "+", prefix + body))
-    sign, first = chunks[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, body in chunks[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+    return _render(expr, lambda items, genus_v: r"\left< %s \right>_{%d}" % (items, genus_v),
+                   _latex_item, _latex_prefix)
+
+
+def _latex_prefix(mag):
+    if mag.denominator == 1:
+        return "%d \\, " % mag.numerator
+    return "\\frac{%d}{%d} \\, " % (mag.numerator, mag.denominator)
 
 
 def _latex_item(name, exp):

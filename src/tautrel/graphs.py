@@ -67,9 +67,6 @@ class DualGraph:
     def halves_at(self, v):
         return [h for h, w in enumerate(self.vertex_of) if w == v]
 
-    def is_leg(self, h):
-        return self.involution[h] == h
-
     def edges(self):
         """Internal edges as (h, involution[h]) pairs with h < partner."""
         return [(h, self.involution[h]) for h in range(self.n_half_edges)
@@ -175,6 +172,30 @@ class GraphBuilder:
         self.labels = []
         self.exponents = []
         self.pairs = []
+
+    @classmethod
+    def copy_of(cls, dg, genera=None, vertex_of=None, exponents=None, drop=()):
+        """A builder holding a copy of ``dg``, ready for appended edges and legs.
+
+        This is the one graph-surgery primitive.  ``genera`` replaces the
+        vertex genera; ``vertex_of`` and ``exponents`` give each old
+        half-edge its new vertex and psi exponent.  Half-edges in ``drop``
+        are left out, the rest keep their relative order, and an edge is
+        re-paired only when both of its halves are kept.
+        """
+        g = dg.graph
+        vertex_of = g.vertex_of if vertex_of is None else vertex_of
+        exponents = dg.exponents if exponents is None else exponents
+        kept = [h for h in range(g.n_half_edges) if h not in drop]
+        new_id = {h: i for i, h in enumerate(kept)}
+        b = cls()
+        b.genera = list(g.genera if genera is None else genera)
+        b.vertex_of = [vertex_of[h] for h in kept]
+        b.labels = [g.labels[h] for h in kept]
+        b.exponents = [exponents[h] for h in kept]
+        b.pairs = [(new_id[h], new_id[p]) for h, p in g.edges()
+                   if h in new_id and p in new_id]
+        return b
 
     def add_vertex(self, genus):
         self.genera.append(genus)
@@ -364,58 +385,6 @@ def automorphism_order(dg):
 # graph surgery (all functions return fresh graphs; inputs are never mutated)
 
 
-def _rebuild(dg, keep, reattach=None, genera=None, new_edges=(), new_legs=(),
-             exponent_override=None):
-    """Copy ``dg`` keeping half-edges in ``keep`` (a sorted list).
-
-    ``reattach`` maps old vertex id -> new vertex id, ``genera`` is the new
-    genus list, ``new_edges``/(v1,v2,e1,e2) and ``new_legs``/(v,label,exp) are
-    appended, ``exponent_override`` maps old half-edge id -> new exponent.
-    """
-    g = dg.graph
-    b = GraphBuilder()
-    for genus_v in (genera if genera is not None else g.genera):
-        b.add_vertex(genus_v)
-    remap = {}
-    for h in keep:
-        v = g.vertex_of[h]
-        v = reattach[v] if reattach else v
-        exp = dg.exponents[h]
-        if exponent_override and h in exponent_override:
-            exp = exponent_override[h]
-        if g.labels[h] is not None:
-            remap[h] = b.add_leg(v, g.labels[h], exp)
-        else:
-            remap[h] = b.add_half(v, exp)
-    for h, p in g.edges():
-        if h in remap and p in remap:
-            b.pair(remap[h], remap[p])
-    for v, label, exp in new_legs:
-        b.add_leg(v, label, exp)
-    for v1, v2, e1, e2 in new_edges:
-        b.add_edge(v1, v2, e1, e2)
-    return b.build()
-
-
-def delete_legs(dg, legs, exponent_override=None):
-    legs = set(legs)
-    for h in legs:
-        if not dg.graph.is_leg(h):
-            raise ValueError("can only delete legs, not edge halves")
-    keep = [h for h in range(dg.graph.n_half_edges) if h not in legs]
-    return _rebuild(dg, keep, exponent_override=exponent_override)
-
-
-def add_legs(dg, new_legs):
-    keep = list(range(dg.graph.n_half_edges))
-    return _rebuild(dg, keep, new_legs=new_legs)
-
-
-def with_exponents(dg, override):
-    keep = list(range(dg.graph.n_half_edges))
-    return _rebuild(dg, keep, exponent_override=dict(override))
-
-
 def split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
     """Split vertex ``v`` into two vertices joined by a fresh edge.
 
@@ -432,20 +401,9 @@ def split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
     genera = list(g.genera)
     genera[v] = genus_a
     genera.append(genus_b)
-    b = GraphBuilder()
-    for genus_v in genera:
-        b.add_vertex(genus_v)
-    remap = {}
-    for h in range(g.n_half_edges):
-        w = g.vertex_of[h]
-        if w == v:
-            w = v if h in side else nv
-        if g.labels[h] is not None:
-            remap[h] = b.add_leg(w, g.labels[h], dg.exponents[h])
-        else:
-            remap[h] = b.add_half(w, dg.exponents[h])
-    for h, p in g.edges():
-        b.pair(remap[h], remap[p])
+    vertex_of = [nv if w == v and h not in side else w
+                 for h, w in enumerate(g.vertex_of)]
+    b = GraphBuilder.copy_of(dg, genera=genera, vertex_of=vertex_of)
     b.add_edge(v, nv, exp_a, exp_b)
     return b.build()
 
@@ -460,17 +418,11 @@ def contract_edge(dg, h):
     if v == w:
         raise ValueError("cannot contract a loop edge")
     lo, hi = min(v, w), max(v, w)
-    genera = []
-    reattach = {}
-    for u in range(g.n_vertices):
-        if u == hi:
-            reattach[u] = lo
-            continue
-        reattach[u] = len(genera)
-        genera.append(g.genera[u] + (g.genera[hi] if u == lo else 0))
-    # fix lo's slot when hi < positions shift
-    keep = [x for x in range(g.n_half_edges) if x not in (h, p)]
-    return _rebuild(dg, keep, reattach=reattach, genera=genera)
+    genera = list(g.genera)
+    genera[lo] += genera.pop(hi)
+    vertex_of = [lo if u == hi else u - (u > hi) for u in g.vertex_of]
+    return GraphBuilder.copy_of(dg, genera=genera, vertex_of=vertex_of,
+                                drop=(h, p)).build()
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .graphs import EXTRA
+from .graphs import EXTRA, GraphBuilder
 from .expressions import Expression, make_ambient
-from . import graphs
 
 
 def d_set(exponents, count):
@@ -54,16 +53,16 @@ def _push_at_vertices(coeff, dg, forget_by_vertex):
         exps = tuple(dg.exponents[h] for h in slots)
         table = string_table(exps, len(forgotten))
         choices.append((slots, table))
-    all_forgotten = [h for hs in forget_by_vertex.values() for h in hs]
+    all_forgotten = {h for hs in forget_by_vertex.values() for h in hs}
     for picks in itertools.product(*(t for _s, t in choices)):
         mult = 1
-        override = {}
+        exponents = list(dg.exponents)
         for (slots, _t), (residual, m) in zip(choices, picks):
             mult *= m
             for h, e in zip(slots, residual):
-                override[h] = e
-        out.append((coeff * mult, graphs.delete_legs(dg, all_forgotten,
-                                                     exponent_override=override)))
+                exponents[h] = e
+        b = GraphBuilder.copy_of(dg, exponents=exponents, drop=all_forgotten)
+        out.append((coeff * mult, b.build()))
     return out
 
 

@@ -24,12 +24,13 @@ from functools import lru_cache
 from math import factorial
 
 from .graphs import (
+    DecoratedGraph,
+    GraphBuilder,
     canonical_key,
     contract_edge,
     graph_from_key,
     leg_kind,
     split_vertex,
-    with_exponents,
 )
 from . import graphs
 from .expressions import Expression, from_terms, make_ambient
@@ -44,6 +45,12 @@ def _single_term(expr):
     if len(terms) != 1:
         raise ValueError("expected a single-term expression")
     return terms[0]
+
+
+def _lower_exponent(dg, half):
+    exponents = list(dg.exponents)
+    exponents[half] -= 1
+    return DecoratedGraph(dg.graph, tuple(exponents))
 
 
 def psi_reduce_genus0(expr, vertex, half, partner_pair):
@@ -67,7 +74,7 @@ def psi_reduce_genus0(expr, vertex, half, partner_pair):
     x1, x2 = partner_pair
     if len({half, x1, x2}) != 3 or {x1, x2} - set(halves) or half not in halves:
         raise ValueError("partner pair must be two other half-edges of the vertex")
-    lowered = with_exponents(dg, {half: dg.exponents[half] - 1})
+    lowered = _lower_exponent(dg, half)
     pool = [h for h in halves if h not in (half, x1, x2)]
     out = []
     for r in range(1, len(pool) + 1):
@@ -90,39 +97,19 @@ def psi_reduce_genus1(expr, vertex, half):
         raise ValueError("target vertex must have genus 1")
     if dg.exponents[half] < 1:
         raise ValueError("target half-edge carries no psi class")
-    lowered = with_exponents(dg, {half: dg.exponents[half] - 1})
+    lowered = _lower_exponent(dg, half)
     pool = [h for h in halves if h != half]
     out = []
     for r in range(1, len(pool) + 1):
         for companions in itertools.combinations(pool, r):
             side = frozenset({half, *companions})
             out.append((coeff, split_vertex(lowered, vertex, side, 0, 1)))
-    loop = split_vertex(lowered, vertex, frozenset(halves), 0, 0)
-    # the loop split leaves an empty genus-0 vertex; merge it back as a loop
-    loop = contract_loopless_stub(loop, vertex)
-    out.append((coeff * Fraction(1, 24), loop))
+    genera = list(g.genera)
+    genera[vertex] = 0
+    loop = GraphBuilder.copy_of(lowered, genera=genera)
+    loop.add_edge(vertex, vertex)
+    out.append((coeff * Fraction(1, 24), loop.build()))
     return Expression(expr.ambient, out)
-
-
-def contract_loopless_stub(dg, vertex):
-    """Turn the (vertex)--(empty stub) edge produced by a full split into a loop."""
-    g = dg.graph
-    stub = g.n_vertices - 1
-    b = graphs.GraphBuilder()
-    for v in range(g.n_vertices - 1):
-        b.add_vertex(g.genera[v])
-    remap = {}
-    for h in range(g.n_half_edges):
-        v = g.vertex_of[h]
-        if v == stub:
-            v = vertex
-        if g.labels[h] is not None:
-            remap[h] = b.add_leg(v, g.labels[h], dg.exponents[h])
-        else:
-            remap[h] = b.add_half(v, dg.exponents[h])
-    for h, p in g.edges():
-        b.pair(remap[h], remap[p])
-    return b.build()
 
 
 def choose_partner_pair(dg, vertex, half):
@@ -209,7 +196,9 @@ def distribute(expr, label):
         raise ValueError("name %r already used in the term" % label)
     out = []
     for v in range(dg.graph.n_vertices):
-        out.append((coeff, graphs.add_legs(dg, [(v, label, 0)])))
+        b = GraphBuilder.copy_of(dg)
+        b.add_leg(v, label)
+        out.append((coeff, b.build()))
     return from_terms(out)
 
 

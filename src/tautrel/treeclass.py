@@ -172,14 +172,11 @@ def enumerate_shapes(genus_value, n_regular, n_frozen):
 def add_extras(shape, assignment):
     """Add ``assignment[v] + 1`` extra legs to each non-root vertex."""
     g = shape.graph
-    new_legs = []
-    for v in range(g.n_vertices):
-        if v == 0:
-            continue
+    b = GraphBuilder.copy_of(DecoratedGraph(g, (0,) * g.n_half_edges))
+    for v in range(1, g.n_vertices):
         for _ in range(assignment[v] + 1):
-            new_legs.append((v, EXTRA, 0))
-    dg = DecoratedGraph(g, (0,) * g.n_half_edges)
-    return graphs.add_legs(dg, new_legs)
+            b.add_leg(v, EXTRA)
+    return b.build()
 
 
 def weight_decoration(tree_dg, weights):

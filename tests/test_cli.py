@@ -10,6 +10,8 @@ from tautrel.expressions import parse_bracket
 
 from conftest import FIXTURES, fixture_text
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -20,6 +22,14 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     return code, json.loads(out)
+
+
+def run_child(*argv, env=None, **kwargs):
+    """Run ``python -m tautrel.cli`` in a child process that imports from ``src/``."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tautrel.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 def strip_timing(report):
@@ -135,6 +145,14 @@ def test_reduce_parse_error_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_reduce_zero_denominator_is_a_parse_error():
+    proc = run_child("reduce", "-", "--mode", "psi", input="1/0 * <a b c>_0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "parse error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--g", "1"])
@@ -148,10 +166,8 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_reduce_reads_stdin():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tautrel.cli", "reduce", "-", "--mode", "zero-test"],
-        input="<x1 x2 a>_0 <a* x3 x4>_0 - <x1 x3 a>_0 <a* x2 x4>_0",
-        capture_output=True, text=True)
+    proc = run_child("reduce", "-", "--mode", "zero-test",
+                     input="<x1 x2 a>_0 <a* x3 x4>_0 - <x1 x3 a>_0 <a* x2 x4>_0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"]["proved"] is True
 
@@ -168,19 +184,13 @@ def test_budget_env_variable(monkeypatch):
 @pytest.mark.parametrize("value", ["junk", "2.5", "", "0", "-1"])
 def test_bad_budget_env_is_a_usage_error(value):
     env = dict(os.environ, TAUTREL_BUDGET=value)
-    proc = subprocess.run(
-        [sys.executable, "-m", "tautrel.cli", "verify",
-         "--g", "1", "--m", "2", "--d", "2,1"],
-        capture_output=True, text=True, env=env)
+    proc = run_child("verify", "--g", "1", "--m", "2", "--d", "2,1", env=env)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "TAUTREL_BUDGET" in proc.stderr
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tautrel.cli", "enumerate",
-         "--g", "1", "--n", "1", "--m", "2"],
-        capture_output=True, text=True)
+    proc = run_child("enumerate", "--g", "1", "--n", "1", "--m", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"]["count"] == 2

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tautrel.graphs import GraphBuilder, automorphism_order
+from tautrel.graphs import GraphBuilder, automorphism_order, genus, is_stable, validate
 from tautrel.expressions import (
     Expression,
     attach_vertex,
     dumps,
     expression_from_json,
+    from_terms,
     make_ambient,
     parse_bracket,
     render_bracket,
@@ -18,7 +20,7 @@ from tautrel.expressions import (
 )
 from tautrel.treeclass import weighted_tree_class
 
-from conftest import brute_force_automorphism_order, fixture_text
+from conftest import brute_force_automorphism_order, fixture_text, random_decorated_graph
 
 
 def test_add_cancels_and_scale_zero():
@@ -132,6 +134,15 @@ def test_parse_errors():
         parse_bracket("<a a a*>_0")             # a name used three times
     with pytest.raises(ValueError):
         parse_bracket("0")                      # ambient cannot be inferred
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_bracket("1/0 * <a b c>_0")
+
+
+def test_extra_leg_names_may_repeat():
+    # rendering numbers extra legs per vertex, so W1 can occur on two vertices
+    expr = parse_bracket("<U1 W1 a>_0 <a* U2 W1 V1>_0")
+    assert expr == parse_bracket("<U1 W1 a>_0 <a* U2 W2 V1>_0")
+    assert parse_bracket(render_bracket(expr)) == expr
 
 
 def test_parse_zero_with_ambient():
@@ -171,3 +182,48 @@ def test_latex_render_smoke():
     assert r"\frac{1}{12}" in tex and r"\gamma" in tex and r"\right>_{0}" in tex
     e2 = parse_bracket("<V1 V2 P^2(U1) P^1(U2)>_1")
     assert r"\Psi^{2}(U_{1})" in render_latex(e2)
+
+
+def random_expression(rng):
+    """A random sum of nonzero stable terms on one ambient and in one degree."""
+    def signature(dg):
+        return genus(dg.graph), dg.graph.leg_labels(), dg.degree()
+
+    terms = []
+    for _ in range(40):
+        dg = random_decorated_graph(rng)
+        g = dg.graph
+        if validate(g) or not is_stable(dg) or 2 * genus(g) - 2 + len(g.leg_labels()) <= 0:
+            continue
+        if from_terms([(1, dg)]).is_zero():
+            continue
+        if terms and signature(dg) != signature(terms[0][1]):
+            continue
+        num = rng.choice([n for n in range(-6, 7) if n])
+        terms.append((Fraction(num, rng.randint(1, 4)), dg))
+    return from_terms(terms) if terms else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_render_parse_roundtrip_property(rng):
+    expr = random_expression(rng)
+    if expr is None:
+        return
+    assert parse_bracket(render_bracket(expr), ambient=expr.ambient) == expr
+
+
+_GRAMMAR_CHARS = "<>_()^+-*/# \n0123PUVWabg"
+_GRAMMAR_TOKENS = ["<", ">", "_", "(", ")", "^", "+", "-", "*", "/", "0", "1", "2",
+                   "12", "P", "U1", "U2", "V1", "W", "W1", "a", "a*", "b", "b*", "g1"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(alphabet=_GRAMMAR_CHARS, max_size=30),
+    st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=30).map(" ".join)))
+def test_bracket_text_parses_or_raises_value_error(text):
+    try:
+        parse_bracket(text)
+    except ValueError:
+        pass

@@ -1,24 +1,41 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautrel.graphs import (
     EXTRA,
+    DecoratedGraph,
     DualGraph,
     GraphBuilder,
     RootedTreeView,
     automorphism_order,
     canonical_key,
+    contract_edge,
     genus,
     graph_from_key,
     is_balanced,
     is_nondegenerate,
     is_stable,
+    split_vertex,
     validate,
 )
-from tautrel.expressions import parse_bracket
+from tautrel.expressions import (
+    Expression,
+    attach_vertex,
+    from_terms,
+    parse_bracket,
+)
+from tautrel.reduce import psi_reduce_genus1
 
-from conftest import brute_force_automorphism_order, random_decorated_graph, relabeled
+from conftest import (
+    brute_force_automorphism_order,
+    fixture_text,
+    random_decorated_graph,
+    relabeled,
+)
 
 
 def build(fn):
@@ -269,3 +286,262 @@ def test_level_edge_count_identity():
     non_root = [v for v in range(view.graph.n_vertices) if v != view.root]
     assert len(non_root) == view.graph.n_edges()
     assert all(view.level[v] >= 2 for v in non_root)
+
+
+# ---------------------------------------------------------------------------
+# graph surgery against hand-written reference loops
+#
+# Each reference copies half-edges one by one, remaps them and re-pairs the
+# edges, as the surgeries did before they went through GraphBuilder.copy_of.
+
+
+def reference_split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
+    g = dg.graph
+    side = set(side)
+    halves = set(g.halves_at(v))
+    if not side <= halves:
+        raise ValueError("side must consist of half-edges at the split vertex")
+    nv = g.n_vertices
+    genera = list(g.genera)
+    genera[v] = genus_a
+    genera.append(genus_b)
+    b = GraphBuilder()
+    for genus_v in genera:
+        b.add_vertex(genus_v)
+    remap = {}
+    for h in range(g.n_half_edges):
+        w = g.vertex_of[h]
+        if w == v:
+            w = v if h in side else nv
+        if g.labels[h] is not None:
+            remap[h] = b.add_leg(w, g.labels[h], dg.exponents[h])
+        else:
+            remap[h] = b.add_half(w, dg.exponents[h])
+    for h, p in g.edges():
+        b.pair(remap[h], remap[p])
+    b.add_edge(v, nv, exp_a, exp_b)
+    return b.build()
+
+
+def reference_contract_edge(dg, h):
+    g = dg.graph
+    p = g.involution[h]
+    if p == h:
+        raise ValueError("cannot contract a leg")
+    v, w = g.vertex_of[h], g.vertex_of[p]
+    if v == w:
+        raise ValueError("cannot contract a loop edge")
+    lo, hi = min(v, w), max(v, w)
+    genera = []
+    reattach = {}
+    for u in range(g.n_vertices):
+        if u == hi:
+            reattach[u] = lo
+            continue
+        reattach[u] = len(genera)
+        genera.append(g.genera[u] + (g.genera[hi] if u == lo else 0))
+    b = GraphBuilder()
+    for genus_v in genera:
+        b.add_vertex(genus_v)
+    remap = {}
+    for x in range(g.n_half_edges):
+        if x in (h, p):
+            continue
+        u = reattach[g.vertex_of[x]]
+        if g.labels[x] is not None:
+            remap[x] = b.add_leg(u, g.labels[x], dg.exponents[x])
+        else:
+            remap[x] = b.add_half(u, dg.exponents[x])
+    for x, y in g.edges():
+        if x in remap and y in remap:
+            b.pair(remap[x], remap[y])
+    return b.build()
+
+
+def reference_loop_term(dg, vertex, half):
+    """Lower the psi at ``half``, split off every half-edge, close the stub."""
+    exps = list(dg.exponents)
+    exps[half] -= 1
+    lowered = DecoratedGraph(dg.graph, tuple(exps))
+    split = reference_split_vertex(lowered, vertex, dg.graph.halves_at(vertex), 0, 0)
+    g = split.graph
+    stub = g.n_vertices - 1
+    b = GraphBuilder()
+    for v in range(g.n_vertices - 1):
+        b.add_vertex(g.genera[v])
+    remap = {}
+    for h in range(g.n_half_edges):
+        v = g.vertex_of[h]
+        if v == stub:
+            v = vertex
+        if g.labels[h] is not None:
+            remap[h] = b.add_leg(v, g.labels[h], split.exponents[h])
+        else:
+            remap[h] = b.add_half(v, split.exponents[h])
+    for h, p in g.edges():
+        b.pair(remap[h], remap[p])
+    return b.build()
+
+
+def reference_psi_reduce_genus1(expr, vertex, half):
+    (coeff, dg), = expr.terms()
+    exps = list(dg.exponents)
+    exps[half] -= 1
+    lowered = DecoratedGraph(dg.graph, tuple(exps))
+    pool = [h for h in dg.graph.halves_at(vertex) if h != half]
+    out = []
+    for r in range(1, len(pool) + 1):
+        for companions in itertools.combinations(pool, r):
+            side = frozenset({half, *companions})
+            out.append((coeff, reference_split_vertex(lowered, vertex, side, 0, 1)))
+    out.append((coeff * Fraction(1, 24), reference_loop_term(dg, vertex, half)))
+    return Expression(expr.ambient, out)
+
+
+def reference_attach_vertex(expr, leg_label, genus_v, legs):
+    out = []
+    for coeff, dg in expr.terms():
+        g = dg.graph
+        b = GraphBuilder()
+        for genus_w in g.genera:
+            b.add_vertex(genus_w)
+        new_v = b.add_vertex(genus_v)
+        remap = {}
+        glue = None
+        for h in range(g.n_half_edges):
+            if g.labels[h] == leg_label:
+                glue = remap[h] = b.add_half(g.vertex_of[h], dg.exponents[h])
+            elif g.labels[h] is not None:
+                remap[h] = b.add_leg(g.vertex_of[h], g.labels[h], dg.exponents[h])
+            else:
+                remap[h] = b.add_half(g.vertex_of[h], dg.exponents[h])
+        if glue is None:
+            raise ValueError("no leg labeled %r" % leg_label)
+        for h, p in g.edges():
+            b.pair(remap[h], remap[p])
+        other = b.add_half(new_v, 0)
+        b.pair(glue, other)
+        for label, exp in legs:
+            b.add_leg(new_v, label, exp)
+        out.append((coeff, b.build()))
+    return from_terms(out)
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1))
+
+
+def check_splits_and_contractions(dg):
+    g = dg.graph
+    checked = 0
+    for v in range(g.n_vertices):
+        if g.genera[v] > 1:
+            continue
+        for side in _subsets(g.halves_at(v)):
+            for genus_a in range(g.genera[v] + 1):
+                for exp_a, exp_b in ((0, 0), (1, 0)):
+                    args = (v, side, genus_a, g.genera[v] - genus_a, exp_a, exp_b)
+                    assert canonical_key(split_vertex(dg, *args)) == \
+                        canonical_key(reference_split_vertex(dg, *args))
+                    checked += 1
+    for h, p in g.edges():
+        if g.vertex_of[h] != g.vertex_of[p]:
+            for x in (h, p):
+                assert canonical_key(contract_edge(dg, x)) == \
+                    canonical_key(reference_contract_edge(dg, x))
+                checked += 1
+    return checked
+
+
+def single_term(dg):
+    """``dg`` as a one-term expression, or None when it is no valid nonzero term."""
+    g = dg.graph
+    if validate(g) or not is_stable(dg) or 2 * genus(g) - 2 + len(g.leg_labels()) <= 0:
+        return None
+    expr = from_terms([(Fraction(1), dg)])
+    return None if expr.is_zero() else expr
+
+
+def genus1_loop_inputs(dg):
+    """Single-term expressions with a psi on a genus-1 vertex, made from ``dg``.
+
+    Each vertex of genus 0 or 1 in turn is given genus 1, and each of its
+    half-edges other than extra legs in turn one more psi power.
+    """
+    g = dg.graph
+    for v in range(g.n_vertices):
+        if g.genera[v] > 1:
+            continue
+        genera = list(g.genera)
+        genera[v] = 1
+        raised = DualGraph(tuple(genera), g.vertex_of, g.involution, g.labels)
+        for h in g.halves_at(v):
+            if g.labels[h] == EXTRA:
+                continue
+            exps = list(dg.exponents)
+            exps[h] += 1
+            expr = single_term(DecoratedGraph(raised, tuple(exps)))
+            if expr is not None:
+                yield expr
+
+
+def check_loop_terms(dg):
+    checked = 0
+    for expr in genus1_loop_inputs(dg):
+        (_c, term), = expr.terms()
+        tg = term.graph
+        for h in range(tg.n_half_edges):
+            v = tg.vertex_of[h]
+            if tg.genera[v] == 1 and term.exponents[h] > 0:
+                assert psi_reduce_genus1(expr, v, h) == \
+                    reference_psi_reduce_genus1(expr, v, h)
+                checked += 1
+    return checked
+
+
+def check_attachments(expr):
+    checked = 0
+    for label in expr.ambient.labels:
+        for genus_v, legs in ((0, [("Z1", 0), ("Z2", 0)]), (1, [("Z1", 1)])):
+            assert attach_vertex(expr, label, genus_v, legs) == \
+                reference_attach_vertex(expr, label, genus_v, legs)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "i1"])
+def test_surgery_matches_reference_loops_on_fixtures(name):
+    expr = parse_bracket(fixture_text(name))
+    splits = loops = 0
+    for _c, dg in expr.terms():
+        splits += check_splits_and_contractions(dg)
+        loops += check_loop_terms(dg)
+    assert splits > 0 and loops > 0
+    assert check_attachments(expr) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_surgery_matches_reference_loops_on_random_graphs(rng):
+    dg = random_decorated_graph(rng, with_extras=True)
+    check_splits_and_contractions(dg)
+    check_loop_terms(dg)
+    expr = single_term(dg)
+    if expr is not None:
+        check_attachments(expr)
+
+
+def test_surgery_input_checks():
+    dg = parse_bracket("<U1 U2 a>_0 <a* U3 b b*>_0").terms()[0][1]
+    g = dg.graph
+    loop = next(h for h, p in g.edges() if g.vertex_of[h] == g.vertex_of[p])
+    leg = g.leg_with_label("U1")
+    with pytest.raises(ValueError, match="side must consist"):
+        split_vertex(dg, 1 - g.vertex_of[leg], [leg], 0, 0)
+    with pytest.raises(ValueError, match="cannot contract a leg"):
+        contract_edge(dg, leg)
+    with pytest.raises(ValueError, match="cannot contract a loop edge"):
+        contract_edge(dg, loop)
+    with pytest.raises(ValueError, match="no leg labeled 'r'"):
+        attach_vertex(parse_bracket("<U1 U2 U3>_0"), "r", 0, [("Z1", 0)])
