@@ -422,18 +422,20 @@ def parse_bracket(text, ambient=None):
 
     Bracket coefficients are Aut-normalized; the stored internal coefficient
     of each parsed term is the printed prefix divided by the automorphism
-    order of its graph.
+    order of its graph.  The printed terms are validated and collected first,
+    so malformed text fails before any symmetry is counted; equal keys have
+    equal automorphism orders, so dividing the collected sums is the same.
     """
     parsed = _Parser(text).parse_expression()
-    terms = []
-    for coeff, factors in parsed:
-        dg = _term_graph(factors)
-        terms.append((coeff / automorphism_order(dg), dg))
+    terms = [(coeff, _term_graph(factors)) for coeff, factors in parsed]
     if not terms:
         if ambient is None:
             raise ValueError("cannot infer the ambient of an empty expression")
         return zero(ambient)
-    return from_terms(terms, ambient)
+    printed = from_terms(terms, ambient)
+    return Expression(printed.ambient, _raw={
+        key: coeff / automorphism_order(graph_from_key(key))
+        for key, coeff in printed._terms.items()})
 
 
 _DISPLAY_KIND = {"frozen": 0, "regular": 1, "named": 2}

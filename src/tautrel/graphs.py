@@ -264,6 +264,7 @@ def _refined_groups(dg):
 
     Refinement only ever splits groups and is isomorphism-invariant, so
     restricting the canonical search to within-group permutations is sound.
+    It has converged once a pass no longer adds a group.
     """
     g = dg.graph
     nv = g.n_vertices
@@ -274,13 +275,7 @@ def _refined_groups(dg):
     at = [[] for _ in range(nv)]
     for h in internal:
         at[g.vertex_of[h]].append(h)
-
-    def partition(values):
-        groups = {}
-        for v, value in enumerate(values):
-            groups.setdefault(value, []).append(v)
-        return sorted(frozenset(vs) for vs in groups.values())
-
+    n_groups = len(set(val))
     while True:
         new = []
         for v in range(nv):
@@ -288,9 +283,10 @@ def _refined_groups(dg):
                 (dg.exponents[h], dg.exponents[g.involution[h]], val[g.vertex_of[g.involution[h]]])
                 for h in at[v]))
             new.append((val[v], nbr))
-        if partition(new) == partition(val):
+        n_new = len(set(new))
+        if n_new == n_groups:
             break
-        val = new
+        val, n_groups = new, n_new
     groups = {}
     for v in range(nv):
         groups.setdefault(val[v], []).append(v)
@@ -298,10 +294,36 @@ def _refined_groups(dg):
     return base, ordered
 
 
-def _edge_data(dg):
+def _canonical_search(dg):
+    """The canonical key of ``dg`` and how many vertex orders reach it.
+
+    Every order that keeps each refined group in its block of positions is
+    tried, and the least sorted tuple of edge records wins.  Two orders that
+    reach it differ by a group-preserving vertex permutation that maps the
+    edges onto themselves, so the count of ties is the order of the vertex
+    part of the automorphism group.
+    """
     g = dg.graph
-    return [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
-            for h, p in g.edges()]
+    base, groups = _refined_groups(dg)
+    edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
+             for h, p in g.edges()]
+    vpart = tuple(base[v] for grp in groups for v in grp)
+    best, ties = None, 0
+    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+        pos = {}
+        i = 0
+        for grp in combo:
+            for v in grp:
+                pos[v] = i
+                i += 1
+        recs = tuple(sorted(
+            tuple(sorted(((pos[v1], e1), (pos[v2], e2))))
+            for v1, e1, v2, e2 in edges))
+        if recs == best:
+            ties += 1
+        elif best is None or recs < best:
+            best, ties = recs, 1
+    return (vpart, best), ties
 
 
 @lru_cache(maxsize=None)
@@ -315,24 +337,7 @@ def canonical_key(dg):
     vertex order together with the multiset of decorated edge records, so the
     graph can be rebuilt from it (see ``graph_from_key``).
     """
-    base, groups = _refined_groups(dg)
-    edges = _edge_data(dg)
-    order = [v for grp in groups for v in grp]
-    vpart = tuple(base[v] for v in order)
-    best = None
-    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
-        pos = {}
-        i = 0
-        for grp in combo:
-            for v in grp:
-                pos[v] = i
-                i += 1
-        recs = tuple(sorted(
-            tuple(sorted(((pos[v1], e1), (pos[v2], e2))))
-            for v1, e1, v2, e2 in edges))
-        if best is None or recs < best:
-            best = recs
-    return (vpart, best)
+    return _canonical_search(dg)[0]
 
 
 @lru_cache(maxsize=None)
@@ -358,27 +363,15 @@ def automorphism_order(dg):
 
     Regular, frozen and named legs are fixed pointwise; internal half-edges
     may permute.  Extra legs are treated as a per-vertex multiplicity and are
-    never a symmetry source.
+    never a symmetry source.  Each vertex automorphism lifts to the
+    half-edges in as many ways as the m equal edge records of each kind can
+    be matched (m!) times two per loop whose ends carry equal exponents.
     """
-    _base, groups = _refined_groups(dg)
-    edges = _edge_data(dg)
-    recs = [tuple(sorted(((v1, e1), (v2, e2)))) for v1, e1, v2, e2 in edges]
-    counts = Counter(recs)
-    per_valid = 1
-    for m in counts.values():
-        per_valid *= factorial(m)
-    per_valid *= 2 ** sum(1 for r in recs if r[0] == r[1])
-    valid = 0
-    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
-        pi = {}
-        for grp, image in zip(groups, combo):
-            for v, w in zip(grp, image):
-                pi[v] = w
-        mapped = Counter(tuple(sorted(((pi[v1], e1), (pi[v2], e2))))
-                         for v1, e1, v2, e2 in edges)
-        if mapped == counts:
-            valid += 1
-    return valid * per_valid
+    (_vpart, recs), ties = _canonical_search(dg)
+    order = ties * 2 ** sum(1 for end1, end2 in recs if end1 == end2)
+    for m in Counter(recs).values():
+        order *= factorial(m)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -439,27 +439,6 @@ def _solve_exact(columns, target):
     return {j: v for j, v in solution.items() if v != 0}
 
 
-def _reachable_relations(basis, target_keys):
-    """Restrict to the connected component of the target in the incidence graph."""
-    by_key = {}
-    for i, rel in enumerate(basis.relations):
-        for key in rel.support():
-            by_key.setdefault(key, []).append(i)
-    seen_keys = set()
-    seen_rels = set()
-    frontier = [k for k in target_keys]
-    while frontier:
-        key = frontier.pop()
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        for i in by_key.get(key, ()):
-            if i not in seen_rels:
-                seen_rels.add(i)
-                frontier.extend(basis.relations[i].support())
-    return sorted(seen_rels)
-
-
 def span_zero_test(expr, budget=3, max_relations=200000):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
@@ -481,15 +460,17 @@ def span_zero_test(expr, budget=3, max_relations=200000):
                                         resume=basis)
         if previous is not None and len(basis.relations) == len(previous.relations):
             continue               # no new relation: the last outcome stands
-        usable = _reachable_relations(basis, expr.support())
-        touched = set().union(*(basis.relations[i]._terms for i in usable))
+        touched = set().union(*(rel._terms for rel in basis.relations))
         if not touched.issuperset(target):
             continue
-        columns = [dict(basis.relations[i]._terms) for i in usable]
+        # Relations sharing no key with the target's component are separate
+        # blocks with a zero right-hand side; they keep their own pivot
+        # columns and solve to zero, so they need not be filtered out.
+        columns = [dict(rel._terms) for rel in basis.relations]
         solution = _solve_exact(columns, target)
         if solution is None:
             continue
-        combination = tuple(sorted((v, usable[j]) for j, v in solution.items()))
+        combination = tuple(sorted((v, i) for i, v in solution.items()))
         # re-substitution check: the certificate must reproduce the input
         acc = {}
         for c, i in combination:

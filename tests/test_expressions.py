@@ -141,6 +141,17 @@ def test_zero_denominator_is_a_parse_error():
         parse_bracket("1/0 * <a b c>_0")
 
 
+def test_malformed_text_fails_before_symmetries_are_counted(monkeypatch):
+    # n bare vertices would cost n! orders in the symmetry count
+    def fail(dg):
+        raise AssertionError("automorphism_order called on unvalidated text")
+    monkeypatch.setattr("tautrel.expressions.automorphism_order", fail)
+    with pytest.raises(ValueError, match="unstable ambient"):
+        parse_bracket("<>_1 " * 12)
+    with pytest.raises(ValueError, match="disconnected"):
+        parse_bracket("<U1>_1 " + "<>_1 " * 11, ambient=make_ambient(1, ["U1"]))
+
+
 def test_extra_leg_names_may_repeat():
     # rendering numbers extra legs per vertex, so W1 can occur on two vertices
     expr = parse_bracket("<U1 W1 a>_0 <a* U2 W1 V1>_0")

@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from tautrel.graphs import (
     DualGraph,
     GraphBuilder,
     RootedTreeView,
+    _refined_groups,
     automorphism_order,
     canonical_key,
     contract_edge,
@@ -237,6 +240,121 @@ def test_automorphism_order_against_brute_force():
             continue
         assert automorphism_order(dg) == brute_force_automorphism_order(dg)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# automorphism orders in closed form, and the one canonical search against the
+# two permutation loops it replaced
+
+
+def star(tails, p=0):
+    """Genus-0 centre <P^p(U1) U2 U3 ...>_0 with one edge per (genus, exponent) tail."""
+    b = GraphBuilder()
+    b.add_vertex(0)
+    b.add_leg(0, "U1", p)
+    b.add_leg(0, "U2")
+    b.add_leg(0, "U3")
+    for genus_t, exp_t in tails:
+        b.add_edge(0, b.add_vertex(genus_t), 0, exp_t)
+    return b.build()
+
+
+def bouquet(j):
+    b = GraphBuilder()
+    b.add_vertex(0)
+    b.add_leg(0, "U1")
+    for _ in range(j):
+        b.add_edge(0, 0)
+    return b.build()
+
+
+def theta(m):
+    b = GraphBuilder()
+    b.add_vertex(1)
+    b.add_vertex(1)
+    for _ in range(m):
+        b.add_edge(0, 1)
+    return b.build()
+
+
+SHAPES = {"star": lambda k: star([(1, 0)] * k), "bouquet": bouquet, "theta": theta}
+CLOSED_FORMS = (
+    [("star", k, factorial(k)) for k in range(1, 8)]
+    + [("bouquet", j, 2 ** j * factorial(j)) for j in range(1, 7)]
+    + [("theta", m, 2 * factorial(m)) for m in range(1, 7)])
+
+
+@pytest.mark.parametrize("shape,n,expected", CLOSED_FORMS)
+def test_automorphism_order_closed_forms(shape, n, expected):
+    dg = SHAPES[shape](n)
+    assert automorphism_order(dg) == expected
+    assert automorphism_order(relabeled(dg, random.Random(n))) == expected
+
+
+def reference_canonical_key(dg):
+    """Least edge records over all within-group vertex orders."""
+    base, groups = _refined_groups(dg)
+    g = dg.graph
+    edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
+             for h, p in g.edges()]
+    order = [v for grp in groups for v in grp]
+    vpart = tuple(base[v] for v in order)
+    best = None
+    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+        pos = {}
+        i = 0
+        for grp in combo:
+            for v in grp:
+                pos[v] = i
+                i += 1
+        recs = tuple(sorted(
+            tuple(sorted(((pos[v1], e1), (pos[v2], e2))))
+            for v1, e1, v2, e2 in edges))
+        if best is None or recs < best:
+            best = recs
+    return (vpart, best)
+
+
+def reference_automorphism_order(dg):
+    """Count the within-group vertex permutations that keep the edge multiset."""
+    _base, groups = _refined_groups(dg)
+    g = dg.graph
+    edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
+             for h, p in g.edges()]
+    recs = [tuple(sorted(((v1, e1), (v2, e2)))) for v1, e1, v2, e2 in edges]
+    counts = Counter(recs)
+    per_valid = 1
+    for m in counts.values():
+        per_valid *= factorial(m)
+    per_valid *= 2 ** sum(1 for r in recs if r[0] == r[1])
+    valid = 0
+    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+        pi = {}
+        for grp, image in zip(groups, combo):
+            for v, w in zip(grp, image):
+                pi[v] = w
+        mapped = Counter(tuple(sorted(((pi[v1], e1), (pi[v2], e2))))
+                         for v1, e1, v2, e2 in edges)
+        if mapped == counts:
+            valid += 1
+    return valid * per_valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_canonical_search_matches_reference_loops_on_random_graphs(rng):
+    dg = random_decorated_graph(rng, max_vertices=6)
+    assert canonical_key(dg) == reference_canonical_key(dg)
+    assert automorphism_order(dg) == reference_automorphism_order(dg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tails=st.lists(st.sampled_from([(1, 0), (1, 1), (2, 0)]), max_size=6),
+       p=st.integers(0, 2), rng=st.randoms(use_true_random=False))
+def test_canonical_search_matches_reference_loops_on_stars(tails, p, rng):
+    dg = relabeled(star(tails, p), rng)
+    assert canonical_key(dg) == reference_canonical_key(dg)
+    assert automorphism_order(dg) == reference_automorphism_order(dg)
 
 
 def test_canonical_key_relabeling_property():

@@ -14,7 +14,6 @@ from tautrel.graphs import (
     split_vertex,
 )
 from tautrel.reduce import (
-    _reachable_relations,
     _solve_exact,
     choose_partner_pair,
     distribute,
@@ -484,13 +483,71 @@ def test_solve_exact_matches_left_looking_oracle(system, seed):
 def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     expr = parse_bracket(fixture_text(name))
     basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
-    usable = _reachable_relations(basis, expr.support())
-    columns = [dict(basis.relations[i]._terms) for i in usable]
+    columns = [dict(rel._terms) for rel in basis.relations]
     target = dict(expr._terms)
     solution = _solve_exact(columns, target)
     assert solution is not None
     assert solution == left_looking_solve(columns, target)
     assert rebuild(columns, solution) == target
+
+
+def reachable_relations(basis, target_keys):
+    """Relations in the target's component of the key-relation incidence graph.
+
+    The span test once solved over these relations only; it is kept as the
+    reference that solving over the whole closure gives the same solution.
+    """
+    by_key = {}
+    for i, rel in enumerate(basis.relations):
+        for key in rel.support():
+            by_key.setdefault(key, []).append(i)
+    seen_keys = set()
+    seen_rels = set()
+    frontier = [k for k in target_keys]
+    while frontier:
+        key = frontier.pop()
+        if key in seen_keys:
+            continue
+        seen_keys.add(key)
+        for i in by_key.get(key, ()):
+            if i not in seen_rels:
+                seen_rels.add(i)
+                frontier.extend(basis.relations[i].support())
+    return sorted(seen_rels)
+
+
+def solve_over_component(basis, expr):
+    """The solution restricted to the target's component, by relation index."""
+    usable = reachable_relations(basis, expr.support())
+    solution = _solve_exact([dict(basis.relations[i]._terms) for i in usable],
+                            dict(expr._terms))
+    if solution is None:
+        return None
+    return {usable[j]: v for j, v in solution.items()}
+
+
+# b1211, the psi-free (1, 2, 1,1,1) class, has relations outside the
+# target's component (6 of 536 in round 1); the fixtures have none.
+@pytest.mark.parametrize("name", ["f", "h1", "i1", "b1211"])
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_whole_closure_solves_like_target_component(name, rounds):
+    if name == "b1211":
+        expr = eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
+    else:
+        expr = parse_bracket(fixture_text(name))
+    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    whole = _solve_exact([dict(rel._terms) for rel in basis.relations], dict(expr._terms))
+    assert whole is not None
+    assert whole == solve_over_component(basis, expr)
+
+
+def test_whole_closure_and_component_agree_on_inconsistent_system():
+    expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1)))
+    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=2)
+    assert len(reachable_relations(basis, expr.support())) < len(basis.relations)
+    assert _solve_exact([dict(rel._terms) for rel in basis.relations],
+                        dict(expr._terms)) is None
+    assert solve_over_component(basis, expr) is None
 
 
 # ---------------------------------------------------------------------------
