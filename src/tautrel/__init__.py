@@ -11,7 +11,6 @@ from .graphs import (
     genus,
     graph_from_key,
     is_balanced,
-    is_nondegenerate,
     is_stable,
     leg_kind,
     validate,

@@ -33,6 +33,10 @@ from .reduce import (
 
 SCHEMA = 1
 
+# Seconds per stage of a vanishing check, reported under "timing"; a stage
+# that does not run stays 0.
+STAGES = ("psi_s", "closure_s", "solve_s")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -78,7 +82,31 @@ def _certificate_json(expr, cert):
     return out
 
 
-def _report(args, inputs, outcome, started):
+def _eliminate_timed(expr, stages):
+    clock = time.perf_counter()
+    reduced = eliminate_all_psi(expr)
+    stages["psi_s"] = time.perf_counter() - clock
+    return reduced
+
+
+def _span_test_timed(expr, args, stages):
+    """The span test; after a relation budget overflow, which leaves no
+    certificate, its whole time counts as closure."""
+    clock = time.perf_counter()
+    try:
+        cert = span_zero_test(expr, budget=args.budget,
+                              max_relations=args.max_relations)
+    except OverflowError:
+        stages["closure_s"] = time.perf_counter() - clock
+        raise
+    stages.update(closure_s=cert.closure_s, solve_s=cert.solve_s)
+    return cert
+
+
+def _report(args, inputs, outcome, started, stages=None):
+    timing = {"seconds": round(time.time() - started, 3)}
+    for name, seconds in (stages or {}).items():
+        timing[name] = round(seconds, 3)
     report = {
         "schema": SCHEMA,
         "command": args.command,
@@ -86,7 +114,7 @@ def _report(args, inputs, outcome, started):
         "outcome": outcome,
         "budgets": {"rounds": getattr(args, "budget", None),
                     "max_relations": getattr(args, "max_relations", None)},
-        "timing": {"seconds": round(time.time() - started, 3)},
+        "timing": timing,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if getattr(args, "out", None):
@@ -119,6 +147,7 @@ def cmd_verify(args):
         warning = ("total weight %d is below 2g+m-1 = %d; vanishing is not expected"
                    % (sum(args.d), 2 * args.g + args.m - 1))
     expr = weighted_tree_class(args.g, args.m, args.d)
+    stages = dict.fromkeys(STAGES, 0.0)
     outcome = {"proved": False}
     if warning:
         outcome["warning"] = warning
@@ -135,25 +164,24 @@ def cmd_verify(args):
             outcome.update(method="top-degree-integral",
                            integral={"num": value.numerator, "den": value.denominator})
     else:
-        reduced = eliminate_all_psi(expr)
+        reduced = _eliminate_timed(expr, stages)
         if reduced.is_zero():
             outcome.update(proved=True, method="psi-elimination")
             status = 0
         else:
             try:
-                cert = span_zero_test(reduced, budget=args.budget,
-                                      max_relations=args.max_relations)
+                cert = _span_test_timed(reduced, args, stages)
             except OverflowError as exc:
                 outcome.update(method="wdvv-span", error="budget-overflow",
                                detail=str(exc))
-                _report(args, inputs, outcome, started)
+                _report(args, inputs, outcome, started, stages)
                 return 2
             outcome.update(method="wdvv-span",
                            certificate=_certificate_json(reduced, cert))
             if cert.zero:
                 outcome["proved"] = True
                 status = 0
-    _report(args, inputs, outcome, started)
+    _report(args, inputs, outcome, started, stages)
     return status
 
 
@@ -168,16 +196,16 @@ def cmd_check_pushforward(args):
             coeff /= factorial(di - ki)
         rhs = rhs + weighted_tree_class(args.g, args.m, k).scale(coeff)
     diff = lhs - rhs
+    stages = dict.fromkeys(STAGES, 0.0)
     outcome = {"equal": diff.is_zero(), "method": "normalize"}
     status = 0 if diff.is_zero() else 2
     if not diff.is_zero():
-        cert = span_zero_test(eliminate_all_psi(diff), budget=args.budget,
-                              max_relations=args.max_relations)
+        cert = _span_test_timed(_eliminate_timed(diff, stages), args, stages)
         outcome = {"equal": cert.zero, "method": "wdvv-span",
                    "certificate": _certificate_json(diff, cert)}
         status = 0 if cert.zero else 2
     _report(args, {"g": args.g, "n": len(d), "m": args.m, "l": args.l,
-                   "d": list(d)}, outcome, started)
+                   "d": list(d)}, outcome, started, stages)
     return status
 
 
@@ -229,15 +257,16 @@ def cmd_reduce(args):
                  "all_zero": all(v == 0 for _b, v in pairings)}, started)
         return 0
     # zero-test
-    reduced = eliminate_all_psi(expr)
+    stages = dict.fromkeys(STAGES, 0.0)
+    reduced = _eliminate_timed(expr, stages)
     if reduced.is_zero():
-        _report(args, inputs, {"proved": True, "method": "psi-elimination"}, started)
+        _report(args, inputs, {"proved": True, "method": "psi-elimination"}, started,
+                stages)
         return 0
-    cert = span_zero_test(reduced, budget=args.budget,
-                          max_relations=args.max_relations)
+    cert = _span_test_timed(reduced, args, stages)
     _report(args, inputs,
             {"proved": cert.zero, "method": "wdvv-span",
-             "certificate": _certificate_json(reduced, cert)}, started)
+             "certificate": _certificate_json(reduced, cert)}, started, stages)
     return 0 if cert.zero else 2
 
 

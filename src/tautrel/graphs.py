@@ -426,10 +426,9 @@ class RootedTreeView:
     """A dual graph certified as a rooted tree, with level bookkeeping.
 
     Levels start at 1 on the root and grow by 1 along each edge away from it.
-    A top vertex is a leaf of the rooted tree; the branching height is the
-    lowest level carrying a vertex with at least two positively directed
-    half-edges (child edges or regular legs), or ``None`` when no such vertex
-    exists.
+    The branching height is the lowest level carrying a vertex with at least
+    two positively directed half-edges (child edges or regular legs), or
+    ``None`` when no such vertex exists.
     """
 
     def __init__(self, graph, root=0):
@@ -465,10 +464,6 @@ class RootedTreeView:
             if lab is not None and leg_kind(lab) == "frozen" and graph.vertex_of[h] != root:
                 raise ValueError("frozen leg %s not attached to the root" % lab)
 
-    @property
-    def top_vertices(self):
-        return {v for v in range(self.graph.n_vertices) if not self.children[v]}
-
     def regular_legs_at(self, v):
         return [h for h in self.graph.halves_at(v)
                 if self.graph.labels[h] is not None
@@ -495,15 +490,5 @@ def is_balanced(tree):
         if v == tree.root and n_extras > 0:
             return False
         if v != tree.root and n_extras == 0:
-            return False
-    return True
-
-
-def is_nondegenerate(tree):
-    """Still stable after deleting all extra legs."""
-    g = tree.graph
-    for v in range(g.n_vertices):
-        degree = len(g.halves_at(v)) - g.extra_count(v)
-        if 2 * g.genera[v] - 2 + degree <= 0:
             return False
     return True

@@ -9,19 +9,22 @@ times the bracket class of the vertex with a fresh loop edge, which is 1/24
 in the unnormalized internal representation.
 
 WDVV relations arise by splitting a genus-0 vertex of a one-edge-contracted
-graph in the two inequivalent ways that separate a chosen quadruple; their
-exact rational span certifies vanishing.  Zero certificates are proofs; an
-Unknown outcome is not a nonzeroness claim.
+graph in the two inequivalent ways that separate a chosen quadruple; each is
+an integer combination of graph keys, and their exact rational span
+certifies vanishing.  The span is solved modulo primes and every answer is
+checked exactly.  Zero certificates are proofs; an Unknown outcome is not a
+nonzeroness claim.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, isqrt, lcm
 
 from .graphs import (
     DecoratedGraph,
@@ -33,7 +36,7 @@ from .graphs import (
     split_vertex,
 )
 from . import graphs
-from .expressions import Expression, from_terms, make_ambient
+from .expressions import Expression, from_terms
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +213,8 @@ def distribute(expr, label):
 class RelationBasis:
     """Relations found by a closure run, with the state needed to resume it.
 
-    ``support`` holds every graph key reached so far.  ``processed`` holds
+    ``relations`` holds each kept relation as a key -> int dict.  ``support``
+    holds every graph key reached so far.  ``processed`` holds
     the keys of the contracted source graphs already instantiated,
     ``signatures`` the normalized relations already kept, and ``frontier``
     the keys that joined the support in the last round; an empty frontier
@@ -227,13 +231,14 @@ class RelationBasis:
 
 
 def wdvv_relations_at(dg, vertex):
-    """All WDVV relation expressions from one genus-0 vertex of ``dg``.
+    """All WDVV relations from one genus-0 vertex of ``dg``, as key -> int dicts.
 
     For each unordered quadruple of half-edges, the two independent exchange
-    relations; every relation is an expression that vanishes as a class.
-    Splitting a stable, psi-free genus-0 vertex so that each side keeps two
-    of the quadruple yields valid stable graphs of the same genus and legs,
-    so the relations are assembled from canonical keys directly.
+    relations; every relation is an integer combination of graph keys that
+    vanishes as a class.  Splitting a stable, psi-free genus-0 vertex so that
+    each side keeps two of the quadruple yields valid stable graphs of the
+    same genus and legs, so the relations are assembled from canonical keys
+    directly.
     """
     g = dg.graph
     halves = g.halves_at(vertex)
@@ -241,7 +246,6 @@ def wdvv_relations_at(dg, vertex):
         return []
     if any(dg.exponents):
         raise ValueError("WDVV instantiation expects psi-free graphs")
-    ambient = make_ambient(graphs.genus(g), g.leg_labels())
     key_of_side = {}
 
     def split_keys(pair_a, pair_b):
@@ -268,16 +272,24 @@ def wdvv_relations_at(dg, vertex):
                 acc[key] = acc.get(key, 0) + 1
             for key in split_keys(*other):
                 acc[key] = acc.get(key, 0) - 1
-            terms = {k: Fraction(n) for k, n in acc.items() if n}
-            if terms:
-                out.append(Expression(ambient, _raw=terms))
+            relation = {k: n for k, n in acc.items() if n}
+            if relation:
+                out.append(relation)
     return out
 
 
-def _relation_signature(rel):
-    items = rel.items()
-    lead = items[0][1]
-    return tuple((k, c / lead) for k, c in items)
+def relation_expression(ambient, relation):
+    """A key -> int relation as an ``Expression`` with ``Fraction`` coefficients."""
+    return Expression(ambient, _raw={k: Fraction(n) for k, n in relation.items()})
+
+
+def _relation_signature(relation):
+    """The relation's proportionality class: the entries divided by their gcd,
+    signed so that the entry of the least key is positive."""
+    scale = gcd(*relation.values())
+    if relation[min(relation)] < 0:
+        scale = -scale
+    return frozenset((k, n // scale) for k, n in relation.items())
 
 
 def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
@@ -288,9 +300,10 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
     the previous round (older graphs were contracted before) and
     instantiates the exchange relations at every genus-0 vertex of each new
     contraction; graphs appearing in new relations join the support for the
-    next round.  ``resume`` takes a basis this function returned earlier for
-    the same support and continues its closure up to ``rounds`` rounds in
-    all; the result equals that of a fresh call with the same ``rounds``.
+    next round.  A relation proportional to one already kept is dropped.
+    ``resume`` takes a basis this function returned earlier for the same
+    support and continues its closure up to ``rounds`` rounds in all; the
+    result equals that of a fresh call with the same ``rounds``.
     """
     if resume is None:
         support = frozenset(support)
@@ -328,7 +341,7 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
                     if len(relations) > max_relations:
                         raise OverflowError(
                             "relation budget exceeded (%d)" % max_relations)
-                    for key in rel._terms:
+                    for key in rel:
                         if key not in known:
                             known.add(key)
                             frontier.add(key)
@@ -350,44 +363,52 @@ class ZeroCertificate:
     basis: object                 # RelationBasis or None
     budget_spent: int
     reason: str
+    closure_s: float = field(default=0.0, compare=False)   # wall time per stage
+    solve_s: float = field(default=0.0, compare=False)
 
     def relations_used(self):
-        return [(c, self.basis.relations[i]) for c, i in self.combination]
+        """(coefficient, relation as an Expression) pairs of the combination."""
+        return [(c, relation_expression(self.basis.ambient, self.basis.relations[i]))
+                for c, i in self.combination]
 
 
-def _solve_exact(columns, target):
-    """Solve sum_i x_i * columns_i = target exactly over the rationals.
+# The moduli of the span solver, tried in this order: the eight largest primes
+# below 2**61, the first being the Mersenne prime 2**61 - 1.
+PRIMES = tuple(2**61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391))
 
-    Right-looking sparse Gaussian elimination on the row (= graph key)
-    equations.  The next pivot row is the active row of least Markowitz cost
-    (Markowitz 1957), but a row always pivots on its lowest column index, so
-    the pivot columns are the leading positions of an echelon basis of the
-    row space whatever the row order.  With free variables set to zero, the
-    solution therefore depends on the system alone.  Returns a dict
-    column-index -> coefficient, or None when inconsistent.
+_INCONSISTENT = "inconsistent"
+
+
+def _eliminate(rows, rhs, p):
+    """Solve the integer row system mod p; free variables are set to zero.
+
+    Right-looking sparse Gaussian elimination.  The next pivot row is the
+    active row of least Markowitz cost (Markowitz 1957), but a row always
+    pivots on its lowest column index, so the pivot columns are the leading
+    positions of an echelon basis of the row space whatever the row order.
+    Returns the residues of the pivot columns' values, ``_INCONSISTENT`` when
+    the system has no solution mod p, or None when p divides an entry, which
+    would change the system's shape.
     """
-    keys = sorted(set(target).union(*columns))
-    rank_of = {key: r for r, key in enumerate(keys)}
-    rows = [{} for _ in keys]
-    for j, col in enumerate(columns):
-        for key, val in col.items():
-            rows[rank_of[key]][j] = val
-    rhs = [target.get(key, Fraction(0)) for key in keys]
+    rows = [{j: v % p for j, v in row.items()} for row in rows]
+    if any(0 in row.values() for row in rows):
+        return None
+    rhs = [b % p for b in rhs]
     rows_of = {}                   # column -> active rows containing it
     for r, row in enumerate(rows):
-        if not row and rhs[r] != 0:
-            return None
+        if not row and rhs[r]:
+            return _INCONSISTENT
         for j in row:
             rows_of.setdefault(j, set()).add(r)
+    lead = [min(row) if row else None for row in rows]   # lowest column per row
 
     def cost(r):
-        row = rows[r]
-        c = min(row)
-        return ((len(row) - 1) * (len(rows_of[c]) - 1), len(row), r)
+        n = len(rows[r])
+        return ((n - 1) * (len(rows_of[lead[r]]) - 1), n, r)
 
     heap = [cost(r) for r, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    pivots = []                    # (column, normalized row, rhs)
+    pivots = []                    # (column, normalized rest of the row, rhs)
     while heap:
         entry = heapq.heappop(heap)
         r = entry[2]
@@ -401,42 +422,154 @@ def _solve_exact(columns, target):
         rows[r] = None
         for j in row:
             rows_of[j].discard(r)
-        c = min(row)
-        lead = row[c]
-        prow = {j: v / lead for j, v in row.items()}
-        prhs = rhs[r] / lead
+        c = lead[r]
+        inverse = pow(row.pop(c), -1, p)
+        prow = {j: v * inverse % p for j, v in row.items()}
+        prhs = rhs[r] * inverse % p
         pivots.append((c, prow, prhs))
         # eliminate c from the active rows that contain it
         for r2 in rows_of.pop(c):
             row2 = rows[r2]
-            f = -row2.pop(c)
+            f = p - row2.pop(c)
             for j, v in prow.items():
-                if j == c:
-                    continue
                 if j in row2:
-                    val = row2[j] + f * v
-                    if val == 0:
+                    val = (row2[j] + f * v) % p
+                    if val:
+                        row2[j] = val
+                    else:
                         del row2[j]
                         rows_of[j].discard(r2)
-                    else:
-                        row2[j] = val
                 else:
-                    row2[j] = f * v
+                    row2[j] = f * v % p
                     rows_of[j].add(r2)
-            rhs[r2] += f * prhs
+            rhs[r2] = (rhs[r2] + f * prhs) % p
             if row2:
+                if lead[r2] == c:  # otherwise it is below c and stays
+                    lead[r2] = min(row2)
                 heapq.heappush(heap, cost(r2))
-            elif rhs[r2] != 0:
-                return None
-    # back substitution in reverse pivot order, free variables set to zero
+            elif rhs[r2]:
+                return _INCONSISTENT
+    # back substitution in reverse pivot order
     solution = {}
     for c, prow, prhs in reversed(pivots):
-        value = prhs
-        for j, v in prow.items():
-            if j != c:
-                value -= v * solution.get(j, 0)
-        solution[c] = value
-    return {j: v for j, v in solution.items() if v != 0}
+        solution[c] = (prhs - sum(v * solution.get(j, 0) for j, v in prow.items())) % p
+    return solution
+
+
+def _rational(a, m):
+    """The n/d with |n|, d <= sqrt(m/2) and n = a*d mod m, or None (Wang 1981)."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+class _System:
+    """The system sum_j x_j * columns[j] = target, solved prime by prime.
+
+    Each equation (graph key) is scaled once to integers by the lcm of its
+    denominators, which keeps its solutions.  The residues that primes give
+    for the same pivot columns are combined by CRT, and a solution is
+    reconstructed from them and accepted only when it satisfies the system
+    exactly.
+    """
+
+    def __init__(self, columns, target):
+        self.columns = columns
+        self.target = {k: v for k, v in target.items() if v}
+        row_of = {key: {} for key in self.target}
+        for j, col in enumerate(columns):
+            for key, val in col.items():
+                row = row_of.get(key)
+                if row is None:
+                    row = row_of[key] = {}
+                row[j] = val
+        keys = sorted(row_of)      # equations in key order
+        self.rows = [row_of[key] for key in keys]
+        self.rhs = [self.target.get(key, 0) for key in keys]
+        self.int_rows, self.int_rhs = [], []
+        for row, b in zip(self.rows, self.rhs):
+            scale = lcm(b.denominator, *(v.denominator for v in row.values()))
+            self.int_rows.append({j: v.numerator * (scale // v.denominator)
+                                  for j, v in row.items()})
+            self.int_rhs.append(b.numerator * (scale // b.denominator))
+        self.lifts = {}            # pivot columns -> (modulus, residues)
+
+    def transposed(self):
+        """The system [A | b]^T y = e_b, which has a solution exactly when
+        this one has none: y . A = 0 and y . b = 1."""
+        n = len(self.columns)
+        columns = []
+        for row, b in zip(self.rows, self.rhs):
+            col = dict(row)
+            if b:
+                col[n] = b
+            columns.append(col)
+        return _System(columns, {n: 1})
+
+    def satisfied_by(self, x):
+        """The exact check sum_j x_j * columns[j] == target, in Fractions."""
+        acc = {}
+        for j, xj in x.items():
+            for key, v in self.columns[j].items():
+                acc[key] = acc.get(key, 0) + xj * v
+        return {k: v for k, v in acc.items() if v} == self.target
+
+    def solve_mod(self, p):
+        """An exactly checked solution from the residues so far, None when
+        this prime settles nothing, or ``_INCONSISTENT`` (a hint only)."""
+        residues = _eliminate(self.int_rows, self.int_rhs, p)
+        if residues is None or residues is _INCONSISTENT:
+            return residues
+        pivots = frozenset(residues)
+        if pivots in self.lifts:
+            m, old = self.lifts[pivots]
+            inverse = pow(m, -1, p)
+            residues = {j: a + m * ((residues[j] - a) * inverse % p)
+                        for j, a in old.items()}
+            p *= m
+        self.lifts[pivots] = (p, residues)
+        x = {}
+        for j, a in residues.items():
+            value = _rational(a, p)
+            if value is None:
+                return None
+            if value:
+                x[j] = value
+        return x if self.satisfied_by(x) else None
+
+
+def _solve_exact(columns, target):
+    """Solve sum_i x_i * columns_i = target exactly over the rationals.
+
+    Elimination runs mod each prime of ``PRIMES`` in turn (see
+    ``_eliminate``), so with free variables set to zero the solution depends
+    on the system alone.  The answer comes from the first prime whose
+    residues, combined by CRT with those of earlier primes that have the same
+    pivot columns, reconstruct to an exact solution.  An inconsistency mod p
+    counts only when the same routine, on the transposed system, yields a
+    witness y with y . A = 0 and y . b = 1 exactly.  Returns a dict
+    column-index -> coefficient, or None when inconsistent.
+    """
+    system = _System(columns, target)
+    dual = None
+    for p in PRIMES:
+        x = system.solve_mod(p)
+        if x is None:
+            continue
+        if x is not _INCONSISTENT:
+            return x
+        if dual is None:
+            dual = system.transposed()
+        y = dual.solve_mod(p)
+        if y is not None and y is not _INCONSISTENT:
+            return None            # an exact witness: y . A = 0, y . b = 1
+    raise ArithmeticError("no prime of the list settles the span system")
 
 
 def span_zero_test(expr, budget=3, max_relations=200000):
@@ -453,35 +586,40 @@ def span_zero_test(expr, budget=3, max_relations=200000):
         return ZeroCertificate(True, (), None, 0, "normalizes to zero")
     target = dict(expr._terms)
     basis = None
+    closure_s = solve_s = 0.0
     for rounds in range(1, budget + 1):
         previous = basis
+        started = time.perf_counter()
         basis = generate_wdvv_relations(expr.support(), expr.ambient,
                                         rounds=rounds, max_relations=max_relations,
                                         resume=basis)
+        closure_s += time.perf_counter() - started
         if previous is not None and len(basis.relations) == len(previous.relations):
             continue               # no new relation: the last outcome stands
-        touched = set().union(*(rel._terms for rel in basis.relations))
+        touched = set().union(*basis.relations)
         if not touched.issuperset(target):
             continue
         # Relations sharing no key with the target's component are separate
         # blocks with a zero right-hand side; they keep their own pivot
         # columns and solve to zero, so they need not be filtered out.
-        columns = [dict(rel._terms) for rel in basis.relations]
-        solution = _solve_exact(columns, target)
+        started = time.perf_counter()
+        solution = _solve_exact(basis.relations, target)
+        solve_s += time.perf_counter() - started
         if solution is None:
             continue
         combination = tuple(sorted((v, i) for i, v in solution.items()))
         # re-substitution check: the certificate must reproduce the input
         acc = {}
         for c, i in combination:
-            for k, v in basis.relations[i]._terms.items():
+            for k, v in basis.relations[i].items():
                 acc[k] = acc.get(k, Fraction(0)) + c * v
         total = Expression(expr.ambient,
                            _raw={k: v for k, v in acc.items() if v != 0})
         if total != expr:
             raise AssertionError("certificate failed re-substitution")
-        return ZeroCertificate(True, combination, basis, rounds, "wdvv-span")
-    return ZeroCertificate(False, (), None, budget, "unknown")
+        return ZeroCertificate(True, combination, basis, rounds, "wdvv-span",
+                               closure_s, solve_s)
+    return ZeroCertificate(False, (), None, budget, "unknown", closure_s, solve_s)
 
 
 # ---------------------------------------------------------------------------

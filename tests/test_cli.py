@@ -131,6 +131,19 @@ def test_verify_budget_overflow_reported(capsys):
     assert report["outcome"]["error"] == "budget-overflow"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--g", "1", "--m", "2", "--d", "2,1"),
+    ("verify", "--g", "1", "--m", "2", "--d", "2,1", "--max-relations", "1"),
+    ("check-pushforward", "--g", "0", "--m", "2", "--l", "1", "--d", "1,1"),
+    ("reduce", os.path.join(FIXTURES, "f.bracket"), "--mode", "zero-test"),
+])
+def test_span_commands_report_stage_seconds(capsys, argv):
+    _code, report = run_json(capsys, *argv)
+    timing = report["timing"]
+    assert set(timing) == {"seconds", "psi_s", "closure_s", "solve_s"}
+    assert all(seconds >= 0 for seconds in timing.values())
+
+
 def test_reduce_pair_mode(capsys):
     path = os.path.join(FIXTURES, "b21_raw.bracket")
     code, report = run_json(capsys, "reduce", path, "--mode", "pair")

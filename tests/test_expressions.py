@@ -112,11 +112,15 @@ def test_roundtrip_fixtures(name):
 
 
 def test_roundtrip_generated_graphs():
-    from tautrel.reduce import eliminate_all_psi, generate_wdvv_relations
+    from tautrel.reduce import (
+        eliminate_all_psi,
+        generate_wdvv_relations,
+        relation_expression,
+    )
     reduced = eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
     basis = generate_wdvv_relations(reduced.support(), reduced.ambient, rounds=1)
     seen = 0
-    for rel in basis.relations:
+    for rel in (relation_expression(basis.ambient, r) for r in basis.relations):
         assert parse_bracket(render_bracket(rel)) == rel
         seen += len(rel)
         if seen > 400:

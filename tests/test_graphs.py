@@ -20,7 +20,6 @@ from tautrel.graphs import (
     genus,
     graph_from_key,
     is_balanced,
-    is_nondegenerate,
     is_stable,
     split_vertex,
     validate,
@@ -115,15 +114,6 @@ def _two_vertex_tree(child_genus, child_items):
     return build(fn)
 
 
-def test_nondegenerate_cases():
-    view = RootedTreeView(_two_vertex_tree(0, ["U1", EXTRA]).graph)
-    assert is_nondegenerate(view) is False
-    view = RootedTreeView(_two_vertex_tree(1, [EXTRA]).graph)
-    assert is_nondegenerate(view) is True
-    view = RootedTreeView(_two_vertex_tree(0, ["U1", "U2", EXTRA]).graph)
-    assert is_nondegenerate(view) is True
-
-
 def test_balanced_cases():
     single = build(lambda b: (b.add_vertex(1), b.add_leg(0, "U1"),
                               b.add_leg(0, "V1"), b.add_leg(0, "V2")))
@@ -156,7 +146,7 @@ def test_rooted_tree_levels_and_branching():
         b.add_leg(2, "U2")
     view = RootedTreeView(build(fn).graph)
     assert view.level == {0: 1, 1: 2, 2: 3}
-    assert view.top_vertices == {2}
+    assert {v for v, kids in view.children.items() if not kids} == {2}
     assert view.branching_height == 2  # U1 plus a child edge at vertex 1
 
     chain = _two_vertex_tree(1, ["U1"])

@@ -1,6 +1,9 @@
+import heapq
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,9 @@ from tautrel.graphs import (
     graph_from_key,
     split_vertex,
 )
+from tautrel import reduce
 from tautrel.reduce import (
+    PRIMES,
     _solve_exact,
     choose_partner_pair,
     distribute,
@@ -25,6 +30,7 @@ from tautrel.reduce import (
     pair_with_psi_monomials,
     psi_reduce_genus0,
     psi_reduce_genus1,
+    relation_expression,
     span_zero_test,
     wdvv_relations_at,
 )
@@ -40,6 +46,11 @@ from conftest import (
 def half_by_label(expr, label):
     (_c, dg), = expr.terms()
     return dg.graph.leg_with_label(label)
+
+
+def as_expressions(basis):
+    """The basis relations as Expressions with Fraction coefficients."""
+    return [relation_expression(basis.ambient, rel) for rel in basis.relations]
 
 
 def certified_zero(expr, budget=3):
@@ -167,7 +178,7 @@ def test_distributed_four_point_difference_is_five_point_relation():
     diff = lhs - rhs
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").support()
     basis = generate_wdvv_relations(support, lhs.ambient, rounds=1)
-    sigs = {tuple(sorted(rel.items())) for rel in basis.relations}
+    sigs = {tuple(sorted(rel.items())) for rel in as_expressions(basis)}
     assert tuple(sorted(diff.items())) in sigs or \
         tuple(sorted(diff.scale(-1).items())) in sigs
 
@@ -212,7 +223,7 @@ def test_relations_pair_to_zero():
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").support()
     ambient = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").ambient
     basis = generate_wdvv_relations(support, ambient, rounds=1)
-    for rel in basis.relations[:10]:
+    for rel in as_expressions(basis)[:10]:
         assert all(v == 0 for _b, v in pair_with_psi_monomials(rel))
 
 
@@ -221,7 +232,7 @@ def test_relations_with_genus1_spectators_pair_to_zero():
     reduced = eliminate_all_psi(weighted_tree_class(1, 2, (2, 1)))
     basis = generate_wdvv_relations(reduced.support(), reduced.ambient, rounds=1)
     assert basis.relations
-    for rel in basis.relations[:20]:
+    for rel in as_expressions(basis)[:20]:
         assert all(v == 0 for _b, v in pair_with_psi_monomials(rel))
 
 
@@ -356,6 +367,100 @@ def test_zero_expression_pairs_to_zero():
 # exact span solver against a left-looking reference
 
 
+def reference_solve_exact(columns, target):
+    """Reference oracle: the exact span solver in Fractions that the modular
+    solver replaced.  Solves sum_i x_i * columns_i = target over the rationals.
+
+    Right-looking sparse Gaussian elimination on the row (= graph key)
+    equations.  The next pivot row is the active row of least Markowitz cost
+    (Markowitz 1957), but a row always pivots on its lowest column index, so
+    the pivot columns are the leading positions of an echelon basis of the
+    row space whatever the row order.  With free variables set to zero, the
+    solution therefore depends on the system alone.  Returns a dict
+    column-index -> coefficient, or None when inconsistent.
+    """
+    keys = sorted(set(target).union(*columns))
+    rank_of = {key: r for r, key in enumerate(keys)}
+    rows = [{} for _ in keys]
+    for j, col in enumerate(columns):
+        for key, val in col.items():
+            rows[rank_of[key]][j] = val
+    rhs = [target.get(key, Fraction(0)) for key in keys]
+    rows_of = {}                   # column -> active rows containing it
+    for r, row in enumerate(rows):
+        if not row and rhs[r] != 0:
+            return None
+        for j in row:
+            rows_of.setdefault(j, set()).add(r)
+
+    def cost(r):
+        row = rows[r]
+        c = min(row)
+        return ((len(row) - 1) * (len(rows_of[c]) - 1), len(row), r)
+
+    heap = [cost(r) for r, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    pivots = []                    # (column, normalized row, rhs)
+    while heap:
+        entry = heapq.heappop(heap)
+        r = entry[2]
+        row = rows[r]
+        if not row:                # already pivoted or emptied
+            continue
+        current = cost(r)
+        if current != entry:       # stale entry: requeue at its current cost
+            heapq.heappush(heap, current)
+            continue
+        rows[r] = None
+        for j in row:
+            rows_of[j].discard(r)
+        c = min(row)
+        lead = row[c]
+        prow = {j: v / lead for j, v in row.items()}
+        prhs = rhs[r] / lead
+        pivots.append((c, prow, prhs))
+        # eliminate c from the active rows that contain it
+        for r2 in rows_of.pop(c):
+            row2 = rows[r2]
+            f = -row2.pop(c)
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                if j in row2:
+                    val = row2[j] + f * v
+                    if val == 0:
+                        del row2[j]
+                        rows_of[j].discard(r2)
+                    else:
+                        row2[j] = val
+                else:
+                    row2[j] = f * v
+                    rows_of[j].add(r2)
+            rhs[r2] += f * prhs
+            if row2:
+                heapq.heappush(heap, cost(r2))
+            elif rhs[r2] != 0:
+                return None
+    # back substitution in reverse pivot order, free variables set to zero
+    solution = {}
+    for c, prow, prhs in reversed(pivots):
+        value = prhs
+        for j, v in prow.items():
+            if j != c:
+                value -= v * solution.get(j, 0)
+        solution[c] = value
+    return {j: v for j, v in solution.items() if v != 0}
+
+
+
+def reference_relation_signature(rel):
+    """Reference oracle: the Fraction normalization of an Expression relation
+    that the integer signature replaced."""
+    items = rel.items()
+    lead = items[0][1]
+    return tuple((k, c / lead) for k, c in items)
+
+
 def left_looking_solve(columns, target):
     """Reference oracle: rows in sorted key order, each reduced against every
     earlier pivot, pivoting on its lowest column index."""
@@ -460,6 +565,7 @@ def sparse_systems(draw):
 def test_solve_exact_matches_left_looking_oracle(system, seed):
     columns, target, kind = system
     expected = left_looking_solve(columns, target)
+    assert reference_solve_exact(columns, target) == expected
     got = _solve_exact(columns, target)
     assert got == expected
     if kind == "image":
@@ -483,11 +589,12 @@ def test_solve_exact_matches_left_looking_oracle(system, seed):
 def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     expr = parse_bracket(fixture_text(name))
     basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
-    columns = [dict(rel._terms) for rel in basis.relations]
+    columns = [dict(rel._terms) for rel in as_expressions(basis)]
     target = dict(expr._terms)
     solution = _solve_exact(columns, target)
     assert solution is not None
     assert solution == left_looking_solve(columns, target)
+    assert solution == reference_solve_exact(columns, target)
     assert rebuild(columns, solution) == target
 
 
@@ -497,8 +604,9 @@ def reachable_relations(basis, target_keys):
     The span test once solved over these relations only; it is kept as the
     reference that solving over the whole closure gives the same solution.
     """
+    relations = as_expressions(basis)
     by_key = {}
-    for i, rel in enumerate(basis.relations):
+    for i, rel in enumerate(relations):
         for key in rel.support():
             by_key.setdefault(key, []).append(i)
     seen_keys = set()
@@ -512,14 +620,15 @@ def reachable_relations(basis, target_keys):
         for i in by_key.get(key, ()):
             if i not in seen_rels:
                 seen_rels.add(i)
-                frontier.extend(basis.relations[i].support())
+                frontier.extend(relations[i].support())
     return sorted(seen_rels)
 
 
 def solve_over_component(basis, expr):
     """The solution restricted to the target's component, by relation index."""
     usable = reachable_relations(basis, expr.support())
-    solution = _solve_exact([dict(basis.relations[i]._terms) for i in usable],
+    relations = as_expressions(basis)
+    solution = _solve_exact([dict(relations[i]._terms) for i in usable],
                             dict(expr._terms))
     if solution is None:
         return None
@@ -536,7 +645,8 @@ def test_whole_closure_solves_like_target_component(name, rounds):
     else:
         expr = parse_bracket(fixture_text(name))
     basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
-    whole = _solve_exact([dict(rel._terms) for rel in basis.relations], dict(expr._terms))
+    whole = _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
+                         dict(expr._terms))
     assert whole is not None
     assert whole == solve_over_component(basis, expr)
 
@@ -545,9 +655,151 @@ def test_whole_closure_and_component_agree_on_inconsistent_system():
     expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1)))
     basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=2)
     assert len(reachable_relations(basis, expr.support())) < len(basis.relations)
-    assert _solve_exact([dict(rel._terms) for rel in basis.relations],
+    assert _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
                         dict(expr._terms)) is None
     assert solve_over_component(basis, expr) is None
+
+
+# ---------------------------------------------------------------------------
+# modular elimination: bad primes, CRT and inconsistency witnesses
+
+
+def is_probable_prime(n):
+    """Miller-Rabin with the first twelve prime bases, exact below 3.3e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_primes_are_the_largest_below_2_to_the_61():
+    assert PRIMES[0] == 2**61 - 1
+    assert list(PRIMES) == sorted(PRIMES, reverse=True)
+    assert all(is_probable_prime(p) for p in PRIMES)
+    between = [n for n in range(PRIMES[-1] + 1, 2**61) if n not in PRIMES]
+    assert not any(is_probable_prime(n) for n in between)
+
+
+def solve_recording_primes(columns, target):
+    """_solve_exact, with the primes each elimination ran at, in order."""
+    seen = []
+    eliminate = reduce._eliminate
+
+    def spy(rows, rhs, p):
+        seen.append(p)
+        return eliminate(rows, rhs, p)
+
+    with mock.patch.object(reduce, "_eliminate", spy):
+        return _solve_exact(columns, target), seen
+
+
+P = PRIMES[0]
+
+
+def test_entry_equal_to_the_first_prime_moves_to_the_next_prime():
+    # mod P the first column vanishes and the second would solve the row
+    columns = [{"a": Fraction(P)}, {"a": Fraction(1)}]
+    target = {"a": Fraction(1)}
+    got, seen = solve_recording_primes(columns, target)
+    assert got == reference_solve_exact(columns, target) == {0: Fraction(1, P)}
+    # 1/P needs three primes past the first to reconstruct
+    assert seen == list(PRIMES[:4])
+
+
+def test_target_denominator_equal_to_the_first_prime_moves_to_the_next_prime():
+    columns = [{"a": Fraction(1), "b": Fraction(1)}, {"b": Fraction(1)}]
+    target = {"a": Fraction(1, P), "b": Fraction(2)}
+    got, seen = solve_recording_primes(columns, target)
+    assert got == reference_solve_exact(columns, target)
+    assert got == {0: Fraction(1, P), 1: 2 - Fraction(1, P)}
+    assert seen[0] == P and len(seen) > 1
+
+
+def test_large_denominator_is_combined_over_two_primes():
+    d = 2**40 + 15
+    assert d > isqrt(P // 2)
+    columns = [{"a": Fraction(d), "b": Fraction(1)}, {"b": Fraction(1)}]
+    target = {"a": Fraction(1)}
+    got, seen = solve_recording_primes(columns, target)
+    assert got == reference_solve_exact(columns, target)
+    assert got == {0: Fraction(1, d), 1: Fraction(-1, d)}
+    assert seen == list(PRIMES[:2])
+
+
+def test_prime_dividing_a_pivot_minor_is_kept_apart():
+    # the columns are dependent mod P only, so P finds other pivot columns
+    columns = [{"a": Fraction(1), "b": Fraction(1)},
+               {"a": Fraction(1), "b": Fraction(1 + P)}]
+    target = {"a": Fraction(1), "b": Fraction(1 + P)}
+    got, seen = solve_recording_primes(columns, target)
+    assert got == reference_solve_exact(columns, target) == {1: Fraction(1)}
+    assert seen == list(PRIMES[:2])
+
+
+def test_inconsistency_mod_the_first_prime_is_only_a_hint():
+    # inconsistent mod P, where the transposed system gives y = (-1, 1),
+    # which fails the exact check on the second column
+    columns = [{"a": Fraction(1), "b": Fraction(1)},
+               {"a": Fraction(1), "b": Fraction(1 + P)}]
+    target = {"a": Fraction(1), "b": Fraction(2)}
+    got = _solve_exact(columns, target)
+    assert got == reference_solve_exact(columns, target)
+    assert got == {0: 1 - Fraction(1, P), 1: Fraction(1, P)}
+
+
+def test_exhausted_prime_list_raises():
+    every = 1
+    for p in PRIMES:
+        every *= p
+    with pytest.raises(ArithmeticError):
+        _solve_exact([{"a": Fraction(1)}], {"a": Fraction(1, every)})
+
+
+def solve_recording_witnesses(columns, target):
+    """_solve_exact, with every solution of a transposed system that passed
+    the exact check."""
+    witnesses = []
+    check = reduce._System.satisfied_by
+
+    def spy(system, x):
+        ok = check(system, x)
+        if ok and system.columns is not columns:
+            witnesses.append(x)
+        return ok
+
+    with mock.patch.object(reduce._System, "satisfied_by", spy):
+        return _solve_exact(columns, target), witnesses
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=sparse_systems())
+def test_inconsistency_is_reported_only_with_an_exact_witness(system):
+    columns, target, kind = system
+    got, witnesses = solve_recording_witnesses(columns, target)
+    if kind == "image":
+        assert got == reference_solve_exact(columns, target)
+    if kind in ("broken", "untouched"):
+        assert got is None
+    if got is None:
+        assert len(witnesses) == 1
+        # y . A = 0 and y . b != 0, with y indexed by the sorted keys
+        keys = sorted(set(target).union(*columns))
+        y = {keys[r]: v for r, v in witnesses[0].items()}
+        for col in columns:
+            assert sum(y.get(k, 0) * v for k, v in col.items()) == 0
+        assert sum(v * target.get(k, 0) for k, v in y.items()) != 0
+    else:
+        assert not witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +809,14 @@ def test_whole_closure_and_component_agree_on_inconsistent_system():
 def closure_target(name):
     if name == "b131":
         return eliminate_all_psi(weighted_tree_class(1, 3, (1, 1, 1)))
+    if name == "b1211":
+        return eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
     return parse_bracket(fixture_text(name))
 
 
 def relation_lists(basis):
     """Every relation as its (key, coefficient) list, in stored order."""
-    return [list(rel._terms.items()) for rel in basis.relations]
+    return [list(rel.items()) for rel in basis.relations]
 
 
 def overflow_round(expr, max_relations, resumed):
@@ -610,6 +864,18 @@ def test_resume_past_a_closed_closure_returns_it():
                                    rounds=3).rounds == 1
 
 
+@pytest.mark.parametrize("name", ["f", "h1", "i1", "b1211"])
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_int_closure_keeps_the_reference_signature_relations(name, rounds, monkeypatch):
+    expr = closure_target(name)
+    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    monkeypatch.setattr(reduce, "_relation_signature", lambda rel: (
+        reference_relation_signature(relation_expression(expr.ambient, rel))))
+    reference = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    assert relation_lists(basis) == relation_lists(reference)
+    assert basis.support == reference.support
+
+
 def split_sum_reference(dg, vertex, pair_a, pair_b):
     g = dg.graph
     pool = [h for h in g.halves_at(vertex)
@@ -655,8 +921,11 @@ def test_trusted_relations_match_validating_construction(name):
         for v in range(source.graph.n_vertices):
             if source.graph.genera[v] != 0:
                 continue
-            got = wdvv_relations_at(source, v)
+            raw = wdvv_relations_at(source, v)
             expected = wdvv_relations_reference(source, v)
+            assert all(type(n) is int for r in raw for n in r.values())
+            ambient = make_ambient(genus(source.graph), source.graph.leg_labels())
+            got = [relation_expression(ambient, r) for r in raw]
             assert got == expected
             assert [list(r._terms.items()) for r in got] == \
                 [list(r._terms.items()) for r in expected]

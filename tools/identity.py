@@ -1,0 +1,103 @@
+"""Compare the CLI outputs of two source trees, byte for byte.
+
+    python3 tools/identity.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of tautrel.  Each call of a fixed list runs
+as ``python -m tautrel.cli`` with ``PYTHONPATH=<tree>/src``, once per tree,
+and its exit code, standard error and standard output must match, after the
+report's ``timing`` field (the one field allowed to vary) is cut from the
+standard output.  The list covers every ``verify`` of the benchmark's
+``prove`` and ``exhaust`` pools in every weight order, every ``compute-b``
+of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
+for k in {7, 8} and p in {1, 2}.  The two trees run each call side by side.
+
+Exits 0 when every call matches and 1 at the first difference.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import time
+
+TIMING = re.compile(r',\n  "timing": \{.*?\n  \}', re.DOTALL)
+
+
+def orders(weights):
+    return sorted(set(itertools.permutations(weights)))
+
+
+def d_text(weights):
+    return ",".join(str(w) for w in weights)
+
+
+def symmetric_text(k, p):
+    """<P^p(U1) U2 U3 A1..Ak>_0 <A1*>_1 ... <Ak*>_1: k genus-1 tails."""
+    names = ["A%d" % i for i in range(1, k + 1)]
+    centre = " ".join(["P^%d(U1)" % p, "U2", "U3"] + names)
+    return "<%s>_0 %s\n" % (centre, " ".join("<%s*>_1" % n for n in names))
+
+
+def calls(workdir):
+    out = []
+    for g, m, weights in [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)), (1, 2, (2, 1, 1)),
+                          (1, 2, (1, 1, 1)), (1, 3, (1, 1, 1)), (1, 3, (2, 1))]:
+        for d in orders(weights):
+            out.append(["verify", "--g", str(g), "--m", str(m), "--d", d_text(d)])
+    for g, m, weights, extra in [(2, 1, (1, 1, 1, 1), ["--stage", "raw"]),
+                                 (2, 0, (2, 2, 1, 1), ["--stage", "raw"]),
+                                 (1, 2, (1, 1, 1, 1),
+                                  ["--stage", "psi-free", "--format", "json"])]:
+        for d in orders(weights):
+            out.append(["compute-b", "--g", str(g), "--m", str(m), "--d", d_text(d)]
+                       + extra)
+    for k, p in itertools.product((7, 8), (1, 2)):
+        path = os.path.join(workdir, "symmetric_k%d_p%d.bracket" % (k, p))
+        with open(path, "w") as fh:
+            fh.write(symmetric_text(k, p))
+        out.append(["reduce", path, "--mode", "psi"])
+    return out
+
+
+def start(tree, argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    return subprocess.Popen([sys.executable, "-m", "tautrel.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def finish(proc):
+    stdout, stderr = proc.communicate()
+    return proc.returncode, stderr, TIMING.sub("", stdout)
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/identity.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    parent, change = args
+    with tempfile.TemporaryDirectory() as workdir:
+        todo = calls(workdir)
+        for i, call in enumerate(todo, 1):
+            clock = time.perf_counter()
+            procs = [start(parent, call), start(change, call)]
+            (pcode, perr, pout), (ccode, cerr, cout) = [finish(p) for p in procs]
+            line = "[%d/%d] %s (%.1f s)" % (i, len(todo), " ".join(call),
+                                            time.perf_counter() - clock)
+            for name, a, b in [("exit code", pcode, ccode), ("stderr", perr, cerr),
+                               ("stdout", pout, cout)]:
+                if a != b:
+                    print("%s: %s differs" % (line, name))
+                    return 1
+            print("%s: identical, exit %d, %d bytes" % (line, pcode, len(pout)),
+                  flush=True)
+    print("all %d calls identical" % len(todo))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
