@@ -13,8 +13,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
-from math import factorial
 
 from .expressions import (
     expression_to_json,
@@ -22,7 +20,7 @@ from .expressions import (
     render_bracket,
     render_latex,
 )
-from .pushforward import d_set, forget_frozen_legs
+from .pushforward import forget_frozen_legs, string_table
 from .treeclass import acceptable_assignments, enumerate_shapes, weighted_tree_class
 from .reduce import (
     eliminate_all_psi,
@@ -50,16 +48,22 @@ def _weights(text):
         raise argparse.ArgumentTypeError("weights must look like 2,1")
 
 
+def _positive(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, not %r" % text)
+    return value
+
+
 def default_budget():
     """Rounds from ``TAUTREL_BUDGET`` (3 when unset); a bad value is an error."""
-    text = os.environ.get("TAUTREL_BUDGET", "3")
     try:
-        budget = int(text)
-        if budget >= 1:
-            return budget
-    except ValueError:
-        pass
-    raise ValueError("TAUTREL_BUDGET must be a positive integer, not %r" % text)
+        return _positive(os.environ.get("TAUTREL_BUDGET", "3"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError("TAUTREL_BUDGET %s" % exc)
 
 
 def _format_expression(expr, fmt):
@@ -82,25 +86,30 @@ def _certificate_json(expr, cert):
     return out
 
 
-def _eliminate_timed(expr, stages):
+def _vanishing_check(expr, args, stages):
+    """Psi elimination, then, unless that leaves zero, the WDVV span test.
+
+    Returns the outcome fields and the exit status, and fills the seconds of
+    each stage into ``stages``.  A relation budget overflow leaves no
+    certificate, so the whole span test then counts as closure.
+    """
     clock = time.perf_counter()
     reduced = eliminate_all_psi(expr)
     stages["psi_s"] = time.perf_counter() - clock
-    return reduced
-
-
-def _span_test_timed(expr, args, stages):
-    """The span test; after a relation budget overflow, which leaves no
-    certificate, its whole time counts as closure."""
+    if reduced.is_zero():
+        return {"proved": True, "method": "psi-elimination"}, 0
     clock = time.perf_counter()
     try:
-        cert = span_zero_test(expr, budget=args.budget,
+        cert = span_zero_test(reduced, budget=args.budget,
                               max_relations=args.max_relations)
-    except OverflowError:
+    except OverflowError as exc:
         stages["closure_s"] = time.perf_counter() - clock
-        raise
+        return {"proved": False, "method": "wdvv-span", "error": "budget-overflow",
+                "detail": str(exc)}, 2
     stages.update(closure_s=cert.closure_s, solve_s=cert.solve_s)
-    return cert
+    return ({"proved": cert.zero, "method": "wdvv-span",
+             "certificate": _certificate_json(reduced, cert)},
+            0 if cert.zero else 2)
 
 
 def _report(args, inputs, outcome, started, stages=None):
@@ -142,45 +151,21 @@ def cmd_compute_b(args):
 def cmd_verify(args):
     started = time.time()
     inputs = {"g": args.g, "m": args.m, "d": list(args.d)}
-    warning = None
-    if sum(args.d) < 2 * args.g + args.m - 1:
-        warning = ("total weight %d is below 2g+m-1 = %d; vanishing is not expected"
-                   % (sum(args.d), 2 * args.g + args.m - 1))
     expr = weighted_tree_class(args.g, args.m, args.d)
     stages = dict.fromkeys(STAGES, 0.0)
-    outcome = {"proved": False}
-    if warning:
-        outcome["warning"] = warning
-    status = 2
     if expr.is_zero():
-        outcome.update(proved=True, method="normalizes-to-zero")
-        status = 0
+        outcome, status = {"proved": True, "method": "normalizes-to-zero"}, 0
     elif expr.degree() == expr.ambient.dimension:
         value = integrate(expr)
-        if value == 0:
-            outcome.update(proved=True, method="top-degree-integral")
-            status = 0
-        else:
-            outcome.update(method="top-degree-integral",
-                           integral={"num": value.numerator, "den": value.denominator})
+        outcome = {"proved": value == 0, "method": "top-degree-integral"}
+        status = 0 if value == 0 else 2
+        if value:
+            outcome["integral"] = {"num": value.numerator, "den": value.denominator}
     else:
-        reduced = _eliminate_timed(expr, stages)
-        if reduced.is_zero():
-            outcome.update(proved=True, method="psi-elimination")
-            status = 0
-        else:
-            try:
-                cert = _span_test_timed(reduced, args, stages)
-            except OverflowError as exc:
-                outcome.update(method="wdvv-span", error="budget-overflow",
-                               detail=str(exc))
-                _report(args, inputs, outcome, started, stages)
-                return 2
-            outcome.update(method="wdvv-span",
-                           certificate=_certificate_json(reduced, cert))
-            if cert.zero:
-                outcome["proved"] = True
-                status = 0
+        outcome, status = _vanishing_check(expr, args, stages)
+    if sum(args.d) < 2 * args.g + args.m - 1:
+        outcome["warning"] = ("total weight %d is below 2g+m-1 = %d; vanishing is not"
+                              " expected" % (sum(args.d), 2 * args.g + args.m - 1))
     _report(args, inputs, outcome, started, stages)
     return status
 
@@ -190,20 +175,14 @@ def cmd_check_pushforward(args):
     d = args.d
     lhs = forget_frozen_legs(weighted_tree_class(args.g, args.m + args.l, d), args.l)
     rhs = lhs.scale(0)
-    for k in sorted(d_set(d, args.l)):
-        coeff = Fraction(factorial(args.l))
-        for di, ki in zip(d, k):
-            coeff /= factorial(di - ki)
-        rhs = rhs + weighted_tree_class(args.g, args.m, k).scale(coeff)
+    for k, mult in string_table(d, args.l):
+        rhs = rhs + weighted_tree_class(args.g, args.m, k).scale(mult)
     diff = lhs - rhs
     stages = dict.fromkeys(STAGES, 0.0)
-    outcome = {"equal": diff.is_zero(), "method": "normalize"}
-    status = 0 if diff.is_zero() else 2
+    outcome, status = {"equal": True, "method": "normalize"}, 0
     if not diff.is_zero():
-        cert = _span_test_timed(_eliminate_timed(diff, stages), args, stages)
-        outcome = {"equal": cert.zero, "method": "wdvv-span",
-                   "certificate": _certificate_json(diff, cert)}
-        status = 0 if cert.zero else 2
+        outcome, status = _vanishing_check(diff, args, stages)
+        outcome["equal"] = outcome.pop("proved")
     _report(args, {"g": args.g, "n": len(d), "m": args.m, "l": args.l,
                    "d": list(d)}, outcome, started, stages)
     return status
@@ -211,6 +190,9 @@ def cmd_check_pushforward(args):
 
 def cmd_enumerate(args):
     started = time.time()
+    if args.with_extras is not None and len(args.with_extras) != args.n:
+        raise ValueError("--with-extras takes %d weights, one per regular leg, not %d"
+                         % (args.n, len(args.with_extras)))
     shapes = enumerate_shapes(args.g, args.n, args.m)
     rows = []
     for shape in shapes:
@@ -258,16 +240,9 @@ def cmd_reduce(args):
         return 0
     # zero-test
     stages = dict.fromkeys(STAGES, 0.0)
-    reduced = _eliminate_timed(expr, stages)
-    if reduced.is_zero():
-        _report(args, inputs, {"proved": True, "method": "psi-elimination"}, started,
-                stages)
-        return 0
-    cert = _span_test_timed(reduced, args, stages)
-    _report(args, inputs,
-            {"proved": cert.zero, "method": "wdvv-span",
-             "certificate": _certificate_json(reduced, cert)}, started, stages)
-    return 0 if cert.zero else 2
+    outcome, status = _vanishing_check(expr, args, stages)
+    _report(args, inputs, outcome, started, stages)
+    return status
 
 
 def build_parser():
@@ -280,9 +255,9 @@ def build_parser():
         parser.error(str(exc))
 
     def common(p):
-        p.add_argument("--budget", type=int, default=budget,
+        p.add_argument("--budget", type=_positive, default=budget,
                        help="relation-closure rounds (env TAUTREL_BUDGET)")
-        p.add_argument("--max-relations", type=int, default=200000)
+        p.add_argument("--max-relations", type=_positive, default=200000)
         p.add_argument("--out", help="write the JSON report to a file")
 
     p = sub.add_parser("compute-b", help="assemble a weighted tree class")
@@ -335,9 +310,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OverflowError as exc:
-        print("budget overflow: %s" % exc, file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

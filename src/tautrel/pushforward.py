@@ -66,27 +66,34 @@ def _push_at_vertices(coeff, dg, forget_by_vertex):
     return out
 
 
-def forget_extra_legs(expr):
-    """Push forward along the map forgetting every extra leg, vertex by vertex."""
+def _forget(expr, ambient, doomed):
+    """Push forward to ``ambient`` along the map forgetting every leg whose
+    label is in ``doomed``, vertex by vertex."""
     out = []
     for coeff, dg in expr.terms():
         g = dg.graph
         by_vertex = {}
         for h in range(g.n_half_edges):
-            if g.labels[h] == EXTRA:
+            if g.labels[h] in doomed:
                 if dg.exponents[h] != 0:
-                    raise ValueError("extra legs cannot carry psi exponents")
+                    raise ValueError(
+                        "cannot forget leg %s carrying a psi exponent" % g.labels[h])
                 by_vertex.setdefault(g.vertex_of[h], []).append(h)
         if not by_vertex:
             out.append((coeff, dg))
             continue
-        for v in range(g.n_vertices):
-            residual = len(g.halves_at(v)) - len(by_vertex.get(v, ()))
+        for v, hs in by_vertex.items():
+            residual = len(g.halves_at(v)) - len(hs)
             if 2 * g.genera[v] - 2 + residual <= 0:
                 raise ValueError(
-                    "vertex %d becomes unstable after forgetting extra legs" % v)
+                    "vertex %d becomes unstable after forgetting legs" % v)
         out.extend(_push_at_vertices(coeff, dg, by_vertex))
-    return Expression(expr.ambient, out)
+    return Expression(ambient, out)
+
+
+def forget_extra_legs(expr):
+    """Push forward along the map forgetting every extra leg, vertex by vertex."""
+    return _forget(expr, expr.ambient, (EXTRA,))
 
 
 def forget_frozen_legs(expr, count):
@@ -99,20 +106,4 @@ def forget_frozen_legs(expr, count):
     doomed = set(frozen[-count:])
     ambient = make_ambient(expr.ambient.genus,
                            [lab for lab in expr.ambient.labels if lab not in doomed])
-    out = []
-    for coeff, dg in expr.terms():
-        g = dg.graph
-        by_vertex = {}
-        for h in range(g.n_half_edges):
-            if g.labels[h] in doomed:
-                if dg.exponents[h] != 0:
-                    raise ValueError(
-                        "cannot forget leg %s carrying a psi exponent" % g.labels[h])
-                by_vertex.setdefault(g.vertex_of[h], []).append(h)
-        for v, hs in by_vertex.items():
-            residual = len(g.halves_at(v)) - len(hs)
-            if 2 * g.genera[v] - 2 + residual <= 0:
-                raise ValueError(
-                    "vertex %d becomes unstable after forgetting legs" % v)
-        out.extend(_push_at_vertices(coeff, dg, by_vertex))
-    return Expression(ambient, out)
+    return _forget(expr, ambient, doomed)

@@ -165,31 +165,36 @@ def _reduction_site(dg):
 
 
 def eliminate_all_psi(expr):
-    """Rewrite until no half-edge carries a positive exponent."""
+    """Rewrite until no half-edge carries a positive exponent.
+
+    Every rewrite adds exactly one edge, so taking the pending keys in
+    increasing edge count rewrites each key once, with its whole coefficient.
+    """
     ambient = expr.ambient
-    work = dict(expr._terms)
+    levels = [{} for _ in range(ambient.dimension + 1)]     # edge count -> pending
+    for key, coeff in expr._terms.items():
+        levels[len(key[1])][key] = coeff
     done = {}
-    while work:
-        # deterministic: smallest pending key first
-        key = min(work)
-        coeff = work.pop(key)
-        dg = graph_from_key(key)
-        site = _reduction_site(dg)
-        if site is None:
-            done[key] = done.get(key, Fraction(0)) + coeff
-            continue
-        v, h = site
-        single = Expression(ambient, _raw={key: coeff})
-        if dg.graph.genera[v] == 1:
-            reduced = psi_reduce_genus1(single, v, h)
-        else:
-            pair = choose_partner_pair(dg, v, h)
-            reduced = psi_reduce_genus0(single, v, h, pair)
-        for k, c in reduced._terms.items():
-            work[k] = work.get(k, Fraction(0)) + c
-            if work[k] == 0:
-                del work[k]
-    return Expression(ambient, _raw={k: c for k, c in done.items() if c != 0})
+    for work in levels:
+        for key, coeff in work.items():
+            if coeff == 0:
+                continue
+            dg = graph_from_key(key)
+            site = _reduction_site(dg)
+            if site is None:
+                done[key] = coeff
+                continue
+            v, h = site
+            single = Expression(ambient, _raw={key: coeff})
+            if dg.graph.genera[v] == 1:
+                reduced = psi_reduce_genus1(single, v, h)
+            else:
+                pair = choose_partner_pair(dg, v, h)
+                reduced = psi_reduce_genus0(single, v, h, pair)
+            for k, c in reduced._terms.items():
+                pending = levels[len(k[1])]
+                pending[k] = pending.get(k, Fraction(0)) + c
+    return Expression(ambient, _raw=done)
 
 
 def distribute(expr, label):

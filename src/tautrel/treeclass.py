@@ -241,27 +241,16 @@ def acceptable_assignments(shape, weights):
             for k_child, sub in combo:
                 total += k_child - 1
                 assignment.update(sub)
-            lo, hi = extra_count_bounds(
-                g.genera[v], len(g.halves_at(v)) - g.extra_count(v), total)
+            degree = len(g.halves_at(v)) - g.extra_count(v)
+            if v == 0:
+                if total <= 3 * g.genera[v] - 3 + degree:
+                    yield 0, assignment
+                continue
+            lo, hi = extra_count_bounds(g.genera[v], degree, total)
             for k in range(lo, hi + 1):
-                out = dict(assignment)
-                out[v] = k
-                yield k, out
+                yield k, {**assignment, v: k}
 
-    root = 0
-    child_options = [branch(w) for _h, w in view.children[root]]
-    results = []
-    for combo in itertools.product(*child_options):
-        assignment = {}
-        total = weight_at(root)
-        for k_child, sub in combo:
-            total += k_child - 1
-            assignment.update(sub)
-        degree = len(g.halves_at(root))
-        if total > 3 * g.genera[root] - 3 + degree:
-            continue
-        results.append({v: k - 1 for v, k in assignment.items()})
-    return results
+    return [{v: k - 1 for v, k in assignment.items()} for _k, assignment in branch(0)]
 
 
 def shape_class(shape, weights):

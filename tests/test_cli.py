@@ -103,6 +103,16 @@ def test_enumerate_counts(capsys):
     assert report["outcome"]["count"] == 6
 
 
+@pytest.mark.parametrize("extras", ["2,1", "2,1,1"])
+def test_enumerate_with_extras_takes_one_weight_per_leg(extras):
+    n = "3" if extras == "2,1" else "2"
+    proc = run_child("enumerate", "--g", "1", "--n", n, "--m", "1",
+                     "--with-extras", extras)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --with-extras takes %s weights" % n)
+
+
 def test_reduce_zero_test_fixture(capsys):
     path = os.path.join(FIXTURES, "f.bracket")
     code, report = run_json(capsys, "reduce", path, "--mode", "zero-test")
@@ -124,9 +134,12 @@ def test_reduce_zero_test_combined_residue(capsys):
     assert report["outcome"]["proved"] is True
 
 
-def test_verify_budget_overflow_reported(capsys):
-    code, report = run_json(capsys, "verify", "--g", "1", "--m", "2",
-                            "--d", "2,1", "--max-relations", "1")
+@pytest.mark.parametrize("argv", [
+    ("verify", "--g", "1", "--m", "2", "--d", "2,1"),
+    ("reduce", os.path.join(FIXTURES, "f.bracket"), "--mode", "zero-test"),
+])
+def test_verify_budget_overflow_reported(capsys, argv):
+    code, report = run_json(capsys, *argv, "--max-relations", "1")
     assert code == 2
     assert report["outcome"]["error"] == "budget-overflow"
 
@@ -201,6 +214,15 @@ def test_bad_budget_env_is_a_usage_error(value):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "TAUTREL_BUDGET" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--max-relations"])
+@pytest.mark.parametrize("value", ["junk", "0", "-3"])
+def test_bad_budget_flag_is_a_usage_error(flag, value):
+    proc = run_child("verify", "--g", "1", "--m", "2", "--d", "2,1", flag, value)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "%s: must be a positive integer" % flag in proc.stderr
 
 
 def test_console_entry_point():

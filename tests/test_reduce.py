@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import isqrt
@@ -37,6 +38,7 @@ from tautrel.reduce import (
 from tautrel.treeclass import weighted_tree_class
 
 from conftest import (
+    FIXTURES,
     fixture_text,
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
@@ -135,6 +137,68 @@ def test_eliminate_double_psi_five_points():
     expected = parse_bracket("2 * <x1 x2 a*>_0 <a x3 b*>_0 <b x4 x5>_0")
     assert out.psi_free()
     assert certified_zero(out - expected)
+
+
+def reference_eliminate_all_psi(expr):
+    """Psi elimination that always rewrites the least pending key, so it may
+    rewrite a key again when a later rewrite adds to it."""
+    ambient = expr.ambient
+    work = dict(expr._terms)
+    done = {}
+    while work:
+        key = min(work)
+        coeff = work.pop(key)
+        dg = graph_from_key(key)
+        site = reduce._reduction_site(dg)
+        if site is None:
+            done[key] = done.get(key, Fraction(0)) + coeff
+            continue
+        v, h = site
+        single = Expression(ambient, _raw={key: coeff})
+        if dg.graph.genera[v] == 1:
+            reduced = psi_reduce_genus1(single, v, h)
+        else:
+            pair = choose_partner_pair(dg, v, h)
+            reduced = psi_reduce_genus0(single, v, h, pair)
+        for k, c in reduced._terms.items():
+            work[k] = work.get(k, Fraction(0)) + c
+            if work[k] == 0:
+                del work[k]
+    return Expression(ambient, _raw={k: c for k, c in done.items() if c != 0})
+
+
+ELIMINATION_FIXTURES = sorted(name[:-len(".bracket")] for name in os.listdir(FIXTURES))
+# the classes whose psi elimination the benchmark pools run
+POOL_CLASSES = [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)), (1, 2, (2, 1, 1)),
+                (1, 2, (1, 1, 1)), (1, 3, (1, 1, 1)), (1, 3, (2, 1)),
+                (1, 2, (1, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("name", ELIMINATION_FIXTURES)
+def test_elimination_matches_reference_on_fixtures(name):
+    expr = parse_bracket(fixture_text(name))
+    got = eliminate_all_psi(expr)
+    assert got == reference_eliminate_all_psi(expr)
+    assert all(isinstance(c, Fraction) for c in got._terms.values())
+
+
+@pytest.mark.parametrize("g, m, d", POOL_CLASSES)
+def test_elimination_matches_reference_on_pool_classes(g, m, d):
+    expr = weighted_tree_class(g, m, d)
+    assert eliminate_all_psi(expr) == reference_eliminate_all_psi(expr)
+
+
+def test_elimination_looks_up_each_reduction_site_once(monkeypatch):
+    looked_up = []
+    site = reduce._reduction_site
+
+    def recording_site(dg):
+        looked_up.append(canonical_key(dg))
+        return site(dg)
+
+    monkeypatch.setattr(reduce, "_reduction_site", recording_site)
+    eliminate_all_psi(weighted_tree_class(1, 2, (2, 1, 1)))
+    assert looked_up and len(looked_up) == len(set(looked_up))
 
 
 def test_partner_pair_prefers_frozen_then_legs():

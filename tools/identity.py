@@ -9,7 +9,14 @@ report's ``timing`` field (the one field allowed to vary) is cut from the
 standard output.  The list covers every ``verify`` of the benchmark's
 ``prove`` and ``exhaust`` pools in every weight order, every ``compute-b``
 of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
-for k in {7, 8} and p in {1, 2}.  The two trees run each call side by side.
+for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
+``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1) and (0, 2, 1, 1,1),
+``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
+pair`` on ``b21_raw``, ``reduce --mode psi --format latex`` on ``h``,
+``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
+latex``, and ``enumerate --g 1 --n 2 --m 2 --with-extras 2,1``.  Both trees
+read the bracket fixtures from PARENT's ``tests/fixtures``.  The two trees
+run each call side by side.
 
 Exits 0 when every call matches and 1 at the first difference.
 """
@@ -42,7 +49,7 @@ def symmetric_text(k, p):
     return "<%s>_0 %s\n" % (centre, " ".join("<%s*>_1" % n for n in names))
 
 
-def calls(workdir):
+def calls(workdir, fixtures):
     out = []
     for g, m, weights in [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)), (1, 2, (2, 1, 1)),
                           (1, 2, (1, 1, 1)), (1, 3, (1, 1, 1)), (1, 3, (2, 1))]:
@@ -60,6 +67,18 @@ def calls(workdir):
         with open(path, "w") as fh:
             fh.write(symmetric_text(k, p))
         out.append(["reduce", path, "--mode", "psi"])
+    for g, m, l, d in [(1, 2, 1, "2,1"), (0, 2, 1, "1,1")]:
+        out.append(["check-pushforward", "--g", str(g), "--m", str(m), "--l", str(l),
+                    "--d", d])
+    for name, extra in [("f", ["--mode", "zero-test"]),
+                        ("h0i0_combined", ["--mode", "zero-test"]),
+                        ("b21_raw", ["--mode", "pair"]),
+                        ("h", ["--mode", "psi", "--format", "latex"])]:
+        out.append(["reduce", os.path.join(fixtures, name + ".bracket")] + extra)
+    out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
+    out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1",
+                "--stage", "psi-free", "--format", "latex"])
+    out.append(["enumerate", "--g", "1", "--n", "2", "--m", "2", "--with-extras", "2,1"])
     return out
 
 
@@ -81,7 +100,7 @@ def main(argv=None):
         return 2
     parent, change = args
     with tempfile.TemporaryDirectory() as workdir:
-        todo = calls(workdir)
+        todo = calls(workdir, os.path.join(parent, "tests", "fixtures"))
         for i, call in enumerate(todo, 1):
             clock = time.perf_counter()
             procs = [start(parent, call), start(change, call)]
