@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when the requested fact is proved (or the command just
-computes output), 2 when a vanishing/equality check comes back unknown,
-1 on usage or internal errors.  All reports are deterministic apart from
-the timing field.
+computes output), 2 when a vanishing/equality check comes back unknown or
+exceeds its relation budget, 1 on usage or internal errors.  All reports
+are deterministic apart from the timing field.
 """
 
 from __future__ import annotations

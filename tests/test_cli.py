@@ -137,7 +137,7 @@ def test_reduce_zero_test_combined_residue(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--g", "1", "--m", "2", "--d", "2,1"),
     ("reduce", os.path.join(FIXTURES, "f.bracket"), "--mode", "zero-test"),
-])
+], ids=["verify", "reduce"])
 def test_verify_budget_overflow_reported(capsys, argv):
     code, report = run_json(capsys, *argv, "--max-relations", "1")
     assert code == 2
