@@ -10,7 +10,6 @@ from .graphs import (
     canonical_key,
     genus,
     graph_from_key,
-    is_balanced,
     is_stable,
     leg_kind,
     validate,
@@ -34,11 +33,9 @@ from .treeclass import (
     TreeShape,
     WeightVector,
     acceptable_assignments,
-    add_extras,
     enumerate_shapes,
     extra_count_bounds,
     shape_class,
-    weight_decoration,
     weighted_tree_class,
 )
 from .reduce import (

@@ -80,9 +80,6 @@ class DualGraph:
         out = [lab for lab in self.labels if lab is not None and lab != EXTRA]
         return sorted(out, key=label_sort_key)
 
-    def extra_count(self, v):
-        return sum(1 for h in self.halves_at(v) if self.labels[h] == EXTRA)
-
     def leg_with_label(self, label):
         for h, lab in enumerate(self.labels):
             if lab == label:
@@ -481,14 +478,3 @@ class RootedTreeView:
                    if len(self.positively_directed(v)) >= 2]
         return min(heights) if heights else None
 
-
-def is_balanced(tree):
-    """Root has no extra legs and every other vertex has at least one."""
-    g = tree.graph
-    for v in range(g.n_vertices):
-        n_extras = g.extra_count(v)
-        if v == tree.root and n_extras > 0:
-            return False
-        if v != tree.root and n_extras == 0:
-            return False
-    return True

@@ -5,12 +5,15 @@ monomial with exponents ``q`` into a weighted sum over all componentwise
 drops ``p <= q`` with ``|p| = |q| - l``; the weight is ``l!`` divided by the
 factorials of the drops.  Forgetting acts vertex by vertex: psi classes on
 other vertices ride along untouched, and a forgetful step that would leave an
-unstable vertex is an error, never a silent contraction.
+unstable vertex is an error, never a silent contraction.  The same tables
+give the class of a tree shape in ``treeclass``, where the forgotten extra
+legs are never built, so there is nothing to delete.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import factorial
 
 from .graphs import EXTRA, GraphBuilder
@@ -43,17 +46,17 @@ def string_table(exponents, count):
     return table
 
 
-def _push_at_vertices(coeff, dg, forget_by_vertex):
-    """Distribute the per-vertex string tables and delete the forgotten legs."""
-    out = []
+def _push_at_vertices(coeff, dg, counts, drop):
+    """Forget ``counts[v]`` bare points at each vertex ``v`` by its string
+    table over the half-edges left there, and delete the half-edges in
+    ``drop``."""
     g = dg.graph
     choices = []
-    for v, forgotten in sorted(forget_by_vertex.items()):
-        slots = [h for h in g.halves_at(v) if h not in forgotten]
-        exps = tuple(dg.exponents[h] for h in slots)
-        table = string_table(exps, len(forgotten))
+    for v, count in sorted(counts.items()):
+        slots = [h for h in g.halves_at(v) if h not in drop]
+        table = string_table(tuple(dg.exponents[h] for h in slots), count)
         choices.append((slots, table))
-    all_forgotten = {h for hs in forget_by_vertex.values() for h in hs}
+    out = []
     for picks in itertools.product(*(t for _s, t in choices)):
         mult = 1
         exponents = list(dg.exponents)
@@ -61,7 +64,7 @@ def _push_at_vertices(coeff, dg, forget_by_vertex):
             mult *= m
             for h, e in zip(slots, residual):
                 exponents[h] = e
-        b = GraphBuilder.copy_of(dg, exponents=exponents, drop=all_forgotten)
+        b = GraphBuilder.copy_of(dg, exponents=exponents, drop=drop)
         out.append((coeff * mult, b.build()))
     return out
 
@@ -72,22 +75,17 @@ def _forget(expr, ambient, doomed):
     out = []
     for coeff, dg in expr.terms():
         g = dg.graph
-        by_vertex = {}
-        for h in range(g.n_half_edges):
-            if g.labels[h] in doomed:
-                if dg.exponents[h] != 0:
-                    raise ValueError(
-                        "cannot forget leg %s carrying a psi exponent" % g.labels[h])
-                by_vertex.setdefault(g.vertex_of[h], []).append(h)
-        if not by_vertex:
-            out.append((coeff, dg))
-            continue
-        for v, hs in by_vertex.items():
-            residual = len(g.halves_at(v)) - len(hs)
-            if 2 * g.genera[v] - 2 + residual <= 0:
+        drop = [h for h in range(g.n_half_edges) if g.labels[h] in doomed]
+        for h in drop:
+            if dg.exponents[h] != 0:
+                raise ValueError(
+                    "cannot forget leg %s carrying a psi exponent" % g.labels[h])
+        counts = Counter(g.vertex_of[h] for h in drop)
+        for v, count in counts.items():
+            if 2 * g.genera[v] - 2 + len(g.halves_at(v)) - count <= 0:
                 raise ValueError(
                     "vertex %d becomes unstable after forgetting legs" % v)
-        out.extend(_push_at_vertices(coeff, dg, by_vertex))
+        out.extend(_push_at_vertices(coeff, dg, counts, set(drop)))
     return Expression(ambient, out)
 
 

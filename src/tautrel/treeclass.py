@@ -9,6 +9,12 @@ and (number of extras on the child) - 1 on each downward edge half.  The
 class of a shape is the sum over all such decorated trees of the pushforward
 forgetting the extras; the full class sums shapes with sign (-1)^(#edges).
 
+By the string equation, forgetting the extras of a non-root vertex applies
+the string table for that many points to the vertex's other exponents.  So
+each class is assembled on the shape graph itself: the half-edge down to a
+child carries the child's extras minus one, the table is applied at every
+non-root vertex, and no extra leg is ever built.
+
 Per-vertex bounds cut the sum to finitely many assignments: the string
 equation kills a vertex whose extras outnumber its total psi exponent, and a
 vertex whose psi load exceeds the dimension of its moduli factor dies too.
@@ -18,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import (
-    EXTRA,
     DecoratedGraph,
     GraphBuilder,
     RootedTreeView,
@@ -29,7 +35,7 @@ from .graphs import (
 )
 from . import graphs
 from .expressions import Expression, make_ambient
-from .pushforward import forget_extra_legs
+from .pushforward import _push_at_vertices
 
 
 @dataclass(frozen=True)
@@ -101,18 +107,20 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
+@lru_cache(maxsize=None)
 def _tree_specs(genus_budget, legs, pending):
     """Rooted subtree specs (genus, legs at local root, child specs).
 
-    ``pending`` counts half-edges on the local root beyond legs and child
-    edges (the parent edge, or the frozen legs on the global root).  Every
-    leaf must end up with a regular leg, so each child block is nonempty.
+    ``legs`` is a sorted tuple.  ``pending`` counts half-edges on the local
+    root beyond legs and child edges (the parent edge, or the frozen legs on
+    the global root).  Every leaf must end up with a regular leg, so each
+    child block is nonempty.  The result is a tuple of nested tuples, cached
+    per argument, so equal subtrees are expanded once.
     """
     out = []
-    legs = frozenset(legs)
     for g0 in range(genus_budget + 1):
-        for here in _subsets(sorted(legs)):
-            rest = legs - set(here)
+        for here in _subsets(legs):
+            rest = [i for i in legs if i not in here]
             for blocks in _set_partitions(rest):
                 k = len(blocks)
                 if k == 0 and not here:
@@ -120,11 +128,11 @@ def _tree_specs(genus_budget, legs, pending):
                 if 2 * g0 - 2 + len(here) + k + pending <= 0:
                     continue
                 for genera in _compositions(genus_budget - g0, k):
-                    child_lists = [_tree_specs(gb, blk, 1)
+                    child_lists = [_tree_specs(gb, tuple(blk), 1)
                                    for gb, blk in zip(genera, blocks)]
                     for combo in itertools.product(*child_lists):
-                        out.append((g0, tuple(sorted(here)), combo))
-    return out
+                        out.append((g0, here, combo))
+    return tuple(out)
 
 
 def _materialize(spec, frozen_count):
@@ -163,42 +171,30 @@ def enumerate_shapes(genus_value, n_regular, n_frozen):
     if 2 * genus_value - 2 + n_regular + n_frozen <= 0:
         raise ValueError("unstable target space")
     seen = {}
-    for spec in _tree_specs(genus_value, range(1, n_regular + 1), n_frozen):
+    for spec in _tree_specs(genus_value, tuple(range(1, n_regular + 1)), n_frozen):
         shape = TreeShape(_materialize(spec, n_frozen))
         seen.setdefault(shape.key(), shape)
     return [seen[k] for k in sorted(seen)]
 
 
-def add_extras(shape, assignment):
-    """Add ``assignment[v] + 1`` extra legs to each non-root vertex."""
+def _leg_exponents(shape, weights):
+    """Weight ``d_i`` on regular leg ``U<i>`` and zero on every other half-edge.
+
+    This is where weights meet a shape, so it checks that there is exactly
+    one weight per regular leg ``U1 .. Un``.
+    """
     g = shape.graph
-    b = GraphBuilder.copy_of(DecoratedGraph(g, (0,) * g.n_half_edges))
-    for v in range(1, g.n_vertices):
-        for _ in range(assignment[v] + 1):
-            b.add_leg(v, EXTRA)
-    return b.build()
-
-
-def weight_decoration(tree_dg, weights):
-    """The induced psi decoration on a balanced rooted tree with extras."""
-    weights = _as_weights(weights)
-    view = RootedTreeView(tree_dg.graph, 0)
-    g = tree_dg.graph
     exps = [0] * g.n_half_edges
-    for h in range(g.n_half_edges):
-        lab = g.labels[h]
+    regular = {}
+    for h, lab in enumerate(g.labels):
         if lab is not None and leg_kind(lab) == "regular":
-            i = int(lab[1:])
-            if not 1 <= i <= len(weights):
-                raise ValueError("regular leg %s has no weight" % lab)
-            exps[h] = weights[i - 1]
-    for v in range(g.n_vertices):
-        for h, child in view.children[v]:
-            exps[h] = g.extra_count(child) - 1
-    decorated = DecoratedGraph(g, tuple(exps))
-    if not graphs.is_balanced(view):
-        raise ValueError("tree is not balanced")
-    return decorated
+            regular[int(lab[1:])] = h
+    if sorted(regular) != list(range(1, len(weights) + 1)):
+        raise ValueError("%d weights for the regular legs %s" % (
+            len(weights), " ".join("U%d" % i for i in sorted(regular))))
+    for i, h in regular.items():
+        exps[h] = weights[i - 1]
+    return exps
 
 
 def extra_count_bounds(genus_v, non_extra_degree, weighted_total):
@@ -220,63 +216,66 @@ def acceptable_assignments(shape, weights):
     extra counts, and the root, which never carries extras, still imposes
     its dimension bound on its children.
     """
-    weights = _as_weights(weights)
+    exps = _leg_exponents(shape, _as_weights(weights))
     view = shape.view()
     g = shape.graph
-
-    def weight_at(v):
-        total = 0
-        for h in g.halves_at(v):
-            lab = g.labels[h]
-            if lab is not None and leg_kind(lab) == "regular":
-                total += weights[int(lab[1:]) - 1]
-        return total
 
     def branch(v):
         """Yield (extra_count, partial assignment) for the subtree at v."""
         child_options = [branch(w) for _h, w in view.children[v]]
+        halves = g.halves_at(v)
         for combo in itertools.product(*child_options):
             assignment = {}
-            total = weight_at(v)
+            total = sum(exps[h] for h in halves)
             for k_child, sub in combo:
                 total += k_child - 1
                 assignment.update(sub)
-            degree = len(g.halves_at(v)) - g.extra_count(v)
             if v == 0:
-                if total <= 3 * g.genera[v] - 3 + degree:
+                if total <= 3 * g.genera[v] - 3 + len(halves):
                     yield 0, assignment
                 continue
-            lo, hi = extra_count_bounds(g.genera[v], degree, total)
+            lo, hi = extra_count_bounds(g.genera[v], len(halves), total)
             for k in range(lo, hi + 1):
                 yield k, {**assignment, v: k}
 
     return [{v: k - 1 for v, k in assignment.items()} for _k, assignment in branch(0)]
 
 
+def _shape_terms(shape, weights):
+    """Uncollected (coefficient, graph) terms of the class of ``shape``.
+
+    The half-edge down to child ``c`` carries ``assignment[c]``, and the
+    ``assignment[v] + 1`` extras of each non-root vertex ``v`` are forgotten
+    by its string table without ever being built.
+    """
+    exps = _leg_exponents(shape, weights)
+    children = shape.view().children
+    out = []
+    for assignment in acceptable_assignments(shape, weights):
+        for hs in children.values():
+            for h, child in hs:
+                exps[h] = assignment[child]
+        decorated = DecoratedGraph(shape.graph, tuple(exps))
+        counts = {v: k + 1 for v, k in assignment.items()}
+        out.extend(_push_at_vertices(1, decorated, counts, ()))
+    return out
+
+
 def shape_class(shape, weights):
     """Sum over acceptable extra-leg assignments of the forgotten decorated tree."""
     weights = _as_weights(weights)
     ambient = make_ambient(graphs.genus(shape.graph), shape.graph.leg_labels())
-    acc = {}
-    for assignment in acceptable_assignments(shape, weights):
-        tree = add_extras(shape, assignment)
-        decorated = weight_decoration(tree, weights)
-        term = Expression(ambient, [(1, decorated)])
-        for key, c in forget_extra_legs(term)._terms.items():
-            acc[key] = acc.get(key, 0) + c
-    return Expression(ambient, _raw={k: c for k, c in acc.items() if c != 0})
+    return Expression(ambient, _shape_terms(shape, weights))
 
 
 def weighted_tree_class(genus_value, n_frozen, weights):
     """Signed sum of shape classes over the whole shape family."""
     weights = _as_weights(weights)
-    shapes = enumerate_shapes(genus_value, len(weights), n_frozen)
     ambient = make_ambient(genus_value,
                            ["U%d" % i for i in range(1, len(weights) + 1)]
                            + ["V%d" % j for j in range(1, n_frozen + 1)])
-    acc = {}
-    for shape in shapes:
+    terms = []
+    for shape in enumerate_shapes(genus_value, len(weights), n_frozen):
         sign = -1 if shape.n_edges() % 2 else 1
-        for key, c in shape_class(shape, weights)._terms.items():
-            acc[key] = acc.get(key, 0) + sign * c
-    return Expression(ambient, _raw={k: c for k, c in acc.items() if c != 0})
+        terms.extend((sign * c, dg) for c, dg in _shape_terms(shape, weights))
+    return Expression(ambient, terms)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -90,7 +91,8 @@ def brute_force_automorphism_order(dg):
     """Count decoration-preserving half-edge permutations directly."""
     g = dg.graph
     halves = [h for h in range(g.n_half_edges) if g.labels[h] != EXTRA]
-    extras = {v: g.extra_count(v) for v in range(g.n_vertices)}
+    extras = Counter(g.vertex_of[h] for h in range(g.n_half_edges)
+                     if g.labels[h] == EXTRA)
     count = 0
     for perm in itertools.permutations(halves):
         f = dict(zip(halves, perm))

@@ -19,7 +19,6 @@ from tautrel.graphs import (
     contract_edge,
     genus,
     graph_from_key,
-    is_balanced,
     is_stable,
     split_vertex,
     validate,
@@ -112,25 +111,6 @@ def _two_vertex_tree(child_genus, child_items):
         for lab in child_items:
             b.add_leg(1, lab)
     return build(fn)
-
-
-def test_balanced_cases():
-    single = build(lambda b: (b.add_vertex(1), b.add_leg(0, "U1"),
-                              b.add_leg(0, "V1"), b.add_leg(0, "V2")))
-    assert is_balanced(RootedTreeView(single.graph)) is True
-    no_extras = _two_vertex_tree(1, ["U1"])
-    assert is_balanced(RootedTreeView(no_extras.graph)) is False
-
-    def rooted_extra(b):
-        b.add_vertex(0)
-        b.add_vertex(1)
-        b.add_leg(0, "V1")
-        b.add_leg(0, "V2")
-        b.add_leg(0, EXTRA)
-        b.add_edge(0, 1)
-        b.add_leg(1, "U1")
-        b.add_leg(1, EXTRA)
-    assert is_balanced(RootedTreeView(build(rooted_extra).graph)) is False
 
 
 def test_rooted_tree_levels_and_branching():

@@ -1,19 +1,112 @@
 import pytest
 
-from tautrel.graphs import EXTRA
+from tautrel import graphs
+from tautrel.graphs import EXTRA, DecoratedGraph, GraphBuilder, RootedTreeView, leg_kind
 from tautrel.expressions import Expression, make_ambient, parse_bracket
 from tautrel.pushforward import forget_extra_legs
 from tautrel.treeclass import (
+    _tree_specs,
     acceptable_assignments,
-    add_extras,
     enumerate_shapes,
     extra_count_bounds,
     shape_class,
-    weight_decoration,
     weighted_tree_class,
 )
 
 from conftest import brute_force_shape_keys, fixture_text
+
+
+# ---------------------------------------------------------------------------
+# the reference path: build the extra legs, decorate, forget them again
+
+
+def _extras_at(g, v):
+    return sum(1 for h in g.halves_at(v) if g.labels[h] == EXTRA)
+
+
+def reference_add_extras(shape, assignment):
+    """Add ``assignment[v] + 1`` extra legs to each non-root vertex."""
+    g = shape.graph
+    b = GraphBuilder.copy_of(DecoratedGraph(g, (0,) * g.n_half_edges))
+    for v in range(1, g.n_vertices):
+        for _ in range(assignment[v] + 1):
+            b.add_leg(v, EXTRA)
+    return b.build()
+
+
+def reference_is_balanced(tree):
+    """Root has no extra legs and every other vertex has at least one."""
+    g = tree.graph
+    for v in range(g.n_vertices):
+        n_extras = _extras_at(g, v)
+        if v == tree.root and n_extras > 0:
+            return False
+        if v != tree.root and n_extras == 0:
+            return False
+    return True
+
+
+def reference_weight_decoration(tree_dg, weights):
+    """The induced psi decoration on a balanced rooted tree with extras."""
+    view = RootedTreeView(tree_dg.graph, 0)
+    g = tree_dg.graph
+    exps = [0] * g.n_half_edges
+    for h in range(g.n_half_edges):
+        lab = g.labels[h]
+        if lab is not None and leg_kind(lab) == "regular":
+            i = int(lab[1:])
+            if not 1 <= i <= len(weights):
+                raise ValueError("regular leg %s has no weight" % lab)
+            exps[h] = weights[i - 1]
+    for v in range(g.n_vertices):
+        for h, child in view.children[v]:
+            exps[h] = _extras_at(g, child) - 1
+    decorated = DecoratedGraph(g, tuple(exps))
+    if not reference_is_balanced(view):
+        raise ValueError("tree is not balanced")
+    return decorated
+
+
+def reference_shape_class(shape, weights):
+    """Each acceptable tree as a one-term Expression, then forget its extras."""
+    ambient = make_ambient(graphs.genus(shape.graph), shape.graph.leg_labels())
+    acc = {}
+    for assignment in acceptable_assignments(shape, weights):
+        tree = reference_add_extras(shape, assignment)
+        term = Expression(ambient, [(1, reference_weight_decoration(tree, weights))])
+        for key, c in forget_extra_legs(term)._terms.items():
+            acc[key] = acc.get(key, 0) + c
+    return Expression(ambient, _raw={k: c for k, c in acc.items() if c != 0})
+
+
+def _tree(fn):
+    b = GraphBuilder()
+    fn(b)
+    return RootedTreeView(b.build().graph)
+
+
+def test_balanced_cases():
+    single = _tree(lambda b: (b.add_vertex(1), b.add_leg(0, "U1"),
+                              b.add_leg(0, "V1"), b.add_leg(0, "V2")))
+    assert reference_is_balanced(single) is True
+
+    def two_vertex(root_extra, child_extra):
+        def fn(b):
+            b.add_vertex(0)
+            b.add_vertex(1)
+            b.add_leg(0, "V1")
+            b.add_leg(0, "V2")
+            if root_extra:
+                b.add_leg(0, EXTRA)
+            b.add_edge(0, 1)
+            b.add_leg(1, "U1")
+            if child_extra:
+                b.add_leg(1, EXTRA)
+        return _tree(fn)
+
+    assert reference_is_balanced(two_vertex(False, False)) is False
+    assert reference_is_balanced(two_vertex(True, True)) is False
+    assert reference_is_balanced(two_vertex(False, True)) is True
 
 
 def shape_keys(shapes):
@@ -65,8 +158,8 @@ def _two_vertex_shape(g, n, m, child_regulars, child_genus):
 
 def test_weight_decoration_single_vertex():
     shape = _single_vertex_shape(1, 2, 2)
-    tree = add_extras(shape, {})
-    dg = weight_decoration(tree, (2, 1))
+    tree = reference_add_extras(shape, {})
+    dg = reference_weight_decoration(tree, (2, 1))
     exps = {tree.graph.labels[h]: dg.exponents[h]
             for h in range(tree.graph.n_half_edges)}
     assert exps == {"U1": 2, "U2": 1, "V1": 0, "V2": 0}
@@ -74,8 +167,8 @@ def test_weight_decoration_single_vertex():
 
 def test_weight_decoration_edge_counts_extras():
     shape = _two_vertex_shape(1, 2, 2, {"U1", "U2"}, 1)
-    tree = add_extras(shape, {1: 2})      # three extra legs on the child
-    dg = weight_decoration(tree, (2, 1))
+    tree = reference_add_extras(shape, {1: 2})      # three extra legs on the child
+    dg = reference_weight_decoration(tree, (2, 1))
     g = tree.graph
     (down,) = [h for h, p in g.edges()]
     assert dg.exponents[down] == 2        # extras minus one
@@ -106,6 +199,63 @@ def test_acceptable_assignments_empty_when_no_weight_reaches():
     assert acceptable_assignments(shape, (2, 0)) == []
 
 
+@pytest.mark.parametrize("g,m,d", [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)),
+                                   (1, 2, (2, 1, 1)), (1, 3, (2, 1, 1)),
+                                   (2, 1, (2, 1, 1)), (1, 2, (1, 1, 1, 1))])
+def test_shape_class_matches_reference(g, m, d):
+    for shape in enumerate_shapes(g, len(d), m):
+        got, want = shape_class(shape, d), reference_shape_class(shape, d)
+        assert got == want
+        assert all(type(c) is type(want._terms[k]) for k, c in got._terms.items())
+
+
+@pytest.mark.parametrize("weights", [(2, 1), (2, 1, 1, 5)])
+def test_weights_must_match_regular_legs(weights):
+    (shape,) = [s for s in enumerate_shapes(1, 3, 0) if s.graph.n_vertices == 1]
+    with pytest.raises(ValueError, match="weights for the regular legs U1 U2 U3"):
+        acceptable_assignments(shape, weights)
+    with pytest.raises(ValueError, match="weights for the regular legs U1 U2 U3"):
+        shape_class(shape, weights)
+
+
+def _relabeled_weights(d, mapping):
+    """Weights that put ``d[i]`` on the leg that ``mapping`` sends U<i+1> to."""
+    out = [None] * len(d)
+    for i, w in enumerate(d, start=1):
+        out[int(mapping["U%d" % i][1:]) - 1] = w
+    return tuple(out)
+
+
+CYCLE = {"U1": "U2", "U2": "U3", "U3": "U1"}
+
+
+@pytest.mark.parametrize("g,m,d,mapping", [
+    (1, 1, (2, 1, 1), CYCLE),
+    (2, 1, (2, 1, 1), CYCLE),
+    (1, 2, (2, 1, 1), CYCLE),
+    (2, 0, (2, 1, 1), CYCLE),
+    pytest.param(2, 0, (1, 1, 2, 2), {"U1": "U3", "U3": "U1", "U2": "U4", "U4": "U2"},
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "enumerate_shapes dedups m = 0 shapes by their unrooted key, "
+                     "so two rootings of one tree collapse into the first spec; "
+                     "see the FOUND line on m = 0 in CHANGES.md"))),
+])
+def test_class_is_equivariant_under_leg_relabeling(g, m, d, mapping):
+    relabeled = weighted_tree_class(g, m, d).relabel_legs(mapping)
+    assert relabeled == weighted_tree_class(g, m, _relabeled_weights(d, mapping))
+
+
+def test_tree_specs_expand_each_argument_once():
+    # enumerate_shapes(2, 4, 1) asks for 45 distinct (genus, legs, pending)
+    # subtree spec lists, most of them many times over
+    _tree_specs.cache_clear()
+    enumerate_shapes(2, 4, 1)
+    info = _tree_specs.cache_info()
+    assert info.misses == 45
+    assert info.hits > info.misses
+    assert isinstance(_tree_specs(2, (1, 2, 3, 4), 1), tuple)
+
+
 def test_shape_class_single_vertex():
     shape = _single_vertex_shape(1, 2, 2)
     assert shape_class(shape, (2, 1)) == parse_bracket("<V1 V2 P^2(U1) P^1(U2)>_1")
@@ -134,8 +284,8 @@ def test_class_degree_property():
 
 def forced_shape_class(shape, weights, assignment):
     """Shape contribution from one forced extra-leg assignment (may be zero)."""
-    tree = add_extras(shape, assignment)
-    dg = weight_decoration(tree, weights)
+    tree = reference_add_extras(shape, assignment)
+    dg = reference_weight_decoration(tree, weights)
     ambient = make_ambient(1, [lab for lab in shape.graph.leg_labels()])
     term = Expression(ambient, [(1, dg)])
     if term.is_zero():

@@ -14,9 +14,11 @@ for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
 ``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
 pair`` on ``b21_raw``, ``reduce --mode psi --format latex`` on ``h``,
 ``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
-latex``, and ``enumerate --g 1 --n 2 --m 2 --with-extras 2,1``.  Both trees
-read the bracket fixtures from PARENT's ``tests/fixtures``.  The two trees
-run each call side by side.
+latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
+1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
+(1, 2, 2, 2,1) and (2, 4, 1, 1,1,1,1); these assemble tree classes outside
+the pools.  Both trees read the bracket fixtures from PARENT's
+``tests/fixtures``.  The two trees run each call side by side.
 
 Exits 0 when every call matches and 1 at the first difference.
 """
@@ -78,7 +80,11 @@ def calls(workdir, fixtures):
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1",
                 "--stage", "psi-free", "--format", "latex"])
-    out.append(["enumerate", "--g", "1", "--n", "2", "--m", "2", "--with-extras", "2,1"])
+    for g, m, d in [(1, 3, "2,1,1"), (0, 5, "1,1,2"), (2, 1, "2,1,1")]:
+        out.append(["compute-b", "--g", str(g), "--m", str(m), "--d", d, "--stage", "raw"])
+    for g, n, m, d in [(1, 2, 2, "2,1"), (2, 4, 1, "1,1,1,1")]:
+        out.append(["enumerate", "--g", str(g), "--n", str(n), "--m", str(m),
+                    "--with-extras", d])
     return out
 
 
