@@ -291,22 +291,84 @@ def _refined_groups(dg):
     return base, ordered
 
 
+def _twin_classes(grp, incidences):
+    """Split a refined group into classes of twins, each in increasing order.
+
+    Two vertices of a group are twins when their sorted incidences, the
+    (own exponent, far exponent, far vertex) of every edge end at them, are
+    equal.  A loop is entered from both ends with the far vertex -1, so no
+    vertex lists itself; an edge u-v would list v at u only, and equal
+    incidences rule it out.  The group already fixes genus, extras and
+    pinned legs, so swapping two twins is an automorphism.
+    """
+    classes = {}
+    for v in grp:
+        classes.setdefault(tuple(sorted(incidences[v])), []).append(v)
+    return list(classes.values())
+
+
+def _arrangements(classes):
+    """Distinct vertex orders of a group up to reordering inside each class.
+
+    The orders are stepped in lexicographic order of the class that fills
+    each position, so each sequence of classes comes exactly once.  Which
+    vertex of a class fills which of its positions does not change the edge
+    records, so the vertices just move with their classes.
+    """
+    rank = {v: i for i, cls in enumerate(classes) for v in cls}
+    order = [v for cls in classes for v in cls]
+    n = len(order)
+    while True:
+        yield tuple(order)
+        i = n - 2
+        while i >= 0 and rank[order[i]] >= rank[order[i + 1]]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while rank[order[j]] <= rank[order[i]]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1:] = reversed(order[i + 1:])
+
+
 def _canonical_search(dg):
     """The canonical key of ``dg`` and how many vertex orders reach it.
 
-    Every order that keeps each refined group in its block of positions is
-    tried, and the least sorted tuple of edge records wins.  Two orders that
-    reach it differ by a group-preserving vertex permutation that maps the
-    edges onto themselves, so the count of ties is the order of the vertex
-    part of the automorphism group.
+    Every order that keeps each refined group in its block of positions
+    reaches a sorted tuple of edge records, and the least one wins.  Two
+    orders that reach it differ by a group-preserving vertex permutation that
+    maps the edges onto themselves, so the count of ties is the order of the
+    vertex part of the automorphism group.
+
+    Orders that differ only inside a class of twins (see ``_twin_classes``)
+    differ by an automorphism and give the same records.  So only the
+    distinct arrangements of the twin classes are tried, and their ties are
+    multiplied by m! for every class of m twins.  A group without twins has
+    singleton classes, and its arrangements are all of its orders.
     """
     g = dg.graph
     base, groups = _refined_groups(dg)
     edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
              for h, p in g.edges()]
     vpart = tuple(base[v] for grp in groups for v in grp)
+    choices = []
+    twin_orders = 1
+    if any(len(grp) > 1 for grp in groups):
+        incidences = [[] for _ in range(g.n_vertices)]
+        for v1, e1, v2, e2 in edges:
+            incidences[v1].append((e1, e2, -1 if v1 == v2 else v2))
+            incidences[v2].append((e2, e1, -1 if v1 == v2 else v1))
+    for grp in groups:
+        if len(grp) == 1:
+            choices.append((grp,))
+            continue
+        classes = _twin_classes(grp, incidences)
+        for cls in classes:
+            twin_orders *= factorial(len(cls))
+        choices.append(_arrangements(classes))
     best, ties = None, 0
-    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+    for combo in itertools.product(*choices):
         pos = {}
         i = 0
         for grp in combo:
@@ -320,7 +382,7 @@ def _canonical_search(dg):
             ties += 1
         elif best is None or recs < best:
             best, ties = recs, 1
-    return (vpart, best), ties
+    return (vpart, best), ties * twin_orders
 
 
 @lru_cache(maxsize=None)

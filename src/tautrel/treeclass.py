@@ -210,14 +210,17 @@ def extra_count_bounds(genus_v, non_extra_degree, weighted_total):
 
 
 def acceptable_assignments(shape, weights):
-    """All extra-leg assignments (vertex -> count-1) passing every bound.
+    """All extra-leg assignments (vertex -> count-1) passing every bound."""
+    return _assignments(shape, shape.view(), _leg_exponents(shape, _as_weights(weights)))
+
+
+def _assignments(shape, view, exps):
+    """``acceptable_assignments`` on a shape's view and leg exponents.
 
     Works bottom-up: the psi total at a vertex depends on its children's
     extra counts, and the root, which never carries extras, still imposes
     its dimension bound on its children.
     """
-    exps = _leg_exponents(shape, _as_weights(weights))
-    view = shape.view()
     g = shape.graph
 
     def branch(v):
@@ -248,11 +251,11 @@ def _shape_terms(shape, weights):
     ``assignment[v] + 1`` extras of each non-root vertex ``v`` are forgotten
     by its string table without ever being built.
     """
+    view = shape.view()
     exps = _leg_exponents(shape, weights)
-    children = shape.view().children
     out = []
-    for assignment in acceptable_assignments(shape, weights):
-        for hs in children.values():
+    for assignment in _assignments(shape, view, tuple(exps)):
+        for hs in view.children.values():
             for h, child in hs:
                 exps[h] = assignment[child]
         decorated = DecoratedGraph(shape.graph, tuple(exps))

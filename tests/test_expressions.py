@@ -238,8 +238,8 @@ _GRAMMAR_TOKENS = ["<", ">", "_", "(", ")", "^", "+", "-", "*", "/", "0", "1", "
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(
-    st.text(alphabet=_GRAMMAR_CHARS, max_size=30),
-    st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=30).map(" ".join)))
+    st.text(alphabet=_GRAMMAR_CHARS, max_size=80),
+    st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=80).map(" ".join)))
 def test_bracket_text_parses_or_raises_value_error(text):
     try:
         parse_bracket(text)

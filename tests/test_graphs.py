@@ -2,10 +2,10 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tautrel.graphs import (
     EXTRA,
@@ -247,9 +247,27 @@ def theta(m):
     return b.build()
 
 
-SHAPES = {"star": lambda k: star([(1, 0)] * k), "bouquet": bouquet, "theta": theta}
+def two_centre_star(a, b):
+    """``star`` with ``a`` genus-1 tails and a legless genus-0 second centre with ``b``."""
+    bld = GraphBuilder()
+    bld.add_vertex(0)
+    bld.add_leg(0, "U1")
+    bld.add_leg(0, "U2")
+    bld.add_leg(0, "U3")
+    second = bld.add_vertex(0)
+    bld.add_edge(0, second)
+    for centre, k in [(0, a), (second, b)]:
+        for _ in range(k):
+            bld.add_edge(centre, bld.add_vertex(1))
+    return bld.build()
+
+
+SHAPES = {"star": lambda k: star([(1, 0)] * k), "bouquet": bouquet, "theta": theta,
+          "two-centre star": lambda ab: two_centre_star(*ab)}
 CLOSED_FORMS = (
-    [("star", k, factorial(k)) for k in range(1, 8)]
+    [("star", k, factorial(k)) for k in range(1, 13)]
+    + [("two-centre star", (a, b), factorial(a) * factorial(b))
+       for a, b in [(1, 1), (2, 3), (4, 4), (6, 5), (7, 8)]]
     + [("bouquet", j, 2 ** j * factorial(j)) for j in range(1, 7)]
     + [("theta", m, 2 * factorial(m)) for m in range(1, 7)])
 
@@ -257,8 +275,10 @@ CLOSED_FORMS = (
 @pytest.mark.parametrize("shape,n,expected", CLOSED_FORMS)
 def test_automorphism_order_closed_forms(shape, n, expected):
     dg = SHAPES[shape](n)
+    other = relabeled(dg, random.Random(str(n)))
     assert automorphism_order(dg) == expected
-    assert automorphism_order(relabeled(dg, random.Random(n))) == expected
+    assert automorphism_order(other) == expected
+    assert canonical_key(other) == canonical_key(dg)
 
 
 def reference_canonical_key(dg):
@@ -325,6 +345,81 @@ def test_canonical_search_matches_reference_loops_on_stars(tails, p, rng):
     dg = relabeled(star(tails, p), rng)
     assert canonical_key(dg) == reference_canonical_key(dg)
     assert automorphism_order(dg) == reference_automorphism_order(dg)
+
+
+# Tails that hang off the centres: (genus, exponent on the tail's end of its
+# edge, extra legs on the tail).
+TAIL_KINDS = [(1, 0, 0), (1, 1, 0), (0, 0, 2), (2, 0, 0)]
+
+
+def twin_heavy_graph(n_centres, p, centre_of, tail_lists, joins):
+    """Centres 0 .. n_centres-1 of genus 0 with tails of ``TAIL_KINDS``.
+
+    Centre 0 carries ``P^p(U1) U2 U3``, centre ``c > 0`` hangs off centre
+    ``centre_of[c - 1]``, and centre ``c`` carries the tails of
+    ``tail_lists[c]``.  Each join ``(t, w, e_t, e_w)`` adds an edge from tail
+    ``t`` to vertex ``w`` (tails are numbered after the centres), a loop when
+    ``t == w``.
+    """
+    b = GraphBuilder()
+    for _ in range(n_centres):
+        b.add_vertex(0)
+    b.add_leg(0, "U1", p)
+    b.add_leg(0, "U2")
+    b.add_leg(0, "U3")
+    for c, parent in enumerate(centre_of, start=1):
+        b.add_edge(parent, c)
+    for c, tails in enumerate(tail_lists):
+        for genus_t, exp_t, extras_t in tails:
+            t = b.add_vertex(genus_t)
+            b.add_edge(c, t, 0, exp_t)
+            for _ in range(extras_t):
+                b.add_leg(t, EXTRA)
+    for t, w, e_t, e_w in joins:
+        b.add_edge(t, w, e_t, e_w)
+    return b.build()
+
+
+@st.composite
+def twin_heavy_graphs(draw):
+    """Relabeled ``twin_heavy_graph``s whose reference loops stay affordable."""
+    n_centres = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 2))
+    centre_of = [draw(st.integers(0, c - 1)) for c in range(1, n_centres)]
+    tail_lists = [draw(st.lists(st.sampled_from(TAIL_KINDS), max_size=6))
+                  for _ in range(n_centres)]
+    n_tails = sum(map(len, tail_lists))
+    joins = []
+    if n_tails:
+        tail = st.integers(n_centres, n_centres + n_tails - 1)
+        end = st.integers(0, n_centres + n_tails - 1)
+        joins = draw(st.lists(st.tuples(tail, end, st.integers(0, 1), st.integers(0, 1)),
+                              max_size=2))
+    dg = twin_heavy_graph(n_centres, p, centre_of, tail_lists, joins)
+    _base, groups = _refined_groups(dg)
+    assume(prod(factorial(len(grp)) for grp in groups) <= 5040)
+    return relabeled(dg, draw(st.randoms(use_true_random=False)))
+
+
+# Two identical tails joined to each other, and a loop on one of four twins.
+JOINED_TWINS = twin_heavy_graph(1, 0, [], [[(1, 0, 0)] * 4], [(1, 2, 0, 0), (3, 3, 1, 0)])
+# Tails a, b on centre 1 and edges a-2, b-2 whose exponents cross those of
+# a-1, b-1: the far vertices agree, the exponents decide that neither the
+# tails nor the centres 1, 2 are twins.
+CROSSED = twin_heavy_graph(3, 0, [0, 0], [[], [(1, 0, 0), (1, 1, 0)], []],
+                           [(3, 2, 1, 0), (4, 2, 0, 0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_heavy_graphs())
+@example(JOINED_TWINS)
+@example(CROSSED)
+def test_canonical_search_matches_reference_loops_on_twin_heavy_graphs(dg):
+    assert canonical_key(dg) == reference_canonical_key(dg)
+    order = automorphism_order(dg)
+    assert order == reference_automorphism_order(dg)
+    if sum(1 for lab in dg.graph.labels if lab != EXTRA) <= 7:
+        assert order == brute_force_automorphism_order(dg)
 
 
 def test_canonical_key_relabeling_property():

@@ -10,6 +10,9 @@ standard output.  The list covers every ``verify`` of the benchmark's
 ``prove`` and ``exhaust`` pools in every weight order, every ``compute-b``
 of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
 for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
+``reduce --mode psi`` on the symmetric input for k = 9, p = 1 and on the
+mixed star of ``mixed_star_text`` for p in {0, 1}, whose genus-0 tails
+with extra legs go through parse, psi elimination and render;
 ``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1) and (0, 2, 1, 1,1),
 ``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
 pair`` on ``b21_raw``, ``reduce --mode psi --format latex`` on ``h``,
@@ -51,6 +54,22 @@ def symmetric_text(k, p):
     return "<%s>_0 %s\n" % (centre, " ".join("<%s*>_1" % n for n in names))
 
 
+def mixed_star_text(p):
+    """<P^p(U1) U2 U3 a1..a4 b1..b3>_0 <ai*>_1 ... <bj* W W>_0 ...: two twin classes."""
+    a = ["a%d" % i for i in range(1, 5)]
+    b = ["b%d" % j for j in range(1, 4)]
+    centre = " ".join(["P^%d(U1)" % p, "U2", "U3"] + a + b)
+    return "<%s>_0 %s %s\n" % (centre, " ".join("<%s*>_1" % n for n in a),
+                               " ".join("<%s* W W>_0" % n for n in b))
+
+
+def write(workdir, name, text):
+    path = os.path.join(workdir, name + ".bracket")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
 def calls(workdir, fixtures):
     out = []
     for g, m, weights in [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)), (1, 2, (2, 1, 1)),
@@ -64,10 +83,11 @@ def calls(workdir, fixtures):
         for d in orders(weights):
             out.append(["compute-b", "--g", str(g), "--m", str(m), "--d", d_text(d)]
                        + extra)
-    for k, p in itertools.product((7, 8), (1, 2)):
-        path = os.path.join(workdir, "symmetric_k%d_p%d.bracket" % (k, p))
-        with open(path, "w") as fh:
-            fh.write(symmetric_text(k, p))
+    for k, p in list(itertools.product((7, 8), (1, 2))) + [(9, 1)]:
+        path = write(workdir, "symmetric_k%d_p%d" % (k, p), symmetric_text(k, p))
+        out.append(["reduce", path, "--mode", "psi"])
+    for p in (0, 1):
+        path = write(workdir, "mixed_star_p%d" % p, mixed_star_text(p))
         out.append(["reduce", path, "--mode", "psi"])
     for g, m, l, d in [(1, 2, 1, "2,1"), (0, 2, 1, "1,1")]:
         out.append(["check-pushforward", "--g", str(g), "--m", str(m), "--l", str(l),
