@@ -31,7 +31,6 @@ from .expressions import (
 from .pushforward import d_set, forget_extra_legs, forget_frozen_legs, string_table
 from .treeclass import (
     TreeShape,
-    WeightVector,
     acceptable_assignments,
     enumerate_shapes,
     extra_count_bounds,

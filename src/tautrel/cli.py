@@ -125,7 +125,11 @@ def _report(args, inputs, outcome, started, stages=None):
                     "max_relations": getattr(args, "max_relations", None)},
         "timing": timing,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    _emit(args, json.dumps(report, indent=2, sort_keys=True))
+
+
+def _emit(args, text):
+    """Write ``text`` to the ``--out`` file when one is given, else to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -144,7 +148,7 @@ def cmd_compute_b(args):
                        "stage": args.stage},
                 {"expression": payload, "terms": len(expr)}, started)
     else:
-        print(payload)
+        _emit(args, payload)
     return 0
 
 
@@ -258,7 +262,7 @@ def build_parser():
         p.add_argument("--budget", type=_positive, default=budget,
                        help="relation-closure rounds (env TAUTREL_BUDGET)")
         p.add_argument("--max-relations", type=_positive, default=200000)
-        p.add_argument("--out", help="write the JSON report to a file")
+        p.add_argument("--out", help="write the output to a file instead of stdout")
 
     p = sub.add_parser("compute-b", help="assemble a weighted tree class")
     p.add_argument("--g", type=int, required=True)

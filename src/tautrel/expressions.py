@@ -55,6 +55,8 @@ class Ambient:
 
 
 def make_ambient(genus_value, labels):
+    if genus_value < 0:
+        raise ValueError("negative genus %d" % genus_value)
     labels = tuple(sorted(labels, key=label_sort_key))
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate ambient labels")
@@ -128,10 +130,6 @@ class Expression:
     def terms(self):
         """(coefficient, canonical graph) pairs in deterministic order."""
         return [(c, graph_from_key(k)) for k, c in self.items()]
-
-    def coefficient(self, dg_or_key):
-        key = dg_or_key if isinstance(dg_or_key, tuple) else canonical_key(dg_or_key)
-        return self._terms.get(key, Fraction(0))
 
     def support(self):
         return frozenset(self._terms)

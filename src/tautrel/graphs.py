@@ -482,12 +482,10 @@ def contract_edge(dg, h):
 
 
 class RootedTreeView:
-    """A dual graph certified as a rooted tree, with level bookkeeping.
+    """A dual graph certified as a rooted tree.
 
-    Levels start at 1 on the root and grow by 1 along each edge away from it.
-    The branching height is the lowest level carrying a vertex with at least
-    two positively directed half-edges (child edges or regular legs), or
-    ``None`` when no such vertex exists.
+    ``children[v]`` lists the (half-edge at v, child) pairs of the edges from
+    ``v`` away from the root, in breadth-first order.
     """
 
     def __init__(self, graph, root=0):
@@ -500,8 +498,7 @@ class RootedTreeView:
             raise ValueError("not a tree (first Betti number nonzero)")
         self.graph = graph
         self.root = root
-        level = {root: 1}
-        parent_half = {root: None}
+        seen = {root}
         children = {v: [] for v in range(graph.n_vertices)}
         frontier = [root]
         while frontier:
@@ -511,32 +508,11 @@ class RootedTreeView:
                 if p == h:
                     continue
                 w = graph.vertex_of[p]
-                if w not in level:
-                    level[w] = level[v] + 1
-                    parent_half[w] = p
+                if w not in seen:
+                    seen.add(w)
                     children[v].append((h, w))
                     frontier.append(w)
-        self.level = level
-        self.parent_half = parent_half
         self.children = children
         for h, lab in enumerate(graph.labels):
             if lab is not None and leg_kind(lab) == "frozen" and graph.vertex_of[h] != root:
                 raise ValueError("frozen leg %s not attached to the root" % lab)
-
-    def regular_legs_at(self, v):
-        return [h for h in self.graph.halves_at(v)
-                if self.graph.labels[h] is not None
-                and leg_kind(self.graph.labels[h]) == "regular"]
-
-    def positively_directed(self, v):
-        """Child edge halves and regular legs at ``v``."""
-        out = [h for h, _w in self.children[v]]
-        out.extend(self.regular_legs_at(v))
-        return out
-
-    @property
-    def branching_height(self):
-        heights = [self.level[v] for v in range(self.graph.n_vertices)
-                   if len(self.positively_directed(v)) >= 2]
-        return min(heights) if heights else None
-

@@ -6,7 +6,8 @@ target half-edge equals the sum of all splittings that separate the target
 vertex, one power of psi at the target equals the sum of splittings moving
 the target and a nonempty companion set onto a genus-0 vertex, plus 1/12
 times the bracket class of the vertex with a fresh loop edge, which is 1/24
-in the unnormalized internal representation.
+in the unnormalized internal representation.  Both rewrites and the WDVV
+relations below split a vertex along the sides that ``_sides`` generates.
 
 WDVV relations arise by splitting a genus-0 vertex of a one-edge-contracted
 graph in the two inequivalent ways that separate a chosen quadruple; each is
@@ -36,7 +37,7 @@ from .graphs import (
     split_vertex,
 )
 from . import graphs
-from .expressions import Expression, from_terms
+from .expressions import Expression, _vertex_overweight, from_terms
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +51,41 @@ def _single_term(expr):
     return terms[0]
 
 
-def _lower_exponent(dg, half):
+def _sides(halves, stay, away):
+    """Sides of the splittings of a vertex with half-edges ``halves``: ``stay``
+    plus any subset of the other half-edges outside ``away``, kept when it has
+    at least two half-edges, which makes its genus-0 vertex stable."""
+    pool = [h for h in halves if h not in stay and h not in away]
+    for r in range(max(0, 2 - len(stay)), len(pool) + 1):
+        for companions in itertools.combinations(pool, r):
+            yield frozenset({*stay, *companions})
+
+
+def _psi_terms(dg, vertex, half, away):
+    """One psi power at ``half`` on a genus-0 or genus-1 vertex, rewritten.
+
+    Returns (factor, graph) pairs: the lowered graph split along every side
+    that keeps ``half`` and none of ``away``, the side on a genus-0 vertex and
+    the rest keeping the vertex's genus, and on a genus-1 vertex also the
+    loop term with factor 1/24.  ``away`` is the partner pair on genus 0,
+    which keeps the rest stable, and empty on genus 1.  Each graph is then
+    stable, has the genus and legs of ``dg``, one more edge and one psi power
+    fewer, by construction.
+    """
+    g = dg.graph
     exponents = list(dg.exponents)
     exponents[half] -= 1
-    return DecoratedGraph(dg.graph, tuple(exponents))
+    lowered = DecoratedGraph(g, tuple(exponents))
+    genus_v = g.genera[vertex]
+    out = [(1, split_vertex(lowered, vertex, side, 0, genus_v))
+           for side in _sides(g.halves_at(vertex), (half,), away)]
+    if genus_v == 1:
+        genera = list(g.genera)
+        genera[vertex] = 0
+        loop = GraphBuilder.copy_of(lowered, genera=genera)
+        loop.add_edge(vertex, vertex)
+        out.append((Fraction(1, 24), loop.build()))
+    return out
 
 
 def psi_reduce_genus0(expr, vertex, half, partner_pair):
@@ -77,14 +109,8 @@ def psi_reduce_genus0(expr, vertex, half, partner_pair):
     x1, x2 = partner_pair
     if len({half, x1, x2}) != 3 or {x1, x2} - set(halves) or half not in halves:
         raise ValueError("partner pair must be two other half-edges of the vertex")
-    lowered = _lower_exponent(dg, half)
-    pool = [h for h in halves if h not in (half, x1, x2)]
-    out = []
-    for r in range(1, len(pool) + 1):
-        for companions in itertools.combinations(pool, r):
-            side = frozenset({half, *companions})
-            out.append((coeff, split_vertex(lowered, vertex, side, 0, 0)))
-    return Expression(expr.ambient, out)
+    return Expression(expr.ambient, [(coeff * f, t) for f, t in
+                                     _psi_terms(dg, vertex, half, partner_pair)])
 
 
 def psi_reduce_genus1(expr, vertex, half):
@@ -94,25 +120,12 @@ def psi_reduce_genus1(expr, vertex, half):
     because attaching the loop doubles the automorphism count.
     """
     coeff, dg = _single_term(expr)
-    g = dg.graph
-    halves = g.halves_at(vertex)
-    if g.genera[vertex] != 1:
+    if dg.graph.genera[vertex] != 1:
         raise ValueError("target vertex must have genus 1")
     if dg.exponents[half] < 1:
         raise ValueError("target half-edge carries no psi class")
-    lowered = _lower_exponent(dg, half)
-    pool = [h for h in halves if h != half]
-    out = []
-    for r in range(1, len(pool) + 1):
-        for companions in itertools.combinations(pool, r):
-            side = frozenset({half, *companions})
-            out.append((coeff, split_vertex(lowered, vertex, side, 0, 1)))
-    genera = list(g.genera)
-    genera[vertex] = 0
-    loop = GraphBuilder.copy_of(lowered, genera=genera)
-    loop.add_edge(vertex, vertex)
-    out.append((coeff * Fraction(1, 24), loop.build()))
-    return Expression(expr.ambient, out)
+    return Expression(expr.ambient, [(coeff * f, t) for f, t in
+                                     _psi_terms(dg, vertex, half, ())])
 
 
 def choose_partner_pair(dg, vertex, half):
@@ -185,15 +198,13 @@ def eliminate_all_psi(expr):
                 done[key] = coeff
                 continue
             v, h = site
-            single = Expression(ambient, _raw={key: coeff})
-            if dg.graph.genera[v] == 1:
-                reduced = psi_reduce_genus1(single, v, h)
-            else:
-                pair = choose_partner_pair(dg, v, h)
-                reduced = psi_reduce_genus0(single, v, h, pair)
-            for k, c in reduced._terms.items():
+            away = choose_partner_pair(dg, v, h) if dg.graph.genera[v] == 0 else ()
+            for factor, term in _psi_terms(dg, v, h, away):
+                if _vertex_overweight(term):
+                    continue
+                k = canonical_key(term)
                 pending = levels[len(k[1])]
-                pending[k] = pending.get(k, Fraction(0)) + c
+                pending[k] = pending.get(k, Fraction(0)) + coeff * factor
     return Expression(ambient, _raw=done)
 
 
@@ -255,16 +266,13 @@ def wdvv_relations_at(dg, vertex):
 
     def split_keys(pair_a, pair_b):
         """Keys of the splittings separating pair_a from pair_b."""
-        pool = [h for h in halves if h not in pair_a and h not in pair_b]
         keys = []
-        for r in range(len(pool) + 1):
-            for companions in itertools.combinations(pool, r):
-                side = frozenset({*pair_a, *companions})
-                key = key_of_side.get(side)
-                if key is None:
-                    key = key_of_side[side] = canonical_key(
-                        split_vertex(dg, vertex, side, 0, 0))
-                keys.append(key)
+        for side in _sides(halves, pair_a, pair_b):
+            key = key_of_side.get(side)
+            if key is None:
+                key = key_of_side[side] = canonical_key(
+                    split_vertex(dg, vertex, side, 0, 0))
+            keys.append(key)
         return keys
 
     out = []
@@ -647,25 +655,22 @@ def genus0_vertex_integral(exponents):
 def genus1_vertex_integral(exponents):
     """Genus-1 psi integral via the one-step splitting identity.
 
-    The recursion moves the first decorated point onto a genus-0 branch with
-    every possible companion set and adds the 1/24 loop contribution.
+    The rewrite of ``_psi_terms`` on exponents: one power comes off the
+    first decorated point, which moves onto a genus-0 branch with every
+    companion set from ``_sides``, plus the 1/24 loop contribution.
     """
     a = len(exponents)
     if sum(exponents) != a:
         return Fraction(0)
     target = next(i for i, q in enumerate(exponents) if q > 0)
-    rest = [q for i, q in enumerate(exponents) if i != target]
-    t = exponents[target] - 1
+    lowered = list(exponents)
+    lowered[target] -= 1
     total = Fraction(0)
-    indices = range(len(rest))
-    for r in range(1, len(rest) + 1):
-        for companions in itertools.combinations(indices, r):
-            side = (t,) + tuple(rest[i] for i in companions) + (0,)
-            complement = tuple(rest[i] for i in indices if i not in companions) + (0,)
-            total += genus0_vertex_integral(tuple(sorted(side))) \
-                * genus1_vertex_integral(tuple(sorted(complement)))
-    loop = tuple(sorted((t,) + tuple(rest) + (0, 0)))
-    total += Fraction(1, 24) * genus0_vertex_integral(loop)
+    for side in _sides(range(a), (target,), ()):
+        inner = tuple(sorted([0, *(lowered[i] for i in side)]))
+        outer = tuple(sorted([0, *(lowered[i] for i in range(a) if i not in side)]))
+        total += genus0_vertex_integral(inner) * genus1_vertex_integral(outer)
+    total += Fraction(1, 24) * genus0_vertex_integral(tuple(sorted(lowered + [0, 0])))
     return total
 
 

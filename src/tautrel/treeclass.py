@@ -38,29 +38,14 @@ from .expressions import Expression, make_ambient
 from .pushforward import _push_at_vertices
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.weights) < 1:
-            raise ValueError("need at least one regular leg weight")
-        if any(d < 0 for d in self.weights):
-            raise ValueError("weights must be nonnegative")
-
-    @property
-    def total(self):
-        return sum(self.weights)
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __getitem__(self, i):
-        return self.weights[i]
-
-
 def _as_weights(d):
-    return d if isinstance(d, WeightVector) else WeightVector(tuple(d))
+    """The weights as a tuple: at least one, none negative."""
+    weights = tuple(d)
+    if not weights:
+        raise ValueError("need at least one regular leg weight")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -164,6 +149,8 @@ def enumerate_shapes(genus_value, n_regular, n_frozen):
     Complete and duplicate-free; stability bounds the vertex count by
     ``n + m + 2g - 2`` so the family is finite.
     """
+    if genus_value < 0:
+        raise ValueError("negative genus %d" % genus_value)
     if n_regular < 1:
         raise ValueError("need at least one regular leg")
     if n_frozen < 0:

@@ -113,6 +113,35 @@ def test_enumerate_with_extras_takes_one_weight_per_leg(extras):
     assert proc.stderr.startswith("error: --with-extras takes %s weights" % n)
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--g", "-1", "--m", "3", "--d", "1,1"),
+    ("compute-b", "--g", "-1", "--m", "3", "--d", "1,1"),
+    ("compute-b", "--g", "-1", "--m", "3", "--d", "1,1", "--format", "json"),
+    ("check-pushforward", "--g", "-1", "--m", "2", "--l", "1", "--d", "1,1"),
+    ("enumerate", "--g", "-1", "--n", "2", "--m", "3"),
+], ids=["verify", "compute-b", "compute-b-json", "check-pushforward", "enumerate"])
+def test_negative_genus_is_a_usage_error(argv):
+    proc = run_child(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: negative genus -1\n"
+
+
+@pytest.mark.parametrize("fmt", ["bracket", "latex", "json"])
+def test_compute_b_out_file_in_every_format(capsys, tmp_path, fmt):
+    argv = ("compute-b", "--g", "1", "--m", "2", "--d", "2,1", "--format", fmt)
+    code, printed = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / ("b21." + fmt)
+    code, out = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    if fmt == "json":
+        assert strip_timing(json.loads(path.read_text())) == \
+            strip_timing(json.loads(printed))
+    else:
+        assert path.read_text() == printed
+
+
 def test_reduce_zero_test_fixture(capsys):
     path = os.path.join(FIXTURES, "f.bracket")
     code, report = run_json(capsys, "reduce", path, "--mode", "zero-test")

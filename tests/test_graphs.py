@@ -29,7 +29,7 @@ from tautrel.expressions import (
     from_terms,
     parse_bracket,
 )
-from tautrel.reduce import psi_reduce_genus1
+from tautrel.reduce import psi_reduce_genus0, psi_reduce_genus1
 
 from conftest import (
     brute_force_automorphism_order,
@@ -101,19 +101,7 @@ def test_is_stable(g0, n_legs, stable):
     assert is_stable(build(fn)) is stable
 
 
-def _two_vertex_tree(child_genus, child_items):
-    def fn(b):
-        b.add_vertex(0)
-        b.add_vertex(child_genus)
-        b.add_leg(0, "V1")
-        b.add_leg(0, "V2")
-        b.add_edge(0, 1)
-        for lab in child_items:
-            b.add_leg(1, lab)
-    return build(fn)
-
-
-def test_rooted_tree_levels_and_branching():
+def test_rooted_tree_children():
     def fn(b):
         b.add_vertex(0)
         b.add_vertex(0)
@@ -125,12 +113,8 @@ def test_rooted_tree_levels_and_branching():
         b.add_leg(1, "U1")
         b.add_leg(2, "U2")
     view = RootedTreeView(build(fn).graph)
-    assert view.level == {0: 1, 1: 2, 2: 3}
-    assert {v for v, kids in view.children.items() if not kids} == {2}
-    assert view.branching_height == 2  # U1 plus a child edge at vertex 1
-
-    chain = _two_vertex_tree(1, ["U1"])
-    assert RootedTreeView(chain.graph).branching_height is None
+    assert {v: [w for _h, w in kids] for v, kids in view.children.items()} == \
+        {0: [1], 1: [2], 2: []}
 
 
 TAUTEX = """
@@ -468,7 +452,6 @@ def test_level_edge_count_identity():
     view = RootedTreeView(build(fn).graph)
     non_root = [v for v in range(view.graph.n_vertices) if v != view.root]
     assert len(non_root) == view.graph.n_edges()
-    assert all(view.level[v] >= 2 for v in non_root)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +549,20 @@ def reference_loop_term(dg, vertex, half):
     return b.build()
 
 
+def reference_psi_reduce_genus0(expr, vertex, half, partner_pair):
+    (coeff, dg), = expr.terms()
+    exps = list(dg.exponents)
+    exps[half] -= 1
+    lowered = DecoratedGraph(dg.graph, tuple(exps))
+    pool = [h for h in dg.graph.halves_at(vertex) if h not in (half, *partner_pair)]
+    out = []
+    for r in range(1, len(pool) + 1):
+        for companions in itertools.combinations(pool, r):
+            side = frozenset({half, *companions})
+            out.append((coeff, reference_split_vertex(lowered, vertex, side, 0, 0)))
+    return Expression(expr.ambient, out)
+
+
 def reference_psi_reduce_genus1(expr, vertex, half):
     (coeff, dg), = expr.terms()
     exps = list(dg.exponents)
@@ -646,18 +643,19 @@ def single_term(dg):
     return None if expr.is_zero() else expr
 
 
-def genus1_loop_inputs(dg):
-    """Single-term expressions with a psi on a genus-1 vertex, made from ``dg``.
+def psi_inputs(dg, genus_v):
+    """Single-term expressions with a psi on a vertex of genus ``genus_v``,
+    made from ``dg``.
 
-    Each vertex of genus 0 or 1 in turn is given genus 1, and each of its
-    half-edges other than extra legs in turn one more psi power.
+    Each vertex of genus 0 or 1 in turn is given genus ``genus_v``, and each
+    of its half-edges other than extra legs in turn one more psi power.
     """
     g = dg.graph
     for v in range(g.n_vertices):
         if g.genera[v] > 1:
             continue
         genera = list(g.genera)
-        genera[v] = 1
+        genera[v] = genus_v
         raised = DualGraph(tuple(genera), g.vertex_of, g.involution, g.labels)
         for h in g.halves_at(v):
             if g.labels[h] == EXTRA:
@@ -671,7 +669,7 @@ def genus1_loop_inputs(dg):
 
 def check_loop_terms(dg):
     checked = 0
-    for expr in genus1_loop_inputs(dg):
+    for expr in psi_inputs(dg, 1):
         (_c, term), = expr.terms()
         tg = term.graph
         for h in range(tg.n_half_edges):
@@ -679,6 +677,24 @@ def check_loop_terms(dg):
             if tg.genera[v] == 1 and term.exponents[h] > 0:
                 assert psi_reduce_genus1(expr, v, h) == \
                     reference_psi_reduce_genus1(expr, v, h)
+                checked += 1
+    return checked
+
+
+def check_genus0_rewrites(dg):
+    """Every psi site on a genus-0 vertex with every valid partner pair."""
+    checked = 0
+    for expr in psi_inputs(dg, 0):
+        (_c, term), = expr.terms()
+        tg = term.graph
+        for h in range(tg.n_half_edges):
+            v = tg.vertex_of[h]
+            halves = tg.halves_at(v)
+            if tg.genera[v] != 0 or len(halves) < 4 or term.exponents[h] < 1:
+                continue
+            for pair in itertools.combinations([x for x in halves if x != h], 2):
+                assert psi_reduce_genus0(expr, v, h, pair) == \
+                    reference_psi_reduce_genus0(expr, v, h, pair)
                 checked += 1
     return checked
 
@@ -696,11 +712,12 @@ def check_attachments(expr):
 @pytest.mark.parametrize("name", ["f", "h1", "i1"])
 def test_surgery_matches_reference_loops_on_fixtures(name):
     expr = parse_bracket(fixture_text(name))
-    splits = loops = 0
+    splits = loops = rewrites = 0
     for _c, dg in expr.terms():
         splits += check_splits_and_contractions(dg)
         loops += check_loop_terms(dg)
-    assert splits > 0 and loops > 0
+        rewrites += check_genus0_rewrites(dg)
+    assert splits > 0 and loops > 0 and rewrites > 0
     assert check_attachments(expr) > 0
 
 
@@ -710,6 +727,7 @@ def test_surgery_matches_reference_loops_on_random_graphs(rng):
     dg = random_decorated_graph(rng, with_extras=True)
     check_splits_and_contractions(dg)
     check_loop_terms(dg)
+    check_genus0_rewrites(dg)
     expr = single_term(dg)
     if expr is not None:
         check_attachments(expr)

@@ -9,13 +9,20 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautrel.expressions import Expression, make_ambient, parse_bracket
+from tautrel.expressions import (
+    Expression,
+    _vertex_overweight,
+    make_ambient,
+    parse_bracket,
+)
 from tautrel.graphs import (
     canonical_key,
     contract_edge,
     genus,
     graph_from_key,
+    is_stable,
     split_vertex,
+    validate,
 )
 from tautrel import reduce
 from tautrel.reduce import (
@@ -43,6 +50,7 @@ from conftest import (
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
 )
+from test_graphs import reference_psi_reduce_genus0, reference_psi_reduce_genus1
 
 
 def half_by_label(expr, label):
@@ -156,10 +164,10 @@ def reference_eliminate_all_psi(expr):
         v, h = site
         single = Expression(ambient, _raw={key: coeff})
         if dg.graph.genera[v] == 1:
-            reduced = psi_reduce_genus1(single, v, h)
+            reduced = reference_psi_reduce_genus1(single, v, h)
         else:
             pair = choose_partner_pair(dg, v, h)
-            reduced = psi_reduce_genus0(single, v, h, pair)
+            reduced = reference_psi_reduce_genus0(single, v, h, pair)
         for k, c in reduced._terms.items():
             work[k] = work.get(k, Fraction(0)) + c
             if work[k] == 0:
@@ -186,6 +194,51 @@ def test_elimination_matches_reference_on_fixtures(name):
 def test_elimination_matches_reference_on_pool_classes(g, m, d):
     expr = weighted_tree_class(g, m, d)
     assert eliminate_all_psi(expr) == reference_eliminate_all_psi(expr)
+
+
+@pytest.mark.parametrize("g, m, d", POOL_CLASSES)
+def test_rewritten_graphs_are_valid_terms(g, m, d, monkeypatch):
+    """Elimination keys the rewritten graphs without validating them, so every
+    graph it keeps must be a valid, stable term of the ambient."""
+    expr = weighted_tree_class(g, m, d)
+    rewrites = []
+    psi_terms = reduce._psi_terms
+
+    def recording_psi_terms(dg, vertex, half, away):
+        out = psi_terms(dg, vertex, half, away)
+        rewrites.append((dg, out))
+        return out
+
+    monkeypatch.setattr(reduce, "_psi_terms", recording_psi_terms)
+    eliminate_all_psi(expr)
+    kept = 0
+    for dg, out in rewrites:
+        for _factor, term in out:
+            if _vertex_overweight(term):
+                continue
+            kept += 1
+            assert validate(term.graph) == []
+            assert is_stable(term)
+            assert genus(term.graph) == expr.ambient.genus
+            assert tuple(term.graph.leg_labels()) == expr.ambient.labels
+            assert term.graph.n_edges() == dg.graph.n_edges() + 1
+            assert sum(term.exponents) == sum(dg.exponents) - 1
+    assert kept > 0
+
+
+def test_elimination_builds_one_expression(monkeypatch):
+    expr = weighted_tree_class(1, 2, (2, 1, 1))
+    built = []
+    init = Expression.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Expression, "__init__", counting_init)
+    reduced = eliminate_all_psi(expr)
+    assert not expr.psi_free() and reduced.psi_free()
+    assert len(built) == 1
 
 
 def test_elimination_looks_up_each_reduction_site_once(monkeypatch):

@@ -131,13 +131,22 @@ def test_enumeration_counts():
 def test_chain_shapes_only_for_one_regular_leg():
     for shape in enumerate_shapes(1, 1, 2):
         view = shape.view()
-        assert view.branching_height is None
         assert all(len(view.children[v]) <= 1 for v in range(shape.graph.n_vertices))
 
 
 def test_enumerate_rejects_unstable_target():
     with pytest.raises(ValueError):
         enumerate_shapes(0, 1, 1)
+
+
+def test_negative_genus_is_rejected():
+    # 2g - 2 + n > 0 holds for all three, so only the genus check stops them
+    with pytest.raises(ValueError, match="negative genus -1"):
+        make_ambient(-1, ["U1", "U2", "V1", "V2", "V3"])
+    with pytest.raises(ValueError, match="negative genus -1"):
+        enumerate_shapes(-1, 2, 3)
+    with pytest.raises(ValueError, match="negative genus -1"):
+        weighted_tree_class(-1, 3, (1, 1))
 
 
 def _single_vertex_shape(g, n, m):
@@ -149,8 +158,9 @@ def _two_vertex_shape(g, n, m, child_regulars, child_genus):
     for s in enumerate_shapes(g, n, m):
         if s.graph.n_vertices != 2:
             continue
-        view = s.view()
-        labels = {s.graph.labels[h] for h in view.regular_legs_at(1)}
+        labels = {s.graph.labels[h] for h in s.graph.halves_at(1)
+                  if s.graph.labels[h] is not None
+                  and leg_kind(s.graph.labels[h]) == "regular"}
         if labels == set(child_regulars) and s.graph.genera[1] == child_genus:
             return s
     raise AssertionError("shape not found")
