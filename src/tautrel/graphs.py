@@ -261,7 +261,8 @@ def _refined_groups(dg):
 
     Refinement only ever splits groups and is isomorphism-invariant, so
     restricting the canonical search to within-group permutations is sound.
-    It has converged once a pass no longer adds a group.
+    It has converged once a pass no longer adds a group, or once every group
+    holds one vertex, when no pass can split a group.
     """
     g = dg.graph
     nv = g.n_vertices
@@ -273,7 +274,7 @@ def _refined_groups(dg):
     for h in internal:
         at[g.vertex_of[h]].append(h)
     n_groups = len(set(val))
-    while True:
+    while n_groups < nv:
         new = []
         for v in range(nv):
             nbr = tuple(sorted(

@@ -10,11 +10,14 @@ in the unnormalized internal representation.  Both rewrites and the WDVV
 relations below split a vertex along the sides that ``_sides`` generates.
 
 WDVV relations arise by splitting a genus-0 vertex of a one-edge-contracted
-graph in the two inequivalent ways that separate a chosen quadruple; each is
-an integer combination of graph keys, and their exact rational span
-certifies vanishing.  The span is solved modulo primes and every answer is
-checked exactly.  Zero certificates are proofs; an Unknown outcome is not a
-nonzeroness claim.
+graph in the inequivalent ways that separate a quadruple of its half-edges.
+Of the 2*C(k, 4) such exchange relations at a vertex with k half-edges, only
+a basis is emitted: k(k-3)/2 of them, the dimension of the relations among
+the boundary divisors of M_{0,k} (Keel 1992), which by linearity span the
+rest.  Each relation is an integer combination of graph keys, and their
+exact rational span certifies vanishing.  The span is solved modulo primes
+and every answer is checked exactly.  Zero certificates are proofs; an
+Unknown outcome is not a nonzeroness claim.
 """
 
 from __future__ import annotations
@@ -246,11 +249,72 @@ class RelationBasis:
     frontier: frozenset = field(default=frozenset(), repr=False)
 
 
-def wdvv_relations_at(dg, vertex):
-    """All WDVV relations from one genus-0 vertex of ``dg``, as key -> int dicts.
+def _exchange_relation(split, quad, e):
+    """Exchange relation ``e`` of the quadruple a < b < c < d, as a dict.
 
-    For each unordered quadruple of half-edges, the two independent exchange
-    relations; every relation is an integer combination of graph keys that
+    ``split(pair_a, pair_b)`` lists the splittings that separate pair_a from
+    pair_b, one entry each.  The relation is the splittings separating {a, b}
+    from {c, d}, minus those separating {a, c} from {b, d} (e = 0) or {a, d}
+    from {b, c} (e = 1), with zero entries dropped.
+    """
+    a, b, c, d = quad
+    acc = {}
+    for key in split((a, b), (c, d)):
+        acc[key] = acc.get(key, 0) + 1
+    for key in split(*(((a, c), (b, d)), ((a, d), (b, c)))[e]):
+        acc[key] = acc.get(key, 0) - 1
+    return {k: n for k, n in acc.items() if n}
+
+
+@lru_cache(maxsize=None)
+def _local_basis(k):
+    """The (quadruple index, exchange index) pairs of a basis of the exchange
+    relations among k points.
+
+    A pair is kept when its relation, over the abstract splittings of k
+    points (a side and its complement being one splitting), is independent
+    of the relations before it in generation order: quadruples in
+    lexicographic order, each with exchanges 0 and 1.  The kept ones span all
+    2*C(k, 4) relations, and there are k(k-3)/2 of them, the dimension of
+    the relations among the boundary divisors of M_{0,k} (Keel 1992).  One
+    exact elimination finds them.
+    """
+    everything = frozenset(range(k))
+    column = {}                    # splitting, as its side holding 0 -> index
+
+    def split(pair_a, pair_b):
+        for side in _sides(range(k), pair_a, pair_b):
+            yield column.setdefault(side if 0 in side else everything - side,
+                                    len(column))
+
+    echelon = {}                   # lowest column -> row with entry 1 there
+    basis = []
+    for q, quad in enumerate(itertools.combinations(range(k), 4)):
+        for e in (0, 1):
+            row = {j: Fraction(n) for j, n in _exchange_relation(split, quad, e).items()}
+            while row:             # reduce the row; a new leading column keeps it
+                c = min(row)
+                if c not in echelon:
+                    echelon[c] = {j: v / row[c] for j, v in row.items()}
+                    basis.append((q, e))
+                    break
+                f = row[c]
+                for j, v in echelon[c].items():
+                    row[j] = row.get(j, 0) - f * v
+                    if not row[j]:
+                        del row[j]
+    return tuple(basis)
+
+
+def wdvv_relations_at(dg, vertex):
+    """A basis of the WDVV relations from one genus-0 vertex of ``dg``, as
+    key -> int dicts.
+
+    Of the two exchange relations of each unordered quadruple of half-edges,
+    only those at the indices of ``_local_basis`` are emitted: k(k-3)/2 of
+    them for k half-edges, in generation order.  Pushing the splittings of
+    the vertex into ``dg`` is linear, so they span every exchange relation
+    there.  Every relation is an integer combination of graph keys that
     vanishes as a class.  Splitting a stable, psi-free genus-0 vertex so that
     each side keeps two of the quadruple yields valid stable graphs of the
     same genus and legs, so the relations are assembled from canonical keys
@@ -266,28 +330,19 @@ def wdvv_relations_at(dg, vertex):
 
     def split_keys(pair_a, pair_b):
         """Keys of the splittings separating pair_a from pair_b."""
-        keys = []
         for side in _sides(halves, pair_a, pair_b):
             key = key_of_side.get(side)
             if key is None:
                 key = key_of_side[side] = canonical_key(
                     split_vertex(dg, vertex, side, 0, 0))
-            keys.append(key)
-        return keys
+            yield key
 
+    quads = list(itertools.combinations(sorted(halves), 4))
     out = []
-    for quad in itertools.combinations(sorted(halves), 4):
-        a, b, c, d = quad
-        base = split_keys((a, b), (c, d))
-        for other in ((a, c), (b, d)), ((a, d), (b, c)):
-            acc = {}
-            for key in base:
-                acc[key] = acc.get(key, 0) + 1
-            for key in split_keys(*other):
-                acc[key] = acc.get(key, 0) - 1
-            relation = {k: n for k, n in acc.items() if n}
-            if relation:
-                out.append(relation)
+    for q, e in _local_basis(len(halves)):
+        relation = _exchange_relation(split_keys, quads[q], e)
+        if relation:
+            out.append(relation)
     return out
 
 

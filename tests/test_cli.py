@@ -173,6 +173,19 @@ def test_verify_budget_overflow_reported(capsys, argv):
     assert report["outcome"]["error"] == "budget-overflow"
 
 
+def test_only_the_kept_basis_counts_against_max_relations(capsys):
+    """The closure of (1, 2, 1,1,1) keeps 318 relations, a basis at each vertex
+    of the 536 that every exchange of every quadruple would give."""
+    argv = ("verify", "--g", "1", "--m", "2", "--d", "1,1,1")
+    code, report = run_json(capsys, *argv, "--max-relations", "400")
+    assert code == 0
+    assert report["outcome"]["proved"] is True
+    assert report["outcome"]["certificate"]["rounds"] == 1
+    code, report = run_json(capsys, *argv, "--max-relations", "317")
+    assert code == 2
+    assert report["outcome"]["error"] == "budget-overflow"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--g", "1", "--m", "2", "--d", "2,1"),
     ("verify", "--g", "1", "--m", "2", "--d", "2,1", "--max-relations", "1"),

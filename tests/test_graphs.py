@@ -13,6 +13,7 @@ from tautrel.graphs import (
     DualGraph,
     GraphBuilder,
     RootedTreeView,
+    _base_classes,
     _refined_groups,
     automorphism_order,
     canonical_key,
@@ -312,6 +313,43 @@ def reference_automorphism_order(dg):
         if mapped == counts:
             valid += 1
     return valid * per_valid
+
+
+def reference_refined_groups(dg):
+    """Refinement passes until one adds no group, even on a discrete partition."""
+    g = dg.graph
+    nv = g.n_vertices
+    base = _base_classes(dg)
+    val = list(base)
+    internal = [h for h in range(g.n_half_edges)
+                if g.involution[h] != h]
+    at = [[] for _ in range(nv)]
+    for h in internal:
+        at[g.vertex_of[h]].append(h)
+    n_groups = len(set(val))
+    while True:
+        new = []
+        for v in range(nv):
+            nbr = tuple(sorted(
+                (dg.exponents[h], dg.exponents[g.involution[h]], val[g.vertex_of[g.involution[h]]])
+                for h in at[v]))
+            new.append((val[v], nbr))
+        n_new = len(set(new))
+        if n_new == n_groups:
+            break
+        val, n_groups = new, n_new
+    groups = {}
+    for v in range(nv):
+        groups.setdefault(val[v], []).append(v)
+    ordered = [sorted(groups[value]) for value in sorted(groups)]
+    return base, ordered
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_refinement_matches_reference_loop_on_random_graphs(rng):
+    dg = random_decorated_graph(rng, max_vertices=6)
+    assert _refined_groups(dg) == reference_refined_groups(dg)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,7 +3,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 from unittest import mock
 
 import pytest
@@ -1023,8 +1023,38 @@ def wdvv_relations_reference(dg, vertex):
     return out
 
 
+def reference_exchange(dg, vertex, quad, e):
+    """Exchange relation ``e`` of one quadruple, built as the reference does."""
+    g = dg.graph
+    ambient = make_ambient(genus(g), g.leg_labels())
+    a, b, c, d = quad
+    base = split_sum_reference(dg, vertex, (a, b), (c, d))
+    swapped = split_sum_reference(dg, vertex, *(((a, c), (b, d)), ((a, d), (b, c)))[e])
+    return Expression(ambient, base) - Expression(ambient, swapped)
+
+
+def exact_rank(rows):
+    """Rank of key -> number dicts over the rationals, by exact elimination."""
+    echelon = {}
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        while row:
+            c = min(row)
+            if c not in echelon:
+                echelon[c] = row
+                break
+            f = row[c] / echelon[c][c]
+            for k, v in echelon[c].items():
+                row[k] = row.get(k, 0) - f * v
+                if not row[k]:
+                    del row[k]
+    return len(echelon)
+
+
 @pytest.mark.parametrize("name", ["f", "h1", "i1"])
 def test_trusted_relations_match_validating_construction(name):
+    """The kept relations are the reference's at the basis indices, in order,
+    and they span every reference relation at their vertex exactly."""
     expr = parse_bracket(fixture_text(name))
     sources = set()
     for key in expr.support():
@@ -1032,14 +1062,21 @@ def test_trusted_relations_match_validating_construction(name):
         for h, p in dg.graph.edges():
             if dg.graph.vertex_of[h] != dg.graph.vertex_of[p]:
                 sources.add(canonical_key(contract_edge(dg, h)))
-    checked = 0
+    checked = dropped = 0
     for skey in sorted(sources):
         source = graph_from_key(skey)
         for v in range(source.graph.n_vertices):
             if source.graph.genera[v] != 0:
                 continue
+            halves = source.graph.halves_at(v)
             raw = wdvv_relations_at(source, v)
-            expected = wdvv_relations_reference(source, v)
+            everything = wdvv_relations_reference(source, v)
+            quads = list(itertools.combinations(sorted(halves), 4))
+            indexed = {(q, e): reference_exchange(source, v, quad, e)
+                       for q, quad in enumerate(quads) for e in (0, 1)}
+            assert [r for r in indexed.values() if not r.is_zero()] == everything
+            expected = [indexed[i] for i in reduce._local_basis(len(halves))
+                        if not indexed[i].is_zero()]
             assert all(type(n) is int for r in raw for n in r.values())
             ambient = make_ambient(genus(source.graph), source.graph.leg_labels())
             got = [relation_expression(ambient, r) for r in raw]
@@ -1047,5 +1084,43 @@ def test_trusted_relations_match_validating_construction(name):
             assert [list(r._terms.items()) for r in got] == \
                 [list(r._terms.items()) for r in expected]
             assert all(isinstance(c, Fraction) for r in got for c in r._terms.values())
+            assert exact_rank(raw + [r._terms for r in everything]) == exact_rank(raw)
             checked += len(got)
-    assert checked > 0
+            dropped += len(everything) - len(got)
+    assert checked > 0 and dropped > 0
+
+
+def abstract_exchange_relations(k):
+    """All 2*C(k,4) exchange relations among k points, in generation order,
+    over the splittings of the points, each named by its side holding 0."""
+    points = frozenset(range(k))
+
+    def splittings(pair_a, pair_b):
+        rest = sorted(points - {*pair_a, *pair_b})
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                side = {*pair_a, *extra}
+                yield tuple(sorted(side if 0 in side else points - side))
+
+    out = []
+    for a, b, c, d in itertools.combinations(range(k), 4):
+        for other in ((a, c), (b, d)), ((a, d), (b, c)):
+            rel = {}
+            for s in splittings((a, b), (c, d)):
+                rel[s] = rel.get(s, 0) + 1
+            for s in splittings(*other):
+                rel[s] = rel.get(s, 0) - 1
+            out.append(rel)
+    return out
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_local_basis_spans_every_abstract_exchange_relation(k):
+    basis = reduce._local_basis(k)
+    assert len(basis) == k * (k - 3) // 2
+    assert len(set(basis)) == len(basis) and list(basis) == sorted(basis)
+    everything = abstract_exchange_relations(k)
+    assert len(everything) == 2 * comb(k, 4)
+    kept = [everything[2 * q + e] for q, e in basis]
+    assert exact_rank(kept) == len(kept)
+    assert exact_rank(everything) == len(kept)
