@@ -31,9 +31,9 @@ from .reduce import (
 
 SCHEMA = 1
 
-# Seconds per stage of a vanishing check, reported under "timing"; a stage
-# that does not run stays 0.
-STAGES = ("psi_s", "closure_s", "solve_s")
+# Seconds per stage of a vanishing check and of the class assembly before it,
+# reported under "timing"; a stage that does not run stays 0.
+STAGES = ("assemble_s", "psi_s", "closure_s", "solve_s")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +125,7 @@ def _report(args, inputs, outcome, started, stages=None):
                     "max_relations": getattr(args, "max_relations", None)},
         "timing": timing,
     }
-    _emit(args, json.dumps(report, indent=2, sort_keys=True))
+    _emit(args, json.dumps(report, separators=(",", ":"), sort_keys=True))
 
 
 def _emit(args, text):
@@ -139,14 +139,19 @@ def _emit(args, text):
 
 def cmd_compute_b(args):
     started = time.time()
+    stages = dict.fromkeys(("assemble_s", "psi_s"), 0.0)
+    clock = time.perf_counter()
     expr = weighted_tree_class(args.g, args.m, args.d)
+    stages["assemble_s"] = time.perf_counter() - clock
     if args.stage == "psi-free":
+        clock = time.perf_counter()
         expr = eliminate_all_psi(expr)
+        stages["psi_s"] = time.perf_counter() - clock
     payload = _format_expression(expr, args.format)
     if args.format == "json":
         _report(args, {"g": args.g, "m": args.m, "d": list(args.d),
                        "stage": args.stage},
-                {"expression": payload, "terms": len(expr)}, started)
+                {"expression": payload, "terms": len(expr)}, started, stages)
     else:
         _emit(args, payload)
     return 0
@@ -155,8 +160,10 @@ def cmd_compute_b(args):
 def cmd_verify(args):
     started = time.time()
     inputs = {"g": args.g, "m": args.m, "d": list(args.d)}
-    expr = weighted_tree_class(args.g, args.m, args.d)
     stages = dict.fromkeys(STAGES, 0.0)
+    clock = time.perf_counter()
+    expr = weighted_tree_class(args.g, args.m, args.d)
+    stages["assemble_s"] = time.perf_counter() - clock
     if expr.is_zero():
         outcome, status = {"proved": True, "method": "normalizes-to-zero"}, 0
     elif expr.degree() == expr.ambient.dimension:
@@ -177,12 +184,14 @@ def cmd_verify(args):
 def cmd_check_pushforward(args):
     started = time.time()
     d = args.d
+    stages = dict.fromkeys(STAGES, 0.0)
+    clock = time.perf_counter()
     lhs = forget_frozen_legs(weighted_tree_class(args.g, args.m + args.l, d), args.l)
     rhs = lhs.scale(0)
     for k, mult in string_table(d, args.l):
         rhs = rhs + weighted_tree_class(args.g, args.m, k).scale(mult)
     diff = lhs - rhs
-    stages = dict.fromkeys(STAGES, 0.0)
+    stages["assemble_s"] = time.perf_counter() - clock
     outcome, status = {"equal": True, "method": "normalize"}, 0
     if not diff.is_zero():
         outcome, status = _vanishing_check(diff, args, stages)

@@ -235,7 +235,13 @@ class GraphBuilder:
 # canonical forms
 
 
-def _base_classes(dg):
+def _records(dg):
+    """The base class of every vertex and the (v1, e1, v2, e2) record of every edge.
+
+    A vertex's base class is (genus, extra-leg count, sorted decorated legs,
+    sorted exponents of its edge ends); an edge record gives both end
+    vertices with the exponents there, in the order of ``DualGraph.edges``.
+    """
     g = dg.graph
     nv = g.n_vertices
     extras = [0] * nv
@@ -252,11 +258,14 @@ def _base_classes(dg):
             legsig[v].append((lab, dg.exponents[h]))
         else:
             intexp[v].append(dg.exponents[h])
-    return [(g.genera[v], extras[v], tuple(sorted(legsig[v])), tuple(sorted(intexp[v])))
+    base = [(g.genera[v], extras[v], tuple(sorted(legsig[v])), tuple(sorted(intexp[v])))
             for v in range(nv)]
+    edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
+             for h, p in g.edges()]
+    return base, edges
 
 
-def _refined_groups(dg):
+def _refined_groups(base, edges):
     """Vertex groups under iterated neighborhood refinement, in canonical order.
 
     Refinement only ever splits groups and is isomorphism-invariant, so
@@ -264,22 +273,17 @@ def _refined_groups(dg):
     It has converged once a pass no longer adds a group, or once every group
     holds one vertex, when no pass can split a group.
     """
-    g = dg.graph
-    nv = g.n_vertices
-    base = _base_classes(dg)
+    nv = len(base)
     val = list(base)
-    internal = [h for h in range(g.n_half_edges)
-                if g.involution[h] != h]
-    at = [[] for _ in range(nv)]
-    for h in internal:
-        at[g.vertex_of[h]].append(h)
+    at = [[] for _ in range(nv)]   # (own exponent, far exponent, far vertex)
+    for v1, e1, v2, e2 in edges:
+        at[v1].append((e1, e2, v2))
+        at[v2].append((e2, e1, v1))
     n_groups = len(set(val))
     while n_groups < nv:
         new = []
         for v in range(nv):
-            nbr = tuple(sorted(
-                (dg.exponents[h], dg.exponents[g.involution[h]], val[g.vertex_of[g.involution[h]]])
-                for h in at[v]))
+            nbr = tuple(sorted((e, f, val[w]) for e, f, w in at[v]))
             new.append((val[v], nbr))
         n_new = len(set(new))
         if n_new == n_groups:
@@ -288,8 +292,7 @@ def _refined_groups(dg):
     groups = {}
     for v in range(nv):
         groups.setdefault(val[v], []).append(v)
-    ordered = [sorted(groups[value]) for value in sorted(groups)]
-    return base, ordered
+    return [sorted(groups[value]) for value in sorted(groups)]
 
 
 def _twin_classes(grp, incidences):
@@ -333,8 +336,9 @@ def _arrangements(classes):
         order[i + 1:] = reversed(order[i + 1:])
 
 
-def _canonical_search(dg):
-    """The canonical key of ``dg`` and how many vertex orders reach it.
+def _canonical_search(base, edges):
+    """The canonical key of a graph given by its records (see ``_records``)
+    and how many vertex orders reach it.
 
     Every order that keeps each refined group in its block of positions
     reaches a sorted tuple of edge records, and the least one wins.  Two
@@ -348,15 +352,12 @@ def _canonical_search(dg):
     multiplied by m! for every class of m twins.  A group without twins has
     singleton classes, and its arrangements are all of its orders.
     """
-    g = dg.graph
-    base, groups = _refined_groups(dg)
-    edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
-             for h, p in g.edges()]
+    groups = _refined_groups(base, edges)
     vpart = tuple(base[v] for grp in groups for v in grp)
     choices = []
     twin_orders = 1
     if any(len(grp) > 1 for grp in groups):
-        incidences = [[] for _ in range(g.n_vertices)]
+        incidences = [[] for _ in range(len(base))]
         for v1, e1, v2, e2 in edges:
             incidences[v1].append((e1, e2, -1 if v1 == v2 else v2))
             incidences[v2].append((e2, e1, -1 if v1 == v2 else v1))
@@ -397,7 +398,7 @@ def canonical_key(dg):
     vertex order together with the multiset of decorated edge records, so the
     graph can be rebuilt from it (see ``graph_from_key``).
     """
-    return _canonical_search(dg)[0]
+    return _canonical_search(*_records(dg))[0]
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +428,7 @@ def automorphism_order(dg):
     half-edges in as many ways as the m equal edge records of each kind can
     be matched (m!) times two per loop whose ends carry equal exponents.
     """
-    (_vpart, recs), ties = _canonical_search(dg)
+    (_vpart, recs), ties = _canonical_search(*_records(dg))
     order = ties * 2 ** sum(1 for end1, end2 in recs if end1 == end2)
     for m in Counter(recs).values():
         order *= factorial(m)
@@ -461,21 +462,69 @@ def split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
     return b.build()
 
 
-def contract_edge(dg, h):
-    """Contract a non-loop edge, merging its endpoints (genera add)."""
-    g = dg.graph
-    p = g.involution[h]
-    if p == h:
-        raise ValueError("cannot contract a leg")
-    v, w = g.vertex_of[h], g.vertex_of[p]
-    if v == w:
-        raise ValueError("cannot contract a loop edge")
-    lo, hi = min(v, w), max(v, w)
-    genera = list(g.genera)
-    genera[lo] += genera.pop(hi)
-    vertex_of = [lo if u == hi else u - (u > hi) for u in g.vertex_of]
-    return GraphBuilder.copy_of(dg, genera=genera, vertex_of=vertex_of,
-                                drop=(h, p)).build()
+# Record surgery works on the (base, edges) records of ``_records`` and
+# ``key_records`` and returns fresh lists, so a contracted or split graph is
+# keyed by ``_canonical_search`` without being built.
+
+
+def key_records(key):
+    """The records of the graph a key describes, numbered as in ``graph_from_key``."""
+    vpart, recs = key
+    return list(vpart), [(v1, e1, v2, e2) for (v1, e1), (v2, e2) in recs]
+
+
+def contract_records(base, edges, i):
+    """Contract the non-loop edge ``edges[i]``, merging its endpoints (genera add)."""
+    v1, e1, v2, e2 = edges[i]
+    (g1, x1, legs1, int1), (g2, x2, legs2, int2) = base[v1], base[v2]
+    rest1, rest2 = list(int1), list(int2)
+    rest1.remove(e1)
+    rest2.remove(e2)
+    lo, hi = min(v1, v2), max(v1, v2)
+    base = base[:hi] + base[hi + 1:]
+    base[lo] = (g1 + g2, x1 + x2, tuple(sorted(legs1 + legs2)),
+                tuple(sorted(rest1 + rest2)))
+
+    def moved(u):
+        return lo if u == hi else u - (u > hi)
+
+    return base, [(moved(u1), f1, moved(u2), f2)
+                  for j, (u1, f1, u2, f2) in enumerate(edges) if j != i]
+
+
+def split_records(base, edges, v, side):
+    """Split the genus-0 vertex ``v`` into two genus-0 vertices joined by a
+    fresh edge without psi powers.
+
+    The half-edges at ``v`` are numbered as ``graph_from_key`` numbers them:
+    its legs in base order, then its edge ends in record order, then its
+    extra legs.  Those in ``side`` stay on ``v``; the rest move to a new last
+    vertex.
+    """
+    _genus, extras, legs, _intexp = base[v]
+    nv = len(base)
+    legs_a = tuple(leg for i, leg in enumerate(legs) if i in side)
+    legs_b = tuple(leg for i, leg in enumerate(legs) if i not in side)
+    int_a, int_b = [0], [0]
+    h = len(legs)
+    out = []
+    for rec in edges:
+        rec = list(rec)
+        for j in (0, 2):
+            if rec[j] == v:
+                if h in side:
+                    int_a.append(rec[j + 1])
+                else:
+                    int_b.append(rec[j + 1])
+                    rec[j] = nv
+                h += 1
+        out.append(rec)
+    out.append([v, 0, nv, 0])
+    extras_a = sum(1 for i in range(h, h + extras) if i in side)
+    base = list(base)
+    base[v] = (0, extras_a, legs_a, tuple(sorted(int_a)))
+    base.append((0, extras - extras_a, legs_b, tuple(sorted(int_b))))
+    return base, out
 
 
 # ---------------------------------------------------------------------------

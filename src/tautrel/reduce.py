@@ -14,10 +14,13 @@ graph in the inequivalent ways that separate a quadruple of its half-edges.
 Of the 2*C(k, 4) such exchange relations at a vertex with k half-edges, only
 a basis is emitted: k(k-3)/2 of them, the dimension of the relations among
 the boundary divisors of M_{0,k} (Keel 1992), which by linearity span the
-rest.  Each relation is an integer combination of graph keys, and their
-exact rational span certifies vanishing.  The span is solved modulo primes
-and every answer is checked exactly.  Zero certificates are proofs; an
-Unknown outcome is not a nonzeroness claim.
+rest.  The closure never builds a graph: it contracts edges and splits
+vertices on the base classes and edge records that a canonical key holds,
+and keys the results with the same search as ``canonical_key``.  Each
+relation is an integer combination of graph keys, and their exact rational
+span certifies vanishing.  The span is solved modulo primes and every
+answer is checked exactly.  Zero certificates are proofs; an Unknown
+outcome is not a nonzeroness claim.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ from math import factorial, gcd, isqrt, lcm
 from .graphs import (
     DecoratedGraph,
     GraphBuilder,
+    _canonical_search,
     canonical_key,
-    contract_edge,
+    contract_records,
     graph_from_key,
+    key_records,
     leg_kind,
+    split_records,
     split_vertex,
 )
 from . import graphs
@@ -306,40 +312,45 @@ def _local_basis(k):
     return tuple(basis)
 
 
-def wdvv_relations_at(dg, vertex):
-    """A basis of the WDVV relations from one genus-0 vertex of ``dg``, as
-    key -> int dicts.
+def wdvv_relations_at(key, vertex):
+    """A basis of the WDVV relations from one genus-0 vertex of the graph with
+    key ``key``, as key -> int dicts.
 
-    Of the two exchange relations of each unordered quadruple of half-edges,
-    only those at the indices of ``_local_basis`` are emitted: k(k-3)/2 of
-    them for k half-edges, in generation order.  Pushing the splittings of
-    the vertex into ``dg`` is linear, so they span every exchange relation
-    there.  Every relation is an integer combination of graph keys that
-    vanishes as a class.  Splitting a stable, psi-free genus-0 vertex so that
-    each side keeps two of the quadruple yields valid stable graphs of the
-    same genus and legs, so the relations are assembled from canonical keys
-    directly.
+    The half-edges at the vertex are numbered as ``graph_from_key`` numbers
+    them (see ``split_records``).  Of the two exchange relations of each
+    unordered quadruple of them, only those at the indices of
+    ``_local_basis`` are emitted: k(k-3)/2 of them for k half-edges, in
+    generation order.  Pushing the splittings of the vertex into the graph
+    is linear, so they span every exchange relation there.  Every relation
+    is an integer combination of graph keys that vanishes as a class.
+    Splitting a stable, psi-free genus-0 vertex so that each side keeps two
+    of the quadruple yields valid stable graphs of the same genus and legs,
+    so the relations are assembled from the canonical keys of the split
+    records directly.
     """
-    g = dg.graph
-    halves = g.halves_at(vertex)
-    if g.genera[vertex] != 0 or len(halves) < 4:
+    vpart, recs = key
+    genus_v, extras, legs, intexp = vpart[vertex]
+    k = len(legs) + len(intexp) + extras
+    if genus_v != 0 or k < 4:
         return []
-    if any(dg.exponents):
+    if any(e for _g, _x, legsig, _i in vpart for _label, e in legsig) or \
+            any(e1 or e2 for (_v1, e1), (_v2, e2) in recs):
         raise ValueError("WDVV instantiation expects psi-free graphs")
+    base, edges = key_records(key)
     key_of_side = {}
 
     def split_keys(pair_a, pair_b):
         """Keys of the splittings separating pair_a from pair_b."""
-        for side in _sides(halves, pair_a, pair_b):
-            key = key_of_side.get(side)
-            if key is None:
-                key = key_of_side[side] = canonical_key(
-                    split_vertex(dg, vertex, side, 0, 0))
-            yield key
+        for side in _sides(range(k), pair_a, pair_b):
+            split_key = key_of_side.get(side)
+            if split_key is None:
+                split_key = key_of_side[side] = _canonical_search(
+                    *split_records(base, edges, vertex, side))[0]
+            yield split_key
 
-    quads = list(itertools.combinations(sorted(halves), 4))
+    quads = list(itertools.combinations(range(k), 4))
     out = []
-    for q, e in _local_basis(len(halves)):
+    for q, e in _local_basis(k):
         relation = _exchange_relation(split_keys, quads[q], e)
         if relation:
             out.append(relation)
@@ -388,19 +399,20 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
         rounds_used += 1
         sources = set()
         for key in frontier:
-            dg = graph_from_key(key)
-            for h, p in dg.graph.edges():
-                if dg.graph.vertex_of[h] == dg.graph.vertex_of[p]:
+            base, edges = key_records(key)
+            for i, (v1, _e1, v2, _e2) in enumerate(edges):
+                # skip loops, and records equal to the one before (records
+                # are sorted), whose contraction is already keyed
+                if v1 == v2 or (i and edges[i - 1] == edges[i]):
                     continue
-                skey = canonical_key(contract_edge(dg, h))
+                skey = _canonical_search(*contract_records(base, edges, i))[0]
                 if skey not in processed:
                     sources.add(skey)
         frontier = set()
         for skey in sorted(sources):
             processed.add(skey)
-            source = graph_from_key(skey)
-            for v in range(source.graph.n_vertices):
-                for rel in wdvv_relations_at(source, v):
+            for v in range(len(skey[0])):
+                for rel in wdvv_relations_at(skey, v):
                     sig = _relation_signature(rel)
                     if sig in seen_signatures:
                         continue

@@ -195,8 +195,17 @@ def test_only_the_kept_basis_counts_against_max_relations(capsys):
 def test_span_commands_report_stage_seconds(capsys, argv):
     _code, report = run_json(capsys, *argv)
     timing = report["timing"]
-    assert set(timing) == {"seconds", "psi_s", "closure_s", "solve_s"}
+    assert set(timing) == {"seconds", "assemble_s", "psi_s", "closure_s", "solve_s"}
     assert all(seconds >= 0 for seconds in timing.values())
+
+
+def test_compute_b_json_reports_stage_seconds_on_one_compact_line(capsys):
+    _code, printed = run_cli(capsys, "compute-b", "--g", "1", "--m", "2", "--d", "2,1",
+                             "--format", "json", "--stage", "psi-free")
+    report = json.loads(printed)
+    assert set(report["timing"]) == {"seconds", "assemble_s", "psi_s"}
+    assert all(seconds >= 0 for seconds in report["timing"].values())
+    assert printed == json.dumps(report, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def test_reduce_pair_mode(capsys):

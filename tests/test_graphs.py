@@ -13,14 +13,17 @@ from tautrel.graphs import (
     DualGraph,
     GraphBuilder,
     RootedTreeView,
-    _base_classes,
+    _canonical_search,
+    _records,
     _refined_groups,
     automorphism_order,
     canonical_key,
-    contract_edge,
+    contract_records,
     genus,
     graph_from_key,
     is_stable,
+    key_records,
+    split_records,
     split_vertex,
     validate,
 )
@@ -268,10 +271,8 @@ def test_automorphism_order_closed_forms(shape, n, expected):
 
 def reference_canonical_key(dg):
     """Least edge records over all within-group vertex orders."""
-    base, groups = _refined_groups(dg)
-    g = dg.graph
-    edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
-             for h, p in g.edges()]
+    base, edges = _records(dg)
+    groups = _refined_groups(base, edges)
     order = [v for grp in groups for v in grp]
     vpart = tuple(base[v] for v in order)
     best = None
@@ -292,10 +293,8 @@ def reference_canonical_key(dg):
 
 def reference_automorphism_order(dg):
     """Count the within-group vertex permutations that keep the edge multiset."""
-    _base, groups = _refined_groups(dg)
-    g = dg.graph
-    edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
-             for h, p in g.edges()]
+    base, edges = _records(dg)
+    groups = _refined_groups(base, edges)
     recs = [tuple(sorted(((v1, e1), (v2, e2)))) for v1, e1, v2, e2 in edges]
     counts = Counter(recs)
     per_valid = 1
@@ -319,7 +318,7 @@ def reference_refined_groups(dg):
     """Refinement passes until one adds no group, even on a discrete partition."""
     g = dg.graph
     nv = g.n_vertices
-    base = _base_classes(dg)
+    base = _records(dg)[0]
     val = list(base)
     internal = [h for h in range(g.n_half_edges)
                 if g.involution[h] != h]
@@ -349,7 +348,8 @@ def reference_refined_groups(dg):
 @given(st.randoms(use_true_random=False))
 def test_refinement_matches_reference_loop_on_random_graphs(rng):
     dg = random_decorated_graph(rng, max_vertices=6)
-    assert _refined_groups(dg) == reference_refined_groups(dg)
+    base, edges = _records(dg)
+    assert (base, _refined_groups(base, edges)) == reference_refined_groups(dg)
 
 
 @settings(max_examples=300, deadline=None)
@@ -418,7 +418,7 @@ def twin_heavy_graphs(draw):
         joins = draw(st.lists(st.tuples(tail, end, st.integers(0, 1), st.integers(0, 1)),
                               max_size=2))
     dg = twin_heavy_graph(n_centres, p, centre_of, tail_lists, joins)
-    _base, groups = _refined_groups(dg)
+    groups = _refined_groups(*_records(dg))
     assume(prod(factorial(len(grp)) for grp in groups) <= 5040)
     return relabeled(dg, draw(st.randoms(use_true_random=False)))
 
@@ -525,6 +525,27 @@ def reference_split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
         b.pair(remap[h], remap[p])
     b.add_edge(v, nv, exp_a, exp_b)
     return b.build()
+
+
+def contract_edge(dg, h):
+    """Contract a non-loop edge, merging its endpoints (genera add).
+
+    The graph surgery the relation closure used before it contracted key
+    records; a reference for ``contract_records``.
+    """
+    g = dg.graph
+    p = g.involution[h]
+    if p == h:
+        raise ValueError("cannot contract a leg")
+    v, w = g.vertex_of[h], g.vertex_of[p]
+    if v == w:
+        raise ValueError("cannot contract a loop edge")
+    lo, hi = min(v, w), max(v, w)
+    genera = list(g.genera)
+    genera[lo] += genera.pop(hi)
+    vertex_of = [lo if u == hi else u - (u > hi) for u in g.vertex_of]
+    return GraphBuilder.copy_of(dg, genera=genera, vertex_of=vertex_of,
+                                drop=(h, p)).build()
 
 
 def reference_contract_edge(dg, h):
@@ -670,6 +691,59 @@ def check_splits_and_contractions(dg):
                     canonical_key(reference_contract_edge(dg, x))
                 checked += 1
     return checked
+
+
+def record_numbering(dg, v):
+    """The half-edges of ``dg`` at ``v`` in the order ``split_records``
+    numbers them: legs as sorted in the base class, then edge ends in record
+    order, then extra legs."""
+    g = dg.graph
+    halves = g.halves_at(v)
+    legs = sorted((h for h in halves if g.labels[h] not in (None, EXTRA)),
+                  key=lambda h: (g.labels[h], dg.exponents[h]))
+    ends = [x for h, p in g.edges() for x in (h, p) if g.vertex_of[x] == v]
+    extras = [h for h in halves if g.labels[h] == EXTRA]
+    return legs + ends + extras
+
+
+def check_record_surgery(dg):
+    """Record contraction and genus-0 record splitting key like graph surgery."""
+    g = dg.graph
+    base, edges = _records(dg)
+    checked = 0
+    for i, (h, p) in enumerate(g.edges()):
+        if g.vertex_of[h] != g.vertex_of[p]:
+            assert _canonical_search(*contract_records(base, edges, i))[0] == \
+                canonical_key(contract_edge(dg, h))
+            checked += 1
+    for v in range(g.n_vertices):
+        if g.genera[v] != 0:
+            continue
+        order = record_numbering(dg, v)
+        for side in _subsets(range(len(order))):
+            assert _canonical_search(*split_records(base, edges, v, set(side)))[0] == \
+                canonical_key(split_vertex(dg, v, [order[i] for i in side], 0, 0))
+            checked += 1
+    return checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_record_surgery_matches_graph_surgery_on_random_graphs(rng):
+    dg = random_decorated_graph(rng)
+    check_record_surgery(dg)
+    # a key's records are numbered as graph_from_key numbers the graph
+    key = canonical_key(dg)
+    rebuilt = graph_from_key(key)
+    assert all(record_numbering(rebuilt, v) == rebuilt.graph.halves_at(v)
+               for v in range(rebuilt.graph.n_vertices))
+    assert _records(rebuilt) == key_records(key)
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "i1"])
+def test_record_surgery_matches_graph_surgery_on_fixtures(name):
+    assert sum(check_record_surgery(dg) for _c, dg in
+               parse_bracket(fixture_text(name)).terms()) > 0
 
 
 def single_term(dg):

@@ -17,7 +17,6 @@ from tautrel.expressions import (
 )
 from tautrel.graphs import (
     canonical_key,
-    contract_edge,
     genus,
     graph_from_key,
     is_stable,
@@ -50,7 +49,11 @@ from conftest import (
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
 )
-from test_graphs import reference_psi_reduce_genus0, reference_psi_reduce_genus1
+from test_graphs import (
+    contract_edge,
+    reference_psi_reduce_genus0,
+    reference_psi_reduce_genus1,
+)
 
 
 def half_by_label(expr, label):
@@ -993,6 +996,78 @@ def test_int_closure_keeps_the_reference_signature_relations(name, rounds, monke
     assert basis.support == reference.support
 
 
+def contracted_sources(keys):
+    """Keys of the graphs made by contracting one non-loop edge of a graph
+    with a key in ``keys``, by graph surgery on rebuilt graphs."""
+    sources = set()
+    for key in keys:
+        dg = graph_from_key(key)
+        for h, p in dg.graph.edges():
+            if dg.graph.vertex_of[h] != dg.graph.vertex_of[p]:
+                sources.add(canonical_key(contract_edge(dg, h)))
+    return sources
+
+
+def graph_wdvv_relations_at(dg, vertex):
+    """The basis relations at a vertex, split by graph surgery on ``dg``."""
+    g = dg.graph
+    halves = g.halves_at(vertex)
+    if g.genera[vertex] != 0 or len(halves) < 4:
+        return []
+    key_of_side = {}
+
+    def split_keys(pair_a, pair_b):
+        for side in reduce._sides(halves, pair_a, pair_b):
+            if side not in key_of_side:
+                key_of_side[side] = canonical_key(split_vertex(dg, vertex, side, 0, 0))
+            yield key_of_side[side]
+
+    quads = list(itertools.combinations(sorted(halves), 4))
+    out = []
+    for q, e in reduce._local_basis(len(halves)):
+        relation = reduce._exchange_relation(split_keys, quads[q], e)
+        if relation:
+            out.append(relation)
+    return out
+
+
+def graph_closure(support, rounds):
+    """The relation closure on rebuilt graphs, as it ran before it worked on
+    key records: the relations and the support after each round."""
+    known = set(support)
+    frontier = set(support)
+    processed, signatures, relations, after = set(), set(), [], []
+    for _ in range(rounds):
+        sources = contracted_sources(frontier) - processed
+        frontier = set()
+        for skey in sorted(sources):
+            processed.add(skey)
+            source = graph_from_key(skey)
+            for v in range(source.graph.n_vertices):
+                for rel in graph_wdvv_relations_at(source, v):
+                    sig = reduce._relation_signature(rel)
+                    if sig not in signatures:
+                        signatures.add(sig)
+                        relations.append(rel)
+                        frontier.update(key for key in rel if key not in known)
+                        known.update(rel)
+        after.append((list(relations), frozenset(known)))
+        if not frontier:
+            break
+    return after
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "i1", "b131"])
+def test_record_closure_matches_graph_closure(name):
+    expr = closure_target(name)
+    after = graph_closure(expr.support(), 3)
+    for rounds in (1, 2, 3):
+        basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+        relations, support = after[min(rounds, len(after)) - 1]
+        assert relation_lists(basis) == [list(rel.items()) for rel in relations]
+        assert basis.support == support
+
+
 def split_sum_reference(dg, vertex, pair_a, pair_b):
     g = dg.graph
     pool = [h for h in g.halves_at(vertex)
@@ -1056,20 +1131,14 @@ def test_trusted_relations_match_validating_construction(name):
     """The kept relations are the reference's at the basis indices, in order,
     and they span every reference relation at their vertex exactly."""
     expr = parse_bracket(fixture_text(name))
-    sources = set()
-    for key in expr.support():
-        dg = graph_from_key(key)
-        for h, p in dg.graph.edges():
-            if dg.graph.vertex_of[h] != dg.graph.vertex_of[p]:
-                sources.add(canonical_key(contract_edge(dg, h)))
     checked = dropped = 0
-    for skey in sorted(sources):
+    for skey in sorted(contracted_sources(expr.support())):
         source = graph_from_key(skey)
         for v in range(source.graph.n_vertices):
             if source.graph.genera[v] != 0:
                 continue
             halves = source.graph.halves_at(v)
-            raw = wdvv_relations_at(source, v)
+            raw = wdvv_relations_at(skey, v)
             everything = wdvv_relations_reference(source, v)
             quads = list(itertools.combinations(sorted(halves), 4))
             indexed = {(q, e): reference_exchange(source, v, quad, e)

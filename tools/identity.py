@@ -1,12 +1,14 @@
-"""Compare the CLI outputs of two source trees, byte for byte.
+"""Compare the CLI outputs of two source trees.
 
     python3 tools/identity.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of tautrel.  Each call of a fixed list runs
 as ``python -m tautrel.cli`` with ``PYTHONPATH=<tree>/src``, once per tree,
-and its exit code, standard error and standard output must match, after the
-report's ``timing`` field (the one field allowed to vary) is cut from the
-standard output.  The list covers every ``verify`` of the benchmark's
+and its exit code, standard error and standard output must match.  A JSON
+report on the standard output is compared as a sorted, compact dump of the
+parsed report without its ``timing`` field (the one field allowed to vary),
+so two trees that lay a report out differently still compare equal, and
+the rest as is.  The list covers every ``verify`` of the benchmark's
 ``prove`` and ``exhaust`` pools in every weight order, every ``compute-b``
 of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
 for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
@@ -29,14 +31,12 @@ Exits 0 when every call matches and 1 at the first difference.
 from __future__ import annotations
 
 import itertools
+import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
 import time
-
-TIMING = re.compile(r',\n  "timing": \{.*?\n  \}', re.DOTALL)
 
 
 def orders(weights):
@@ -114,9 +114,22 @@ def start(tree, argv):
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
+def normalized(stdout):
+    """A JSON report as a sorted, compact dump without ``timing``; any other
+    output as it is."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return stdout
+    if not isinstance(report, dict):
+        return stdout
+    report.pop("timing", None)
+    return json.dumps(report, separators=(",", ":"), sort_keys=True)
+
+
 def finish(proc):
     stdout, stderr = proc.communicate()
-    return proc.returncode, stderr, TIMING.sub("", stdout)
+    return proc.returncode, stderr, normalized(stdout)
 
 
 def main(argv=None):
