@@ -80,6 +80,19 @@ def _vertex_overweight(dg):
     return any(load[v] > 3 * g.genera[v] - 3 + degree[v] for v in range(g.n_vertices))
 
 
+def _base_overweight(base):
+    """``_vertex_overweight`` over the base classes of a graph's records."""
+    return any(sum(e for _label, e in legs) + sum(intexp) >
+               3 * genus_v - 3 + len(legs) + len(intexp) + extras
+               for genus_v, extras, legs, intexp in base)
+
+
+def _psi_power(key):
+    """Total psi power of the graph a key describes, read off its base classes."""
+    return sum(sum(e for _label, e in legs) + sum(intexp)
+               for _g, _x, legs, intexp in key[0])
+
+
 class Expression:
     """Normalized formal sum. Terms are stored as canonical key -> coefficient."""
 
@@ -143,13 +156,11 @@ class Expression:
     def degree(self):
         """Common cohomological degree, or None for the zero expression."""
         for key in self._terms:
-            _vpart, recs = key
-            g = graph_from_key(key)
-            return len(recs) + sum(g.exponents)
+            return len(key[1]) + _psi_power(key)
         return None
 
     def psi_free(self):
-        return all(sum(graph_from_key(k).exponents) == 0 for k in self._terms)
+        return all(_psi_power(k) == 0 for k in self._terms)
 
     def __eq__(self, other):
         return (isinstance(other, Expression) and self.ambient == other.ambient

@@ -171,23 +171,21 @@ class GraphBuilder:
         self.pairs = []
 
     @classmethod
-    def copy_of(cls, dg, genera=None, vertex_of=None, exponents=None, drop=()):
+    def copy_of(cls, dg, exponents=None, drop=()):
         """A builder holding a copy of ``dg``, ready for appended edges and legs.
 
-        This is the one graph-surgery primitive.  ``genera`` replaces the
-        vertex genera; ``vertex_of`` and ``exponents`` give each old
-        half-edge its new vertex and psi exponent.  Half-edges in ``drop``
-        are left out, the rest keep their relative order, and an edge is
-        re-paired only when both of its halves are kept.
+        This is the one graph-surgery primitive.  ``exponents`` gives each
+        old half-edge its new psi exponent.  Half-edges in ``drop`` are left
+        out, the rest keep their relative order, and an edge is re-paired
+        only when both of its halves are kept.
         """
         g = dg.graph
-        vertex_of = g.vertex_of if vertex_of is None else vertex_of
         exponents = dg.exponents if exponents is None else exponents
         kept = [h for h in range(g.n_half_edges) if h not in drop]
         new_id = {h: i for i, h in enumerate(kept)}
         b = cls()
-        b.genera = list(g.genera if genera is None else genera)
-        b.vertex_of = [vertex_of[h] for h in kept]
+        b.genera = list(g.genera)
+        b.vertex_of = [g.vertex_of[h] for h in kept]
         b.labels = [g.labels[h] for h in kept]
         b.exponents = [exponents[h] for h in kept]
         b.pairs = [(new_id[h], new_id[p]) for h, p in g.edges()
@@ -436,32 +434,8 @@ def automorphism_order(dg):
 
 
 # ---------------------------------------------------------------------------
-# graph surgery (all functions return fresh graphs; inputs are never mutated)
-
-
-def split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
-    """Split vertex ``v`` into two vertices joined by a fresh edge.
-
-    Half-edges in ``side`` stay on the first new vertex (which keeps id
-    ``v`` and genus ``genus_a``); the rest move to an appended vertex of
-    genus ``genus_b``.  The fresh edge halves carry ``exp_a``/``exp_b``.
-    """
-    g = dg.graph
-    side = set(side)
-    halves = set(g.halves_at(v))
-    if not side <= halves:
-        raise ValueError("side must consist of half-edges at the split vertex")
-    nv = g.n_vertices
-    genera = list(g.genera)
-    genera[v] = genus_a
-    genera.append(genus_b)
-    vertex_of = [nv if w == v and h not in side else w
-                 for h, w in enumerate(g.vertex_of)]
-    b = GraphBuilder.copy_of(dg, genera=genera, vertex_of=vertex_of)
-    b.add_edge(v, nv, exp_a, exp_b)
-    return b.build()
-
-
+# record surgery
+#
 # Record surgery works on the (base, edges) records of ``_records`` and
 # ``key_records`` and returns fresh lists, so a contracted or split graph is
 # keyed by ``_canonical_search`` without being built.
@@ -492,38 +466,54 @@ def contract_records(base, edges, i):
                   for j, (u1, f1, u2, f2) in enumerate(edges) if j != i]
 
 
-def split_records(base, edges, v, side):
-    """Split the genus-0 vertex ``v`` into two genus-0 vertices joined by a
-    fresh edge without psi powers.
+def record_halves(base, edges, v):
+    """The half-edges at vertex ``v``, numbered as ``graph_from_key`` numbers
+    them: its legs in base order, then its edge ends in record order, then its
+    extra legs.
 
-    The half-edges at ``v`` are numbered as ``graph_from_key`` numbers them:
-    its legs in base order, then its edge ends in record order, then its
-    extra legs.  Those in ``side`` stay on ``v``; the rest move to a new last
-    vertex.
+    Each is (label, exponent, end): an edge end has label None and end
+    (i, j), ``edges[i][j]`` being its vertex and ``edges[i][j + 1]`` its
+    exponent; a leg has end None.
     """
     _genus, extras, legs, _intexp = base[v]
-    nv = len(base)
-    legs_a = tuple(leg for i, leg in enumerate(legs) if i in side)
-    legs_b = tuple(leg for i, leg in enumerate(legs) if i not in side)
-    int_a, int_b = [0], [0]
-    h = len(legs)
-    out = []
-    for rec in edges:
-        rec = list(rec)
+    out = [(label, exp, None) for label, exp in legs]
+    for i, rec in enumerate(edges):
         for j in (0, 2):
             if rec[j] == v:
-                if h in side:
-                    int_a.append(rec[j + 1])
-                else:
-                    int_b.append(rec[j + 1])
-                    rec[j] = nv
-                h += 1
-        out.append(rec)
+                out.append((None, rec[j + 1], (i, j)))
+    out.extend([(EXTRA, 0, None)] * extras)
+    return out
+
+
+def split_records(base, edges, v, side, genus):
+    """Split vertex ``v`` into a genus-0 vertex and a vertex of genus
+    ``genus`` joined by a fresh edge without psi powers.
+
+    The half-edges at ``v`` are numbered as in ``record_halves``.  Those in
+    ``side`` stay on ``v``, which gets genus 0; the rest move to a new last
+    vertex of genus ``genus``.  Legs and edge ends keep their exponents.
+    """
+    legs = base[v][2]
+    nv = len(base)
+    legs_a, legs_b = [], []
+    int_a, int_b = [0], [0]
+    extras_a = extras_b = 0
+    out = [list(rec) for rec in edges]
+    for n, (label, exp, end) in enumerate(record_halves(base, edges, v)):
+        stays = n in side
+        if end is not None:
+            (int_a if stays else int_b).append(exp)
+            if not stays:
+                out[end[0]][end[1]] = nv
+        elif label == EXTRA:
+            extras_a += stays
+            extras_b += not stays
+        else:
+            (legs_a if stays else legs_b).append(legs[n])
     out.append([v, 0, nv, 0])
-    extras_a = sum(1 for i in range(h, h + extras) if i in side)
     base = list(base)
-    base[v] = (0, extras_a, legs_a, tuple(sorted(int_a)))
-    base.append((0, extras - extras_a, legs_b, tuple(sorted(int_b))))
+    base[v] = (0, extras_a, tuple(legs_a), tuple(sorted(int_a)))
+    base.append((genus, extras_b, tuple(legs_b), tuple(sorted(int_b))))
     return base, out
 
 

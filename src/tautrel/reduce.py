@@ -14,13 +14,14 @@ graph in the inequivalent ways that separate a quadruple of its half-edges.
 Of the 2*C(k, 4) such exchange relations at a vertex with k half-edges, only
 a basis is emitted: k(k-3)/2 of them, the dimension of the relations among
 the boundary divisors of M_{0,k} (Keel 1992), which by linearity span the
-rest.  The closure never builds a graph: it contracts edges and splits
-vertices on the base classes and edge records that a canonical key holds,
-and keys the results with the same search as ``canonical_key``.  Each
-relation is an integer combination of graph keys, and their exact rational
-span certifies vanishing.  The span is solved modulo primes and every
-answer is checked exactly.  Zero certificates are proofs; an Unknown
-outcome is not a nonzeroness claim.
+rest.  Neither psi elimination nor the closure builds a graph: they lower
+exponents, contract edges, split vertices and close loops on the base
+classes and edge records that a canonical key holds, and key the results
+with the same search as ``canonical_key``.  Each relation is an integer
+combination of graph keys, and their exact rational span certifies
+vanishing.  The span is solved modulo primes and every answer is checked
+exactly.  Zero certificates are proofs; an Unknown outcome is not a
+nonzeroness claim.
 """
 
 from __future__ import annotations
@@ -34,19 +35,16 @@ from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm
 
 from .graphs import (
-    DecoratedGraph,
     GraphBuilder,
     _canonical_search,
-    canonical_key,
     contract_records,
-    graph_from_key,
     key_records,
     leg_kind,
+    record_halves,
     split_records,
-    split_vertex,
 )
 from . import graphs
-from .expressions import Expression, _vertex_overweight, from_terms
+from .expressions import Expression, _base_overweight, from_terms
 
 
 # ---------------------------------------------------------------------------
@@ -70,31 +68,61 @@ def _sides(halves, stay, away):
             yield frozenset({*stay, *companions})
 
 
-def _psi_terms(dg, vertex, half, away):
-    """One psi power at ``half`` on a genus-0 or genus-1 vertex, rewritten.
+def _psi_terms(base, edges, vertex, half, away):
+    """One psi power at ``half`` on a genus-0 or genus-1 vertex, rewritten on
+    the records of a graph.
 
-    Returns (factor, graph) pairs: the lowered graph split along every side
-    that keeps ``half`` and none of ``away``, the side on a genus-0 vertex and
-    the rest keeping the vertex's genus, and on a genus-1 vertex also the
-    loop term with factor 1/24.  ``away`` is the partner pair on genus 0,
-    which keeps the rest stable, and empty on genus 1.  Each graph is then
-    stable, has the genus and legs of ``dg``, one more edge and one psi power
-    fewer, by construction.
+    ``half`` and ``away`` number the half-edges at the vertex as
+    ``graphs.record_halves`` does.  Returns (factor, records) pairs: the
+    lowered records split along every side that keeps ``half`` and none of
+    ``away``, the side on a genus-0 vertex and the rest keeping the vertex's
+    genus, and on a genus-1 vertex also the loop term with factor 1/24: the
+    vertex drops to genus 0 and gains a loop without psi powers.  ``away`` is
+    the partner pair on genus 0, which keeps the rest stable, and empty on
+    genus 1.  Each graph is then stable, has the genus and legs of the input,
+    one more edge and one psi power fewer, by construction.
     """
-    g = dg.graph
-    exponents = list(dg.exponents)
-    exponents[half] -= 1
-    lowered = DecoratedGraph(g, tuple(exponents))
-    genus_v = g.genera[vertex]
-    out = [(1, split_vertex(lowered, vertex, side, 0, genus_v))
-           for side in _sides(g.halves_at(vertex), (half,), away)]
+    genus_v, extras, legs, intexp = base[vertex]
+    halves = record_halves(base, edges, vertex)
+    label, exp, end = halves[half]
+    base, edges = list(base), list(edges)
+    if end is None:
+        legs = legs[:half] + ((label, exp - 1),) + legs[half + 1:]
+    else:
+        i, j = end
+        rec = list(edges[i])
+        rec[j + 1] -= 1
+        edges[i] = rec
+        rest = list(intexp)
+        rest.remove(exp)
+        intexp = tuple(sorted(rest + [exp - 1]))
+    base[vertex] = (genus_v, extras, legs, intexp)
+    out = [(1, split_records(base, edges, vertex, side, genus_v))
+           for side in _sides(range(len(halves)), (half,), away)]
     if genus_v == 1:
-        genera = list(g.genera)
-        genera[vertex] = 0
-        loop = GraphBuilder.copy_of(lowered, genera=genera)
-        loop.add_edge(vertex, vertex)
-        out.append((Fraction(1, 24), loop.build()))
+        loop = list(base)
+        loop[vertex] = (0, extras, legs, tuple(sorted(intexp + (0, 0))))
+        out.append((Fraction(1, 24), (loop, edges + [(vertex, 0, vertex, 0)])))
     return out
+
+
+def _psi_keys(base, edges, vertex, half, away):
+    """(factor, key) pairs of the rewrites of ``_psi_terms`` that are not
+    overweight, keyed by the canonical search on their records."""
+    for factor, (b, e) in _psi_terms(base, edges, vertex, half, away):
+        if not _base_overweight(b):
+            yield factor, _canonical_search(b, e)[0]
+
+
+def _rewritten(expr, vertex, half, away):
+    """The one-term ``expr`` with one psi power rewritten.  ``half`` and
+    ``away`` index ``halves_at(vertex)`` of the graph ``expr.terms()`` gives,
+    which is the numbering of ``record_halves``."""
+    ((key, coeff),) = expr._terms.items()
+    acc = {}
+    for factor, k in _psi_keys(*key_records(key), vertex, half, away):
+        acc[k] = acc.get(k, Fraction(0)) + coeff * factor
+    return Expression(expr.ambient, _raw={k: c for k, c in acc.items() if c != 0})
 
 
 def psi_reduce_genus0(expr, vertex, half, partner_pair):
@@ -105,7 +133,7 @@ def psi_reduce_genus0(expr, vertex, half, partner_pair):
     choice of partner pair yields an expression equal to the input as a
     class; different choices differ by WDVV relations.
     """
-    coeff, dg = _single_term(expr)
+    _coeff, dg = _single_term(expr)
     g = dg.graph
     halves = g.halves_at(vertex)
     if g.genera[vertex] != 0:
@@ -118,8 +146,8 @@ def psi_reduce_genus0(expr, vertex, half, partner_pair):
     x1, x2 = partner_pair
     if len({half, x1, x2}) != 3 or {x1, x2} - set(halves) or half not in halves:
         raise ValueError("partner pair must be two other half-edges of the vertex")
-    return Expression(expr.ambient, [(coeff * f, t) for f, t in
-                                     _psi_terms(dg, vertex, half, partner_pair)])
+    return _rewritten(expr, vertex, halves.index(half),
+                      (halves.index(x1), halves.index(x2)))
 
 
 def psi_reduce_genus1(expr, vertex, half):
@@ -128,72 +156,80 @@ def psi_reduce_genus1(expr, vertex, half):
     The loop term carries the bracket coefficient 1/12, hence 1/24 internally
     because attaching the loop doubles the automorphism count.
     """
-    coeff, dg = _single_term(expr)
+    _coeff, dg = _single_term(expr)
     if dg.graph.genera[vertex] != 1:
         raise ValueError("target vertex must have genus 1")
     if dg.exponents[half] < 1:
         raise ValueError("target half-edge carries no psi class")
-    return Expression(expr.ambient, [(coeff * f, t) for f, t in
-                                     _psi_terms(dg, vertex, half, ())])
+    halves = dg.graph.halves_at(vertex)
+    if half not in halves:
+        raise ValueError("target half-edge is not at the vertex")
+    return _rewritten(expr, vertex, halves.index(half), ())
 
 
-def choose_partner_pair(dg, vertex, half):
-    """Deterministic partner pair: frozen legs first, then any two legs,
-    avoiding the two halves of one loop whenever possible."""
-    g = dg.graph
+def choose_partner_pair(base, edges, vertex, half):
+    """Deterministic partner pair for a psi power at ``half`` on a genus-0
+    vertex of the graph with records (base, edges): frozen legs first, then
+    regular, named and extra legs, then edge ends, avoiding the two ends of
+    one loop whenever possible.  Half-edges are numbered as
+    ``graphs.record_halves`` numbers them."""
+    halves = record_halves(base, edges, vertex)
 
-    def rank(h):
-        lab = g.labels[h]
-        if lab is None:
-            return (3, (), h)
-        kind = leg_kind(lab)
-        order = {"frozen": 0, "regular": 1, "named": 2}[kind]
-        return (order, graphs.label_sort_key(lab), h)
+    def rank(n):
+        label = halves[n][0]
+        if label is None:
+            return (4, (), n)
+        order = {"frozen": 0, "regular": 1, "named": 2, "extra": 3}[leg_kind(label)]
+        return (order, graphs.label_sort_key(label), n)
 
-    candidates = sorted((h for h in g.halves_at(vertex) if h != half), key=rank)
-    legs = [h for h in candidates if g.labels[h] is not None]
+    candidates = sorted((n for n in range(len(halves)) if n != half), key=rank)
+    legs = [n for n in candidates if halves[n][0] is not None]
     if len(legs) >= 2:
         return legs[0], legs[1]
     if len(legs) == 1:
-        internal = [h for h in candidates if g.labels[h] is None]
+        internal = [n for n in candidates if halves[n][0] is None]
         return legs[0], internal[0]
     for a, b in itertools.combinations(candidates, 2):
-        if dg.graph.involution[a] != b:
+        if halves[a][2][0] != halves[b][2][0]:
             return a, b
     return candidates[0], candidates[1]
 
 
-def _reduction_site(dg):
+def _reduction_site(base, edges):
     """Deterministic choice of (vertex, half) to reduce, or None when psi-free.
 
     Genus-1 vertices take priority, highest exponent first, then genus-0
-    vertices.  Positive exponents on genus >= 2 vertices are unsupported.
+    vertices, the lowest vertex first; on the vertex, the first half-edge
+    with that exponent, numbered as ``graphs.record_halves`` does.  Positive
+    exponents on genus >= 2 vertices are unsupported.
     """
-    g = dg.graph
     best = None
-    for h in range(g.n_half_edges):
-        e = dg.exponents[h]
-        if e <= 0:
+    for v, (genus_v, _extras, legs, intexp) in enumerate(base):
+        top = max([e for _label, e in legs] + list(intexp), default=0)
+        if top <= 0:
             continue
-        v = g.vertex_of[h]
-        if g.genera[v] >= 2:
+        if genus_v >= 2:
             raise ValueError("psi elimination on genus >= 2 vertices is unsupported")
-        priority = (0 if g.genera[v] == 1 else 1, -e, v, h)
-        if best is None or priority < best[0]:
-            best = (priority, v, h)
+        priority = (0 if genus_v == 1 else 1, -top, v)
+        if best is None or priority < best:
+            best = priority
     if best is None:
         return None
-    return best[1], best[2]
+    v, top = best[2], -best[1]
+    halves = record_halves(base, edges, v)
+    return v, next(n for n, (_label, e, _end) in enumerate(halves) if e == top)
 
 
 def eliminate_all_psi(expr):
     """Rewrite until no half-edge carries a positive exponent.
 
-    Every rewrite adds exactly one edge, so taking the pending keys in
-    increasing edge count rewrites each key once, with its whole coefficient.
+    Every rewrite trades one psi power for one edge, so taking the pending
+    keys in increasing edge count rewrites each key once, with its whole
+    coefficient, and no key has more edges than the degree.  The rewrites
+    run on the records of each key and are keyed by the canonical search;
+    no graph is built.
     """
-    ambient = expr.ambient
-    levels = [{} for _ in range(ambient.dimension + 1)]     # edge count -> pending
+    levels = [{} for _ in range((expr.degree() or 0) + 1)]   # edge count -> pending
     for key, coeff in expr._terms.items():
         levels[len(key[1])][key] = coeff
     done = {}
@@ -201,20 +237,17 @@ def eliminate_all_psi(expr):
         for key, coeff in work.items():
             if coeff == 0:
                 continue
-            dg = graph_from_key(key)
-            site = _reduction_site(dg)
+            base, edges = key_records(key)
+            site = _reduction_site(base, edges)
             if site is None:
                 done[key] = coeff
                 continue
             v, h = site
-            away = choose_partner_pair(dg, v, h) if dg.graph.genera[v] == 0 else ()
-            for factor, term in _psi_terms(dg, v, h, away):
-                if _vertex_overweight(term):
-                    continue
-                k = canonical_key(term)
+            away = choose_partner_pair(base, edges, v, h) if base[v][0] == 0 else ()
+            for factor, k in _psi_keys(base, edges, v, h, away):
                 pending = levels[len(k[1])]
                 pending[k] = pending.get(k, Fraction(0)) + coeff * factor
-    return Expression(ambient, _raw=done)
+    return Expression(expr.ambient, _raw=done)
 
 
 def distribute(expr, label):
@@ -317,7 +350,7 @@ def wdvv_relations_at(key, vertex):
     key ``key``, as key -> int dicts.
 
     The half-edges at the vertex are numbered as ``graph_from_key`` numbers
-    them (see ``split_records``).  Of the two exchange relations of each
+    them (see ``record_halves``).  Of the two exchange relations of each
     unordered quadruple of them, only those at the indices of
     ``_local_basis`` are emitted: k(k-3)/2 of them for k half-edges, in
     generation order.  Pushing the splittings of the vertex into the graph
@@ -345,7 +378,7 @@ def wdvv_relations_at(key, vertex):
             split_key = key_of_side.get(side)
             if split_key is None:
                 split_key = key_of_side[side] = _canonical_search(
-                    *split_records(base, edges, vertex, side))[0]
+                    *split_records(base, edges, vertex, side, 0))[0]
             yield split_key
 
     quads = list(itertools.combinations(range(k), 4))

@@ -17,7 +17,7 @@ from tautrel.expressions import (
     expression_from_json,
     parse_bracket,
 )
-from tautrel.graphs import canonical_key
+from tautrel.graphs import canonical_key, key_records
 from tautrel.pushforward import d_set, forget_frozen_legs
 from tautrel.reduce import (
     choose_partner_pair,
@@ -206,8 +206,10 @@ def test_criterion_6_psi_reduction_identities():
                       if dg.exponents[h] > 0)
         v = dg.graph.vertex_of[target]
         if dg.graph.genera[v] == 0:
-            out = psi_reduce_genus0(e, v, target,
-                                    choose_partner_pair(dg, v, target))
+            (key,) = e.support()
+            halves = dg.graph.halves_at(v)
+            pair = choose_partner_pair(*key_records(key), v, halves.index(target))
+            out = psi_reduce_genus0(e, v, target, [halves[n] for n in pair])
         else:
             out = psi_reduce_genus1(e, v, target)
         assert pair_with_psi_monomials(e) == pair_with_psi_monomials(out)

@@ -9,6 +9,7 @@ from tautrel.cli import main
 from tautrel.expressions import parse_bracket
 
 from conftest import FIXTURES, fixture_text
+from test_reduce import reference_eliminate_all_psi
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -213,6 +214,21 @@ def test_reduce_pair_mode(capsys):
     code, report = run_json(capsys, "reduce", path, "--mode", "pair")
     assert code == 0
     assert report["outcome"]["all_zero"] is True
+
+
+@pytest.mark.parametrize("text", [
+    "<P^1(U1) U2 U3 U4 U5 W>_0",          # an extra leg at a genus-0 psi site
+    "<U1 U2 U3 a>_0 <a* W W>_0",          # more edges than the ambient dimension
+    "<P^1(U1) U2 U3 a>_0 <a* W W>_0",
+])
+def test_reduce_psi_with_extra_legs(capsys, tmp_path, text):
+    path = tmp_path / "extras.bracket"
+    path.write_text(text)
+    code, report = run_json(capsys, "reduce", str(path), "--mode", "psi")
+    assert code == 0
+    reduced = parse_bracket(report["outcome"]["expression"])
+    assert reduced.psi_free()
+    assert reduced == reference_eliminate_all_psi(parse_bracket(text))
 
 
 def test_reduce_parse_error_exit_one(capsys, tmp_path):

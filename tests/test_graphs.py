@@ -23,8 +23,8 @@ from tautrel.graphs import (
     graph_from_key,
     is_stable,
     key_records,
+    record_halves,
     split_records,
-    split_vertex,
     validate,
 )
 from tautrel.expressions import (
@@ -527,6 +527,29 @@ def reference_split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
     return b.build()
 
 
+def split_vertex(dg, v, side, genus_a, genus_b, exp_a=0, exp_b=0):
+    """Split vertex ``v`` into two vertices joined by a fresh edge.
+
+    Half-edges in ``side`` stay on the first new vertex (which keeps id
+    ``v`` and genus ``genus_a``); the rest move to an appended vertex of
+    genus ``genus_b``.  The fresh edge halves carry ``exp_a``/``exp_b``.
+    The graph surgery that psi elimination and the relation closure used
+    before they split key records; a reference for ``split_records``.
+    """
+    g = dg.graph
+    side = set(side)
+    if not side <= set(g.halves_at(v)):
+        raise ValueError("side must consist of half-edges at the split vertex")
+    nv = g.n_vertices
+    b = GraphBuilder.copy_of(dg)
+    b.genera[v] = genus_a
+    b.genera.append(genus_b)
+    b.vertex_of = [nv if w == v and h not in side else w
+                   for h, w in enumerate(g.vertex_of)]
+    b.add_edge(v, nv, exp_a, exp_b)
+    return b.build()
+
+
 def contract_edge(dg, h):
     """Contract a non-loop edge, merging its endpoints (genera add).
 
@@ -541,11 +564,10 @@ def contract_edge(dg, h):
     if v == w:
         raise ValueError("cannot contract a loop edge")
     lo, hi = min(v, w), max(v, w)
-    genera = list(g.genera)
-    genera[lo] += genera.pop(hi)
-    vertex_of = [lo if u == hi else u - (u > hi) for u in g.vertex_of]
-    return GraphBuilder.copy_of(dg, genera=genera, vertex_of=vertex_of,
-                                drop=(h, p)).build()
+    b = GraphBuilder.copy_of(dg, drop=(h, p))
+    b.genera[lo] += b.genera.pop(hi)
+    b.vertex_of = [lo if u == hi else u - (u > hi) for u in b.vertex_of]
+    return b.build()
 
 
 def reference_contract_edge(dg, h):
@@ -694,7 +716,7 @@ def check_splits_and_contractions(dg):
 
 
 def record_numbering(dg, v):
-    """The half-edges of ``dg`` at ``v`` in the order ``split_records``
+    """The half-edges of ``dg`` at ``v`` in the order ``record_halves``
     numbers them: legs as sorted in the base class, then edge ends in record
     order, then extra legs."""
     g = dg.graph
@@ -707,7 +729,11 @@ def record_numbering(dg, v):
 
 
 def check_record_surgery(dg):
-    """Record contraction and genus-0 record splitting key like graph surgery."""
+    """Record contraction and record splitting key like graph surgery.
+
+    A genus-0 or genus-1 vertex is split as psi elimination splits it: the
+    side stays on a genus-0 vertex and the rest keeps the vertex's genus.
+    """
     g = dg.graph
     base, edges = _records(dg)
     checked = 0
@@ -717,12 +743,16 @@ def check_record_surgery(dg):
                 canonical_key(contract_edge(dg, h))
             checked += 1
     for v in range(g.n_vertices):
-        if g.genera[v] != 0:
-            continue
         order = record_numbering(dg, v)
+        assert [(lab, e) for lab, e, _end in record_halves(base, edges, v)] == \
+            [(g.labels[h], dg.exponents[h]) for h in order]
+        genus_v = g.genera[v]
+        if genus_v > 1:
+            continue
         for side in _subsets(range(len(order))):
-            assert _canonical_search(*split_records(base, edges, v, set(side)))[0] == \
-                canonical_key(split_vertex(dg, v, [order[i] for i in side], 0, 0))
+            split = split_records(base, edges, v, set(side), genus_v)
+            assert _canonical_search(*split)[0] == canonical_key(reference_split_vertex(
+                dg, v, [order[i] for i in side], 0, genus_v))
             checked += 1
     return checked
 

@@ -11,16 +11,25 @@ from hypothesis import given, settings, strategies as st
 
 from tautrel.expressions import (
     Expression,
+    _base_overweight,
     _vertex_overweight,
     make_ambient,
     parse_bracket,
 )
 from tautrel.graphs import (
+    EXTRA,
+    DecoratedGraph,
+    DualGraph,
+    GraphBuilder,
+    _canonical_search,
+    automorphism_order,
     canonical_key,
     genus,
     graph_from_key,
     is_stable,
-    split_vertex,
+    key_records,
+    label_sort_key,
+    leg_kind,
     validate,
 )
 from tautrel import reduce
@@ -48,12 +57,9 @@ from conftest import (
     fixture_text,
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
+    random_decorated_graph,
 )
-from test_graphs import (
-    contract_edge,
-    reference_psi_reduce_genus0,
-    reference_psi_reduce_genus1,
-)
+from test_graphs import contract_edge, single_term, split_vertex
 
 
 def half_by_label(expr, label):
@@ -150,9 +156,76 @@ def test_eliminate_double_psi_five_points():
     assert certified_zero(out - expected)
 
 
+# ---------------------------------------------------------------------------
+# psi elimination against the graph-level rule
+#
+# The references below are the rewrite rule, the site choice and the partner
+# pair as they ran on graphs rebuilt from keys, before elimination ran on key
+# records.  The partner pair ranks extra legs after named legs, as the record
+# rule does; the graph rule raised KeyError on them.
+
+
+def reference_psi_terms(dg, vertex, half, away):
+    g = dg.graph
+    exponents = list(dg.exponents)
+    exponents[half] -= 1
+    lowered = DecoratedGraph(g, tuple(exponents))
+    genus_v = g.genera[vertex]
+    out = [(1, split_vertex(lowered, vertex, side, 0, genus_v))
+           for side in reduce._sides(g.halves_at(vertex), (half,), away)]
+    if genus_v == 1:
+        loop = GraphBuilder.copy_of(lowered)
+        loop.genera[vertex] = 0
+        loop.add_edge(vertex, vertex)
+        out.append((Fraction(1, 24), loop.build()))
+    return out
+
+
+def reference_choose_partner_pair(dg, vertex, half):
+    g = dg.graph
+
+    def rank(h):
+        lab = g.labels[h]
+        if lab is None:
+            return (4, (), h)
+        order = {"frozen": 0, "regular": 1, "named": 2, "extra": 3}[leg_kind(lab)]
+        return (order, label_sort_key(lab), h)
+
+    candidates = sorted((h for h in g.halves_at(vertex) if h != half), key=rank)
+    legs = [h for h in candidates if g.labels[h] is not None]
+    if len(legs) >= 2:
+        return legs[0], legs[1]
+    if len(legs) == 1:
+        internal = [h for h in candidates if g.labels[h] is None]
+        return legs[0], internal[0]
+    for a, b in itertools.combinations(candidates, 2):
+        if g.involution[a] != b:
+            return a, b
+    return candidates[0], candidates[1]
+
+
+def reference_reduction_site(dg):
+    g = dg.graph
+    best = None
+    for h in range(g.n_half_edges):
+        e = dg.exponents[h]
+        if e <= 0:
+            continue
+        v = g.vertex_of[h]
+        if g.genera[v] >= 2:
+            raise ValueError("psi elimination on genus >= 2 vertices is unsupported")
+        priority = (0 if g.genera[v] == 1 else 1, -e, v, h)
+        if best is None or priority < best[0]:
+            best = (priority, v, h)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
 def reference_eliminate_all_psi(expr):
-    """Psi elimination that always rewrites the least pending key, so it may
-    rewrite a key again when a later rewrite adds to it."""
+    """Psi elimination on rebuilt graphs that always rewrites the least
+    pending key, so it may rewrite a key again when a later rewrite adds to
+    it."""
     ambient = expr.ambient
     work = dict(expr._terms)
     done = {}
@@ -160,22 +233,33 @@ def reference_eliminate_all_psi(expr):
         key = min(work)
         coeff = work.pop(key)
         dg = graph_from_key(key)
-        site = reduce._reduction_site(dg)
+        site = reference_reduction_site(dg)
         if site is None:
             done[key] = done.get(key, Fraction(0)) + coeff
             continue
         v, h = site
-        single = Expression(ambient, _raw={key: coeff})
-        if dg.graph.genera[v] == 1:
-            reduced = reference_psi_reduce_genus1(single, v, h)
-        else:
-            pair = choose_partner_pair(dg, v, h)
-            reduced = reference_psi_reduce_genus0(single, v, h, pair)
+        away = reference_choose_partner_pair(dg, v, h) if dg.graph.genera[v] == 0 else ()
+        reduced = Expression(ambient, [(coeff * f, t)
+                                       for f, t in reference_psi_terms(dg, v, h, away)])
         for k, c in reduced._terms.items():
             work[k] = work.get(k, Fraction(0)) + c
             if work[k] == 0:
                 del work[k]
     return Expression(ambient, _raw={k: c for k, c in done.items() if c != 0})
+
+
+def typed_terms(expr):
+    return {k: (c, type(c)) for k, c in expr._terms.items()}
+
+
+def graph_partner_pair(expr, vertex, half):
+    """``choose_partner_pair`` on the key of a one-term ``expr``, as half-edges
+    of the graph ``expr.terms()`` gives."""
+    (key,) = expr.support()
+    (_c, dg), = expr.terms()
+    halves = dg.graph.halves_at(vertex)
+    pair = choose_partner_pair(*key_records(key), vertex, halves.index(half))
+    return tuple(halves[n] for n in pair)
 
 
 ELIMINATION_FIXTURES = sorted(name[:-len(".bracket")] for name in os.listdir(FIXTURES))
@@ -207,16 +291,18 @@ def test_rewritten_graphs_are_valid_terms(g, m, d, monkeypatch):
     rewrites = []
     psi_terms = reduce._psi_terms
 
-    def recording_psi_terms(dg, vertex, half, away):
-        out = psi_terms(dg, vertex, half, away)
-        rewrites.append((dg, out))
+    def recording_psi_terms(base, edges, vertex, half, away):
+        out = psi_terms(base, edges, vertex, half, away)
+        rewrites.append((graph_from_key(_canonical_search(base, edges)[0]), out))
         return out
 
     monkeypatch.setattr(reduce, "_psi_terms", recording_psi_terms)
     eliminate_all_psi(expr)
     kept = 0
     for dg, out in rewrites:
-        for _factor, term in out:
+        for _factor, records in out:
+            term = graph_from_key(_canonical_search(*records)[0])
+            assert _base_overweight(records[0]) == _vertex_overweight(term)
             if _vertex_overweight(term):
                 continue
             kept += 1
@@ -244,13 +330,27 @@ def test_elimination_builds_one_expression(monkeypatch):
     assert len(built) == 1
 
 
+def test_elimination_builds_no_graph(monkeypatch):
+    expr = weighted_tree_class(1, 2, (2, 1, 1))
+
+    def no_build(self):
+        raise AssertionError("psi elimination built a graph")
+
+    monkeypatch.setattr(GraphBuilder, "build", no_build)
+    caches = (canonical_key, graph_from_key, automorphism_order)
+    before = [f.cache_info() for f in caches]
+    reduced = eliminate_all_psi(expr)
+    assert not expr.psi_free() and reduced.psi_free()
+    assert [f.cache_info() for f in caches] == before
+
+
 def test_elimination_looks_up_each_reduction_site_once(monkeypatch):
     looked_up = []
     site = reduce._reduction_site
 
-    def recording_site(dg):
-        looked_up.append(canonical_key(dg))
-        return site(dg)
+    def recording_site(base, edges):
+        looked_up.append(_canonical_search(base, edges)[0])
+        return site(base, edges)
 
     monkeypatch.setattr(reduce, "_reduction_site", recording_site)
     eliminate_all_psi(weighted_tree_class(1, 2, (2, 1, 1)))
@@ -261,7 +361,7 @@ def test_partner_pair_prefers_frozen_then_legs():
     e = parse_bracket("<V1 V2 P^1(U2) a>_0 <a* P^2(U1)>_1")
     (_c, dg), = e.terms()
     target = dg.graph.leg_with_label("U2")
-    pair = choose_partner_pair(dg, 0, target)
+    pair = graph_partner_pair(e, 0, target)
     labels = {dg.graph.labels[h] for h in pair}
     assert labels == {"V1", "V2"}
 
@@ -270,8 +370,113 @@ def test_partner_pair_avoids_loop_halves():
     e = parse_bracket("<P^1(x1) b a a*>_0 <b* x2 x3>_0")
     (_c, dg), = e.terms()
     target = dg.graph.leg_with_label("x1")
-    pair = choose_partner_pair(dg, 0, target)
+    pair = graph_partner_pair(e, 0, target)
     assert dg.graph.involution[pair[0]] != pair[1]
+
+
+@pytest.mark.parametrize("text, labels", [
+    ("<P^1(U1) U2 U3 U4 U5 W>_0", ("U2", "U3")),
+    ("<P^1(U1) x W W a>_0 <a* U2 U3>_0", ("x", EXTRA)),
+    ("<P^1(U1) W a b>_0 <a* b* U2>_0", (EXTRA, None)),
+])
+def test_partner_pair_ranks_extra_legs_after_named_legs(text, labels):
+    e = parse_bracket(text)
+    (_c, dg), = e.terms()
+    target = dg.graph.leg_with_label("U1")
+    v = dg.graph.vertex_of[target]
+    pair = graph_partner_pair(e, v, target)
+    assert tuple(dg.graph.labels[h] for h in pair) == labels
+    assert pair == reference_choose_partner_pair(dg, v, target)
+
+
+def elimination_input(rng):
+    """A one-term expression from ``conftest.random_decorated_graph`` that psi
+    elimination accepts, or None.
+
+    Psi powers on genus >= 2 vertices are cleared, and the leg U2, when drawn,
+    becomes the named leg ``x`` half of the time.
+    """
+    dg = random_decorated_graph(rng)
+    g = dg.graph
+    name = "x" if rng.random() < 0.5 else "U2"
+    labels = tuple(name if lab == "U2" else lab for lab in g.labels)
+    exps = tuple(0 if g.genera[v] >= 2 else e for v, e in zip(g.vertex_of, dg.exponents))
+    return single_term(DecoratedGraph(
+        DualGraph(g.genera, g.vertex_of, g.involution, labels), exps))
+
+
+def psi_features(expr):
+    """What the psi sites of a one-term ``expr`` exercise."""
+    (_c, dg), = expr.terms()
+    g = dg.graph
+    found = set()
+    for h, e in enumerate(dg.exponents):
+        if not e:
+            continue
+        v = g.vertex_of[h]
+        found.add("leg psi" if g.labels[h] is not None else "edge-end psi")
+        if g.genera[v] == 1:
+            found.add("genus-1 loop term")
+        at_v = [g.labels[x] for x in g.halves_at(v)]
+        if any(g.vertex_of[g.involution[x]] == v and g.involution[x] != x
+               for x in g.halves_at(v)):
+            found.add("loop at the split vertex")
+        for lab in at_v:
+            if lab is not None:
+                found.add(leg_kind(lab) + " leg at a psi vertex")
+    return found
+
+
+def check_elimination(rng):
+    """Elimination on records against the graph reference, on one random
+    input; returns the features its psi sites exercise."""
+    expr = elimination_input(rng)
+    if expr is None or expr.psi_free():
+        return set()
+    got = eliminate_all_psi(expr)
+    assert got.psi_free()
+    assert typed_terms(got) == typed_terms(reference_eliminate_all_psi(expr))
+    return psi_features(expr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_elimination_matches_graph_reference_on_random_graphs(rng):
+    check_elimination(rng)
+
+
+def test_random_elimination_inputs_cover_every_site_feature():
+    found = set()
+    for seed in range(200):
+        found |= check_elimination(random.Random(seed))
+    assert found == {"leg psi", "edge-end psi", "genus-1 loop term",
+                     "loop at the split vertex", "regular leg at a psi vertex",
+                     "frozen leg at a psi vertex", "named leg at a psi vertex",
+                     "extra leg at a psi vertex"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_record_site_and_partner_pair_match_graph_references(rng):
+    expr = elimination_input(rng)
+    if expr is None:
+        return
+    (key,) = expr.support()
+    (_c, dg), = expr.terms()
+    base, edges = key_records(key)
+    site = reduce._reduction_site(base, edges)
+    if site is None:
+        assert reference_reduction_site(dg) is None
+    else:
+        v, n = site
+        assert reference_reduction_site(dg) == (v, dg.graph.halves_at(v)[n])
+    for v in range(dg.graph.n_vertices):
+        halves = dg.graph.halves_at(v)
+        if len(halves) < 3:
+            continue
+        for h in halves:
+            assert graph_partner_pair(expr, v, h) == \
+                reference_choose_partner_pair(dg, v, h)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +676,7 @@ def test_single_reduction_steps_preserve_pairings():
                       if dg.exponents[h] > 0)
         v = dg.graph.vertex_of[target]
         if kind == "genus0":
-            pair = choose_partner_pair(dg, v, target)
-            out = psi_reduce_genus0(e, v, target, pair)
+            out = psi_reduce_genus0(e, v, target, graph_partner_pair(e, v, target))
         else:
             out = psi_reduce_genus1(e, v, target)
         assert pair_with_psi_monomials(e) == pair_with_psi_monomials(out)

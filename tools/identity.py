@@ -14,7 +14,9 @@ of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
 for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
 ``reduce --mode psi`` on the symmetric input for k = 9, p = 1 and on the
 mixed star of ``mixed_star_text`` for p in {0, 1}, whose genus-0 tails
-with extra legs go through parse, psi elimination and render;
+with extra legs go through parse, psi elimination and render, and on the
+single terms of ``PSI_SITES``, which put a psi site next to a loop, next to
+a frozen partner pair and on an edge end;
 ``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1) and (0, 2, 1, 1,1),
 ``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
 pair`` on ``b21_raw``, ``reduce --mode psi --format latex`` on ``h``,
@@ -22,8 +24,9 @@ pair`` on ``b21_raw``, ``reduce --mode psi --format latex`` on ``h``,
 latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1) and (2, 4, 1, 1,1,1,1); these assemble tree classes outside
-the pools.  Both trees read the bracket fixtures from PARENT's
-``tests/fixtures``.  The two trees run each call side by side.
+the pools.  That makes 43 calls.  Both trees read the bracket fixtures
+from PARENT's ``tests/fixtures``.  The two trees run each call side by
+side.
 
 Exits 0 when every call matches and 1 at the first difference.
 """
@@ -63,6 +66,14 @@ def mixed_star_text(p):
                                " ".join("<%s* W W>_0" % n for n in b))
 
 
+PSI_SITES = [
+    "<P^1(x1) b a a*>_0 <b* x2 x3>_0",              # a loop at the split vertex
+    "<V1 V2 P^1(U2) a>_0 <a* P^2(U1)>_1",           # a frozen partner pair
+    "<U1 U2 P^1(a) b>_0 <a* b* P^1(U3)>_1",         # edge-end psi at genus 0
+    "<U1 U2 U3 P^2(a)>_0 <a* U4>_1",                # overweight at genus 0: parses to 0
+]
+
+
 def write(workdir, name, text):
     path = os.path.join(workdir, name + ".bracket")
     with open(path, "w") as fh:
@@ -88,6 +99,9 @@ def calls(workdir, fixtures):
         out.append(["reduce", path, "--mode", "psi"])
     for p in (0, 1):
         path = write(workdir, "mixed_star_p%d" % p, mixed_star_text(p))
+        out.append(["reduce", path, "--mode", "psi"])
+    for i, text in enumerate(PSI_SITES):
+        path = write(workdir, "psi_site_%d" % i, text + "\n")
         out.append(["reduce", path, "--mode", "psi"])
     for g, m, l, d in [(1, 2, 1, "2,1"), (0, 2, 1, "1,1")]:
         out.append(["check-pushforward", "--g", str(g), "--m", str(m), "--l", str(l),
