@@ -5,7 +5,6 @@ from .graphs import (
     DecoratedGraph,
     DualGraph,
     GraphBuilder,
-    RootedTreeView,
     automorphism_order,
     canonical_key,
     genus,
@@ -21,7 +20,6 @@ from .expressions import (
     expression_to_json,
     from_terms,
     graph_from_json,
-    graph_to_json,
     make_ambient,
     parse_bracket,
     render_bracket,

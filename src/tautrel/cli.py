@@ -210,8 +210,8 @@ def cmd_enumerate(args):
     rows = []
     for shape in shapes:
         row = {"edges": shape.n_edges(),
-               "vertices": shape.graph.n_vertices,
-               "genera": list(shape.graph.genera)}
+               "vertices": len(shape.genera),
+               "genera": list(shape.genera)}
         if args.with_extras is not None:
             assignments = acceptable_assignments(shape, args.with_extras)
             row["assignments"] = len(assignments)

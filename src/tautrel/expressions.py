@@ -260,6 +260,15 @@ def zero(ambient):
     return Expression(ambient, _raw={})
 
 
+def _summed(ambient, terms):
+    """The expression of (coefficient, canonical key) pairs, summed in
+    ``Fraction``s; the keys are trusted, so nothing is validated."""
+    acc = {}
+    for c, key in terms:
+        acc[key] = acc.get(key, 0) + c
+    return Expression(ambient, _raw={k: Fraction(c) for k, c in acc.items() if c})
+
+
 def from_terms(terms, ambient=None):
     """Build an expression, inferring the ambient from the first term."""
     terms = list(terms)
@@ -571,26 +580,35 @@ def _latex_item(name, exp):
 # JSON serialization
 
 
-def graph_to_json(dg):
-    g = dg.graph
-    legs = []
-    for h in range(g.n_half_edges):
-        lab = g.labels[h]
-        if lab is None:
-            continue
-        kind = leg_kind(lab)
-        entry = {"id": h, "kind": kind}
-        if kind in ("regular", "frozen"):
-            entry["index"] = int(lab[1:])
-        elif kind == "named":
-            entry["name"] = lab
-        legs.append(entry)
+def _leg_json(h, label):
+    kind = leg_kind(label)
+    entry = {"id": h, "kind": kind}
+    if kind in ("regular", "frozen"):
+        entry["index"] = int(label[1:])
+    elif kind == "named":
+        entry["name"] = label
+    return entry
+
+
+def _key_json(key):
+    """The JSON object of ``graph_from_key(key)``, written from the key in
+    that graph's numbering: the legs vertex by vertex, then two halves per
+    edge record, then the extra legs vertex by vertex."""
+    vpart, recs = key
+    halves = [(v, e, label) for v, (_g, _x, legs, _i) in enumerate(vpart)
+              for label, e in legs]
+    first = len(halves)
+    for (v1, e1), (v2, e2) in recs:
+        halves += [(v1, e1, None), (v2, e2, None)]
+    halves += [(v, 0, EXTRA) for v, (_g, extras, _l, _i) in enumerate(vpart)
+               for _ in range(extras)]
     return {
-        "vertices": [{"id": v, "genus": g.genera[v]} for v in range(g.n_vertices)],
-        "half_edges": [{"id": h, "vertex": g.vertex_of[h], "exponent": dg.exponents[h]}
-                       for h in range(g.n_half_edges)],
-        "involution": [[h, p] for h, p in g.edges()],
-        "legs": legs,
+        "vertices": [{"id": v, "genus": part[0]} for v, part in enumerate(vpart)],
+        "half_edges": [{"id": h, "vertex": v, "exponent": e}
+                       for h, (v, e, _label) in enumerate(halves)],
+        "involution": [[h, h + 1] for h in range(first, first + 2 * len(recs), 2)],
+        "legs": [_leg_json(h, label) for h, (_v, _e, label) in enumerate(halves)
+                 if label is not None],
     }
 
 
@@ -627,8 +645,8 @@ def expression_to_json(expr):
         "ambient": {"genus": expr.ambient.genus, "labels": list(expr.ambient.labels)},
         "terms": [
             {"coefficient": {"num": c.numerator, "den": c.denominator},
-             "graph": graph_to_json(dg)}
-            for c, dg in expr.terms()
+             "graph": _key_json(key)}
+            for key, c in expr.items()
         ],
     }
 

@@ -161,7 +161,8 @@ def is_stable(graph_or_decorated):
 
 
 class GraphBuilder:
-    """Mutable accumulator used by the parser and by graph surgery."""
+    """Mutable accumulator for parsed and JSON input, ``graph_from_key`` and
+    the one-term helpers ``distribute`` and ``attach_vertex``."""
 
     def __init__(self):
         self.genera = []
@@ -171,23 +172,21 @@ class GraphBuilder:
         self.pairs = []
 
     @classmethod
-    def copy_of(cls, dg, exponents=None, drop=()):
+    def copy_of(cls, dg, drop=()):
         """A builder holding a copy of ``dg``, ready for appended edges and legs.
 
-        This is the one graph-surgery primitive.  ``exponents`` gives each
-        old half-edge its new psi exponent.  Half-edges in ``drop`` are left
-        out, the rest keep their relative order, and an edge is re-paired
-        only when both of its halves are kept.
+        Half-edges in ``drop`` are left out, the rest keep their relative
+        order and their psi exponents, and an edge is re-paired only when
+        both of its halves are kept.
         """
         g = dg.graph
-        exponents = dg.exponents if exponents is None else exponents
         kept = [h for h in range(g.n_half_edges) if h not in drop]
         new_id = {h: i for i, h in enumerate(kept)}
         b = cls()
         b.genera = list(g.genera)
         b.vertex_of = [g.vertex_of[h] for h in kept]
         b.labels = [g.labels[h] for h in kept]
-        b.exponents = [exponents[h] for h in kept]
+        b.exponents = [dg.exponents[h] for h in kept]
         b.pairs = [(new_id[h], new_id[p]) for h, p in g.edges()
                    if h in new_id and p in new_id]
         return b
@@ -485,13 +484,14 @@ def record_halves(base, edges, v):
     return out
 
 
-def split_records(base, edges, v, side, genus):
+def split_records(base, edges, v, halves, side, genus):
     """Split vertex ``v`` into a genus-0 vertex and a vertex of genus
     ``genus`` joined by a fresh edge without psi powers.
 
-    The half-edges at ``v`` are numbered as in ``record_halves``.  Those in
-    ``side`` stay on ``v``, which gets genus 0; the rest move to a new last
-    vertex of genus ``genus``.  Legs and edge ends keep their exponents.
+    ``halves`` is ``record_halves(base, edges, v)``, listed once by the
+    caller for every side it splits.  The half-edges in ``side``, positions
+    in that list, stay on ``v``, which gets genus 0; the rest move to a new
+    last vertex of genus ``genus``.  Legs and edge ends keep their exponents.
     """
     legs = base[v][2]
     nv = len(base)
@@ -499,7 +499,7 @@ def split_records(base, edges, v, side, genus):
     int_a, int_b = [0], [0]
     extras_a = extras_b = 0
     out = [list(rec) for rec in edges]
-    for n, (label, exp, end) in enumerate(record_halves(base, edges, v)):
+    for n, (label, exp, end) in enumerate(halves):
         stays = n in side
         if end is not None:
             (int_a if stays else int_b).append(exp)
@@ -515,44 +515,3 @@ def split_records(base, edges, v, side, genus):
     base[v] = (0, extras_a, tuple(legs_a), tuple(sorted(int_a)))
     base.append((genus, extras_b, tuple(legs_b), tuple(sorted(int_b))))
     return base, out
-
-
-# ---------------------------------------------------------------------------
-# rooted trees
-
-
-class RootedTreeView:
-    """A dual graph certified as a rooted tree.
-
-    ``children[v]`` lists the (half-edge at v, child) pairs of the edges from
-    ``v`` away from the root, in breadth-first order.
-    """
-
-    def __init__(self, graph, root=0):
-        if isinstance(graph, DecoratedGraph):
-            graph = graph.graph
-        problems = validate(graph)
-        if problems:
-            raise ValueError("invalid graph: %s" % "; ".join(problems))
-        if graph.n_edges() != graph.n_vertices - 1:
-            raise ValueError("not a tree (first Betti number nonzero)")
-        self.graph = graph
-        self.root = root
-        seen = {root}
-        children = {v: [] for v in range(graph.n_vertices)}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop(0)
-            for h in graph.halves_at(v):
-                p = graph.involution[h]
-                if p == h:
-                    continue
-                w = graph.vertex_of[p]
-                if w not in seen:
-                    seen.add(w)
-                    children[v].append((h, w))
-                    frontier.append(w)
-        self.children = children
-        for h, lab in enumerate(graph.labels):
-            if lab is not None and leg_kind(lab) == "frozen" and graph.vertex_of[h] != root:
-                raise ValueError("frozen leg %s not attached to the root" % lab)

@@ -5,19 +5,20 @@ monomial with exponents ``q`` into a weighted sum over all componentwise
 drops ``p <= q`` with ``|p| = |q| - l``; the weight is ``l!`` divided by the
 factorials of the drops.  Forgetting acts vertex by vertex: psi classes on
 other vertices ride along untouched, and a forgetful step that would leave an
-unstable vertex is an error, never a silent contraction.  The same tables
-give the class of a tree shape in ``treeclass``, where the forgotten extra
-legs are never built, so there is nothing to delete.
+unstable vertex is an error, never a silent contraction.  One body applies
+the tables on the records of a graph (see ``graphs.key_records``) and keys
+each result by the canonical search, building no graph.  The forgetful maps
+delete the forgotten legs from the records first; the class of a tree shape
+in ``treeclass`` never builds its extra legs, so there is nothing to delete.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from math import factorial
 
-from .graphs import EXTRA, GraphBuilder
-from .expressions import Expression, make_ambient
+from .graphs import EXTRA, _canonical_search, key_records, record_halves
+from .expressions import _base_overweight, _summed, make_ambient
 
 
 def d_set(exponents, count):
@@ -46,47 +47,60 @@ def string_table(exponents, count):
     return table
 
 
-def _push_at_vertices(coeff, dg, counts, drop):
-    """Forget ``counts[v]`` bare points at each vertex ``v`` by its string
-    table over the half-edges left there, and delete the half-edges in
-    ``drop``."""
-    g = dg.graph
+def _push_at_vertices(coeff, base, edges, counts):
+    """Forget ``counts[v]`` bare points at each vertex ``v`` of the graph with
+    records (base, edges) by the string table over the half-edges there.
+
+    Yields a (coefficient, key) pair per pick from the tables whose residual
+    exponents, written back into the legs, the edge records and the edge-end
+    exponents of each vertex, leave no vertex overweight.
+    """
     choices = []
     for v, count in sorted(counts.items()):
-        slots = [h for h in g.halves_at(v) if h not in drop]
-        table = string_table(tuple(dg.exponents[h] for h in slots), count)
-        choices.append((slots, table))
-    out = []
-    for picks in itertools.product(*(t for _s, t in choices)):
-        mult = 1
-        exponents = list(dg.exponents)
-        for (slots, _t), (residual, m) in zip(choices, picks):
+        halves = record_halves(base, edges, v)
+        choices.append((v, halves, string_table(tuple(e for _l, e, _end in halves), count)))
+    for picks in itertools.product(*(table for _v, _h, table in choices)):
+        mult = coeff
+        new_base, new_edges = list(base), [list(rec) for rec in edges]
+        for (v, halves, _table), (residual, m) in zip(choices, picks):
             mult *= m
-            for h, e in zip(slots, residual):
-                exponents[h] = e
-        b = GraphBuilder.copy_of(dg, exponents=exponents, drop=drop)
-        out.append((coeff * mult, b.build()))
-    return out
+            genus_v, extras, legs, _intexp = base[v]
+            n = len(legs)
+            intexp = []
+            for (_label, _e, end), e in zip(halves[n:], residual[n:]):
+                if end is not None:
+                    new_edges[end[0]][end[1] + 1] = e
+                    intexp.append(e)
+            new_base[v] = (genus_v, extras,
+                           tuple((label, e) for (label, _e), e in zip(legs, residual)),
+                           tuple(sorted(intexp)))
+        if not _base_overweight(new_base):
+            yield mult, _canonical_search(new_base, new_edges)[0]
 
 
 def _forget(expr, ambient, doomed):
     """Push forward to ``ambient`` along the map forgetting every leg whose
-    label is in ``doomed``, vertex by vertex."""
+    label is in ``doomed``, vertex by vertex; ``EXTRA`` in ``doomed`` stands
+    for the extra legs."""
     out = []
-    for coeff, dg in expr.terms():
-        g = dg.graph
-        drop = [h for h in range(g.n_half_edges) if g.labels[h] in doomed]
-        for h in drop:
-            if dg.exponents[h] != 0:
-                raise ValueError(
-                    "cannot forget leg %s carrying a psi exponent" % g.labels[h])
-        counts = Counter(g.vertex_of[h] for h in drop)
-        for v, count in counts.items():
-            if 2 * g.genera[v] - 2 + len(g.halves_at(v)) - count <= 0:
-                raise ValueError(
-                    "vertex %d becomes unstable after forgetting legs" % v)
-        out.extend(_push_at_vertices(coeff, dg, counts, set(drop)))
-    return Expression(ambient, out)
+    for key, coeff in expr.items():
+        base, edges = key_records(key)
+        counts = {}
+        for v, (genus_v, extras, legs, intexp) in enumerate(base):
+            for label, e in legs:
+                if label in doomed and e:
+                    raise ValueError("cannot forget leg %s carrying a psi exponent" % label)
+            kept = tuple(leg for leg in legs if leg[0] not in doomed)
+            lost = extras if EXTRA in doomed else 0
+            if lost or len(kept) < len(legs):
+                counts[v] = lost + len(legs) - len(kept)
+                base[v] = (genus_v, extras - lost, kept, intexp)
+        for v in counts:
+            genus_v, extras, legs, intexp = base[v]
+            if 2 * genus_v - 2 + len(legs) + len(intexp) + extras <= 0:
+                raise ValueError("vertex %d becomes unstable after forgetting legs" % v)
+        out.extend(_push_at_vertices(coeff, base, edges, counts))
+    return _summed(ambient, out)
 
 
 def forget_extra_legs(expr):

@@ -44,7 +44,7 @@ from .graphs import (
     split_records,
 )
 from . import graphs
-from .expressions import Expression, _base_overweight, from_terms
+from .expressions import Expression, _base_overweight, _summed, from_terms
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,8 @@ def _psi_terms(base, edges, vertex, half, away):
         rest.remove(exp)
         intexp = tuple(sorted(rest + [exp - 1]))
     base[vertex] = (genus_v, extras, legs, intexp)
-    out = [(1, split_records(base, edges, vertex, side, genus_v))
+    halves[half] = (label, exp - 1, end)
+    out = [(1, split_records(base, edges, vertex, halves, side, genus_v))
            for side in _sides(range(len(halves)), (half,), away)]
     if genus_v == 1:
         loop = list(base)
@@ -119,10 +120,8 @@ def _rewritten(expr, vertex, half, away):
     ``away`` index ``halves_at(vertex)`` of the graph ``expr.terms()`` gives,
     which is the numbering of ``record_halves``."""
     ((key, coeff),) = expr._terms.items()
-    acc = {}
-    for factor, k in _psi_keys(*key_records(key), vertex, half, away):
-        acc[k] = acc.get(k, Fraction(0)) + coeff * factor
-    return Expression(expr.ambient, _raw={k: c for k, c in acc.items() if c != 0})
+    return _summed(expr.ambient, ((coeff * factor, k) for factor, k
+                                  in _psi_keys(*key_records(key), vertex, half, away)))
 
 
 def psi_reduce_genus0(expr, vertex, half, partner_pair):
@@ -370,6 +369,7 @@ def wdvv_relations_at(key, vertex):
             any(e1 or e2 for (_v1, e1), (_v2, e2) in recs):
         raise ValueError("WDVV instantiation expects psi-free graphs")
     base, edges = key_records(key)
+    halves = record_halves(base, edges, vertex)
     key_of_side = {}
 
     def split_keys(pair_a, pair_b):
@@ -378,7 +378,7 @@ def wdvv_relations_at(key, vertex):
             split_key = key_of_side.get(side)
             if split_key is None:
                 split_key = key_of_side[side] = _canonical_search(
-                    *split_records(base, edges, vertex, side, 0))[0]
+                    *split_records(base, edges, vertex, halves, side, 0))[0]
             yield split_key
 
     quads = list(itertools.combinations(range(k), 4))

@@ -11,9 +11,12 @@ forgetting the extras; the full class sums shapes with sign (-1)^(#edges).
 
 By the string equation, forgetting the extras of a non-root vertex applies
 the string table for that many points to the vertex's other exponents.  So
-each class is assembled on the shape graph itself: the half-edge down to a
-child carries the child's extras minus one, the table is applied at every
-non-root vertex, and no extra leg is ever built.
+each class is assembled on the records of the shape (a base class per
+vertex and an edge record per edge, as ``graphs.key_records`` gives them):
+the half-edge down to a child carries the child's extras minus one, the
+table is applied at every non-root vertex, and neither an extra leg nor a
+graph is ever built.  A shape is read off its tree spec in one walk, and
+keyed by the canonical search on its records.
 
 Per-vertex bounds cut the sum to finitely many assignments: the string
 equation kills a vertex whose extras outnumber its total psi exponent, and a
@@ -26,15 +29,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import (
-    DecoratedGraph,
-    GraphBuilder,
-    RootedTreeView,
-    canonical_key,
-    leg_kind,
-)
-from . import graphs
-from .expressions import Expression, make_ambient
+from .graphs import _canonical_search, leg_kind
+from .expressions import _summed, make_ambient
 from .pushforward import _push_at_vertices
 
 
@@ -50,18 +46,37 @@ def _as_weights(d):
 
 @dataclass(frozen=True)
 class TreeShape:
-    """A rooted tree in the shape family; the root is always vertex 0."""
+    """A rooted tree in the shape family; the root is always vertex 0.
 
-    graph: object
+    ``genera[v]`` is the genus of vertex ``v``, ``legs[v]`` the labels of its
+    legs, ``parent[v]`` its parent (None at the root) and ``children[v]`` its
+    children in increasing order.
+    """
 
-    def view(self):
-        return RootedTreeView(self.graph, 0)
+    genera: tuple
+    legs: tuple
+    parent: tuple
+    children: tuple
+
+    def records(self, legs, down):
+        """The records of the shape whose vertex ``v`` carries the sorted
+        (label, exponent) pairs ``legs[v]`` and whose half-edge down to each
+        child ``c`` carries ``down[c]``; edge ``c - 1`` joins ``c`` to its
+        parent, and the half-edges up to parents carry no psi power."""
+        base = []
+        for v, genus_v in enumerate(self.genera):
+            intexp = [down[c] for c in self.children[v]] + [0] * (v > 0)
+            base.append((genus_v, 0, legs[v], tuple(sorted(intexp))))
+        edges = [(self.parent[c], down[c], c, 0) for c in range(1, len(self.genera))]
+        return base, edges
 
     def key(self):
-        return canonical_key(DecoratedGraph(self.graph, (0,) * self.graph.n_half_edges))
+        """The canonical key of the shape's records without psi powers."""
+        legs = tuple(tuple(sorted((label, 0) for label in labels)) for labels in self.legs)
+        return _canonical_search(*self.records(legs, [0] * len(self.genera)))[0]
 
     def n_edges(self):
-        return self.graph.n_edges()
+        return len(self.genera) - 1
 
 
 def _set_partitions(items):
@@ -120,27 +135,25 @@ def _tree_specs(genus_budget, legs, pending):
     return tuple(out)
 
 
-def _materialize(spec, frozen_count):
-    b = GraphBuilder()
-
-    def build_vertex(node, parent):
-        g0, here, children = node
-        v = b.add_vertex(g0)
-        if parent is not None:
-            b.add_edge(parent, v)
-        for i in here:
-            b.add_leg(v, "U%d" % i)
-        return v, children
-
-    root, root_children = build_vertex(spec, None)
-    for j in range(1, frozen_count + 1):
-        b.add_leg(root, "V%d" % j)
-    stack = [(root, child) for child in root_children]
+def _walk(spec, n_frozen):
+    """The shape of a tree spec, its vertices numbered in depth-first order:
+    each vertex, then the subtrees of its child specs from the last to the
+    first.  The frozen legs go on the root."""
+    genera, legs, parent = [], [], []
+    stack = [(None, spec)]
     while stack:
-        parent, node = stack.pop()
-        v, children = build_vertex(node, parent)
-        stack.extend((v, child) for child in children)
-    return b.build().graph
+        up, (g0, here, kids) = stack.pop()
+        v = len(genera)
+        genera.append(g0)
+        legs.append(tuple("U%d" % i for i in here))
+        parent.append(up)
+        stack.extend((v, kid) for kid in kids)
+    legs[0] += tuple("V%d" % j for j in range(1, n_frozen + 1))
+    children = [[] for _ in genera]
+    for c in range(1, len(genera)):
+        children[parent[c]].append(c)
+    return TreeShape(tuple(genera), tuple(legs), tuple(parent),
+                     tuple(tuple(cs) for cs in children))
 
 
 def enumerate_shapes(genus_value, n_regular, n_frozen):
@@ -159,29 +172,27 @@ def enumerate_shapes(genus_value, n_regular, n_frozen):
         raise ValueError("unstable target space")
     seen = {}
     for spec in _tree_specs(genus_value, tuple(range(1, n_regular + 1)), n_frozen):
-        shape = TreeShape(_materialize(spec, n_frozen))
+        shape = _walk(spec, n_frozen)
         seen.setdefault(shape.key(), shape)
     return [seen[k] for k in sorted(seen)]
 
 
-def _leg_exponents(shape, weights):
-    """Weight ``d_i`` on regular leg ``U<i>`` and zero on every other half-edge.
+def _leg_weights(shape, weights):
+    """The legs of each vertex as sorted (label, exponent) pairs: weight
+    ``d_i`` on regular leg ``U<i>`` and zero on frozen legs.
 
     This is where weights meet a shape, so it checks that there is exactly
     one weight per regular leg ``U1 .. Un``.
     """
-    g = shape.graph
-    exps = [0] * g.n_half_edges
-    regular = {}
-    for h, lab in enumerate(g.labels):
-        if lab is not None and leg_kind(lab) == "regular":
-            regular[int(lab[1:])] = h
-    if sorted(regular) != list(range(1, len(weights) + 1)):
+    regular = sorted(int(label[1:]) for labels in shape.legs for label in labels
+                     if leg_kind(label) == "regular")
+    if regular != list(range(1, len(weights) + 1)):
         raise ValueError("%d weights for the regular legs %s" % (
-            len(weights), " ".join("U%d" % i for i in sorted(regular))))
-    for i, h in regular.items():
-        exps[h] = weights[i - 1]
-    return exps
+            len(weights), " ".join("U%d" % i for i in regular)))
+    return tuple(
+        tuple(sorted((label, weights[int(label[1:]) - 1] if leg_kind(label) == "regular"
+                      else 0) for label in labels))
+        for labels in shape.legs)
 
 
 def extra_count_bounds(genus_v, non_extra_degree, weighted_total):
@@ -198,64 +209,59 @@ def extra_count_bounds(genus_v, non_extra_degree, weighted_total):
 
 def acceptable_assignments(shape, weights):
     """All extra-leg assignments (vertex -> count-1) passing every bound."""
-    return _assignments(shape, shape.view(), _leg_exponents(shape, _as_weights(weights)))
+    return _assignments(shape, _leg_weights(shape, _as_weights(weights)))
 
 
-def _assignments(shape, view, exps):
-    """``acceptable_assignments`` on a shape's view and leg exponents.
+def _assignments(shape, legs):
+    """``acceptable_assignments`` on a shape's weighted legs.
 
     Works bottom-up: the psi total at a vertex depends on its children's
     extra counts, and the root, which never carries extras, still imposes
     its dimension bound on its children.
     """
-    g = shape.graph
 
     def branch(v):
         """Yield (extra_count, partial assignment) for the subtree at v."""
-        child_options = [branch(w) for _h, w in view.children[v]]
-        halves = g.halves_at(v)
+        kids = shape.children[v]
+        child_options = [branch(c) for c in kids]
+        genus_v = shape.genera[v]
+        valence = len(legs[v]) + len(kids) + (v > 0)
+        weight = sum(e for _label, e in legs[v])
         for combo in itertools.product(*child_options):
             assignment = {}
-            total = sum(exps[h] for h in halves)
+            total = weight
             for k_child, sub in combo:
                 total += k_child - 1
                 assignment.update(sub)
             if v == 0:
-                if total <= 3 * g.genera[v] - 3 + len(halves):
+                if total <= 3 * genus_v - 3 + valence:
                     yield 0, assignment
                 continue
-            lo, hi = extra_count_bounds(g.genera[v], len(halves), total)
+            lo, hi = extra_count_bounds(genus_v, valence, total)
             for k in range(lo, hi + 1):
                 yield k, {**assignment, v: k}
 
     return [{v: k - 1 for v, k in assignment.items()} for _k, assignment in branch(0)]
 
 
-def _shape_terms(shape, weights):
-    """Uncollected (coefficient, graph) terms of the class of ``shape``.
+def _shape_terms(shape, legs):
+    """Uncollected (coefficient, key) pairs of the class of ``shape``.
 
     The half-edge down to child ``c`` carries ``assignment[c]``, and the
     ``assignment[v] + 1`` extras of each non-root vertex ``v`` are forgotten
     by its string table without ever being built.
     """
-    view = shape.view()
-    exps = _leg_exponents(shape, weights)
-    out = []
-    for assignment in _assignments(shape, view, tuple(exps)):
-        for hs in view.children.values():
-            for h, child in hs:
-                exps[h] = assignment[child]
-        decorated = DecoratedGraph(shape.graph, tuple(exps))
+    for assignment in _assignments(shape, legs):
         counts = {v: k + 1 for v, k in assignment.items()}
-        out.extend(_push_at_vertices(1, decorated, counts, ()))
-    return out
+        yield from _push_at_vertices(1, *shape.records(legs, assignment), counts)
 
 
 def shape_class(shape, weights):
     """Sum over acceptable extra-leg assignments of the forgotten decorated tree."""
-    weights = _as_weights(weights)
-    ambient = make_ambient(graphs.genus(shape.graph), shape.graph.leg_labels())
-    return Expression(ambient, _shape_terms(shape, weights))
+    legs = _leg_weights(shape, _as_weights(weights))
+    ambient = make_ambient(sum(shape.genera), [label for labels in shape.legs
+                                               for label in labels])
+    return _summed(ambient, _shape_terms(shape, legs))
 
 
 def weighted_tree_class(genus_value, n_frozen, weights):
@@ -264,8 +270,7 @@ def weighted_tree_class(genus_value, n_frozen, weights):
     ambient = make_ambient(genus_value,
                            ["U%d" % i for i in range(1, len(weights) + 1)]
                            + ["V%d" % j for j in range(1, n_frozen + 1)])
-    terms = []
-    for shape in enumerate_shapes(genus_value, len(weights), n_frozen):
-        sign = -1 if shape.n_edges() % 2 else 1
-        terms.extend((sign * c, dg) for c, dg in _shape_terms(shape, weights))
-    return Expression(ambient, terms)
+    return _summed(ambient, (
+        (-c if shape.n_edges() % 2 else c, key)
+        for shape in enumerate_shapes(genus_value, len(weights), n_frozen)
+        for c, key in _shape_terms(shape, _leg_weights(shape, weights))))

@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths under test: automorphism
 counts come from raw permutation search, genus-0 integrals from the
 string-equation recursion, genus-1 integrals from string plus dilaton
 anchored at 1/24, and tree shapes from exhaustive parent-array enumeration.
+``RootedTreeView`` is the graph-level rooted-tree walk that tree classes
+used before they were assembled on records; it stays here as a reference.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from tautrel.graphs import (
     GraphBuilder,
     canonical_key,
     leg_kind,
+    validate,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -211,3 +214,44 @@ def brute_force_shape_keys(genus_value, n_regular, n_frozen):
                         continue
                     keys.add(canonical_key(dg))
     return keys
+
+
+# ---------------------------------------------------------------------------
+# rooted trees
+
+
+class RootedTreeView:
+    """A dual graph certified as a rooted tree.
+
+    ``children[v]`` lists the (half-edge at v, child) pairs of the edges from
+    ``v`` away from the root, in breadth-first order.
+    """
+
+    def __init__(self, graph, root=0):
+        if isinstance(graph, DecoratedGraph):
+            graph = graph.graph
+        problems = validate(graph)
+        if problems:
+            raise ValueError("invalid graph: %s" % "; ".join(problems))
+        if graph.n_edges() != graph.n_vertices - 1:
+            raise ValueError("not a tree (first Betti number nonzero)")
+        self.graph = graph
+        self.root = root
+        seen = {root}
+        children = {v: [] for v in range(graph.n_vertices)}
+        frontier = [root]
+        while frontier:
+            v = frontier.pop(0)
+            for h in graph.halves_at(v):
+                p = graph.involution[h]
+                if p == h:
+                    continue
+                w = graph.vertex_of[p]
+                if w not in seen:
+                    seen.add(w)
+                    children[v].append((h, w))
+                    frontier.append(w)
+        self.children = children
+        for h, lab in enumerate(graph.labels):
+            if lab is not None and leg_kind(lab) == "frozen" and graph.vertex_of[h] != root:
+                raise ValueError("frozen leg %s not attached to the root" % lab)

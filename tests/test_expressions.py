@@ -5,12 +5,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautrel.graphs import GraphBuilder, automorphism_order, genus, is_stable, validate
+from tautrel.graphs import (
+    GraphBuilder,
+    automorphism_order,
+    canonical_key,
+    genus,
+    is_stable,
+    leg_kind,
+    validate,
+)
 from tautrel.expressions import (
+    Ambient,
     Expression,
     attach_vertex,
     dumps,
     expression_from_json,
+    expression_to_json,
     from_terms,
     make_ambient,
     parse_bracket,
@@ -18,6 +28,7 @@ from tautrel.expressions import (
     render_latex,
     zero,
 )
+from tautrel.reduce import eliminate_all_psi
 from tautrel.treeclass import weighted_tree_class
 
 from conftest import brute_force_automorphism_order, fixture_text, random_decorated_graph
@@ -192,6 +203,73 @@ def test_json_roundtrip_bit_exact():
     back = expression_from_json(json.loads(blob))
     assert back == e
     assert dumps(back) == blob
+
+
+def graph_to_json(dg):
+    """The JSON object of a graph, written from the graph itself: the
+    reference for the graph objects ``expression_to_json`` writes from keys."""
+    g = dg.graph
+    legs = []
+    for h in range(g.n_half_edges):
+        lab = g.labels[h]
+        if lab is None:
+            continue
+        kind = leg_kind(lab)
+        entry = {"id": h, "kind": kind}
+        if kind in ("regular", "frozen"):
+            entry["index"] = int(lab[1:])
+        elif kind == "named":
+            entry["name"] = lab
+        legs.append(entry)
+    return {
+        "vertices": [{"id": v, "genus": g.genera[v]} for v in range(g.n_vertices)],
+        "half_edges": [{"id": h, "vertex": g.vertex_of[h], "exponent": dg.exponents[h]}
+                       for h in range(g.n_half_edges)],
+        "involution": [[h, p] for h, p in g.edges()],
+        "legs": legs,
+    }
+
+
+def reference_expression_json(expr):
+    return {
+        "ambient": {"genus": expr.ambient.genus, "labels": list(expr.ambient.labels)},
+        "terms": [
+            {"coefficient": {"num": c.numerator, "den": c.denominator},
+             "graph": graph_to_json(dg)}
+            for c, dg in expr.terms()
+        ],
+    }
+
+
+def assert_json_matches_reference(expr):
+    got = json.dumps(expression_to_json(expr), sort_keys=True)
+    assert got == json.dumps(reference_expression_json(expr), sort_keys=True)
+    assert expression_from_json(json.loads(got)) == expr
+
+
+@pytest.mark.parametrize("name", ["b21_g0", "b21_raw", "bfv12", "f", "h", "h0_times12",
+                                  "h0i0_combined", "h1", "i", "i0_times12", "i1"])
+def test_json_from_keys_matches_graph_json_on_fixtures(name):
+    assert_json_matches_reference(parse_bracket(fixture_text(name)))
+
+
+@pytest.mark.parametrize("g,m,d,psi_free", [(2, 1, (1, 1, 1, 1), False),
+                                            (2, 0, (2, 2, 1, 1), False),
+                                            (1, 2, (1, 1, 1, 1), True)])
+def test_json_from_keys_matches_graph_json_on_pool_classes(g, m, d, psi_free):
+    expr = weighted_tree_class(g, m, d)
+    assert_json_matches_reference(eliminate_all_psi(expr) if psi_free else expr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_json_from_keys_matches_graph_json_on_random_keys(rng):
+    dg = random_decorated_graph(rng)
+    expr = Expression(Ambient(genus(dg.graph), tuple(dg.graph.leg_labels())),
+                      _raw={canonical_key(dg): Fraction(rng.randint(-5, 5) or 1,
+                                                        rng.randint(1, 4))})
+    got = json.dumps(expression_to_json(expr), sort_keys=True)
+    assert got == json.dumps(reference_expression_json(expr), sort_keys=True)
 
 
 def test_latex_render_smoke():

@@ -12,7 +12,6 @@ from tautrel.graphs import (
     DecoratedGraph,
     DualGraph,
     GraphBuilder,
-    RootedTreeView,
     _canonical_search,
     _records,
     _refined_groups,
@@ -36,6 +35,7 @@ from tautrel.expressions import (
 from tautrel.reduce import psi_reduce_genus0, psi_reduce_genus1
 
 from conftest import (
+    RootedTreeView,
     brute_force_automorphism_order,
     fixture_text,
     random_decorated_graph,
@@ -750,7 +750,8 @@ def check_record_surgery(dg):
         if genus_v > 1:
             continue
         for side in _subsets(range(len(order))):
-            split = split_records(base, edges, v, set(side), genus_v)
+            split = split_records(base, edges, v, record_halves(base, edges, v),
+                                  set(side), genus_v)
             assert _canonical_search(*split)[0] == canonical_key(reference_split_vertex(
                 dg, v, [order[i] for i in side], 0, genus_v))
             checked += 1

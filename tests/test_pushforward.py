@@ -1,10 +1,152 @@
-import pytest
+import itertools
+import random
+from collections import Counter
 
-from tautrel.expressions import parse_bracket
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tautrel.graphs import EXTRA, DecoratedGraph, GraphBuilder, genus, is_stable, validate
+from tautrel.expressions import Expression, from_terms, make_ambient, parse_bracket
 from tautrel.pushforward import d_set, forget_extra_legs, forget_frozen_legs, string_table
 from tautrel.reduce import integrate
+from tautrel.treeclass import weighted_tree_class
 
-from conftest import genus0_integral_by_string
+from conftest import genus0_integral_by_string, random_decorated_graph
+
+
+# ---------------------------------------------------------------------------
+# the reference path: forget on graphs, one copy per pick from the tables
+
+
+def reference_push_at_vertices(coeff, dg, counts, drop):
+    """Forget ``counts[v]`` bare points at each vertex ``v`` by its string
+    table over the half-edges left there, and delete the half-edges in
+    ``drop``."""
+    g = dg.graph
+    choices = []
+    for v, count in sorted(counts.items()):
+        slots = [h for h in g.halves_at(v) if h not in drop]
+        table = string_table(tuple(dg.exponents[h] for h in slots), count)
+        choices.append((slots, table))
+    out = []
+    for picks in itertools.product(*(t for _s, t in choices)):
+        mult = 1
+        exponents = list(dg.exponents)
+        for (slots, _t), (residual, m) in zip(choices, picks):
+            mult *= m
+            for h, e in zip(slots, residual):
+                exponents[h] = e
+        b = GraphBuilder.copy_of(DecoratedGraph(g, tuple(exponents)), drop=drop)
+        out.append((coeff * mult, b.build()))
+    return out
+
+
+def reference_forget(expr, ambient, doomed):
+    """Push forward to ``ambient`` along the map forgetting every leg whose
+    label is in ``doomed``, vertex by vertex, on graphs."""
+    out = []
+    for coeff, dg in expr.terms():
+        g = dg.graph
+        drop = [h for h in range(g.n_half_edges) if g.labels[h] in doomed]
+        for h in drop:
+            if dg.exponents[h] != 0:
+                raise ValueError(
+                    "cannot forget leg %s carrying a psi exponent" % g.labels[h])
+        counts = Counter(g.vertex_of[h] for h in drop)
+        for v, count in counts.items():
+            if 2 * g.genera[v] - 2 + len(g.halves_at(v)) - count <= 0:
+                raise ValueError(
+                    "vertex %d becomes unstable after forgetting legs" % v)
+        out.extend(reference_push_at_vertices(coeff, dg, counts, set(drop)))
+    return Expression(ambient, out)
+
+
+def reference_forget_frozen_legs(expr, count):
+    doomed = set(expr.ambient.frozen_labels()[-count:])
+    ambient = make_ambient(expr.ambient.genus,
+                           [lab for lab in expr.ambient.labels if lab not in doomed])
+    return reference_forget(expr, ambient, doomed)
+
+
+def outcome(forget, expr):
+    """The pushed-forward terms with their coefficient types, or the error text."""
+    try:
+        out = forget(expr)
+    except ValueError as exc:
+        return "error", str(exc)
+    return out.ambient, {k: (type(c), c) for k, c in out._terms.items()}
+
+
+def one_term(dg):
+    """``dg`` as a one-term expression, or None when it is no valid term."""
+    g = dg.graph
+    if validate(g) or not is_stable(dg) or 2 * genus(g) - 2 + len(g.leg_labels()) <= 0:
+        return None
+    return from_terms([(1, dg)])
+
+
+def check_forgetful_maps(dg):
+    """Both forgetful maps of ``dg`` equal the graph references; returns the
+    reference outcomes, or None when ``dg`` is no valid term."""
+    expr = one_term(dg)
+    if expr is None:
+        return None
+    outcomes = [outcome(forget_extra_legs, expr)]
+    assert outcomes[0] == outcome(lambda e: reference_forget(e, e.ambient, (EXTRA,)), expr)
+    if expr.ambient.frozen_labels():
+        outcomes.append(outcome(lambda e: forget_frozen_legs(e, 1), expr))
+        assert outcomes[1] == outcome(lambda e: reference_forget_frozen_legs(e, 1), expr)
+    return expr, outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_forgetful_maps_match_graph_reference_on_random_graphs(rng):
+    check_forgetful_maps(random_decorated_graph(rng))
+
+
+def test_random_forget_inputs_cover_every_feature():
+    """The seeded inputs of the check above, and the same graphs without psi,
+    reach extra legs, frozen legs with and without psi, loops, edge-end psi,
+    both errors and nonzero results."""
+    seen = Counter()
+    for seed in range(300):
+        drawn = random_decorated_graph(random.Random(seed))
+        bare = DecoratedGraph(drawn.graph, (0,) * len(drawn.exponents))
+        for dg in (drawn, bare):
+            checked = check_forgetful_maps(dg)
+            if checked is None or checked[0].is_zero():
+                continue
+            g = dg.graph
+            seen["extras"] += EXTRA in g.labels
+            seen["loop"] += any(g.vertex_of[h] == g.vertex_of[p] for h, p in g.edges())
+            seen["edge psi"] += any(dg.exponents[h] for h, p in g.edges())
+            if "V1" in g.labels:
+                seen["V1 psi" if dg.exponents[g.labels.index("V1")] else "V1"] += 1
+            for result in checked[1]:
+                if result[0] == "error":
+                    seen[result[1].split()[0]] += 1
+                elif result[1]:
+                    seen["nonzero"] += 1
+    for feature in ("extras", "loop", "edge psi", "V1", "V1 psi", "cannot", "vertex",
+                    "nonzero"):
+        assert seen[feature] > 0, feature
+
+
+@pytest.mark.parametrize("g,m,l,d", [(1, 2, 1, (2, 1)), (0, 2, 1, (1, 1)),
+                                     (1, 1, 2, (2, 1, 1)), (1, 2, 2, (2, 1, 1)),
+                                     (0, 3, 1, (1, 1, 1)), (0, 3, 2, (1, 1, 2))])
+def test_forget_frozen_matches_graph_reference_on_classes(g, m, l, d):
+    expr = weighted_tree_class(g, m + l, d)
+    assert outcome(lambda e: forget_frozen_legs(e, l), expr) == \
+        outcome(lambda e: reference_forget_frozen_legs(e, l), expr)
+
+
+def test_forget_extra_matches_graph_reference_on_fixtures():
+    expr = parse_bracket("<V1 V2 W1 P^1(a)>_0 <a* W1 P^2(U1) P^1(U2)>_1"
+                         " + <V1 V2 W1 a>_0 <a* W1 W2 P^3(U1) P^1(U2)>_1")
+    want = outcome(lambda e: reference_forget(e, e.ambient, (EXTRA,)), expr)
+    assert want[1] and outcome(forget_extra_legs, expr) == want
 
 
 def test_d_set_examples():

@@ -1,9 +1,19 @@
+import itertools
+
 import pytest
 
-from tautrel import graphs
-from tautrel.graphs import EXTRA, DecoratedGraph, GraphBuilder, RootedTreeView, leg_kind
+from tautrel import graphs, treeclass
+from tautrel.graphs import (
+    EXTRA,
+    DecoratedGraph,
+    GraphBuilder,
+    automorphism_order,
+    canonical_key,
+    graph_from_key,
+    leg_kind,
+)
 from tautrel.expressions import Expression, make_ambient, parse_bracket
-from tautrel.pushforward import forget_extra_legs
+from tautrel.pushforward import forget_extra_legs, forget_frozen_legs
 from tautrel.treeclass import (
     _tree_specs,
     acceptable_assignments,
@@ -13,7 +23,7 @@ from tautrel.treeclass import (
     weighted_tree_class,
 )
 
-from conftest import brute_force_shape_keys, fixture_text
+from conftest import RootedTreeView, brute_force_shape_keys, fixture_text
 
 
 # ---------------------------------------------------------------------------
@@ -24,9 +34,22 @@ def _extras_at(g, v):
     return sum(1 for h in g.halves_at(v) if g.labels[h] == EXTRA)
 
 
+def shape_graph(shape):
+    """The dual graph of a shape, its vertices numbered as the shape numbers them."""
+    b = GraphBuilder()
+    for genus_v in shape.genera:
+        b.add_vertex(genus_v)
+    for v, labels in enumerate(shape.legs):
+        for label in labels:
+            b.add_leg(v, label)
+    for c in range(1, len(shape.genera)):
+        b.add_edge(shape.parent[c], c)
+    return b.build().graph
+
+
 def reference_add_extras(shape, assignment):
     """Add ``assignment[v] + 1`` extra legs to each non-root vertex."""
-    g = shape.graph
+    g = shape_graph(shape)
     b = GraphBuilder.copy_of(DecoratedGraph(g, (0,) * g.n_half_edges))
     for v in range(1, g.n_vertices):
         for _ in range(assignment[v] + 1):
@@ -69,7 +92,8 @@ def reference_weight_decoration(tree_dg, weights):
 
 def reference_shape_class(shape, weights):
     """Each acceptable tree as a one-term Expression, then forget its extras."""
-    ambient = make_ambient(graphs.genus(shape.graph), shape.graph.leg_labels())
+    g = shape_graph(shape)
+    ambient = make_ambient(graphs.genus(g), g.leg_labels())
     acc = {}
     for assignment in acceptable_assignments(shape, weights):
         tree = reference_add_extras(shape, assignment)
@@ -77,6 +101,124 @@ def reference_shape_class(shape, weights):
         for key, c in forget_extra_legs(term)._terms.items():
             acc[key] = acc.get(key, 0) + c
     return Expression(ambient, _raw={k: c for k, c in acc.items() if c != 0})
+
+
+# ---------------------------------------------------------------------------
+# the reference shapes: one graph per tree spec, walked by RootedTreeView
+
+
+def reference_materialize(spec, frozen_count):
+    """The dual graph of a tree spec, numbered depth first with the last child
+    spec first, as shapes were built before they were read off the spec."""
+    b = GraphBuilder()
+
+    def build_vertex(node, parent):
+        g0, here, children = node
+        v = b.add_vertex(g0)
+        if parent is not None:
+            b.add_edge(parent, v)
+        for i in here:
+            b.add_leg(v, "U%d" % i)
+        return v, children
+
+    root, root_children = build_vertex(spec, None)
+    for j in range(1, frozen_count + 1):
+        b.add_leg(root, "V%d" % j)
+    stack = [(root, child) for child in root_children]
+    while stack:
+        parent, node = stack.pop()
+        v, children = build_vertex(node, parent)
+        stack.extend((v, child) for child in children)
+    return b.build().graph
+
+
+def zero_key(graph):
+    return canonical_key(DecoratedGraph(graph, (0,) * graph.n_half_edges))
+
+
+def reference_enumerate_shapes(genus_value, n_regular, n_frozen):
+    """Shape graphs keyed by ``canonical_key``, the first spec kept per key."""
+    seen = {}
+    for spec in _tree_specs(genus_value, tuple(range(1, n_regular + 1)), n_frozen):
+        graph = reference_materialize(spec, n_frozen)
+        seen.setdefault(zero_key(graph), graph)
+    return [seen[k] for k in sorted(seen)]
+
+
+def reference_assignments(graph, weights):
+    """``acceptable_assignments`` on a shape graph and its rooted-tree view."""
+    view = RootedTreeView(graph, 0)
+    exps = [0] * graph.n_half_edges
+    for h, lab in enumerate(graph.labels):
+        if lab is not None and leg_kind(lab) == "regular":
+            exps[h] = weights[int(lab[1:]) - 1]
+
+    def branch(v):
+        child_options = [branch(w) for _h, w in view.children[v]]
+        halves = graph.halves_at(v)
+        for combo in itertools.product(*child_options):
+            assignment = {}
+            total = sum(exps[h] for h in halves)
+            for k_child, sub in combo:
+                total += k_child - 1
+                assignment.update(sub)
+            if v == 0:
+                if total <= 3 * graph.genera[v] - 3 + len(halves):
+                    yield 0, assignment
+                continue
+            lo, hi = extra_count_bounds(graph.genera[v], len(halves), total)
+            for k in range(lo, hi + 1):
+                yield k, {**assignment, v: k}
+
+    return [{v: k - 1 for v, k in assignment.items()} for _k, assignment in branch(0)]
+
+
+def assert_shape_is_graph(shape, graph):
+    """Genera, legs, parents, children and key of ``shape`` match ``graph``."""
+    view = RootedTreeView(graph, 0)
+    nv = graph.n_vertices
+    parent = [None] * nv
+    for v, kids in view.children.items():
+        for _h, w in kids:
+            parent[w] = v
+    assert shape.genera == graph.genera
+    assert [sorted(labels) for labels in shape.legs] == \
+        [sorted(graph.labels[h] for h in graph.halves_at(v) if graph.labels[h] is not None)
+         for v in range(nv)]
+    assert shape.parent == tuple(parent)
+    assert shape.children == tuple(tuple(w for _h, w in view.children[v])
+                                   for v in range(nv))
+    assert shape.n_edges() == graph.n_edges()
+    assert shape.key() == zero_key(graph)
+
+
+@pytest.mark.parametrize("g,n,m,weights", [
+    (2, 4, 1, (1, 1, 1, 1)), (2, 4, 0, (2, 2, 1, 1)), (1, 2, 2, (2, 1)),
+    (0, 3, 3, (1, 1, 1)), (1, 3, 0, (2, 1, 1)), (0, 5, 0, (1, 1, 1, 1, 2))])
+def test_shapes_match_reference_materialization(g, n, m, weights):
+    for spec in _tree_specs(g, tuple(range(1, n + 1)), m):
+        assert_shape_is_graph(treeclass._walk(spec, m), reference_materialize(spec, m))
+    shapes = enumerate_shapes(g, n, m)
+    reference = reference_enumerate_shapes(g, n, m)
+    assert len(shapes) == len(reference)
+    for shape, graph in zip(shapes, reference):
+        assert_shape_is_graph(shape, graph)
+        assert acceptable_assignments(shape, weights) == \
+            reference_assignments(graph, weights)
+
+
+def test_classes_build_no_graph(monkeypatch):
+    def no_build(self):
+        raise AssertionError("a tree class or forgetful map built a graph")
+
+    monkeypatch.setattr(GraphBuilder, "build", no_build)
+    caches = (canonical_key, graph_from_key, automorphism_order)
+    before = [f.cache_info() for f in caches]
+    _tree_specs.cache_clear()
+    raw = weighted_tree_class(1, 3, (2, 1, 1))
+    pushed = forget_frozen_legs(raw, 1)
+    assert len(raw) == 112 and not pushed.is_zero()
+    assert [f.cache_info() for f in caches] == before
 
 
 def _tree(fn):
@@ -121,7 +263,7 @@ def test_enumeration_matches_brute_force(g, n, m):
 def test_enumeration_counts():
     assert len(enumerate_shapes(0, 1, 2)) == 1
     assert len([s for s in enumerate_shapes(1, 1, 2)
-                if s.graph.n_vertices == 1]) == 1
+                if len(s.genera) == 1]) == 1
     shapes = enumerate_shapes(1, 2, 2)
     assert len(shapes) == 8
     contributing = [s for s in shapes if acceptable_assignments(s, (2, 1))]
@@ -130,8 +272,7 @@ def test_enumeration_counts():
 
 def test_chain_shapes_only_for_one_regular_leg():
     for shape in enumerate_shapes(1, 1, 2):
-        view = shape.view()
-        assert all(len(view.children[v]) <= 1 for v in range(shape.graph.n_vertices))
+        assert all(len(kids) <= 1 for kids in shape.children)
 
 
 def test_enumerate_rejects_unstable_target():
@@ -150,18 +291,16 @@ def test_negative_genus_is_rejected():
 
 
 def _single_vertex_shape(g, n, m):
-    (shape,) = [s for s in enumerate_shapes(g, n, m) if s.graph.n_vertices == 1]
+    (shape,) = [s for s in enumerate_shapes(g, n, m) if len(s.genera) == 1]
     return shape
 
 
 def _two_vertex_shape(g, n, m, child_regulars, child_genus):
     for s in enumerate_shapes(g, n, m):
-        if s.graph.n_vertices != 2:
+        if len(s.genera) != 2:
             continue
-        labels = {s.graph.labels[h] for h in s.graph.halves_at(1)
-                  if s.graph.labels[h] is not None
-                  and leg_kind(s.graph.labels[h]) == "regular"}
-        if labels == set(child_regulars) and s.graph.genera[1] == child_genus:
+        labels = {lab for lab in s.legs[1] if leg_kind(lab) == "regular"}
+        if labels == set(child_regulars) and s.genera[1] == child_genus:
             return s
     raise AssertionError("shape not found")
 
@@ -221,7 +360,7 @@ def test_shape_class_matches_reference(g, m, d):
 
 @pytest.mark.parametrize("weights", [(2, 1), (2, 1, 1, 5)])
 def test_weights_must_match_regular_legs(weights):
-    (shape,) = [s for s in enumerate_shapes(1, 3, 0) if s.graph.n_vertices == 1]
+    (shape,) = [s for s in enumerate_shapes(1, 3, 0) if len(s.genera) == 1]
     with pytest.raises(ValueError, match="weights for the regular legs U1 U2 U3"):
         acceptable_assignments(shape, weights)
     with pytest.raises(ValueError, match="weights for the regular legs U1 U2 U3"):
@@ -296,7 +435,7 @@ def forced_shape_class(shape, weights, assignment):
     """Shape contribution from one forced extra-leg assignment (may be zero)."""
     tree = reference_add_extras(shape, assignment)
     dg = reference_weight_decoration(tree, weights)
-    ambient = make_ambient(1, [lab for lab in shape.graph.leg_labels()])
+    ambient = make_ambient(1, [lab for lab in shape_graph(shape).leg_labels()])
     term = Expression(ambient, [(1, dg)])
     if term.is_zero():
         return term
@@ -321,9 +460,7 @@ def test_appending_zero_weight_leg_matches_extra_frozen_leg():
         last = "U%d" % (n + 1)
         total = None
         for shape in enumerate_shapes(0, n + 1, m):
-            g = shape.graph
-            root_labels = {g.labels[h] for h in g.halves_at(0)}
-            if last not in root_labels:
+            if last not in shape.legs[0]:
                 continue
             sign = -1 if shape.n_edges() % 2 else 1
             part = shape_class(shape, extended).scale(sign)

@@ -17,14 +17,17 @@ mixed star of ``mixed_star_text`` for p in {0, 1}, whose genus-0 tails
 with extra legs go through parse, psi elimination and render, and on the
 single terms of ``PSI_SITES``, which put a psi site next to a loop, next to
 a frozen partner pair and on an edge end;
-``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1) and (0, 2, 1, 1,1),
+``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1), (0, 2, 1, 1,1),
+(1, 2, 2, 2,1,1), (0, 3, 1, 1,1,1) and (1, 1, 2, 2,1,1), the last of which
+exits 1 because forgetting two frozen legs leaves a vertex unstable,
 ``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
 pair`` on ``b21_raw``, ``reduce --mode psi --format latex`` on ``h``,
 ``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
 latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
-(1, 2, 2, 2,1) and (2, 4, 1, 1,1,1,1); these assemble tree classes outside
-the pools.  That makes 43 calls.  Both trees read the bracket fixtures
+(1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
+no frozen leg to mark the root; these assemble tree classes and run the
+forgetful pushforward outside the pools.  That makes 47 calls.  Both trees read the bracket fixtures
 from PARENT's ``tests/fixtures``.  The two trees run each call side by
 side.
 
@@ -103,7 +106,8 @@ def calls(workdir, fixtures):
     for i, text in enumerate(PSI_SITES):
         path = write(workdir, "psi_site_%d" % i, text + "\n")
         out.append(["reduce", path, "--mode", "psi"])
-    for g, m, l, d in [(1, 2, 1, "2,1"), (0, 2, 1, "1,1")]:
+    for g, m, l, d in [(1, 2, 1, "2,1"), (0, 2, 1, "1,1"), (1, 2, 2, "2,1,1"),
+                       (0, 3, 1, "1,1,1"), (1, 1, 2, "2,1,1")]:
         out.append(["check-pushforward", "--g", str(g), "--m", str(m), "--l", str(l),
                     "--d", d])
     for name, extra in [("f", ["--mode", "zero-test"]),
@@ -116,7 +120,7 @@ def calls(workdir, fixtures):
                 "--stage", "psi-free", "--format", "latex"])
     for g, m, d in [(1, 3, "2,1,1"), (0, 5, "1,1,2"), (2, 1, "2,1,1")]:
         out.append(["compute-b", "--g", str(g), "--m", str(m), "--d", d, "--stage", "raw"])
-    for g, n, m, d in [(1, 2, 2, "2,1"), (2, 4, 1, "1,1,1,1")]:
+    for g, n, m, d in [(1, 2, 2, "2,1"), (2, 4, 1, "1,1,1,1"), (2, 4, 0, "2,2,1,1")]:
         out.append(["enumerate", "--g", str(g), "--n", str(n), "--m", str(m),
                     "--with-extras", d])
     return out
