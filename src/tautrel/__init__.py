@@ -7,9 +7,7 @@ from .graphs import (
     GraphBuilder,
     automorphism_order,
     canonical_key,
-    genus,
     graph_from_key,
-    is_stable,
     leg_kind,
     validate,
 )
@@ -19,7 +17,6 @@ from .expressions import (
     expression_from_json,
     expression_to_json,
     from_terms,
-    graph_from_json,
     make_ambient,
     parse_bracket,
     render_bracket,

@@ -7,10 +7,13 @@ angle-bracket notation carries that normalization, so parsing divides a
 printed coefficient by the automorphism order and rendering multiplies it
 back; everything in between works with unit multiplicities.
 
-Terms with a negative exponent, or with a vertex whose total psi degree
-exceeds the dimension of its moduli factor, are zero and are dropped during
-normalization.  Every expression is homogeneous: edge count plus total psi
-degree is the same in all terms.
+An expression maps the canonical key of each term to its coefficient, and
+every operation here works on the records a key holds; graph objects appear
+only as input and in ``Expression.terms``.  Each term from outside is
+checked by ``_checked``.  Terms with a negative exponent, or with a vertex
+whose total psi degree exceeds the dimension of its moduli factor, are zero
+and are dropped after that check.  Every expression is homogeneous: edge
+count plus total psi degree is the same in all terms.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ from fractions import Fraction
 
 from .graphs import (
     EXTRA,
-    DecoratedGraph,
-    GraphBuilder,
+    _canonical_search,
+    _records,
     automorphism_order,
-    canonical_key,
-    genus,
+    base_classes,
     graph_from_key,
-    is_stable,
+    half_edges,
+    key_records,
     label_sort_key,
     leg_kind,
+    symmetry_order,
     validate,
 )
 
@@ -70,27 +74,76 @@ def make_ambient(genus_value, labels):
     return amb
 
 
-def _vertex_overweight(dg):
-    g = dg.graph
-    degree = [0] * g.n_vertices
-    load = [0] * g.n_vertices
-    for h in range(g.n_half_edges):
-        degree[g.vertex_of[h]] += 1
-        load[g.vertex_of[h]] += dg.exponents[h]
-    return any(load[v] > 3 * g.genera[v] - 3 + degree[v] for v in range(g.n_vertices))
-
-
 def _base_overweight(base):
-    """``_vertex_overweight`` over the base classes of a graph's records."""
+    """Whether some vertex's psi load exceeds the dimension of its moduli
+    factor, read off the base classes of a graph's records."""
     return any(sum(e for _label, e in legs) + sum(intexp) >
                3 * genus_v - 3 + len(legs) + len(intexp) + extras
                for genus_v, extras, legs, intexp in base)
 
 
-def _psi_power(key):
-    """Total psi power of the graph a key describes, read off its base classes."""
-    return sum(sum(e for _label, e in legs) + sum(intexp)
-               for _g, _x, legs, intexp in key[0])
+def _exponents(base):
+    """The psi exponents of a graph's legs and edge ends, read off its base classes."""
+    for _g, _x, legs, intexp in base:
+        for _label, e in legs:
+            yield e
+        yield from intexp
+
+
+def _connected(n_vertices, edges):
+    reached, size = {0}, 0
+    while size < len(reached):     # some edge reached a new vertex last pass
+        size = len(reached)
+        for v1, _e1, v2, _e2 in edges:
+            if v1 in reached or v2 in reached:
+                reached |= {v1, v2}
+    return len(reached) == n_vertices
+
+
+def _checked(ambient, terms):
+    """The nonzero terms of (coefficient, base, edges) terms from outside.
+
+    Every term is checked first: it must be connected, its vertices stable
+    and of nonnegative genus, its genus and legs those of the ambient, and
+    its degree that of the other terms.  Only then are the terms dropped
+    whose coefficient is zero or whose graph is zero: a negative exponent,
+    or an overweight vertex.
+    """
+    degree_seen = None
+    for _coeff, base, edges in terms:
+        problems = ["negative genus"] if any(part[0] < 0 for part in base) else []
+        if not _connected(len(base), edges):
+            problems.append("disconnected")
+        if problems:
+            raise ValueError("invalid graph in term: %s" % "; ".join(problems))
+        if any(2 * genus_v - 2 + len(legs) + len(intexp) + extras <= 0
+               for genus_v, extras, legs, intexp in base):
+            raise ValueError("unstable graph in term")
+        genus_t = 1 + len(edges) - len(base) + sum(part[0] for part in base)
+        if genus_t != ambient.genus:
+            raise ValueError("term genus %d does not match ambient genus %d"
+                             % (genus_t, ambient.genus))
+        labels = sorted((label for part in base for label, _e in part[2]),
+                        key=label_sort_key)
+        if tuple(labels) != ambient.labels:
+            raise ValueError("term legs %r do not match ambient labels %r"
+                             % (labels, list(ambient.labels)))
+        d = len(edges) + sum(_exponents(base))
+        if degree_seen is None:
+            degree_seen = d
+        elif d != degree_seen:
+            raise ValueError("mixed cohomological degrees %d and %d" % (degree_seen, d))
+    return [(Fraction(coeff), base, edges) for coeff, base, edges in terms
+            if coeff and min(_exponents(base), default=0) >= 0
+            and not _base_overweight(base)]
+
+
+def _graph_records(dg):
+    """The records of a graph given as input, after its structural check."""
+    problems = validate(dg.graph)
+    if problems:
+        raise ValueError("invalid graph in term: %s" % "; ".join(problems))
+    return _records(dg)
 
 
 class Expression:
@@ -100,39 +153,7 @@ class Expression:
 
     def __init__(self, ambient, terms=(), _raw=None):
         self.ambient = ambient
-        if _raw is not None:
-            self._terms = _raw
-            return
-        acc = {}
-        degree_seen = None
-        for coeff, dg in terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if any(e < 0 for e in dg.exponents):
-                continue
-            if _vertex_overweight(dg):
-                continue
-            problems = validate(dg.graph)
-            if problems:
-                raise ValueError("invalid graph in term: %s" % "; ".join(problems))
-            if not is_stable(dg):
-                raise ValueError("unstable graph in term")
-            if genus(dg.graph) != ambient.genus:
-                raise ValueError("term genus %d does not match ambient genus %d"
-                                 % (genus(dg.graph), ambient.genus))
-            if tuple(dg.graph.leg_labels()) != ambient.labels:
-                raise ValueError("term legs %r do not match ambient labels %r"
-                                 % (dg.graph.leg_labels(), list(ambient.labels)))
-            d = dg.degree()
-            if degree_seen is None:
-                degree_seen = d
-            elif d != degree_seen:
-                raise ValueError("mixed cohomological degrees %d and %d"
-                                 % (degree_seen, d))
-            key = canonical_key(dg)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        self._terms = {k: c for k, c in acc.items() if c != 0}
+        self._terms = from_terms(terms, ambient)._terms if _raw is None else _raw
 
     # -- basic views --------------------------------------------------------
 
@@ -156,11 +177,11 @@ class Expression:
     def degree(self):
         """Common cohomological degree, or None for the zero expression."""
         for key in self._terms:
-            return len(key[1]) + _psi_power(key)
+            return len(key[1]) + sum(_exponents(key[0]))
         return None
 
     def psi_free(self):
-        return all(_psi_power(k) == 0 for k in self._terms)
+        return not any(e for key in self._terms for e in _exponents(key[0]))
 
     def __eq__(self, other):
         return (isinstance(other, Expression) and self.ambient == other.ambient
@@ -211,26 +232,26 @@ class Expression:
             raise ValueError("negative psi power")
         if power == 0:
             return self
-        out = []
-        for coeff, dg in self.terms():
-            h = dg.graph.leg_with_label(label)
-            exps = list(dg.exponents)
-            exps[h] += power
-            out.append((coeff, DecoratedGraph(dg.graph, tuple(exps))))
-        return Expression(self.ambient, out)
+        return self._relabeled(self.ambient, lambda name, e: (
+            name, e + power if name == label else e))
 
     def relabel_legs(self, mapping):
         """Rename pinned legs; the ambient is rebuilt from the new labels."""
         new_labels = [mapping.get(lab, lab) for lab in self.ambient.labels]
         ambient = make_ambient(self.ambient.genus, new_labels)
+        return self._relabeled(ambient, lambda name, e: (mapping.get(name, name), e))
+
+    def _relabeled(self, ambient, leg):
+        """Every term with each leg (label, exponent) replaced by ``leg(label,
+        exponent)``, keyed on its records; overweight terms drop."""
         out = []
-        for coeff, dg in self.terms():
-            g = dg.graph
-            labels = tuple(mapping.get(lab, lab) if lab is not None else None
-                           for lab in g.labels)
-            out.append((coeff, DecoratedGraph(
-                type(g)(g.genera, g.vertex_of, g.involution, labels), dg.exponents)))
-        return Expression(ambient, out)
+        for key, coeff in self._terms.items():
+            base, edges = key_records(key)
+            base = [(genus_v, extras, tuple(sorted(leg(*pair) for pair in legs)), intexp)
+                    for genus_v, extras, legs, intexp in base]
+            if not _base_overweight(base):
+                out.append((coeff, _canonical_search(base, edges)[0]))
+        return _summed(ambient, out)
 
 
 def attach_vertex(expr, leg_label, genus_v, legs):
@@ -241,19 +262,21 @@ def attach_vertex(expr, leg_label, genus_v, legs):
     of label and exponent).  This realizes formal multiplication by a single
     extra bracket factor.
     """
+    new_vertex = base_classes([genus_v], [(0, *leg) for leg in legs] + [(0, None, 0)])[0]
     out = []
-    for coeff, dg in expr.terms():
-        g = dg.graph
-        if leg_label not in g.labels:
+    for key, coeff in expr.items():
+        base, edges = key_records(key)
+        glue = [(v, e) for v, part in enumerate(base) for label, e in part[2]
+                if label == leg_label]
+        if not glue:
             raise ValueError("no leg labeled %r" % leg_label)
-        glue = g.labels.index(leg_label)
-        b = GraphBuilder.copy_of(dg, drop=(glue,))
-        new_v = b.add_vertex(genus_v)
-        b.add_edge(g.vertex_of[glue], new_v, dg.exponents[glue], 0)
-        for label, exp in legs:
-            b.add_leg(new_v, label, exp)
-        out.append((coeff, b.build()))
-    return from_terms(out)
+        (v, exp), = glue
+        g, extras, vlegs, intexp = base[v]
+        base[v] = (g, extras, tuple(leg for leg in vlegs if leg[0] != leg_label),
+                   tuple(sorted(intexp + (exp,))))
+        base.append(new_vertex)
+        out.append((coeff, base, edges + [(v, exp, len(base) - 1, 0)]))
+    return _from_records(out)
 
 
 def zero(ambient):
@@ -269,15 +292,27 @@ def _summed(ambient, terms):
     return Expression(ambient, _raw={k: Fraction(c) for k, c in acc.items() if c})
 
 
+def _ambient_of(terms):
+    """The genus and legs of the first of (coefficient, base, edges) terms."""
+    if not terms:
+        raise ValueError("cannot infer the ambient of an empty expression")
+    _coeff, base, edges = terms[0]
+    return make_ambient(1 + len(edges) - len(base) + sum(part[0] for part in base),
+                        [label for part in base for label, _e in part[2]])
+
+
+def _from_records(terms, ambient=None):
+    """The expression of (coefficient, base, edges) terms from outside, each
+    checked by ``_checked``; the ambient defaults to the first term's."""
+    if ambient is None:
+        ambient = _ambient_of(terms)
+    return _summed(ambient, ((c, _canonical_search(base, edges)[0])
+                             for c, base, edges in _checked(ambient, terms)))
+
+
 def from_terms(terms, ambient=None):
     """Build an expression, inferring the ambient from the first term."""
-    terms = list(terms)
-    if ambient is None:
-        if not terms:
-            raise ValueError("cannot infer the ambient of an empty expression")
-        first = terms[0][1]
-        ambient = make_ambient(genus(first.graph), first.graph.leg_labels())
-    return Expression(ambient, terms)
+    return _from_records([(coeff, *_graph_records(dg)) for coeff, dg in terms], ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +436,10 @@ class _Parser:
 _EXTRA_NAME = re.compile(r"^W\d*$")
 
 
-def _term_graph(factors):
-    b = GraphBuilder()
-    for genus_v, _items in factors:
-        b.add_vertex(genus_v)
+def _term_records(factors):
+    """The records of a printed term, built from its factors: a name and its
+    starred twin make an edge, any other name a leg, and W-names extra legs."""
+    halves = []
     occurrences = {}
     for v, (_genus_v, items) in enumerate(factors):
         for name, exp in items:
@@ -414,21 +449,23 @@ def _term_graph(factors):
                 raise ValueError("extra leg %r cannot carry an exponent" % name)
             else:
                 # extra legs are anonymous, so one W-name may recur
-                b.add_leg(v, EXTRA, 0)
-    for base, occ in sorted(occurrences.items()):
+                halves.append((v, EXTRA, 0))
+    edges = []
+    for stem, occ in sorted(occurrences.items()):
         if len(occ) == 1:
             v, name, exp = occ[0]
             if name.endswith("*"):
                 raise ValueError("unmatched half-edge star %r" % name)
-            b.add_leg(v, name, exp)
+            halves.append(occ[0])
         elif len(occ) == 2:
             (v1, n1, e1), (v2, n2, e2) = occ
-            if {n1, n2} != {base, base + "*"}:
+            if {n1, n2} != {stem, stem + "*"}:
                 raise ValueError("duplicate leg label %r" % n1)
-            b.add_edge(v1, v2, e1, e2)
+            edges.append((v1, e1, v2, e2))
+            halves += [(v1, None, e1), (v2, None, e2)]
         else:
-            raise ValueError("name %r occurs more than twice" % base)
-    return b.build()
+            raise ValueError("name %r occurs more than twice" % stem)
+    return base_classes([genus_v for genus_v, _items in factors], halves), edges
 
 
 def _pair_base(name):
@@ -438,66 +475,56 @@ def _pair_base(name):
 def parse_bracket(text, ambient=None):
     """Parse the angle-bracket grammar into an expression.
 
-    Bracket coefficients are Aut-normalized; the stored internal coefficient
-    of each parsed term is the printed prefix divided by the automorphism
-    order of its graph.  The printed terms are validated and collected first,
-    so malformed text fails before any symmetry is counted; equal keys have
-    equal automorphism orders, so dividing the collected sums is the same.
+    Each printed term's records are built straight from its factors; the
+    ambient defaults to the first term's genus and legs.  Every printed term
+    is checked (see ``_checked``) before any is keyed, so malformed text
+    fails before any symmetry is counted.  Bracket coefficients are
+    Aut-normalized: one canonical search keys each term, and its tied vertex
+    orders give the automorphism order that divides the printed coefficient.
     """
-    parsed = _Parser(text).parse_expression()
-    terms = [(coeff, _term_graph(factors)) for coeff, factors in parsed]
-    if not terms:
-        if ambient is None:
-            raise ValueError("cannot infer the ambient of an empty expression")
-        return zero(ambient)
-    printed = from_terms(terms, ambient)
-    return Expression(printed.ambient, _raw={
-        key: coeff / automorphism_order(graph_from_key(key))
-        for key, coeff in printed._terms.items()})
+    terms = [(coeff, *_term_records(factors))
+             for coeff, factors in _Parser(text).parse_expression()]
+    if ambient is None:
+        ambient = _ambient_of(terms)
+    out = []
+    for coeff, base, edges in _checked(ambient, terms):
+        key, ties = _canonical_search(base, edges)
+        out.append((coeff / symmetry_order(key, ties), key))
+    return _summed(ambient, out)
 
 
 _DISPLAY_KIND = {"frozen": 0, "regular": 1, "named": 2}
 
 
-def _display_layout(dg):
-    """Deterministic per-vertex item lists for rendering.
+def _layout(key):
+    """Deterministic per-vertex item lists for rendering the graph of a key.
 
-    Internal edges get fresh names g1, g2, ... (skipping any that collide
-    with a pinned label); extras are shown as W1, W2, ... per vertex.
+    A vertex shows its legs (frozen, regular, named), its extra legs as W1,
+    W2, ..., then its edge ends by name.  Edge records get fresh names g1,
+    g2, ... (skipping any that collide with a pinned label); the unstarred
+    end is on the lower vertex, or on a loop the one of higher exponent.
     """
-    g = dg.graph
-    used = {lab for lab in g.labels if lab not in (None, EXTRA)}
+    base, edges = key_records(key)
+    halves = half_edges(base, edges)
+    used = {label for _v, label, _e, _end in halves if label not in (None, EXTRA)}
     fresh = (name for i in itertools.count(1)
              if (name := "g%d" % i) not in used and name + "*" not in used)
-    edge_names = {}
-    for h, p in g.edges():
-        # unstarred half on the lower vertex id; for loops, higher exponent first
-        v1, v2 = g.vertex_of[h], g.vertex_of[p]
-        if (v1, -dg.exponents[h]) <= (v2, -dg.exponents[p]):
-            first, second = h, p
-        else:
-            first, second = p, h
+    names = {}
+    for i, (v1, e1, v2, e2) in enumerate(edges):
         name = next(fresh)
-        edge_names[first] = name
-        edge_names[second] = name + "*"
-    vertices = []
-    for v in range(g.n_vertices):
-        items = []
-        n_extras = 0
-        for h in g.halves_at(v):
-            lab = g.labels[h]
-            if lab == EXTRA:
-                n_extras += 1
-            elif lab is not None:
-                key = (0, _DISPLAY_KIND[leg_kind(lab)], label_sort_key(lab))
-                items.append((key, lab, dg.exponents[h]))
-            else:
-                items.append(((1, 0, (edge_names[h],)), edge_names[h], dg.exponents[h]))
-        for j in range(n_extras):
-            items.append(((0, 3, ("W", j)), "W%d" % (j + 1), 0))
-        items.sort(key=lambda t: t[0])
-        vertices.append([(name, exp) for _k, name, exp in items])
-    return vertices
+        stars = ("", "*") if (v1, -e1) <= (v2, -e2) else ("*", "")
+        names[i, 0], names[i, 2] = name + stars[0], name + stars[1]
+    legs = [[] for _ in base]
+    ends = [[] for _ in base]
+    for v, label, exp, end in halves:
+        if end is not None:
+            ends[v].append((names[end], exp))
+        elif label != EXTRA:
+            legs[v].append(((_DISPLAY_KIND[leg_kind(label)], label_sort_key(label)),
+                            label, exp))
+    return [[(label, exp) for _k, label, exp in sorted(legs[v])]
+            + [("W%d" % j, 0) for j in range(1, part[1] + 1)] + sorted(ends[v])
+            for v, part in enumerate(base)]
 
 
 def _coefficient_str(coeff):
@@ -516,11 +543,11 @@ def _render(expr, factor, item, prefix):
     if expr.is_zero():
         return "0"
     chunks = []
-    for coeff, dg in expr.terms():
-        shown = coeff * automorphism_order(dg)
+    for key, coeff in expr.items():
+        shown = coeff * automorphism_order(key)
         body = " ".join(
-            factor(" ".join(item(name, exp) for name, exp in items), dg.graph.genera[v])
-            for v, items in enumerate(_display_layout(dg)))
+            factor(" ".join(item(name, exp) for name, exp in items), key[0][v][0])
+            for v, items in enumerate(_layout(key)))
         mag = abs(shown)
         if mag != 1:
             body = prefix(mag) + body
@@ -591,53 +618,44 @@ def _leg_json(h, label):
 
 
 def _key_json(key):
-    """The JSON object of ``graph_from_key(key)``, written from the key in
-    that graph's numbering: the legs vertex by vertex, then two halves per
-    edge record, then the extra legs vertex by vertex."""
-    vpart, recs = key
-    halves = [(v, e, label) for v, (_g, _x, legs, _i) in enumerate(vpart)
-              for label, e in legs]
-    first = len(halves)
-    for (v1, e1), (v2, e2) in recs:
-        halves += [(v1, e1, None), (v2, e2, None)]
-    halves += [(v, 0, EXTRA) for v, (_g, extras, _l, _i) in enumerate(vpart)
-               for _ in range(extras)]
+    """The JSON object of ``graph_from_key(key)``, written from the key's
+    records in the numbering of ``half_edges``."""
+    base, edges = key_records(key)
+    halves = half_edges(base, edges)
     return {
-        "vertices": [{"id": v, "genus": part[0]} for v, part in enumerate(vpart)],
+        "vertices": [{"id": v, "genus": part[0]} for v, part in enumerate(base)],
         "half_edges": [{"id": h, "vertex": v, "exponent": e}
-                       for h, (v, e, _label) in enumerate(halves)],
-        "involution": [[h, h + 1] for h in range(first, first + 2 * len(recs), 2)],
-        "legs": [_leg_json(h, label) for h, (_v, _e, label) in enumerate(halves)
+                       for h, (v, _label, e, _end) in enumerate(halves)],
+        "involution": [[h, h + 1] for h, (_v, _label, _e, end) in enumerate(halves)
+                       if end and end[1] == 0],
+        "legs": [_leg_json(h, label) for h, (_v, label, _e, _end) in enumerate(halves)
                  if label is not None],
     }
 
 
-def graph_from_json(data):
-    b = GraphBuilder()
-    ids = {}
-    for entry in data["vertices"]:
-        ids[entry["id"]] = b.add_vertex(entry["genus"])
-    labels = {}
-    for entry in data["legs"]:
-        if entry["kind"] == "regular":
-            labels[entry["id"]] = "U%d" % entry["index"]
-        elif entry["kind"] == "frozen":
-            labels[entry["id"]] = "V%d" % entry["index"]
-        elif entry["kind"] == "extra":
-            labels[entry["id"]] = EXTRA
-        else:
-            labels[entry["id"]] = entry["name"]
-    paired = {h for pair in data["involution"] for h in pair}
-    remap = {}
-    for entry in sorted(data["half_edges"], key=lambda e: e["id"]):
-        h = entry["id"]
-        if h in paired:
-            remap[h] = b.add_half(ids[entry["vertex"]], entry["exponent"])
-        else:
-            remap[h] = b.add_leg(ids[entry["vertex"]], labels[h], entry["exponent"])
+def _json_label(entry):
+    kind = entry["kind"]
+    if kind in ("regular", "frozen"):
+        return "%s%d" % ("U" if kind == "regular" else "V", entry["index"])
+    return EXTRA if kind == "extra" else entry["name"]
+
+
+def _json_records(data):
+    """The records of a JSON graph object: paired half-edges make the edges,
+    the legs are the rest."""
+    vertex = {entry["id"]: v for v, entry in enumerate(data["vertices"])}
+    labels = {entry["id"]: _json_label(entry) for entry in data["legs"]}
+    at = {entry["id"]: (vertex[entry["vertex"]], entry["exponent"])
+          for entry in data["half_edges"]}
+    edges = []
     for h, p in data["involution"]:
-        b.pair(remap[h], remap[p])
-    return b.build()
+        (v1, e1), (v2, e2) = at.pop(h), at.pop(p)
+        edges.append((v1, e1, v2, e2))
+    if set(at) != set(labels):
+        raise ValueError("legs and involution fixed points disagree")
+    halves = [(v, labels[h], e) for h, (v, e) in at.items()]
+    halves += [(v, None, e) for v1, e1, v2, e2 in edges for v, e in ((v1, e1), (v2, e2))]
+    return base_classes([entry["genus"] for entry in data["vertices"]], halves), edges
 
 
 def expression_to_json(expr):
@@ -653,10 +671,9 @@ def expression_to_json(expr):
 
 def expression_from_json(data):
     ambient = make_ambient(data["ambient"]["genus"], data["ambient"]["labels"])
-    terms = [(Fraction(t["coefficient"]["num"], t["coefficient"]["den"]),
-              graph_from_json(t["graph"]))
-             for t in data["terms"]]
-    return Expression(ambient, terms)
+    return _from_records([(Fraction(t["coefficient"]["num"], t["coefficient"]["den"]),
+                           *_json_records(t["graph"]))
+                          for t in data["terms"]], ambient)
 
 
 def dumps(expr, **kwargs):

@@ -6,9 +6,13 @@ points of the involution are legs (marked points).  Leg labels come in four
 kinds: regular ``U<i>``, frozen ``V<i>``, arbitrary named labels, and
 anonymous extra legs which all share the label ``W``.  Pinned labels
 (regular/frozen/named) must be preserved by isomorphisms; extra legs and
-internal half-edge identities are freely interchangeable.  ``canonical_key``
-realizes exactly that identification and everything downstream (term
-collection, rendering, serialization) keys on it.
+internal half-edge identities are freely interchangeable.
+
+The program computes on records: a base class per vertex and an edge record
+per edge (see ``_records``), which ``_canonical_search`` keys up to exactly
+that identification.  A key holds its records (``key_records``), and
+``half_edges`` numbers their half-edges.  Graph objects are the library's
+bridge: ``GraphBuilder`` input, ``canonical_key`` and ``graph_from_key``.
 """
 
 from __future__ import annotations
@@ -100,7 +104,8 @@ class DecoratedGraph:
 
 
 def validate(graph):
-    """Return the list of violated invariants (empty list means valid)."""
+    """The violated invariants of the half-edge structure (empty when none);
+    terms are checked further on their records (``expressions._checked``)."""
     violations = []
     nv, nh = graph.n_vertices, graph.n_half_edges
     if nv == 0:
@@ -129,40 +134,12 @@ def validate(graph):
         if lab in seen:
             violations.append("duplicate leg label %r" % lab)
         seen.add(lab)
-    if any(g < 0 for g in graph.genera):
-        violations.append("negative genus")
-    # connectivity over edges
-    reached = {0}
-    frontier = [0]
-    adjacency = {v: set() for v in range(nv)}
-    for h, p in graph.edges():
-        adjacency[graph.vertex_of[h]].add(graph.vertex_of[p])
-        adjacency[graph.vertex_of[p]].add(graph.vertex_of[h])
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) != nv:
-        violations.append("disconnected")
     return violations
 
 
-def genus(graph):
-    """1 + #edges - #vertices + sum of vertex genera."""
-    return 1 + graph.n_edges() - graph.n_vertices + sum(graph.genera)
-
-
-def is_stable(graph_or_decorated):
-    g = graph_or_decorated.graph if isinstance(graph_or_decorated, DecoratedGraph) else graph_or_decorated
-    counts = Counter(g.vertex_of)
-    return all(2 * g.genera[v] - 2 + counts.get(v, 0) > 0 for v in range(g.n_vertices))
-
-
 class GraphBuilder:
-    """Mutable accumulator for parsed and JSON input, ``graph_from_key`` and
-    the one-term helpers ``distribute`` and ``attach_vertex``."""
+    """Mutable accumulator that builds a ``DecoratedGraph`` by hand: the
+    library's input bridge to expressions, whose terms are keyed records."""
 
     def __init__(self):
         self.genera = []
@@ -170,26 +147,6 @@ class GraphBuilder:
         self.labels = []
         self.exponents = []
         self.pairs = []
-
-    @classmethod
-    def copy_of(cls, dg, drop=()):
-        """A builder holding a copy of ``dg``, ready for appended edges and legs.
-
-        Half-edges in ``drop`` are left out, the rest keep their relative
-        order and their psi exponents, and an edge is re-paired only when
-        both of its halves are kept.
-        """
-        g = dg.graph
-        kept = [h for h in range(g.n_half_edges) if h not in drop]
-        new_id = {h: i for i, h in enumerate(kept)}
-        b = cls()
-        b.genera = list(g.genera)
-        b.vertex_of = [g.vertex_of[h] for h in kept]
-        b.labels = [g.labels[h] for h in kept]
-        b.exponents = [dg.exponents[h] for h in kept]
-        b.pairs = [(new_id[h], new_id[p]) for h, p in g.edges()
-                   if h in new_id and p in new_id]
-        return b
 
     def add_vertex(self, genus):
         self.genera.append(genus)
@@ -232,31 +189,35 @@ class GraphBuilder:
 # canonical forms
 
 
-def _records(dg):
-    """The base class of every vertex and the (v1, e1, v2, e2) record of every edge.
+def base_classes(genera, halves):
+    """The base class of every vertex, from the vertex genera and the
+    (vertex, label, exponent) of every half-edge, label None on an edge end.
 
     A vertex's base class is (genus, extra-leg count, sorted decorated legs,
-    sorted exponents of its edge ends); an edge record gives both end
-    vertices with the exponents there, in the order of ``DualGraph.edges``.
+    sorted exponents of its edge ends).
     """
-    g = dg.graph
-    nv = g.n_vertices
-    extras = [0] * nv
-    legsig = [[] for _ in range(nv)]
-    intexp = [[] for _ in range(nv)]
-    for h in range(g.n_half_edges):
-        v = g.vertex_of[h]
-        lab = g.labels[h]
+    extras = [0] * len(genera)
+    legsig = [[] for _ in genera]
+    intexp = [[] for _ in genera]
+    for v, lab, exp in halves:
         if lab == EXTRA:
-            if dg.exponents[h] != 0:
+            if exp != 0:
                 raise ValueError("extra legs cannot carry psi exponents")
             extras[v] += 1
         elif lab is not None:
-            legsig[v].append((lab, dg.exponents[h]))
+            legsig[v].append((lab, exp))
         else:
-            intexp[v].append(dg.exponents[h])
-    base = [(g.genera[v], extras[v], tuple(sorted(legsig[v])), tuple(sorted(intexp[v])))
-            for v in range(nv)]
+            intexp[v].append(exp)
+    return [(genus_v, extras[v], tuple(sorted(legsig[v])), tuple(sorted(intexp[v])))
+            for v, genus_v in enumerate(genera)]
+
+
+def _records(dg):
+    """The base class of every vertex and the (v1, e1, v2, e2) record of every
+    edge, which gives both end vertices with the exponents there, in the order
+    of ``DualGraph.edges``."""
+    g = dg.graph
+    base = base_classes(g.genera, zip(g.vertex_of, g.labels, dg.exponents))
     edges = [(g.vertex_of[h], dg.exponents[h], g.vertex_of[p], dg.exponents[p])
              for h, p in g.edges()]
     return base, edges
@@ -400,24 +361,21 @@ def canonical_key(dg):
 
 @lru_cache(maxsize=None)
 def graph_from_key(key):
-    """Rebuild the canonical representative graph described by a key."""
-    vpart, recs = key
-    b = GraphBuilder()
-    for genus_v, _extras, legsig, _intexp in vpart:
-        v = b.add_vertex(genus_v)
-        for label, exp in legsig:
-            b.add_leg(v, label, exp)
-    for (v1, e1), (v2, e2) in recs:
-        b.add_edge(v1, v2, e1, e2)
-    for v, (_g, extras, _l, _i) in enumerate(vpart):
-        for _ in range(extras):
-            b.add_leg(v, EXTRA, 0)
-    return b.build()
+    """Rebuild the canonical representative graph described by a key, its
+    half-edges numbered as ``half_edges`` lists them."""
+    base, edges = key_records(key)
+    halves = half_edges(base, edges)
+    involution = [h + 1 - end[1] if end is not None else h
+                  for h, (_v, _label, _e, end) in enumerate(halves)]
+    graph = DualGraph(tuple(part[0] for part in base),
+                      tuple(v for v, _label, _e, _end in halves), tuple(involution),
+                      tuple(label for _v, label, _e, _end in halves))
+    return DecoratedGraph(graph, tuple(e for _v, _label, e, _end in halves))
 
 
-@lru_cache(maxsize=None)
-def automorphism_order(dg):
-    """Order of the decoration-preserving automorphism group.
+def symmetry_order(key, ties):
+    """Order of the decoration-preserving automorphism group of the graph
+    with key ``key``, whose canonical search counted ``ties`` vertex orders.
 
     Regular, frozen and named legs are fixed pointwise; internal half-edges
     may permute.  Extra legs are treated as a per-vertex multiplicity and are
@@ -425,11 +383,17 @@ def automorphism_order(dg):
     half-edges in as many ways as the m equal edge records of each kind can
     be matched (m!) times two per loop whose ends carry equal exponents.
     """
-    (_vpart, recs), ties = _canonical_search(*_records(dg))
+    recs = key[1]
     order = ties * 2 ** sum(1 for end1, end2 in recs if end1 == end2)
     for m in Counter(recs).values():
         order *= factorial(m)
     return order
+
+
+@lru_cache(maxsize=None)
+def automorphism_order(key):
+    """``symmetry_order`` of a canonical key, searching its records once."""
+    return symmetry_order(key, _canonical_search(*key_records(key))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +429,22 @@ def contract_records(base, edges, i):
                   for j, (u1, f1, u2, f2) in enumerate(edges) if j != i]
 
 
-def record_halves(base, edges, v):
-    """The half-edges at vertex ``v``, numbered as ``graph_from_key`` numbers
-    them: its legs in base order, then its edge ends in record order, then its
-    extra legs.
-
-    Each is (label, exponent, end): an edge end has label None and end
-    (i, j), ``edges[i][j]`` being its vertex and ``edges[i][j + 1]`` its
-    exponent; a leg has end None.
-    """
-    _genus, extras, legs, _intexp = base[v]
-    out = [(label, exp, None) for label, exp in legs]
-    for i, rec in enumerate(edges):
-        for j in (0, 2):
-            if rec[j] == v:
-                out.append((None, rec[j + 1], (i, j)))
-    out.extend([(EXTRA, 0, None)] * extras)
+def half_edges(base, edges, at=None):
+    """The half-edges of the graph with records (base, edges), or of its
+    vertex ``at`` only, in the one numbering of the program: legs vertex by
+    vertex in base order, two halves per edge record, extra legs vertex by
+    vertex.  Each is (vertex, label, exponent, end): an edge end has label
+    None and end (i, j), ``edges[i][j]`` being its vertex, ``edges[i][j + 1]``
+    its exponent, and the half after a j = 0 end its partner; a leg has end
+    None."""
+    vertices = range(len(base)) if at is None else (at,)
+    out = [(v, label, exp, None) for v in vertices for label, exp in base[v][2]]
+    for i, (v1, e1, v2, e2) in enumerate(edges):
+        if at is None or v1 == at:
+            out.append((v1, None, e1, (i, 0)))
+        if at is None or v2 == at:
+            out.append((v2, None, e2, (i, 2)))
+    out += [(v, EXTRA, 0, None) for v in vertices for _ in range(base[v][1])]
     return out
 
 
@@ -488,7 +452,7 @@ def split_records(base, edges, v, halves, side, genus):
     """Split vertex ``v`` into a genus-0 vertex and a vertex of genus
     ``genus`` joined by a fresh edge without psi powers.
 
-    ``halves`` is ``record_halves(base, edges, v)``, listed once by the
+    ``halves`` is ``half_edges(base, edges, v)``, listed once by the
     caller for every side it splits.  The half-edges in ``side``, positions
     in that list, stay on ``v``, which gets genus 0; the rest move to a new
     last vertex of genus ``genus``.  Legs and edge ends keep their exponents.
@@ -499,7 +463,7 @@ def split_records(base, edges, v, halves, side, genus):
     int_a, int_b = [0], [0]
     extras_a = extras_b = 0
     out = [list(rec) for rec in edges]
-    for n, (label, exp, end) in enumerate(halves):
+    for n, (_v, label, exp, end) in enumerate(halves):
         stays = n in side
         if end is not None:
             (int_a if stays else int_b).append(exp)

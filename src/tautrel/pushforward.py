@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from math import factorial
 
-from .graphs import EXTRA, _canonical_search, key_records, record_halves
-from .expressions import _base_overweight, _summed, make_ambient
+from .graphs import EXTRA, _canonical_search, half_edges, key_records
+from .expressions import _summed, make_ambient
 
 
 def d_set(exponents, count):
@@ -51,14 +51,18 @@ def _push_at_vertices(coeff, base, edges, counts):
     """Forget ``counts[v]`` bare points at each vertex ``v`` of the graph with
     records (base, edges) by the string table over the half-edges there.
 
-    Yields a (coefficient, key) pair per pick from the tables whose residual
-    exponents, written back into the legs, the edge records and the edge-end
-    exponents of each vertex, leave no vertex overweight.
+    Yields a (coefficient, key) pair per pick from the tables, its residual
+    exponents written back into the legs, the edge records and the edge-end
+    exponents of each vertex.  No pick leaves a vertex overweight: forgetting
+    k points at a vertex lowers its psi load and its dimension both by k, the
+    expressions that ``_forget`` takes hold no overweight vertex, and a tree
+    shape's assignments are bounded so that every vertex stays within its
+    dimension after its extras are forgotten.
     """
     choices = []
     for v, count in sorted(counts.items()):
-        halves = record_halves(base, edges, v)
-        choices.append((v, halves, string_table(tuple(e for _l, e, _end in halves), count)))
+        halves = half_edges(base, edges, v)
+        choices.append((v, halves, string_table(tuple(half[2] for half in halves), count)))
     for picks in itertools.product(*(table for _v, _h, table in choices)):
         mult = coeff
         new_base, new_edges = list(base), [list(rec) for rec in edges]
@@ -67,15 +71,14 @@ def _push_at_vertices(coeff, base, edges, counts):
             genus_v, extras, legs, _intexp = base[v]
             n = len(legs)
             intexp = []
-            for (_label, _e, end), e in zip(halves[n:], residual[n:]):
+            for (_v, _label, _e, end), e in zip(halves[n:], residual[n:]):
                 if end is not None:
                     new_edges[end[0]][end[1] + 1] = e
                     intexp.append(e)
             new_base[v] = (genus_v, extras,
                            tuple((label, e) for (label, _e), e in zip(legs, residual)),
                            tuple(sorted(intexp)))
-        if not _base_overweight(new_base):
-            yield mult, _canonical_search(new_base, new_edges)[0]
+        yield mult, _canonical_search(new_base, new_edges)[0]
 
 
 def _forget(expr, ambient, doomed):

@@ -35,27 +35,40 @@ from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm
 
 from .graphs import (
-    GraphBuilder,
+    EXTRA,
     _canonical_search,
     contract_records,
+    half_edges,
     key_records,
     leg_kind,
-    record_halves,
     split_records,
 )
 from . import graphs
-from .expressions import Expression, _base_overweight, _summed, from_terms
+from .expressions import Expression, _base_overweight, _from_records, _summed
 
 
 # ---------------------------------------------------------------------------
 # single reduction steps
 
 
-def _single_term(expr):
-    terms = expr.terms()
-    if len(terms) != 1:
+def _only_term(expr):
+    """The coefficient and the records of a one-term expression."""
+    if len(expr) != 1:
         raise ValueError("expected a single-term expression")
-    return terms[0]
+    ((key, coeff),) = expr._terms.items()
+    return coeff, *key_records(key)
+
+
+def _site(expr, vertex, half):
+    """The coefficient and records of a one-term ``expr``, the psi exponent at
+    ``half``, and the half-edges at ``vertex`` in the order of
+    ``half_edges(base, edges, vertex)``.  Half-edges are numbered as in
+    ``half_edges``, which is how the graph that ``expr.terms()`` gives
+    numbers them."""
+    coeff, base, edges = _only_term(expr)
+    halves = half_edges(base, edges)
+    return (coeff, base, edges, halves[half][2],
+            [h for h, x in enumerate(halves) if x[0] == vertex])
 
 
 def _sides(halves, stay, away):
@@ -72,8 +85,8 @@ def _psi_terms(base, edges, vertex, half, away):
     """One psi power at ``half`` on a genus-0 or genus-1 vertex, rewritten on
     the records of a graph.
 
-    ``half`` and ``away`` number the half-edges at the vertex as
-    ``graphs.record_halves`` does.  Returns (factor, records) pairs: the
+    ``half`` and ``away`` are positions in ``graphs.half_edges`` at the
+    vertex.  Returns (factor, records) pairs: the
     lowered records split along every side that keeps ``half`` and none of
     ``away``, the side on a genus-0 vertex and the rest keeping the vertex's
     genus, and on a genus-1 vertex also the loop term with factor 1/24: the
@@ -83,8 +96,8 @@ def _psi_terms(base, edges, vertex, half, away):
     one more edge and one psi power fewer, by construction.
     """
     genus_v, extras, legs, intexp = base[vertex]
-    halves = record_halves(base, edges, vertex)
-    label, exp, end = halves[half]
+    halves = half_edges(base, edges, vertex)
+    _v, label, exp, end = halves[half]
     base, edges = list(base), list(edges)
     if end is None:
         legs = legs[:half] + ((label, exp - 1),) + legs[half + 1:]
@@ -97,7 +110,7 @@ def _psi_terms(base, edges, vertex, half, away):
         rest.remove(exp)
         intexp = tuple(sorted(rest + [exp - 1]))
     base[vertex] = (genus_v, extras, legs, intexp)
-    halves[half] = (label, exp - 1, end)
+    halves[half] = (vertex, label, exp - 1, end)
     out = [(1, split_records(base, edges, vertex, halves, side, genus_v))
            for side in _sides(range(len(halves)), (half,), away)]
     if genus_v == 1:
@@ -115,13 +128,12 @@ def _psi_keys(base, edges, vertex, half, away):
             yield factor, _canonical_search(b, e)[0]
 
 
-def _rewritten(expr, vertex, half, away):
-    """The one-term ``expr`` with one psi power rewritten.  ``half`` and
-    ``away`` index ``halves_at(vertex)`` of the graph ``expr.terms()`` gives,
-    which is the numbering of ``record_halves``."""
-    ((key, coeff),) = expr._terms.items()
-    return _summed(expr.ambient, ((coeff * factor, k) for factor, k
-                                  in _psi_keys(*key_records(key), vertex, half, away)))
+def _rewritten(ambient, coeff, base, edges, vertex, half, away):
+    """``coeff`` times the graph with records (base, edges), with one psi power
+    rewritten.  ``half`` and ``away`` are positions at ``vertex`` (see
+    ``_psi_terms``)."""
+    return _summed(ambient, ((coeff * factor, k) for factor, k
+                             in _psi_keys(base, edges, vertex, half, away)))
 
 
 def psi_reduce_genus0(expr, vertex, half, partner_pair):
@@ -132,20 +144,18 @@ def psi_reduce_genus0(expr, vertex, half, partner_pair):
     choice of partner pair yields an expression equal to the input as a
     class; different choices differ by WDVV relations.
     """
-    _coeff, dg = _single_term(expr)
-    g = dg.graph
-    halves = g.halves_at(vertex)
-    if g.genera[vertex] != 0:
+    coeff, base, edges, exp, halves = _site(expr, vertex, half)
+    if base[vertex][0] != 0:
         raise ValueError("target vertex must have genus 0")
     if len(halves) < 4:
         raise ValueError("genus-0 reduction needs at least 4 half-edges"
                          " (3-pointed psi classes vanish by dimension)")
-    if dg.exponents[half] < 1:
+    if exp < 1:
         raise ValueError("target half-edge carries no psi class")
     x1, x2 = partner_pair
     if len({half, x1, x2}) != 3 or {x1, x2} - set(halves) or half not in halves:
         raise ValueError("partner pair must be two other half-edges of the vertex")
-    return _rewritten(expr, vertex, halves.index(half),
+    return _rewritten(expr.ambient, coeff, base, edges, vertex, halves.index(half),
                       (halves.index(x1), halves.index(x2)))
 
 
@@ -155,41 +165,40 @@ def psi_reduce_genus1(expr, vertex, half):
     The loop term carries the bracket coefficient 1/12, hence 1/24 internally
     because attaching the loop doubles the automorphism count.
     """
-    _coeff, dg = _single_term(expr)
-    if dg.graph.genera[vertex] != 1:
+    coeff, base, edges, exp, halves = _site(expr, vertex, half)
+    if base[vertex][0] != 1:
         raise ValueError("target vertex must have genus 1")
-    if dg.exponents[half] < 1:
+    if exp < 1:
         raise ValueError("target half-edge carries no psi class")
-    halves = dg.graph.halves_at(vertex)
     if half not in halves:
         raise ValueError("target half-edge is not at the vertex")
-    return _rewritten(expr, vertex, halves.index(half), ())
+    return _rewritten(expr.ambient, coeff, base, edges, vertex, halves.index(half), ())
 
 
 def choose_partner_pair(base, edges, vertex, half):
     """Deterministic partner pair for a psi power at ``half`` on a genus-0
     vertex of the graph with records (base, edges): frozen legs first, then
     regular, named and extra legs, then edge ends, avoiding the two ends of
-    one loop whenever possible.  Half-edges are numbered as
-    ``graphs.record_halves`` numbers them."""
-    halves = record_halves(base, edges, vertex)
+    one loop whenever possible.  Half-edges are positions in
+    ``graphs.half_edges`` at the vertex."""
+    halves = half_edges(base, edges, vertex)
 
     def rank(n):
-        label = halves[n][0]
+        label = halves[n][1]
         if label is None:
             return (4, (), n)
         order = {"frozen": 0, "regular": 1, "named": 2, "extra": 3}[leg_kind(label)]
         return (order, graphs.label_sort_key(label), n)
 
     candidates = sorted((n for n in range(len(halves)) if n != half), key=rank)
-    legs = [n for n in candidates if halves[n][0] is not None]
+    legs = [n for n in candidates if halves[n][1] is not None]
     if len(legs) >= 2:
         return legs[0], legs[1]
     if len(legs) == 1:
-        internal = [n for n in candidates if halves[n][0] is None]
+        internal = [n for n in candidates if halves[n][1] is None]
         return legs[0], internal[0]
     for a, b in itertools.combinations(candidates, 2):
-        if halves[a][2][0] != halves[b][2][0]:
+        if halves[a][3][0] != halves[b][3][0]:
             return a, b
     return candidates[0], candidates[1]
 
@@ -199,7 +208,7 @@ def _reduction_site(base, edges):
 
     Genus-1 vertices take priority, highest exponent first, then genus-0
     vertices, the lowest vertex first; on the vertex, the first half-edge
-    with that exponent, numbered as ``graphs.record_halves`` does.  Positive
+    with that exponent, as a position in ``graphs.half_edges``.  Positive
     exponents on genus >= 2 vertices are unsupported.
     """
     best = None
@@ -215,8 +224,8 @@ def _reduction_site(base, edges):
     if best is None:
         return None
     v, top = best[2], -best[1]
-    halves = record_halves(base, edges, v)
-    return v, next(n for n, (_label, e, _end) in enumerate(halves) if e == top)
+    halves = half_edges(base, edges, v)
+    return v, next(n for n, half in enumerate(halves) if half[2] == top)
 
 
 def eliminate_all_psi(expr):
@@ -251,15 +260,16 @@ def eliminate_all_psi(expr):
 
 def distribute(expr, label):
     """Insert a fresh leg named ``label`` into each vertex in turn and sum."""
-    coeff, dg = _single_term(expr)
-    if label in dg.graph.labels:
+    coeff, base, edges = _only_term(expr)
+    if label in {half[1] for half in half_edges(base, edges)}:
         raise ValueError("name %r already used in the term" % label)
     out = []
-    for v in range(dg.graph.n_vertices):
-        b = GraphBuilder.copy_of(dg)
-        b.add_leg(v, label)
-        out.append((coeff, b.build()))
-    return from_terms(out)
+    for v, (genus_v, extras, legs, intexp) in enumerate(base):
+        grown = list(base)
+        grown[v] = ((genus_v, extras + 1, legs, intexp) if label == EXTRA else
+                    (genus_v, extras, tuple(sorted(legs + ((label, 0),))), intexp))
+        out.append((coeff, grown, edges))
+    return _from_records(out)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +359,7 @@ def wdvv_relations_at(key, vertex):
     key ``key``, as key -> int dicts.
 
     The half-edges at the vertex are numbered as ``graph_from_key`` numbers
-    them (see ``record_halves``).  Of the two exchange relations of each
+    them (see ``half_edges``).  Of the two exchange relations of each
     unordered quadruple of them, only those at the indices of
     ``_local_basis`` are emitted: k(k-3)/2 of them for k half-edges, in
     generation order.  Pushing the splittings of the vertex into the graph
@@ -369,7 +379,7 @@ def wdvv_relations_at(key, vertex):
             any(e1 or e2 for (_v1, e1), (_v2, e2) in recs):
         raise ValueError("WDVV instantiation expects psi-free graphs")
     base, edges = key_records(key)
-    halves = record_halves(base, edges, vertex)
+    halves = half_edges(base, edges, vertex)
     key_of_side = {}
 
     def split_keys(pair_a, pair_b):
@@ -782,14 +792,13 @@ def integrate(expr):
         raise ValueError("degree %d is not the ambient dimension %d"
                          % (expr.degree(), expr.ambient.dimension))
     total = Fraction(0)
-    for coeff, dg in expr.terms():
-        g = dg.graph
+    for key, coeff in expr.items():
         value = coeff
-        for v in range(g.n_vertices):
-            exps = tuple(sorted(dg.exponents[h] for h in g.halves_at(v)))
-            if g.genera[v] == 0:
+        for genus_v, extras, legs, intexp in key[0]:
+            exps = tuple(sorted([e for _label, e in legs] + [*intexp] + [0] * extras))
+            if genus_v == 0:
                 value *= genus0_vertex_integral(exps)
-            elif g.genera[v] == 1:
+            elif genus_v == 1:
                 value *= genus1_vertex_integral(exps)
             else:
                 raise ValueError("integration supports vertex genus <= 1 only")

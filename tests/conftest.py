@@ -6,11 +6,15 @@ string-equation recursion, genus-1 integrals from string plus dilaton
 anchored at 1/24, and tree shapes from exhaustive parent-array enumeration.
 ``RootedTreeView`` is the graph-level rooted-tree walk that tree classes
 used before they were assembled on records; it stays here as a reference.
+So do the graph-level helpers that ``tautrel`` used before every term was
+computed on as records: ``genus``, ``is_stable``, ``is_connected``,
+``vertex_overweight``, ``builder_copy_of`` and ``graph_automorphism_order``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +27,8 @@ from tautrel.graphs import (
     DecoratedGraph,
     DualGraph,
     GraphBuilder,
+    _canonical_search,
+    _records,
     canonical_key,
     leg_kind,
     validate,
@@ -39,6 +45,84 @@ def fixture_text(name):
 @pytest.fixture
 def fixtures():
     return fixture_text
+
+
+# ---------------------------------------------------------------------------
+# graph-level references
+
+
+def genus(graph):
+    """1 + #edges - #vertices + sum of vertex genera."""
+    return 1 + graph.n_edges() - graph.n_vertices + sum(graph.genera)
+
+
+def is_stable(graph_or_decorated):
+    g = graph_or_decorated.graph if isinstance(graph_or_decorated, DecoratedGraph) else graph_or_decorated
+    counts = Counter(g.vertex_of)
+    return all(2 * g.genera[v] - 2 + counts.get(v, 0) > 0 for v in range(g.n_vertices))
+
+
+def is_connected(graph):
+    reached = {0}
+    frontier = [0]
+    adjacency = {v: set() for v in range(graph.n_vertices)}
+    for h, p in graph.edges():
+        adjacency[graph.vertex_of[h]].add(graph.vertex_of[p])
+        adjacency[graph.vertex_of[p]].add(graph.vertex_of[h])
+    while frontier:
+        v = frontier.pop()
+        for w in adjacency[v]:
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return len(reached) == graph.n_vertices
+
+
+def valid_term(dg):
+    """Whether ``dg`` is a valid term of the ambient of its genus and legs."""
+    g = dg.graph
+    return (not validate(g) and min(g.genera) >= 0 and is_connected(g) and is_stable(dg)
+            and 2 * genus(g) - 2 + len(g.leg_labels()) > 0)
+
+
+def vertex_overweight(dg):
+    g = dg.graph
+    degree = [0] * g.n_vertices
+    load = [0] * g.n_vertices
+    for h in range(g.n_half_edges):
+        degree[g.vertex_of[h]] += 1
+        load[g.vertex_of[h]] += dg.exponents[h]
+    return any(load[v] > 3 * g.genera[v] - 3 + degree[v] for v in range(g.n_vertices))
+
+
+def builder_copy_of(dg, drop=()):
+    """A builder holding a copy of ``dg``, ready for appended edges and legs.
+
+    Half-edges in ``drop`` are left out, the rest keep their relative
+    order and their psi exponents, and an edge is re-paired only when
+    both of its halves are kept.
+    """
+    g = dg.graph
+    kept = [h for h in range(g.n_half_edges) if h not in drop]
+    new_id = {h: i for i, h in enumerate(kept)}
+    b = GraphBuilder()
+    b.genera = list(g.genera)
+    b.vertex_of = [g.vertex_of[h] for h in kept]
+    b.labels = [g.labels[h] for h in kept]
+    b.exponents = [dg.exponents[h] for h in kept]
+    b.pairs = [(new_id[h], new_id[p]) for h, p in g.edges()
+               if h in new_id and p in new_id]
+    return b
+
+
+def graph_automorphism_order(dg):
+    """The automorphism order of a graph, from the canonical search on its
+    records, as ``automorphism_order`` took it before it took keys."""
+    (_vpart, recs), ties = _canonical_search(*_records(dg))
+    order = ties * 2 ** sum(1 for end1, end2 in recs if end1 == end2)
+    for m in Counter(recs).values():
+        order *= math.factorial(m)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,23 @@ def test_reduce_zero_denominator_is_a_parse_error():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("text,message", [
+    # disconnected, with the wrong legs, and overweight
+    ("<U1 U2 U3>_0 + <P^5(U1) U2 U3 U4>_0 <U5 U6 U7>_0",
+     "invalid graph in term: disconnected"),
+    # genus 1 on a genus-0 ambient, and overweight
+    ("<P^1(U1) U2 U3 U4>_0 + <P^9(U1) U2 U3 U4>_1",
+     "term genus 1 does not match ambient genus 0"),
+    # unstable, with a zero coefficient
+    ("<U1 U2 U3 U4>_0 + 0 * <U1 U2>_0", "unstable graph in term"),
+])
+def test_malformed_zero_or_overweight_terms_are_parse_errors(text, message):
+    proc = run_child("reduce", "-", "--mode", "psi", input=text)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "parse error: %s\n" % message
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--g", "1"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,14 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tautrel import expressions
 from tautrel.graphs import (
+    EXTRA,
     GraphBuilder,
     automorphism_order,
     canonical_key,
-    genus,
-    is_stable,
+    graph_from_key,
+    label_sort_key,
     leg_kind,
-    validate,
 )
 from tautrel.expressions import (
     Ambient,
@@ -31,7 +33,15 @@ from tautrel.expressions import (
 from tautrel.reduce import eliminate_all_psi
 from tautrel.treeclass import weighted_tree_class
 
-from conftest import brute_force_automorphism_order, fixture_text, random_decorated_graph
+from conftest import (
+    brute_force_automorphism_order,
+    fixture_text,
+    genus,
+    graph_automorphism_order,
+    random_decorated_graph,
+    relabeled,
+    valid_term,
+)
 
 
 def test_add_cancels_and_scale_zero():
@@ -103,9 +113,23 @@ def test_parse_aut_normalization():
     e = parse_bracket("<x1 a a*>_0")
     (coeff, dg), = e.terms()
     assert brute_force_automorphism_order(dg) == 2
-    assert automorphism_order(dg) == 2
+    assert automorphism_order(canonical_key(dg)) == 2
     assert coeff == Fraction(1, 2)
     assert render_bracket(e) == "<x1 g1 g1*>_0"
+
+
+@pytest.mark.parametrize("text,order", [
+    ("<U1 a b>_0 <a*>_1 <b*>_1", 2),                 # two equal tails
+    ("<U1 a b c>_0 <a*>_1 <b*>_1 <c*>_1", 6),        # three equal tails
+    ("<a b c>_1 <a* b* c*>_1", 12),                  # theta: vertices and edges
+    ("<U1 a b>_0 <a* c c*>_0 <b* d d*>_0", 8),       # two tails with a loop each
+])
+def test_parse_divides_by_vertex_symmetries(text, order):
+    (coeff, dg), = parse_bracket(text).terms()
+    assert brute_force_automorphism_order(dg) == order
+    assert coeff == Fraction(1, order)
+    assert render_bracket(parse_bracket(text)) == render_bracket(parse_bracket(
+        render_bracket(parse_bracket(text))))
 
 
 def test_roundtrip_three_vertex_chain():
@@ -157,14 +181,61 @@ def test_zero_denominator_is_a_parse_error():
 
 
 def test_malformed_text_fails_before_symmetries_are_counted(monkeypatch):
-    # n bare vertices would cost n! orders in the symmetry count
-    def fail(dg):
-        raise AssertionError("automorphism_order called on unvalidated text")
-    monkeypatch.setattr("tautrel.expressions.automorphism_order", fail)
+    # n bare vertices would cost n! orders in the symmetry count, and no
+    # printed term is keyed before every one is checked
+    def fail(base, edges):
+        raise AssertionError("canonical search on unchecked text")
+    monkeypatch.setattr(expressions, "_canonical_search", fail)
     with pytest.raises(ValueError, match="unstable ambient"):
         parse_bracket("<>_1 " * 12)
     with pytest.raises(ValueError, match="disconnected"):
         parse_bracket("<U1>_1 " + "<>_1 " * 11, ambient=make_ambient(1, ["U1"]))
+    with pytest.raises(ValueError, match="unstable graph in term"):
+        parse_bracket("<U1 U2 U3 U4>_0 + <U1 U2 U3 a>_0 <a* U4>_0")
+    with pytest.raises(ValueError, match="mixed cohomological degrees 0 and 1"):
+        parse_bracket("<U1 U2 U3 U4>_0 + 0 * <P^1(U1) U2 U3 U4>_0")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("<U1 U2 U3>_0 + <P^5(U1) U2 U3 U4>_0 <U5 U6 U7>_0", "disconnected"),
+    ("<P^1(U1) U2 U3 U4>_0 + <P^9(U1) U2 U3 U4>_1",
+     "term genus 1 does not match ambient genus 0"),
+    ("<U1 U2 U3 U4>_0 + 0 * <U1 U2>_0", "unstable graph in term"),
+    ("0 * <U1 U2 U3 U4>_0 + <U1 U2 U3 U4 U5>_1", "term genus 1 does not match"),
+])
+def test_zero_and_overweight_printed_terms_are_checked(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_bracket(text)
+
+
+def test_zero_and_overweight_printed_terms_drop_after_their_check():
+    kept = parse_bracket("<P^1(U1) U2 U3 a>_0 <a* U4 U5>_0")
+    assert parse_bracket("<P^1(U1) U2 U3 a>_0 <a* U4 U5>_0 + <P^1(U1) U2 a>_0 <a* U3 U4 U5>_0"
+                         " + 0 * <U1 U2 a>_0 <a* U3 b>_0 <b* U4 U5>_0") == kept
+    assert parse_bracket("0 * <U1 U2 U3 U4 U5 U6>_0") == zero(make_ambient(0, [
+        "U1", "U2", "U3", "U4", "U5", "U6"]))
+
+
+def test_parse_searches_once_per_printed_term(monkeypatch):
+    searches = []
+    search = expressions._canonical_search
+
+    def counting(base, edges):
+        searches.append(len(base))
+        return search(base, edges)
+
+    monkeypatch.setattr(expressions, "_canonical_search", counting)
+    automorphism_order.cache_clear()
+    graph_from_key.cache_clear()
+    expr = parse_bracket(fixture_text("b21_raw"))          # seven printed terms
+    assert len(searches) == len(expr) == 7
+    assert automorphism_order.cache_info().currsize == 0
+    render_bracket(expr)
+    render_latex(expr)
+    assert graph_from_key.cache_info().currsize == 0
+    searches.clear()
+    twice = parse_bracket("<x1 a a*>_0 + 2 * <x1 b b*>_0")
+    assert len(searches) == 2 and twice == parse_bracket("3 * <x1 a a*>_0")
 
 
 def test_extra_leg_names_may_repeat():
@@ -288,8 +359,7 @@ def random_expression(rng):
     terms = []
     for _ in range(12):
         dg = random_decorated_graph(rng)
-        g = dg.graph
-        if validate(g) or not is_stable(dg) or 2 * genus(g) - 2 + len(g.leg_labels()) <= 0:
+        if not valid_term(dg):
             continue
         if terms and signature(dg) != signature(terms[0][1]):
             continue
@@ -323,3 +393,235 @@ def test_bracket_text_parses_or_raises_value_error(text):
         parse_bracket(text)
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the graph-level renderer, JSON reader and automorphism order, as references
+# for the ones that work on key records
+
+
+_DISPLAY_KIND = {"frozen": 0, "regular": 1, "named": 2}
+
+
+def reference_display_layout(dg):
+    """Deterministic per-vertex item lists for rendering.
+
+    Internal edges get fresh names g1, g2, ... (skipping any that collide
+    with a pinned label); extras are shown as W1, W2, ... per vertex.
+    """
+    g = dg.graph
+    used = {lab for lab in g.labels if lab not in (None, EXTRA)}
+    fresh = (name for i in itertools.count(1)
+             if (name := "g%d" % i) not in used and name + "*" not in used)
+    edge_names = {}
+    for h, p in g.edges():
+        # unstarred half on the lower vertex id; for loops, higher exponent first
+        v1, v2 = g.vertex_of[h], g.vertex_of[p]
+        if (v1, -dg.exponents[h]) <= (v2, -dg.exponents[p]):
+            first, second = h, p
+        else:
+            first, second = p, h
+        name = next(fresh)
+        edge_names[first] = name
+        edge_names[second] = name + "*"
+    vertices = []
+    for v in range(g.n_vertices):
+        items = []
+        n_extras = 0
+        for h in g.halves_at(v):
+            lab = g.labels[h]
+            if lab == EXTRA:
+                n_extras += 1
+            elif lab is not None:
+                key = (0, _DISPLAY_KIND[leg_kind(lab)], label_sort_key(lab))
+                items.append((key, lab, dg.exponents[h]))
+            else:
+                items.append(((1, 0, (edge_names[h],)), edge_names[h], dg.exponents[h]))
+        for j in range(n_extras):
+            items.append(((0, 3, ("W", j)), "W%d" % (j + 1), 0))
+        items.sort(key=lambda t: t[0])
+        vertices.append([(name, exp) for _k, name, exp in items])
+    return vertices
+
+
+def reference_render(expr, factor, item, prefix):
+    """The renderer that laid out the graph of every term."""
+    if expr.is_zero():
+        return "0"
+    chunks = []
+    for coeff, dg in expr.terms():
+        shown = coeff * graph_automorphism_order(dg)
+        body = " ".join(
+            factor(" ".join(item(name, exp) for name, exp in items), dg.graph.genera[v])
+            for v, items in enumerate(reference_display_layout(dg)))
+        mag = abs(shown)
+        if mag != 1:
+            body = prefix(mag) + body
+        chunks.append(("-" if shown < 0 else "+", body))
+    sign, first = chunks[0]
+    out = ("-" if sign == "-" else "") + first
+    for sign, body in chunks[1:]:
+        out += " %s %s" % (sign, body)
+    return out
+
+
+def reference_render_bracket(expr):
+    return reference_render(expr, lambda items, genus_v: "<%s>_%d" % (items, genus_v),
+                            expressions._item_str,
+                            lambda mag: expressions._coefficient_str(mag) + " * ")
+
+
+def reference_render_latex(expr):
+    return reference_render(
+        expr, lambda items, genus_v: r"\left< %s \right>_{%d}" % (items, genus_v),
+        expressions._latex_item, expressions._latex_prefix)
+
+
+def reference_graph_from_json(data):
+    b = GraphBuilder()
+    ids = {}
+    for entry in data["vertices"]:
+        ids[entry["id"]] = b.add_vertex(entry["genus"])
+    labels = {}
+    for entry in data["legs"]:
+        if entry["kind"] == "regular":
+            labels[entry["id"]] = "U%d" % entry["index"]
+        elif entry["kind"] == "frozen":
+            labels[entry["id"]] = "V%d" % entry["index"]
+        elif entry["kind"] == "extra":
+            labels[entry["id"]] = EXTRA
+        else:
+            labels[entry["id"]] = entry["name"]
+    paired = {h for pair in data["involution"] for h in pair}
+    remap = {}
+    for entry in sorted(data["half_edges"], key=lambda e: e["id"]):
+        h = entry["id"]
+        if h in paired:
+            remap[h] = b.add_half(ids[entry["vertex"]], entry["exponent"])
+        else:
+            remap[h] = b.add_leg(ids[entry["vertex"]], labels[h], entry["exponent"])
+    for h, p in data["involution"]:
+        b.pair(remap[h], remap[p])
+    return b.build()
+
+
+def assert_render_matches_reference(expr):
+    for key in expr.support():
+        assert automorphism_order(key) == graph_automorphism_order(graph_from_key(key))
+    assert render_bracket(expr) == reference_render_bracket(expr)
+    assert render_latex(expr) == reference_render_latex(expr)
+
+
+def _pinned_g_names():
+    """Legs named g1 and g2* beside two edges: the fresh names skip g1, g2."""
+    b = GraphBuilder()
+    b.add_vertex(0)
+    b.add_vertex(1)
+    b.add_leg(0, "g1")
+    b.add_leg(0, "U1")
+    b.add_leg(1, "g2*", 1)
+    b.add_edge(0, 1)
+    b.add_edge(1, 1, 1, 0)
+    return from_terms([(Fraction(3, 2), b.build())])
+
+
+RENDER_CASES = {
+    "pinned g-names": _pinned_g_names,
+    "loop with unequal exponents": lambda: parse_bracket("<U1 U2 P^1(a) a*>_0"),
+    "ten edges at a vertex": lambda: parse_bracket(
+        "<U1 %s>_0 %s" % (" ".join("a%d" % i for i in range(10)),
+                          " ".join("<a%d* P^1(x%d)>_1" % (i, i) if i < 3 else "<a%d*>_1" % i
+                                   for i in range(10)))),
+    "extras on two vertices": lambda: parse_bracket(
+        "2/5 * <U1 W W a>_0 <a* U2 U3 W>_0 - <U1 W a>_0 <a* U2 U3 W W>_0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_render_from_keys_matches_graph_render_on_cases(case):
+    expr = RENDER_CASES[case]()
+    assert not expr.is_zero()
+    assert_render_matches_reference(expr)
+
+
+def test_render_cases_cover_their_features():
+    names = render_bracket(RENDER_CASES["pinned g-names"]())
+    assert "g1 " in names and "g2*" in names and "g3" in names and "g4*" in names
+    assert render_bracket(RENDER_CASES["loop with unequal exponents"]()) == \
+        "<U1 U2 P^1(g1) g1*>_0"
+    assert "g10 g2 g3" in render_bracket(RENDER_CASES["ten edges at a vertex"]())
+
+
+@pytest.mark.parametrize("name", ["b21_raw", "f", "h", "h0i0_combined"])
+def test_render_from_keys_matches_graph_render_on_fixtures(name):
+    assert_render_matches_reference(parse_bracket(fixture_text(name)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_render_from_keys_matches_graph_render_on_random_graphs(rng):
+    dg = random_decorated_graph(rng)
+    key = canonical_key(dg)
+    assert automorphism_order(key) == graph_automorphism_order(dg)
+    expr = Expression(Ambient(genus(dg.graph), tuple(dg.graph.leg_labels())),
+                      _raw={key: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))})
+    assert_render_matches_reference(expr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_json_reader_matches_graph_reader_on_random_graphs(rng):
+    expr = random_expression(rng)
+    if expr is None:
+        return
+    data = {"ambient": {"genus": expr.ambient.genus, "labels": list(expr.ambient.labels)},
+            "terms": [{"coefficient": {"num": c.numerator, "den": c.denominator},
+                       "graph": graph_to_json(relabeled(dg, rng))}
+                      for c, dg in expr.terms()]}
+    assert expression_from_json(data) == expr == Expression(expr.ambient, [
+        (Fraction(t["coefficient"]["num"], t["coefficient"]["den"]),
+         reference_graph_from_json(t["graph"])) for t in data["terms"]])
+
+
+def test_program_paths_build_no_graph(monkeypatch):
+    from tautrel.reduce import (
+        distribute,
+        integrate,
+        pair_with_psi_monomials,
+        psi_reduce_genus0,
+        psi_reduce_genus1,
+    )
+
+    def no_build(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(GraphBuilder, "build", no_build)
+    caches = (canonical_key, graph_from_key)
+    before = [f.cache_info() for f in caches]
+    raw = weighted_tree_class(1, 2, (2, 1))
+    reduced = eliminate_all_psi(raw)
+    for expr in (raw, reduced):
+        assert parse_bracket(render_bracket(expr)) == expr
+        assert render_latex(expr).count(r"\left<") == render_bracket(expr).count("<")
+        assert expression_from_json(expression_to_json(expr)) == expr
+    assert len(pair_with_psi_monomials(raw)) == 4
+    assert integrate(raw.multiply_by_leg_psi("U1", 1)) == 0
+    assert raw.relabel_legs({"V2": "V3"}).ambient.labels == ("U1", "U2", "V1", "V3")
+    assert not attach_vertex(raw, "V2", 0, [("V3", 0), ("V4", 0)]).is_zero()
+    assert len(distribute(parse_bracket("<U1 U2 a>_0 <a* U3 U4>_0"), "U5")) == 2
+    # legs are numbered first, in label order: x1 is half-edge 0
+    assert len(psi_reduce_genus0(parse_bracket("<P^1(x1) x2 x3 x4>_0"), 0, 0, (2, 3))) == 1
+    assert len(psi_reduce_genus1(parse_bracket("<P^1(U1) U2>_1"), 0, 0)) == 2
+    assert [f.cache_info() for f in caches] == before
+
+
+def test_negative_vertex_genus_is_rejected():
+    # genus -1 and 0 on a four-edge banana: 1 + 4 - 2 - 1 = 2 overall
+    b = GraphBuilder()
+    b.add_vertex(-1)
+    b.add_vertex(0)
+    for _ in range(4):
+        b.add_edge(0, 1)
+    b.add_leg(0, "U1")
+    with pytest.raises(ValueError, match="invalid graph in term: negative genus"):
+        Expression(make_ambient(2, ["U1"]), [(1, b.build())])

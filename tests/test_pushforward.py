@@ -5,13 +5,25 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautrel.graphs import EXTRA, DecoratedGraph, GraphBuilder, genus, is_stable, validate
-from tautrel.expressions import Expression, from_terms, make_ambient, parse_bracket
+from tautrel.graphs import EXTRA, DecoratedGraph
+from tautrel import pushforward, treeclass
+from tautrel.expressions import (
+    Expression,
+    _base_overweight,
+    from_terms,
+    make_ambient,
+    parse_bracket,
+)
 from tautrel.pushforward import d_set, forget_extra_legs, forget_frozen_legs, string_table
 from tautrel.reduce import integrate
 from tautrel.treeclass import weighted_tree_class
 
-from conftest import genus0_integral_by_string, random_decorated_graph
+from conftest import (
+    builder_copy_of,
+    genus0_integral_by_string,
+    random_decorated_graph,
+    valid_term,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +48,7 @@ def reference_push_at_vertices(coeff, dg, counts, drop):
             mult *= m
             for h, e in zip(slots, residual):
                 exponents[h] = e
-        b = GraphBuilder.copy_of(DecoratedGraph(g, tuple(exponents)), drop=drop)
+        b = builder_copy_of(DecoratedGraph(g, tuple(exponents)), drop=drop)
         out.append((coeff * mult, b.build()))
     return out
 
@@ -79,8 +91,7 @@ def outcome(forget, expr):
 
 def one_term(dg):
     """``dg`` as a one-term expression, or None when it is no valid term."""
-    g = dg.graph
-    if validate(g) or not is_stable(dg) or 2 * genus(g) - 2 + len(g.leg_labels()) <= 0:
+    if not valid_term(dg):
         return None
     return from_terms([(1, dg)])
 
@@ -242,3 +253,33 @@ def test_forget_agrees_with_integration_oracle():
     out = forget_frozen_legs(e.relabel_legs({"x6": "V1"}), 1)
     assert integrate(out) == value_before
     assert value_before == genus0_integral_by_string((0, 0, 0, 2, 1, 0))
+
+
+# Classes whose assembly and frozen-leg forgets the string table runs on.
+NO_OVERWEIGHT_GRID = [(0, 3, (1, 1, 1)), (0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)),
+                      (1, 1, (2, 1, 1)), (1, 2, (2, 1)), (1, 2, (1, 1, 1)),
+                      (1, 2, (2, 1, 1)), (1, 2, (1, 1, 1, 1)), (1, 3, (1, 1, 1)),
+                      (1, 3, (2, 1)), (1, 3, (2, 1, 1)), (2, 1, (1, 1, 1, 1)),
+                      (2, 0, (2, 2, 1, 1)), (2, 1, (2, 1, 1))]
+
+
+def test_forgetful_pushforwards_leave_no_vertex_overweight(monkeypatch):
+    """``_push_at_vertices`` keeps every pick of its tables: forgetting k
+    points lowers a vertex's psi load and its dimension both by k, and a
+    shape assignment's bounds hold every vertex within its dimension."""
+    pushed = []
+    push = pushforward._push_at_vertices
+
+    def recording(*args):
+        for mult, key in push(*args):
+            pushed.append(key)
+            yield mult, key
+
+    monkeypatch.setattr(pushforward, "_push_at_vertices", recording)
+    monkeypatch.setattr(treeclass, "_push_at_vertices", recording)
+    for g, m, d in NO_OVERWEIGHT_GRID:
+        raw = weighted_tree_class(g, m, d)
+        if m >= 3:
+            assert not forget_frozen_legs(raw, 1).is_zero()
+    assert len(pushed) > 3000
+    assert not any(_base_overweight(key[0]) for key in pushed)

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from tautrel.expressions import (
     Expression,
     _base_overweight,
-    _vertex_overweight,
     make_ambient,
     parse_bracket,
 )
@@ -24,13 +23,10 @@ from tautrel.graphs import (
     _canonical_search,
     automorphism_order,
     canonical_key,
-    genus,
     graph_from_key,
-    is_stable,
     key_records,
     label_sort_key,
     leg_kind,
-    validate,
 )
 from tautrel import reduce
 from tautrel.reduce import (
@@ -54,10 +50,14 @@ from tautrel.treeclass import weighted_tree_class
 
 from conftest import (
     FIXTURES,
+    builder_copy_of,
     fixture_text,
+    genus,
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
     random_decorated_graph,
+    valid_term,
+    vertex_overweight,
 )
 from test_graphs import contract_edge, single_term, split_vertex
 
@@ -174,7 +174,7 @@ def reference_psi_terms(dg, vertex, half, away):
     out = [(1, split_vertex(lowered, vertex, side, 0, genus_v))
            for side in reduce._sides(g.halves_at(vertex), (half,), away)]
     if genus_v == 1:
-        loop = GraphBuilder.copy_of(lowered)
+        loop = builder_copy_of(lowered)
         loop.genera[vertex] = 0
         loop.add_edge(vertex, vertex)
         out.append((Fraction(1, 24), loop.build()))
@@ -302,12 +302,11 @@ def test_rewritten_graphs_are_valid_terms(g, m, d, monkeypatch):
     for dg, out in rewrites:
         for _factor, records in out:
             term = graph_from_key(_canonical_search(*records)[0])
-            assert _base_overweight(records[0]) == _vertex_overweight(term)
-            if _vertex_overweight(term):
+            assert _base_overweight(records[0]) == vertex_overweight(term)
+            if vertex_overweight(term):
                 continue
             kept += 1
-            assert validate(term.graph) == []
-            assert is_stable(term)
+            assert valid_term(term)
             assert genus(term.graph) == expr.ambient.genus
             assert tuple(term.graph.leg_labels()) == expr.ambient.labels
             assert term.graph.n_edges() == dg.graph.n_edges() + 1
@@ -497,6 +496,14 @@ def test_distribute_single_factor_and_collision():
         distribute(e, "x1")
 
 
+def test_distribute_extra_leg():
+    e = parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0")
+    assert distribute(e, EXTRA) == parse_bracket(
+        "<x1 x2 W a>_0 <a* x3 x4>_0 + <x1 x2 a>_0 <a* x3 x4 W>_0")
+    with pytest.raises(ValueError, match="already used"):
+        distribute(parse_bracket("<x1 x2 W a>_0 <a* x3 x4>_0"), EXTRA)
+
+
 def test_distributed_four_point_difference_is_five_point_relation():
     lhs = distribute(parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0"), "x5")
     rhs = distribute(parse_bracket("<x1 x3 a>_0 <a* x2 x4>_0"), "x5")
@@ -637,6 +644,26 @@ def test_integrate_psi_on_one_pointed_genus1():
 
 def test_integrate_genus0_closed_form_example():
     assert integrate(parse_bracket("<P^2(x1) x2 x3 x4 x5>_0")) == 1
+
+
+@pytest.mark.parametrize("text", ["<P^1(U1) U2 U3 U4 W>_0", "<P^1(U1) W>_1",
+                                  "<P^1(U1) U2 U3 a>_0 <P^1(a*) W>_1"])
+def test_integrate_counts_extra_legs(text):
+    # a vertex with extra legs is below its dimension, so the class integrates
+    # to zero; each vertex integral reads the extras as zero exponents
+    expr = parse_bracket(text)
+    assert expr.degree() == expr.ambient.dimension
+    assert integrate(expr) == 0
+    total = Fraction(0)
+    for coeff, dg in expr.terms():
+        g = dg.graph
+        value = coeff
+        for v in range(g.n_vertices):
+            exps = tuple(sorted(dg.exponents[h] for h in g.halves_at(v)))
+            value *= (genus0_integral_by_string if g.genera[v] == 0
+                      else genus1_integral_by_string_dilaton)(exps)
+        total += value
+    assert total == 0
 
 
 def test_integrate_requires_top_degree():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from tautrel import graphs, treeclass
+from tautrel import treeclass
 from tautrel.graphs import (
     EXTRA,
     DecoratedGraph,
@@ -23,7 +23,13 @@ from tautrel.treeclass import (
     weighted_tree_class,
 )
 
-from conftest import RootedTreeView, brute_force_shape_keys, fixture_text
+from conftest import (
+    RootedTreeView,
+    brute_force_shape_keys,
+    builder_copy_of,
+    fixture_text,
+    genus,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +56,7 @@ def shape_graph(shape):
 def reference_add_extras(shape, assignment):
     """Add ``assignment[v] + 1`` extra legs to each non-root vertex."""
     g = shape_graph(shape)
-    b = GraphBuilder.copy_of(DecoratedGraph(g, (0,) * g.n_half_edges))
+    b = builder_copy_of(DecoratedGraph(g, (0,) * g.n_half_edges))
     for v in range(1, g.n_vertices):
         for _ in range(assignment[v] + 1):
             b.add_leg(v, EXTRA)
@@ -93,7 +99,7 @@ def reference_weight_decoration(tree_dg, weights):
 def reference_shape_class(shape, weights):
     """Each acceptable tree as a one-term Expression, then forget its extras."""
     g = shape_graph(shape)
-    ambient = make_ambient(graphs.genus(g), g.leg_labels())
+    ambient = make_ambient(genus(g), g.leg_labels())
     acc = {}
     for assignment in acceptable_assignments(shape, weights):
         tree = reference_add_extras(shape, assignment)

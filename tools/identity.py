@@ -14,20 +14,23 @@ of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
 for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
 ``reduce --mode psi`` on the symmetric input for k = 9, p = 1 and on the
 mixed star of ``mixed_star_text`` for p in {0, 1}, whose genus-0 tails
-with extra legs go through parse, psi elimination and render, and on the
+with extra legs go through parse, psi elimination and render, on the
+psi-free star of ``pinned_g1_text``, whose pinned leg ``g1`` and ten-edge
+centre test the edge names of render, and on the
 single terms of ``PSI_SITES``, which put a psi site next to a loop, next to
 a frozen partner pair and on an edge end;
 ``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1), (0, 2, 1, 1,1),
 (1, 2, 2, 2,1,1), (0, 3, 1, 1,1,1) and (1, 1, 2, 2,1,1), the last of which
 exits 1 because forgetting two frozen legs leaves a vertex unstable,
 ``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
-pair`` on ``b21_raw``, ``reduce --mode psi --format latex`` on ``h``,
+pair`` on ``b21_raw``, ``reduce --mode psi`` on ``h`` with ``--format latex``
+and with ``--format json``,
 ``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
 latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 47 calls.  Both trees read the bracket fixtures
+forgetful pushforward outside the pools.  That makes 49 calls.  Both trees read the bracket fixtures
 from PARENT's ``tests/fixtures``.  The two trees run each call side by
 side.
 
@@ -69,6 +72,16 @@ def mixed_star_text(p):
                                " ".join("<%s* W W>_0" % n for n in b))
 
 
+def pinned_g1_text():
+    """<g1 U1 U2 a1..a6 b1..b4>_0 <ai*>_1 ... <bj* W W>_0 ...: a psi-free star
+    whose centre has ten edges and a leg that render's edge names skip."""
+    a = ["a%d" % i for i in range(1, 7)]
+    b = ["b%d" % j for j in range(1, 5)]
+    return "<%s>_0 %s %s\n" % (" ".join(["g1", "U1", "U2"] + a + b),
+                               " ".join("<%s*>_1" % n for n in a),
+                               " ".join("<%s* W W>_0" % n for n in b))
+
+
 PSI_SITES = [
     "<P^1(x1) b a a*>_0 <b* x2 x3>_0",              # a loop at the split vertex
     "<V1 V2 P^1(U2) a>_0 <a* P^2(U1)>_1",           # a frozen partner pair
@@ -103,6 +116,7 @@ def calls(workdir, fixtures):
     for p in (0, 1):
         path = write(workdir, "mixed_star_p%d" % p, mixed_star_text(p))
         out.append(["reduce", path, "--mode", "psi"])
+    out.append(["reduce", write(workdir, "pinned_g1", pinned_g1_text()), "--mode", "psi"])
     for i, text in enumerate(PSI_SITES):
         path = write(workdir, "psi_site_%d" % i, text + "\n")
         out.append(["reduce", path, "--mode", "psi"])
@@ -113,7 +127,8 @@ def calls(workdir, fixtures):
     for name, extra in [("f", ["--mode", "zero-test"]),
                         ("h0i0_combined", ["--mode", "zero-test"]),
                         ("b21_raw", ["--mode", "pair"]),
-                        ("h", ["--mode", "psi", "--format", "latex"])]:
+                        ("h", ["--mode", "psi", "--format", "latex"]),
+                        ("h", ["--mode", "psi", "--format", "json"])]:
         out.append(["reduce", os.path.join(fixtures, name + ".bracket")] + extra)
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1",
