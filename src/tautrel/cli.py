@@ -15,6 +15,9 @@ import sys
 import time
 
 from .expressions import (
+    _key_json,
+    _term_order,
+    _terms_json,
     expression_to_json,
     parse_bracket,
     render_bracket,
@@ -75,13 +78,23 @@ def _format_expression(expr, fmt):
 
 
 def _certificate_json(expr, cert):
+    """The certificate as JSON.  Each relation is written as
+    ``expression_to_json`` writes it, from one JSON object per distinct graph
+    of the combination, built once however many relations share it."""
     out = {"reason": cert.reason, "rounds": cert.budget_spent}
     if cert.reason == "wdvv-span":
         out["target"] = expression_to_json(expr)
+        basis = cert.basis
+        keys = basis.keys
+        used = [basis.relations[i] for _c, i in cert.combination]
+        order = sorted(set().union(*used), key=lambda i: _term_order(keys[i]))
+        rank = {i: r for r, i in enumerate(order)}
+        graph = [_key_json(keys[i]) for i in order]
         out["combination"] = [
             {"coefficient": {"num": c.numerator, "den": c.denominator},
-             "relation": expression_to_json(rel)}
-            for c, rel in cert.relations_used()
+             "relation": _terms_json(basis.ambient, (
+                 (n, graph[r]) for r, n in sorted((rank[i], n) for i, n in rel.items())))}
+            for (c, _i), rel in zip(cert.combination, used)
         ]
     return out
 

@@ -146,6 +146,11 @@ def _graph_records(dg):
     return _records(dg)
 
 
+def _term_order(key):
+    """The sort key of a term's graph key: edge count, then the key."""
+    return len(key[1]), key
+
+
 class Expression:
     """Normalized formal sum. Terms are stored as canonical key -> coefficient."""
 
@@ -159,7 +164,7 @@ class Expression:
 
     def items(self):
         """(key, coefficient) pairs in deterministic order."""
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0][1]), kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: _term_order(kv[0]))
 
     def terms(self):
         """(coefficient, canonical graph) pairs in deterministic order."""
@@ -658,15 +663,20 @@ def _json_records(data):
     return base_classes([entry["genus"] for entry in data["vertices"]], halves), edges
 
 
-def expression_to_json(expr):
+def _terms_json(ambient, terms):
+    """The JSON object of a sum on ``ambient`` of the (coefficient, JSON graph
+    object) pairs ``terms``, in their order."""
     return {
-        "ambient": {"genus": expr.ambient.genus, "labels": list(expr.ambient.labels)},
+        "ambient": {"genus": ambient.genus, "labels": list(ambient.labels)},
         "terms": [
-            {"coefficient": {"num": c.numerator, "den": c.denominator},
-             "graph": _key_json(key)}
-            for key, c in expr.items()
+            {"coefficient": {"num": c.numerator, "den": c.denominator}, "graph": graph}
+            for c, graph in terms
         ],
     }
+
+
+def expression_to_json(expr):
+    return _terms_json(expr.ambient, ((c, _key_json(key)) for key, c in expr.items()))
 
 
 def expression_from_json(data):

@@ -223,34 +223,46 @@ def _records(dg):
     return base, edges
 
 
+def _sorted_runs(value):
+    """The vertices sorted by ``value`` (stably) and cut into runs of equal
+    values, each run in increasing order."""
+    order = sorted(range(len(value)), key=value.__getitem__)
+    return [list(run) for _value, run in itertools.groupby(order, value.__getitem__)]
+
+
 def _refined_groups(base, edges):
     """Vertex groups under iterated neighborhood refinement, in canonical order.
 
-    Refinement only ever splits groups and is isomorphism-invariant, so
-    restricting the canonical search to within-group permutations is sound.
-    It has converged once a pass no longer adds a group, or once every group
-    holds one vertex, when no pass can split a group.
+    The first groups are the runs of equal base classes among the vertices
+    sorted by base class.  While some group holds more than one vertex, a
+    pass sorts the vertices by their group's rank and the sorted (own
+    exponent, far exponent, far group's rank) of their edge ends, and takes
+    the runs as the new groups.  Ranks keep the order of the values they
+    stand for, so the groups come in the order of the fully nested values,
+    and no value is hashed.  Refinement only ever splits groups and is
+    isomorphism-invariant, so restricting the canonical search to
+    within-group permutations is sound.  It has converged once a pass no
+    longer adds a group, or once every group holds one vertex, when no pass
+    can split a group.
     """
     nv = len(base)
-    val = list(base)
-    at = [[] for _ in range(nv)]   # (own exponent, far exponent, far vertex)
-    for v1, e1, v2, e2 in edges:
-        at[v1].append((e1, e2, v2))
-        at[v2].append((e2, e1, v1))
-    n_groups = len(set(val))
-    while n_groups < nv:
-        new = []
-        for v in range(nv):
-            nbr = tuple(sorted((e, f, val[w]) for e, f, w in at[v]))
-            new.append((val[v], nbr))
-        n_new = len(set(new))
-        if n_new == n_groups:
-            break
-        val, n_groups = new, n_new
-    groups = {}
-    for v in range(nv):
-        groups.setdefault(val[v], []).append(v)
-    return [sorted(groups[value]) for value in sorted(groups)]
+    groups = _sorted_runs(base)
+    if len(groups) < nv:
+        at = [[] for _ in range(nv)]   # (own exponent, far exponent, far vertex)
+        for v1, e1, v2, e2 in edges:
+            at[v1].append((e1, e2, v2))
+            at[v2].append((e2, e1, v1))
+        rank = [0] * nv
+        while len(groups) < nv:
+            for r, grp in enumerate(groups):
+                for v in grp:
+                    rank[v] = r
+            new = _sorted_runs([(rank[v], sorted((e, f, rank[w]) for e, f, w in at[v]))
+                                for v in range(nv)])
+            if len(new) == len(groups):
+                break
+            groups = new
+    return groups
 
 
 def _twin_classes(grp, incidences):
@@ -314,7 +326,7 @@ def _canonical_search(base, edges):
     vpart = tuple(base[v] for grp in groups for v in grp)
     choices = []
     twin_orders = 1
-    if any(len(grp) > 1 for grp in groups):
+    if len(groups) < len(base):    # some group holds more than one vertex
         incidences = [[] for _ in range(len(base))]
         for v1, e1, v2, e2 in edges:
             incidences[v1].append((e1, e2, -1 if v1 == v2 else v2))
@@ -328,16 +340,18 @@ def _canonical_search(base, edges):
             twin_orders *= factorial(len(cls))
         choices.append(_arrangements(classes))
     best, ties = None, 0
+    pos = [0] * len(base)
     for combo in itertools.product(*choices):
-        pos = {}
         i = 0
         for grp in combo:
             for v in grp:
                 pos[v] = i
                 i += 1
-        recs = tuple(sorted(
-            tuple(sorted(((pos[v1], e1), (pos[v2], e2))))
-            for v1, e1, v2, e2 in edges))
+        recs = []
+        for v1, e1, v2, e2 in edges:
+            end1, end2 = (pos[v1], e1), (pos[v2], e2)
+            recs.append((end1, end2) if end1 <= end2 else (end2, end1))
+        recs = tuple(sorted(recs))
         if recs == best:
             ties += 1
         elif best is None or recs < best:

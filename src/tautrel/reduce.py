@@ -81,12 +81,13 @@ def _sides(halves, stay, away):
             yield frozenset({*stay, *companions})
 
 
-def _psi_terms(base, edges, vertex, half, away):
+def _psi_terms(base, edges, vertex, halves, half, away):
     """One psi power at ``half`` on a genus-0 or genus-1 vertex, rewritten on
     the records of a graph.
 
-    ``half`` and ``away`` are positions in ``graphs.half_edges`` at the
-    vertex.  Returns (factor, records) pairs: the
+    ``halves`` is ``graphs.half_edges(base, edges, vertex)``, listed once by
+    the caller, and ``half`` and ``away`` are positions in it.  Returns
+    (factor, records) pairs: the
     lowered records split along every side that keeps ``half`` and none of
     ``away``, the side on a genus-0 vertex and the rest keeping the vertex's
     genus, and on a genus-1 vertex also the loop term with factor 1/24: the
@@ -96,7 +97,6 @@ def _psi_terms(base, edges, vertex, half, away):
     one more edge and one psi power fewer, by construction.
     """
     genus_v, extras, legs, intexp = base[vertex]
-    halves = half_edges(base, edges, vertex)
     _v, label, exp, end = halves[half]
     base, edges = list(base), list(edges)
     if end is None:
@@ -110,6 +110,7 @@ def _psi_terms(base, edges, vertex, half, away):
         rest.remove(exp)
         intexp = tuple(sorted(rest + [exp - 1]))
     base[vertex] = (genus_v, extras, legs, intexp)
+    halves = list(halves)
     halves[half] = (vertex, label, exp - 1, end)
     out = [(1, split_records(base, edges, vertex, halves, side, genus_v))
            for side in _sides(range(len(halves)), (half,), away)]
@@ -120,10 +121,10 @@ def _psi_terms(base, edges, vertex, half, away):
     return out
 
 
-def _psi_keys(base, edges, vertex, half, away):
+def _psi_keys(base, edges, vertex, halves, half, away):
     """(factor, key) pairs of the rewrites of ``_psi_terms`` that are not
     overweight, keyed by the canonical search on their records."""
-    for factor, (b, e) in _psi_terms(base, edges, vertex, half, away):
+    for factor, (b, e) in _psi_terms(base, edges, vertex, halves, half, away):
         if not _base_overweight(b):
             yield factor, _canonical_search(b, e)[0]
 
@@ -132,8 +133,9 @@ def _rewritten(ambient, coeff, base, edges, vertex, half, away):
     """``coeff`` times the graph with records (base, edges), with one psi power
     rewritten.  ``half`` and ``away`` are positions at ``vertex`` (see
     ``_psi_terms``)."""
+    halves = half_edges(base, edges, vertex)
     return _summed(ambient, ((coeff * factor, k) for factor, k
-                             in _psi_keys(base, edges, vertex, half, away)))
+                             in _psi_keys(base, edges, vertex, halves, half, away)))
 
 
 def psi_reduce_genus0(expr, vertex, half, partner_pair):
@@ -175,13 +177,12 @@ def psi_reduce_genus1(expr, vertex, half):
     return _rewritten(expr.ambient, coeff, base, edges, vertex, halves.index(half), ())
 
 
-def choose_partner_pair(base, edges, vertex, half):
+def choose_partner_pair(halves, half):
     """Deterministic partner pair for a psi power at ``half`` on a genus-0
-    vertex of the graph with records (base, edges): frozen legs first, then
-    regular, named and extra legs, then edge ends, avoiding the two ends of
-    one loop whenever possible.  Half-edges are positions in
-    ``graphs.half_edges`` at the vertex."""
-    halves = half_edges(base, edges, vertex)
+    vertex whose half-edges ``graphs.half_edges(base, edges, vertex)``
+    lists as ``halves``: frozen legs first, then regular, named and extra
+    legs, then edge ends, avoiding the two ends of one loop whenever
+    possible.  Half-edges are positions in ``halves``."""
 
     def rank(n):
         label = halves[n][1]
@@ -204,12 +205,14 @@ def choose_partner_pair(base, edges, vertex, half):
 
 
 def _reduction_site(base, edges):
-    """Deterministic choice of (vertex, half) to reduce, or None when psi-free.
+    """Deterministic choice of (vertex, half, halves) to reduce, or None when
+    psi-free.
 
     Genus-1 vertices take priority, highest exponent first, then genus-0
     vertices, the lowest vertex first; on the vertex, the first half-edge
-    with that exponent, as a position in ``graphs.half_edges``.  Positive
-    exponents on genus >= 2 vertices are unsupported.
+    with that exponent, as a position in ``halves``, the vertex's listing
+    ``graphs.half_edges(base, edges, vertex)``, which the rewrite reuses.
+    Positive exponents on genus >= 2 vertices are unsupported.
     """
     best = None
     for v, (genus_v, _extras, legs, intexp) in enumerate(base):
@@ -225,7 +228,7 @@ def _reduction_site(base, edges):
         return None
     v, top = best[2], -best[1]
     halves = half_edges(base, edges, v)
-    return v, next(n for n, half in enumerate(halves) if half[2] == top)
+    return v, next(n for n, half in enumerate(halves) if half[2] == top), halves
 
 
 def eliminate_all_psi(expr):
@@ -250,9 +253,9 @@ def eliminate_all_psi(expr):
             if site is None:
                 done[key] = coeff
                 continue
-            v, h = site
-            away = choose_partner_pair(base, edges, v, h) if base[v][0] == 0 else ()
-            for factor, k in _psi_keys(base, edges, v, h, away):
+            v, h, halves = site
+            away = choose_partner_pair(halves, h) if base[v][0] == 0 else ()
+            for factor, k in _psi_keys(base, edges, v, halves, h, away):
                 pending = levels[len(k[1])]
                 pending[k] = pending.get(k, Fraction(0)) + coeff * factor
     return Expression(expr.ambient, _raw=done)
@@ -280,21 +283,34 @@ def distribute(expr, label):
 class RelationBasis:
     """Relations found by a closure run, with the state needed to resume it.
 
-    ``relations`` holds each kept relation as a key -> int dict.  ``support``
-    holds every graph key reached so far.  ``processed`` holds
+    Graph keys are nested tuples whose hash Python recomputes on every dict
+    or set operation, so the closure numbers each key once, in a key table:
+    ``keys[i]`` is the key with id i, and ``ids`` maps each key back to its
+    id.  The support comes first, in key order, and then each key in the
+    order the closure's splittings first produce it.  ``relations`` holds
+    each kept relation as an id -> int dict (``keyed`` gives it back over
+    keys).  ``support`` holds the ids of every graph reached so far: the
+    initial support and every graph of a kept relation.  ``processed`` holds
     the keys of the contracted source graphs already instantiated,
     ``signatures`` the normalized relations already kept, and ``frontier``
-    the keys that joined the support in the last round; an empty frontier
+    the ids that joined the support in the last round; an empty frontier
     after a round means the closure is closed.
     """
 
     ambient: object
     relations: tuple
+    keys: tuple
+    ids: dict = field(repr=False, compare=False)
     support: frozenset
     rounds: int
     processed: frozenset = field(default=frozenset(), repr=False)
     signatures: frozenset = field(default=frozenset(), repr=False)
     frontier: frozenset = field(default=frozenset(), repr=False)
+
+    def keyed(self, relation):
+        """An id -> int dict of this basis as a key -> int dict, in its order."""
+        keys = self.keys
+        return {keys[i]: n for i, n in relation.items()}
 
 
 def _exchange_relation(split, quad, e):
@@ -354,9 +370,12 @@ def _local_basis(k):
     return tuple(basis)
 
 
-def wdvv_relations_at(key, vertex):
+def wdvv_relations_at(key, vertex, ids):
     """A basis of the WDVV relations from one genus-0 vertex of the graph with
-    key ``key``, as key -> int dicts.
+    key ``key``, as id -> int dicts over the key table ``ids``.
+
+    ``ids`` maps graph keys to ids; each splitting's key is looked up there
+    once, and a key not in it is added with the next id.
 
     The half-edges at the vertex are numbered as ``graph_from_key`` numbers
     them (see ``half_edges``).  Of the two exchange relations of each
@@ -380,21 +399,22 @@ def wdvv_relations_at(key, vertex):
         raise ValueError("WDVV instantiation expects psi-free graphs")
     base, edges = key_records(key)
     halves = half_edges(base, edges, vertex)
-    key_of_side = {}
+    id_of_side = {}
 
-    def split_keys(pair_a, pair_b):
-        """Keys of the splittings separating pair_a from pair_b."""
+    def split_ids(pair_a, pair_b):
+        """Key ids of the splittings separating pair_a from pair_b."""
         for side in _sides(range(k), pair_a, pair_b):
-            split_key = key_of_side.get(side)
-            if split_key is None:
-                split_key = key_of_side[side] = _canonical_search(
+            split_id = id_of_side.get(side)
+            if split_id is None:
+                split_key = _canonical_search(
                     *split_records(base, edges, vertex, halves, side, 0))[0]
-            yield split_key
+                split_id = id_of_side[side] = ids.setdefault(split_key, len(ids))
+            yield split_id
 
     quads = list(itertools.combinations(range(k), 4))
     out = []
     for q, e in _local_basis(k):
-        relation = _exchange_relation(split_keys, quads[q], e)
+        relation = _exchange_relation(split_ids, quads[q], e)
         if relation:
             out.append(relation)
     return out
@@ -407,7 +427,7 @@ def relation_expression(ambient, relation):
 
 def _relation_signature(relation):
     """The relation's proportionality class: the entries divided by their gcd,
-    signed so that the entry of the least key is positive."""
+    signed so that the entry of the least key id is positive."""
     scale = gcd(*relation.values())
     if relation[min(relation)] < 0:
         scale = -scale
@@ -423,15 +443,19 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
     instantiates the exchange relations at every genus-0 vertex of each new
     contraction; graphs appearing in new relations join the support for the
     next round.  A relation proportional to one already kept is dropped.
+    Keys are numbered in the key table of ``RelationBasis`` as they first
+    appear, and everything after that works on their ids.
     ``resume`` takes a basis this function returned earlier for the same
     support and continues its closure up to ``rounds`` rounds in all; the
     result equals that of a fresh call with the same ``rounds``.
     """
     if resume is None:
-        support = frozenset(support)
-        resume = RelationBasis(ambient, (), support, 0, frontier=support)
+        ids = {key: i for i, key in enumerate(sorted(support))}
+        start = frozenset(ids.values())
+        resume = RelationBasis(ambient, (), tuple(ids), ids, start, 0, frontier=start)
     if resume.rounds >= rounds or (resume.rounds and not resume.frontier):
         return resume
+    ids = dict(resume.ids)         # a dict copy reuses the stored hashes
     known = set(resume.support)
     processed = set(resume.processed)
     seen_signatures = set(resume.signatures)
@@ -440,22 +464,23 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
     rounds_used = resume.rounds
     while rounds_used < rounds:
         rounds_used += 1
+        keys = tuple(ids)
         sources = set()
-        for key in frontier:
-            base, edges = key_records(key)
-            for i, (v1, _e1, v2, _e2) in enumerate(edges):
+        for i in frontier:
+            base, edges = key_records(keys[i])
+            for j, (v1, _e1, v2, _e2) in enumerate(edges):
                 # skip loops, and records equal to the one before (records
                 # are sorted), whose contraction is already keyed
-                if v1 == v2 or (i and edges[i - 1] == edges[i]):
+                if v1 == v2 or (j and edges[j - 1] == edges[j]):
                     continue
-                skey = _canonical_search(*contract_records(base, edges, i))[0]
+                skey = _canonical_search(*contract_records(base, edges, j))[0]
                 if skey not in processed:
                     sources.add(skey)
         frontier = set()
         for skey in sorted(sources):
             processed.add(skey)
             for v in range(len(skey[0])):
-                for rel in wdvv_relations_at(skey, v):
+                for rel in wdvv_relations_at(skey, v, ids):
                     sig = _relation_signature(rel)
                     if sig in seen_signatures:
                         continue
@@ -464,14 +489,14 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
                     if len(relations) > max_relations:
                         raise OverflowError(
                             "relation budget exceeded (%d)" % max_relations)
-                    for key in rel:
-                        if key not in known:
-                            known.add(key)
-                            frontier.add(key)
+                    for i in rel:
+                        if i not in known:
+                            known.add(i)
+                            frontier.add(i)
         if not frontier:
             break
-    return RelationBasis(ambient, tuple(relations), frozenset(known), rounds_used,
-                         frozenset(processed), frozenset(seen_signatures),
+    return RelationBasis(ambient, tuple(relations), tuple(ids), ids, frozenset(known),
+                         rounds_used, frozenset(processed), frozenset(seen_signatures),
                          frozenset(frontier))
 
 
@@ -491,7 +516,8 @@ class ZeroCertificate:
 
     def relations_used(self):
         """(coefficient, relation as an Expression) pairs of the combination."""
-        return [(c, relation_expression(self.basis.ambient, self.basis.relations[i]))
+        basis = self.basis
+        return [(c, relation_expression(basis.ambient, basis.keyed(basis.relations[i])))
                 for c, i in self.combination]
 
 
@@ -595,8 +621,10 @@ def _rational(a, m):
 class _System:
     """The system sum_j x_j * columns[j] = target, solved prime by prime.
 
-    Each equation (graph key) is scaled once to integers by the lcm of its
-    denominators, which keeps its solutions.  The residues that primes give
+    Columns and target map equations to numbers; the span test names its
+    equations by key id, so building the rows hashes and sorts small ints.
+    The equations are taken in sorted order, and each is scaled once to
+    integers by the lcm of its denominators, which keeps its solutions.  The residues that primes give
     for the same pivot columns are combined by CRT, and a solution is
     reconstructed from them and accepted only when it satisfies the system
     exactly.
@@ -612,7 +640,7 @@ class _System:
                 if row is None:
                     row = row_of[key] = {}
                 row[j] = val
-        keys = sorted(row_of)      # equations in key order
+        keys = sorted(row_of)      # equations in sorted order
         self.rows = [row_of[key] for key in keys]
         self.rhs = [self.target.get(key, 0) for key in keys]
         self.int_rows, self.int_rhs = [], []
@@ -707,7 +735,6 @@ def span_zero_test(expr, budget=3, max_relations=200000):
         raise ValueError("span test requires a psi-free expression")
     if expr.is_zero():
         return ZeroCertificate(True, (), None, 0, "normalizes to zero")
-    target = dict(expr._terms)
     basis = None
     closure_s = solve_s = 0.0
     for rounds in range(1, budget + 1):
@@ -719,6 +746,7 @@ def span_zero_test(expr, budget=3, max_relations=200000):
         closure_s += time.perf_counter() - started
         if previous is not None and len(basis.relations) == len(previous.relations):
             continue               # no new relation: the last outcome stands
+        target = {basis.ids[key]: v for key, v in expr._terms.items()}
         touched = set().union(*basis.relations)
         if not touched.issuperset(target):
             continue
@@ -737,7 +765,7 @@ def span_zero_test(expr, budget=3, max_relations=200000):
             for k, v in basis.relations[i].items():
                 acc[k] = acc.get(k, Fraction(0)) + c * v
         total = Expression(expr.ambient,
-                           _raw={k: v for k, v in acc.items() if v != 0})
+                           _raw={basis.keys[i]: v for i, v in acc.items() if v != 0})
         if total != expr:
             raise AssertionError("certificate failed re-substitution")
         return ZeroCertificate(True, combination, basis, rounds, "wdvv-span",

@@ -17,7 +17,7 @@ from tautrel.expressions import (
     expression_from_json,
     parse_bracket,
 )
-from tautrel.graphs import canonical_key, key_records
+from tautrel.graphs import canonical_key, half_edges, key_records
 from tautrel.pushforward import d_set, forget_frozen_legs
 from tautrel.reduce import (
     choose_partner_pair,
@@ -208,7 +208,8 @@ def test_criterion_6_psi_reduction_identities():
         if dg.graph.genera[v] == 0:
             (key,) = e.support()
             halves = dg.graph.halves_at(v)
-            pair = choose_partner_pair(*key_records(key), v, halves.index(target))
+            pair = choose_partner_pair(half_edges(*key_records(key), v),
+                                       halves.index(target))
             out = psi_reduce_genus0(e, v, target, [halves[n] for n in pair])
         else:
             out = psi_reduce_genus1(e, v, target)

@@ -155,7 +155,8 @@ def test_roundtrip_generated_graphs():
     reduced = eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
     basis = generate_wdvv_relations(reduced.support(), reduced.ambient, rounds=1)
     seen = 0
-    for rel in (relation_expression(basis.ambient, r) for r in basis.relations):
+    for rel in (relation_expression(basis.ambient, basis.keyed(r))
+                for r in basis.relations):
         assert parse_bracket(render_bracket(rel)) == rel
         seen += len(rel)
         if seen > 400:

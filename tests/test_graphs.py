@@ -3,10 +3,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from tautrel import graphs
 from tautrel.graphs import (
     EXTRA,
     DecoratedGraph,
@@ -448,6 +450,62 @@ def test_canonical_search_matches_reference_loops_on_twin_heavy_graphs(dg):
     assert order == reference_automorphism_order(dg)
     if sum(1 for lab in dg.graph.labels if lab != EXTRA) <= 7:
         assert order == brute_force_automorphism_order(dg)
+
+
+def hashed_refined_groups(base, edges):
+    """Reference oracle: the refinement that counted the groups of each pass
+    by hashing its nested values into a set, and grouped and ordered the
+    vertices by the values of the last pass."""
+    nv = len(base)
+    val = list(base)
+    at = [[] for _ in range(nv)]
+    for v1, e1, v2, e2 in edges:
+        at[v1].append((e1, e2, v2))
+        at[v2].append((e2, e1, v1))
+    n_groups = len(set(val))
+    while n_groups < nv:
+        new = []
+        for v in range(nv):
+            nbr = tuple(sorted((e, f, val[w]) for e, f, w in at[v]))
+            new.append((val[v], nbr))
+        n_new = len(set(new))
+        if n_new == n_groups:
+            break
+        val, n_groups = new, n_new
+    groups = {}
+    for v in range(nv):
+        groups.setdefault(val[v], []).append(v)
+    return [sorted(groups[value]) for value in sorted(groups)]
+
+
+def check_sorted_grouping(dg):
+    """Grouping by sorting gives the hashed grouping's groups, and the search
+    over them its key and tie count."""
+    base, edges = _records(dg)
+    assert _refined_groups(base, edges) == hashed_refined_groups(base, edges)
+    with mock.patch.object(graphs, "_refined_groups", hashed_refined_groups):
+        expected = _canonical_search(base, edges)
+    assert _canonical_search(base, edges) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_sorted_grouping_matches_hashed_grouping_on_random_graphs(rng):
+    check_sorted_grouping(random_decorated_graph(rng, max_vertices=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(7, 9), a=st.integers(0, 9), p=st.integers(0, 2),
+       rng=st.randoms(use_true_random=False))
+@example(k=9, a=9, p=1, rng=random.Random(0))
+@example(k=7, a=4, p=1, rng=random.Random(0))
+def test_sorted_grouping_matches_hashed_grouping_on_stars(k, a, p, rng):
+    """Stars of k tails: min(a, k) of genus 1 and the rest of genus 0 with
+    two extra legs, so a = k is the symmetric star of one twin class, and
+    a < k the mixed star of two."""
+    a = min(a, k)
+    tails = [(1, 0, 0)] * a + [(0, 0, 2)] * (k - a)
+    check_sorted_grouping(relabeled(twin_heavy_graph(1, p, [], [tails], []), rng))
 
 
 def test_canonical_key_relabeling_property():

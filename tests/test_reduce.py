@@ -23,7 +23,9 @@ from tautrel.graphs import (
     _canonical_search,
     automorphism_order,
     canonical_key,
+    contract_records,
     graph_from_key,
+    half_edges,
     key_records,
     label_sort_key,
     leg_kind,
@@ -67,9 +69,14 @@ def half_by_label(expr, label):
     return dg.graph.leg_with_label(label)
 
 
+def keyed_relations(basis):
+    """The basis relations as key -> int dicts, mapped back through its key table."""
+    return [basis.keyed(rel) for rel in basis.relations]
+
+
 def as_expressions(basis):
     """The basis relations as Expressions with Fraction coefficients."""
-    return [relation_expression(basis.ambient, rel) for rel in basis.relations]
+    return [relation_expression(basis.ambient, rel) for rel in keyed_relations(basis)]
 
 
 def certified_zero(expr, budget=3):
@@ -258,7 +265,7 @@ def graph_partner_pair(expr, vertex, half):
     (key,) = expr.support()
     (_c, dg), = expr.terms()
     halves = dg.graph.halves_at(vertex)
-    pair = choose_partner_pair(*key_records(key), vertex, halves.index(half))
+    pair = choose_partner_pair(half_edges(*key_records(key), vertex), halves.index(half))
     return tuple(halves[n] for n in pair)
 
 
@@ -291,8 +298,8 @@ def test_rewritten_graphs_are_valid_terms(g, m, d, monkeypatch):
     rewrites = []
     psi_terms = reduce._psi_terms
 
-    def recording_psi_terms(base, edges, vertex, half, away):
-        out = psi_terms(base, edges, vertex, half, away)
+    def recording_psi_terms(base, edges, vertex, halves, half, away):
+        out = psi_terms(base, edges, vertex, halves, half, away)
         rewrites.append((graph_from_key(_canonical_search(base, edges)[0]), out))
         return out
 
@@ -354,6 +361,27 @@ def test_elimination_looks_up_each_reduction_site_once(monkeypatch):
     monkeypatch.setattr(reduce, "_reduction_site", recording_site)
     eliminate_all_psi(weighted_tree_class(1, 2, (2, 1, 1)))
     assert looked_up and len(looked_up) == len(set(looked_up))
+
+
+def test_elimination_lists_each_psi_site_once(monkeypatch):
+    """The site's listing of half-edges serves the partner pair and the
+    rewrite: one listing per rewritten key."""
+    listings, rewrites = [], []
+    listing, psi_terms = reduce.half_edges, reduce._psi_terms
+
+    def counting_listing(base, edges, at=None):
+        listings.append(at)
+        return listing(base, edges, at)
+
+    def counting_psi_terms(*args):
+        rewrites.append(args[2])
+        return psi_terms(*args)
+
+    monkeypatch.setattr(reduce, "half_edges", counting_listing)
+    monkeypatch.setattr(reduce, "_psi_terms", counting_psi_terms)
+    eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1, 1)))
+    assert len(rewrites) == 2016
+    assert listings == rewrites
 
 
 def test_partner_pair_prefers_frozen_then_legs():
@@ -467,8 +495,9 @@ def test_record_site_and_partner_pair_match_graph_references(rng):
     if site is None:
         assert reference_reduction_site(dg) is None
     else:
-        v, n = site
+        v, n, halves = site
         assert reference_reduction_site(dg) == (v, dg.graph.halves_at(v)[n])
+        assert halves == half_edges(base, edges, v)
     for v in range(dg.graph.n_vertices):
         halves = dg.graph.halves_at(v)
         if len(halves) < 3:
@@ -805,10 +834,10 @@ def reference_solve_exact(columns, target):
 
 
 def reference_relation_signature(rel):
-    """Reference oracle: the Fraction normalization of an Expression relation
-    that the integer signature replaced."""
-    items = rel.items()
-    lead = items[0][1]
+    """Reference oracle: the Fraction normalization of a relation, entries in
+    sorted order divided by the first, that the integer signature replaced."""
+    items = sorted(rel.items())
+    lead = Fraction(items[0][1])
     return tuple((k, c / lead) for k, c in items)
 
 
@@ -1167,7 +1196,72 @@ def closure_target(name):
 
 def relation_lists(basis):
     """Every relation as its (key, coefficient) list, in stored order."""
-    return [list(rel.items()) for rel in basis.relations]
+    return [list(rel.items()) for rel in keyed_relations(basis)]
+
+
+def supported_keys(basis):
+    """The keys of the basis's support, mapped back through its key table."""
+    return frozenset(basis.keys[i] for i in basis.support)
+
+
+def keyed_relations_at(key, vertex):
+    """``wdvv_relations_at`` over a fresh key table, mapped back to keys."""
+    ids = {}
+    relations = wdvv_relations_at(key, vertex, ids)
+    keys = list(ids)
+    return [{keys[i]: n for i, n in rel.items()} for rel in relations]
+
+
+def reference_keyed_closure(support, rounds):
+    """The relation closure as it ran before it numbered keys: relations,
+    signatures and support over graph keys.  The relations and the support
+    after each round."""
+    known = set(support)
+    frontier = set(support)
+    processed, signatures, relations, after = set(), set(), [], []
+    for _ in range(rounds):
+        sources = set()
+        for key in frontier:
+            base, edges = key_records(key)
+            for i, (v1, _e1, v2, _e2) in enumerate(edges):
+                if v1 != v2:
+                    skey = _canonical_search(*contract_records(base, edges, i))[0]
+                    if skey not in processed:
+                        sources.add(skey)
+        frontier = set()
+        for skey in sorted(sources):
+            processed.add(skey)
+            for v in range(len(skey[0])):
+                for rel in keyed_relations_at(skey, v):
+                    sig = reduce._relation_signature(rel)
+                    if sig not in signatures:
+                        signatures.add(sig)
+                        relations.append(rel)
+                        frontier.update(key for key in rel if key not in known)
+                        known.update(rel)
+        after.append((list(relations), frozenset(known)))
+        if not frontier:
+            break
+    return after
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "i1", "b131"])
+def test_key_table_closure_matches_reference_keyed_closure(name):
+    expr = closure_target(name)
+    support = sorted(expr.support())
+    after = reference_keyed_closure(support, 3)
+    for rounds in (1, 2, 3):
+        basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+        relations, keys = after[min(rounds, len(after)) - 1]
+        assert relation_lists(basis) == [list(rel.items()) for rel in relations]
+        assert supported_keys(basis) == keys
+        # one id per key, dense, the support first in key order
+        assert list(basis.keys[:len(support)]) == support
+        assert len(set(basis.keys)) == len(basis.keys)
+        assert basis.ids == {key: i for i, key in enumerate(basis.keys)}
+        assert list(basis.ids) == list(basis.keys)
+        used = set(basis.support).union(*basis.relations)
+        assert used <= set(range(len(basis.keys)))
 
 
 def overflow_round(expr, max_relations, resumed):
@@ -1194,6 +1288,7 @@ def test_resumed_closure_equals_fresh_closure(name):
                                         rounds=rounds, resume=basis)
         assert relation_lists(basis) == relation_lists(expected)
         assert basis.relations == expected.relations
+        assert basis.keys == expected.keys
         assert basis.support == expected.support
         assert basis.rounds == expected.rounds
     first, second = len(fresh[0].relations), len(fresh[1].relations)
@@ -1220,8 +1315,7 @@ def test_resume_past_a_closed_closure_returns_it():
 def test_int_closure_keeps_the_reference_signature_relations(name, rounds, monkeypatch):
     expr = closure_target(name)
     basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
-    monkeypatch.setattr(reduce, "_relation_signature", lambda rel: (
-        reference_relation_signature(relation_expression(expr.ambient, rel))))
+    monkeypatch.setattr(reduce, "_relation_signature", reference_relation_signature)
     reference = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
     assert relation_lists(basis) == relation_lists(reference)
     assert basis.support == reference.support
@@ -1296,7 +1390,7 @@ def test_record_closure_matches_graph_closure(name):
         basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
         relations, support = after[min(rounds, len(after)) - 1]
         assert relation_lists(basis) == [list(rel.items()) for rel in relations]
-        assert basis.support == support
+        assert supported_keys(basis) == support
 
 
 def split_sum_reference(dg, vertex, pair_a, pair_b):
@@ -1369,7 +1463,7 @@ def test_trusted_relations_match_validating_construction(name):
             if source.graph.genera[v] != 0:
                 continue
             halves = source.graph.halves_at(v)
-            raw = wdvv_relations_at(skey, v)
+            raw = keyed_relations_at(skey, v)
             everything = wdvv_relations_reference(source, v)
             quads = list(itertools.combinations(sorted(halves), 4))
             indexed = {(q, e): reference_exchange(source, v, quad, e)

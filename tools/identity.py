@@ -12,6 +12,8 @@ the rest as is.  The list covers every ``verify`` of the benchmark's
 ``prove`` and ``exhaust`` pools in every weight order, every ``compute-b``
 of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
 for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
+``verify 1 3 2,1,1`` in its three weight orders, the largest span system
+and certificate, whose equations the solver takes in key-id order;
 ``reduce --mode psi`` on the symmetric input for k = 9, p = 1 and on the
 mixed star of ``mixed_star_text`` for p in {0, 1}, whose genus-0 tails
 with extra legs go through parse, psi elimination and render, on the
@@ -30,7 +32,7 @@ latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 49 calls.  Both trees read the bracket fixtures
+forgetful pushforward outside the pools.  That makes 52 calls.  Both trees read the bracket fixtures
 from PARENT's ``tests/fixtures``.  The two trees run each call side by
 side.
 
@@ -100,7 +102,8 @@ def write(workdir, name, text):
 def calls(workdir, fixtures):
     out = []
     for g, m, weights in [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)), (1, 2, (2, 1, 1)),
-                          (1, 2, (1, 1, 1)), (1, 3, (1, 1, 1)), (1, 3, (2, 1))]:
+                          (1, 2, (1, 1, 1)), (1, 3, (1, 1, 1)), (1, 3, (2, 1)),
+                          (1, 3, (2, 1, 1))]:
         for d in orders(weights):
             out.append(["verify", "--g", str(g), "--m", str(m), "--d", d_text(d)])
     for g, m, weights, extra in [(2, 1, (1, 1, 1, 1), ["--stage", "raw"]),
