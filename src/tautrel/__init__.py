@@ -39,13 +39,12 @@ from .reduce import (
     distribute,
     eliminate_all_psi,
     generate_wdvv_relations,
-    genus0_vertex_integral,
-    genus1_vertex_integral,
     integrate,
     pair_with_psi_monomials,
     psi_reduce_genus0,
     psi_reduce_genus1,
     span_zero_test,
+    vertex_integral,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,6 @@ count plus total psi degree is the same in all terms.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -684,7 +683,3 @@ def expression_from_json(data):
     return _from_records([(Fraction(t["coefficient"]["num"], t["coefficient"]["den"]),
                            *_json_records(t["graph"]))
                           for t in data["terms"]], ambient)
-
-
-def dumps(expr, **kwargs):
-    return json.dumps(expression_to_json(expr), sort_keys=True, **kwargs)

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .graphs import (
     EXTRA,
@@ -288,13 +288,12 @@ class RelationBasis:
     ``keys[i]`` is the key with id i, and ``ids`` maps each key back to its
     id.  The support comes first, in key order, and then each key in the
     order the closure's splittings first produce it.  ``relations`` holds
-    each kept relation as an id -> int dict (``keyed`` gives it back over
-    keys).  ``support`` holds the ids of every graph reached so far: the
-    initial support and every graph of a kept relation.  ``processed`` holds
-    the keys of the contracted source graphs already instantiated,
-    ``signatures`` the normalized relations already kept, and ``frontier``
-    the ids that joined the support in the last round; an empty frontier
-    after a round means the closure is closed.
+    each kept relation as an id -> int dict.  ``support`` holds the ids of
+    every graph reached so far: the initial support and every graph of a
+    kept relation.  ``processed`` holds the keys of the contracted source
+    graphs already instantiated, ``signatures`` the normalized relations
+    already kept, and ``frontier`` the ids that joined the support in the
+    last round; an empty frontier after a round means the closure is closed.
     """
 
     ambient: object
@@ -306,11 +305,6 @@ class RelationBasis:
     processed: frozenset = field(default=frozenset(), repr=False)
     signatures: frozenset = field(default=frozenset(), repr=False)
     frontier: frozenset = field(default=frozenset(), repr=False)
-
-    def keyed(self, relation):
-        """An id -> int dict of this basis as a key -> int dict, in its order."""
-        keys = self.keys
-        return {keys[i]: n for i, n in relation.items()}
 
 
 def _exchange_relation(split, quad, e):
@@ -420,11 +414,6 @@ def wdvv_relations_at(key, vertex, ids):
     return out
 
 
-def relation_expression(ambient, relation):
-    """A key -> int relation as an ``Expression`` with ``Fraction`` coefficients."""
-    return Expression(ambient, _raw={k: Fraction(n) for k, n in relation.items()})
-
-
 def _relation_signature(relation):
     """The relation's proportionality class: the entries divided by their gcd,
     signed so that the entry of the least key id is positive."""
@@ -513,12 +502,6 @@ class ZeroCertificate:
     reason: str
     closure_s: float = field(default=0.0, compare=False)   # wall time per stage
     solve_s: float = field(default=0.0, compare=False)
-
-    def relations_used(self):
-        """(coefficient, relation as an Expression) pairs of the combination."""
-        basis = self.basis
-        return [(c, relation_expression(basis.ambient, basis.keyed(basis.relations[i])))
-                for c, i in self.combination]
 
 
 # The moduli of the span solver, tried in this order: the eight largest primes
@@ -777,39 +760,49 @@ def span_zero_test(expr, budget=3, max_relations=200000):
 # integration
 
 
-@lru_cache(maxsize=None)
-def genus0_vertex_integral(exponents):
-    """Closed form: (a-3)! over the product of exponent factorials."""
-    a = len(exponents)
-    if a < 3 or sum(exponents) != a - 3:
-        return Fraction(0)
-    value = Fraction(factorial(a - 3))
-    for q in exponents:
-        value /= factorial(q)
-    return value
+def _odd_factorial(m):
+    """m!! for odd m >= -1, with (-1)!! = 1."""
+    return prod(range(m, 0, -2))
 
 
 @lru_cache(maxsize=None)
-def genus1_vertex_integral(exponents):
-    """Genus-1 psi integral via the one-step splitting identity.
+def vertex_integral(genus, exponents):
+    """The psi integral <tau_{a1} ... tau_{an}>_g over M_{g,n}, exactly.
 
-    The rewrite of ``_psi_terms`` on exponents: one power comes off the
-    first decorated point, which moves onto a genus-0 branch with every
-    companion set from ``_sides``, plus the 1/24 loop contribution.
+    The DVV (Virasoro) recursion (Dijkgraaf-Verlinde-Verlinde 1991; Witten
+    1991) peels the least exponent a1 = k + 1 of the sorted input.  For
+    k = -1 it is the string equation and for k = 0 the dilaton equation, so
+    genus <= 1 inputs never reach the genus-lowering or splitting sums.  The
+    anchors are <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; an input off the
+    dimension 3g - 3 + n, or of an unstable (g, n), integrates to 0.
     """
-    a = len(exponents)
-    if sum(exponents) != a:
+    exps = sorted(exponents)
+    n = len(exps)
+    if 2 * genus - 2 + n <= 0 or sum(exps) != 3 * genus - 3 + n:
         return Fraction(0)
-    target = next(i for i, q in enumerate(exponents) if q > 0)
-    lowered = list(exponents)
-    lowered[target] -= 1
+    if (genus, n) == (0, 3):
+        return Fraction(1)
+    if (genus, n) == (1, 1):
+        return Fraction(1, 24)
+    k, rest = exps[0] - 1, exps[1:]
     total = Fraction(0)
-    for side in _sides(range(a), (target,), ()):
-        inner = tuple(sorted([0, *(lowered[i] for i in side)]))
-        outer = tuple(sorted([0, *(lowered[i] for i in range(a) if i not in side)]))
-        total += genus0_vertex_integral(inner) * genus1_vertex_integral(outer)
-    total += Fraction(1, 24) * genus0_vertex_integral(tuple(sorted(lowered + [0, 0])))
-    return total
+    for j, d in enumerate(rest):
+        if d + k >= 0:
+            moved = (*rest[:j], d + k, *rest[j + 1:])
+            total += (_odd_factorial(2 * (d + k) + 1) // _odd_factorial(2 * d - 1)
+                      * vertex_integral(genus, moved))
+    for r in range(k):             # r + s = k - 1
+        s = k - 1 - r
+        half = Fraction(_odd_factorial(2 * r + 1) * _odd_factorial(2 * s + 1), 2)
+        if genus:
+            total += half * vertex_integral(genus - 1, (r, s, *rest))
+        for g1 in range(genus + 1):
+            for mask in itertools.product((0, 1), repeat=len(rest)):
+                one = tuple(d for d, m in zip(rest, mask) if m)
+                two = tuple(d for d, m in zip(rest, mask) if not m)
+                total += (half * vertex_integral(g1, (r, *one))
+                          * vertex_integral(genus - g1, (s, *two)))
+    return total / _odd_factorial(2 * k + 3)
 
 
 def integrate(expr):
@@ -824,12 +817,7 @@ def integrate(expr):
         value = coeff
         for genus_v, extras, legs, intexp in key[0]:
             exps = tuple(sorted([e for _label, e in legs] + [*intexp] + [0] * extras))
-            if genus_v == 0:
-                value *= genus0_vertex_integral(exps)
-            elif genus_v == 1:
-                value *= genus1_vertex_integral(exps)
-            else:
-                raise ValueError("integration supports vertex genus <= 1 only")
+            value *= vertex_integral(genus_v, exps)
             if value == 0:
                 break
         total += value

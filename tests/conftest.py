@@ -4,6 +4,10 @@ Everything here deliberately avoids the code paths under test: automorphism
 counts come from raw permutation search, genus-0 integrals from the
 string-equation recursion, genus-1 integrals from string plus dilaton
 anchored at 1/24, and tree shapes from exhaustive parent-array enumeration.
+The genus-0 closed form and the genus-1 splitting recursion that computed
+vertex integrals before the DVV recursion replaced them stay here as
+references.  ``relation_expression`` reads a relation of a closure's basis
+back over graph keys.
 ``RootedTreeView`` is the graph-level rooted-tree walk that tree classes
 used before they were assembled on records; it stays here as a reference.
 So do the graph-level helpers that ``tautrel`` used before every term was
@@ -22,6 +26,7 @@ from functools import lru_cache
 
 import pytest
 
+from tautrel.expressions import Expression
 from tautrel.graphs import (
     EXTRA,
     DecoratedGraph,
@@ -257,6 +262,54 @@ def genus1_integral_by_string_dilaton(exps):
         return total
     # all exponents positive and summing to n forces all ones: dilaton
     return (n - 1) * genus1_integral_by_string_dilaton((1,) * (n - 1))
+
+
+@lru_cache(maxsize=None)
+def genus0_closed_form(exps):
+    """Genus-0 psi integral by the closed form (n-3)! / prod(a_i!)."""
+    n = len(exps)
+    if n < 3 or sum(exps) != n - 3:
+        return Fraction(0)
+    value = Fraction(math.factorial(n - 3))
+    for q in exps:
+        value /= math.factorial(q)
+    return value
+
+
+@lru_cache(maxsize=None)
+def genus1_splitting_recursion(exps):
+    """Genus-1 psi integral by the one-step splitting identity of psi
+    elimination: one power comes off the first positive exponent, whose
+    point moves with every nonempty companion set onto a genus-0 branch,
+    plus 1/24 times the genus-0 integral with a loop."""
+    n = len(exps)
+    if sum(exps) != n:
+        return Fraction(0)
+    target = next(i for i, q in enumerate(exps) if q > 0)
+    lowered = list(exps)
+    lowered[target] -= 1
+    others = [i for i in range(n) if i != target]
+    total = Fraction(0)
+    for r in range(1, len(others) + 1):
+        for companions in itertools.combinations(others, r):
+            side = {target, *companions}
+            inner = tuple(sorted([0, *(lowered[i] for i in side)]))
+            outer = tuple(sorted([0, *(lowered[i] for i in range(n) if i not in side)]))
+            total += genus0_closed_form(inner) * genus1_splitting_recursion(outer)
+    return total + Fraction(1, 24) * genus0_closed_form(tuple(sorted(lowered + [0, 0])))
+
+
+# ---------------------------------------------------------------------------
+# relations of a closure
+
+
+def relation_expression(basis, i):
+    """Relation ``i`` of a ``RelationBasis`` as an ``Expression`` over graph
+    keys, read back through the basis's key table, with ``Fraction``
+    coefficients."""
+    keys = basis.keys
+    return Expression(basis.ambient,
+                      _raw={keys[k]: Fraction(n) for k, n in basis.relations[i].items()})
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from tautrel.pushforward import d_set, forget_frozen_legs
 from tautrel.reduce import (
     choose_partner_pair,
     eliminate_all_psi,
-    genus0_vertex_integral,
     integrate,
     pair_with_psi_monomials,
     psi_reduce_genus0,
     psi_reduce_genus1,
     span_zero_test,
+    vertex_integral,
 )
 from tautrel.treeclass import enumerate_shapes, weighted_tree_class
 
@@ -223,7 +223,7 @@ def test_criterion_7_oracle_anchors():
         for exps in itertools.product(range(n - 2), repeat=n):
             if sum(exps) != n - 3:
                 continue
-            assert genus0_vertex_integral(exps) == genus0_integral_by_string(exps)
+            assert vertex_integral(0, exps) == genus0_integral_by_string(exps)
             checked += 1
     assert checked == 1 + 4 + 15 + 56 + 210
     assert integrate(parse_bracket("<P^1(x1)>_1")) == Fraction(1, 24)

@@ -80,6 +80,28 @@ def test_verify_top_degree_integral(capsys):
     assert report["outcome"]["method"] == "top-degree-integral"
 
 
+def test_verify_top_degree_integral_at_genus_2(capsys):
+    code, report = run_json(capsys, "verify", "--g", "2", "--m", "2", "--d", "6")
+    assert code == 0
+    assert report["outcome"] == {"method": "top-degree-integral", "proved": True}
+
+
+def test_verify_genus_2_below_top_degree_needs_psi_elimination():
+    proc = run_child("verify", "--g", "2", "--m", "2", "--d", "5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "psi elimination on genus >= 2 vertices is unsupported" in proc.stderr
+
+
+def test_reduce_pair_on_genus_1_fixtures(capsys):
+    for name, count in (("h", 15), ("i", 10)):
+        code, report = run_json(capsys, "reduce", os.path.join(FIXTURES, name + ".bracket"),
+                                "--mode", "pair")
+        assert code == 0
+        assert len(report["outcome"]["pairings"]) == count
+        assert report["outcome"]["all_zero"] is False
+
+
 def test_verify_below_range_warns_and_reports(capsys):
     code, report = run_json(capsys, "verify", "--g", "0", "--m", "3", "--d", "1")
     assert code == 2

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -38,14 +39,12 @@ from tautrel.reduce import (
     distribute,
     eliminate_all_psi,
     generate_wdvv_relations,
-    genus0_vertex_integral,
-    genus1_vertex_integral,
     integrate,
     pair_with_psi_monomials,
     psi_reduce_genus0,
     psi_reduce_genus1,
-    relation_expression,
     span_zero_test,
+    vertex_integral,
     wdvv_relations_at,
 )
 from tautrel.treeclass import weighted_tree_class
@@ -55,9 +54,12 @@ from conftest import (
     builder_copy_of,
     fixture_text,
     genus,
+    genus0_closed_form,
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
+    genus1_splitting_recursion,
     random_decorated_graph,
+    relation_expression,
     valid_term,
     vertex_overweight,
 )
@@ -71,12 +73,13 @@ def half_by_label(expr, label):
 
 def keyed_relations(basis):
     """The basis relations as key -> int dicts, mapped back through its key table."""
-    return [basis.keyed(rel) for rel in basis.relations]
+    keys = basis.keys
+    return [{keys[i]: n for i, n in rel.items()} for rel in basis.relations]
 
 
 def as_expressions(basis):
     """The basis relations as Expressions with Fraction coefficients."""
-    return [relation_expression(basis.ambient, rel) for rel in keyed_relations(basis)]
+    return [relation_expression(basis, i) for i in range(len(basis.relations))]
 
 
 def certified_zero(expr, budget=3):
@@ -615,7 +618,7 @@ def test_genus1_integral_literals():
         (2, 2, 0, 0): Fraction(1, 6),
     }
     for exps, value in table.items():
-        assert genus1_vertex_integral(exps) == value
+        assert vertex_integral(1, exps) == value
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +633,8 @@ def test_span_certifies_residue_fixture():
 def test_span_certificate_resubstitution():
     cert = span_zero_test(parse_bracket(fixture_text("f")), budget=3)
     total = None
-    for coeff, rel in cert.relations_used():
-        piece = rel.scale(coeff)
+    for coeff, i in cert.combination:
+        piece = relation_expression(cert.basis, i).scale(coeff)
         total = piece if total is None else total + piece
     assert total == parse_bracket(fixture_text("f"))
 
@@ -700,21 +703,131 @@ def test_integrate_requires_top_degree():
         integrate(parse_bracket("<x1 x2 x3 x4>_0"))
 
 
+def top_degree_inputs(g, n):
+    """Every sorted exponent tuple of n points in the top degree 3g - 3 + n."""
+    return [e for e in itertools.combinations_with_replacement(range(3 * g - 2 + n), n)
+            if sum(e) == 3 * g - 3 + n]
+
+
 def test_genus0_closed_form_matches_string_recursion():
-    for n in range(3, 9):
-        for exps in itertools.combinations_with_replacement(range(6), n):
-            if sum(exps) != n - 3:
-                continue
-            assert genus0_vertex_integral(exps) == genus0_integral_by_string(exps)
+    # the DVV recursion, the closed form it replaced and the string recursion
+    checked = 0
+    for n in range(3, 10):
+        for exps in top_degree_inputs(0, n):
+            assert vertex_integral(0, exps) == genus0_closed_form(exps) == \
+                genus0_integral_by_string(exps)
+            checked += 1
+    assert checked == 30
 
 
 def test_genus1_recursion_matches_string_dilaton():
-    for n in range(1, 6):
-        for exps in itertools.combinations_with_replacement(range(n + 1), n):
-            if sum(exps) != n:
-                continue
-            assert genus1_vertex_integral(exps) == \
+    # the DVV recursion, the splitting recursion it replaced and string + dilaton
+    checked = 0
+    for n in range(1, 10):
+        for exps in top_degree_inputs(1, n):
+            assert vertex_integral(1, exps) == genus1_splitting_recursion(exps) == \
                 genus1_integral_by_string_dilaton(exps)
+            checked += 1
+    assert checked == 96
+
+
+def test_vertex_integral_anchors():
+    assert vertex_integral(0, (0, 0, 0)) == 1
+    assert vertex_integral(1, (1,)) == Fraction(1, 24)
+    assert vertex_integral(2, (4,)) == Fraction(1, 1152)
+    assert vertex_integral(2, (2, 3)) == Fraction(29, 5760)
+    assert vertex_integral(2, (3, 2)) == Fraction(29, 5760)
+    assert vertex_integral(2, (2, 2, 2)) == Fraction(7, 240)
+    assert vertex_integral(3, (7,)) == Fraction(1, 82944)
+    for g in range(1, 6):
+        assert vertex_integral(g, (3 * g - 2,)) == Fraction(1, 24**g * math.factorial(g))
+
+
+def test_vertex_integral_is_zero_off_the_top_degree_and_when_unstable():
+    assert vertex_integral(2, (3,)) == 0
+    assert vertex_integral(2, (2, 2)) == 0
+    assert vertex_integral(0, (0, 0)) == 0
+    assert vertex_integral(1, ()) == 0
+    assert vertex_integral(2, ()) == 0
+
+
+def test_vertex_integral_string_and_dilaton_equations_at_genus_2_and_3():
+    checked = 0
+    for g in (2, 3):
+        for n in range(1, 5):
+            for exps in top_degree_inputs(g, n):
+                lowered = sum(vertex_integral(g, exps[:j] + (d - 1,) + exps[j + 1:])
+                              for j, d in enumerate(exps) if d)
+                assert vertex_integral(g, (0,) + exps) == lowered
+                assert vertex_integral(g, (1,) + exps) == \
+                    (2 * g - 2 + n) * vertex_integral(g, exps)
+                checked += 1
+    assert checked == 63
+
+
+def odd_factorial(m):
+    return math.prod(range(m, 0, -2))
+
+
+def dvv_right_side(g, exps, i):
+    """The DVV recursion for <tau_{exps}>_g peeling point i, whatever its
+    exponent, with ``vertex_integral`` for the smaller integrals."""
+    k, rest = exps[i] - 1, exps[:i] + exps[i + 1:]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        if d + k >= 0:
+            total += Fraction(odd_factorial(2 * (d + k) + 1), odd_factorial(2 * d - 1)) \
+                * vertex_integral(g, rest[:j] + (d + k,) + rest[j + 1:])
+    for r in range(k):
+        s = k - 1 - r
+        half = Fraction(odd_factorial(2 * r + 1) * odd_factorial(2 * s + 1), 2)
+        if g:
+            total += half * vertex_integral(g - 1, (r, s) + rest)
+        for g1 in range(g + 1):
+            for size in range(len(rest) + 1):
+                for one in itertools.combinations(range(len(rest)), size):
+                    two = [rest[t] for t in range(len(rest)) if t not in one]
+                    total += half * vertex_integral(g1, (r, *(rest[t] for t in one))) \
+                        * vertex_integral(g - g1, (s, *two))
+    return total / odd_factorial(2 * k + 3)
+
+
+def test_vertex_integral_does_not_depend_on_the_peeled_point():
+    # the recursion peels the least exponent; the Virasoro constraints say
+    # that peeling any other point gives the same number
+    checked = 0
+    for g, n_max in ((1, 4), (2, 4), (3, 3)):
+        for n in range(2, n_max + 1):
+            for exps in top_degree_inputs(g, n):
+                for i in range(1, n):
+                    if exps[i] != exps[i - 1]:
+                        assert dvv_right_side(g, exps, i) == vertex_integral(g, exps)
+                        checked += 1
+    assert checked == 64
+
+
+def test_integrate_at_genus_2():
+    assert integrate(parse_bracket("<P^4(x1)>_2")) == Fraction(1, 1152)
+    assert integrate(parse_bracket("<P^2(x1) P^3(x2)>_2")) == Fraction(29, 5760)
+    # a genus-1 and a genus-2 vertex joined by one edge, each in its top degree
+    expr = parse_bracket("<P^2(x1) a>_1 <a* P^5(x2)>_2")
+    assert expr.degree() == expr.ambient.dimension
+    ((_key, coeff),) = expr.items()
+    assert integrate(expr) == coeff * Fraction(1, 24) * Fraction(1, 1152) != 0
+
+
+@pytest.mark.parametrize("d, count", [((5,), 3), ((4, 1), 10), ((3, 2), 10)])
+def test_genus2_classes_at_the_bound_pair_to_zero(d, count):
+    # a necessary condition for B^2_{2,d} = 0, not a proof of it
+    pairings = pair_with_psi_monomials(weighted_tree_class(2, 2, d))
+    assert len(pairings) == count
+    assert all(value == 0 for _monomial, value in pairings)
+
+
+def test_genus2_class_below_the_bound_pairs_nonzero():
+    pairings = pair_with_psi_monomials(weighted_tree_class(2, 2, (4,)))
+    assert len(pairings) == 6
+    assert sum(1 for _monomial, value in pairings if value) == 3
 
 
 def test_single_reduction_steps_preserve_pairings():
@@ -1473,7 +1586,8 @@ def test_trusted_relations_match_validating_construction(name):
                         if not indexed[i].is_zero()]
             assert all(type(n) is int for r in raw for n in r.values())
             ambient = make_ambient(genus(source.graph), source.graph.leg_labels())
-            got = [relation_expression(ambient, r) for r in raw]
+            got = [Expression(ambient, _raw={k: Fraction(n) for k, n in r.items()})
+                   for r in raw]
             assert got == expected
             assert [list(r._terms.items()) for r in got] == \
                 [list(r._terms.items()) for r in expected]

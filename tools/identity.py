@@ -25,14 +25,17 @@ a frozen partner pair and on an edge end;
 (1, 2, 2, 2,1,1), (0, 3, 1, 1,1,1) and (1, 1, 2, 2,1,1), the last of which
 exits 1 because forgetting two frozen legs leaves a vertex unstable,
 ``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
-pair`` on ``b21_raw``, ``reduce --mode psi`` on ``h`` with ``--format latex``
-and with ``--format json``,
+pair`` on ``b21_raw``, ``h`` and ``i``, ``reduce --mode psi`` on ``h`` with
+``--format latex`` and with ``--format json``, the top-degree ``verify`` of
+(g, m, d) = (1, 1, 2,1), which integrates to -1/24 and exits 2, and of
+(1, 2, 2,2), which integrates to zero; these four run the vertex integrals
+of the genus-0 and genus-1 vertices,
 ``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
 latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 52 calls.  Both trees read the bracket fixtures
+forgetful pushforward outside the pools.  That makes 56 calls.  Both trees read the bracket fixtures
 from PARENT's ``tests/fixtures``.  The two trees run each call side by
 side.
 
@@ -130,9 +133,13 @@ def calls(workdir, fixtures):
     for name, extra in [("f", ["--mode", "zero-test"]),
                         ("h0i0_combined", ["--mode", "zero-test"]),
                         ("b21_raw", ["--mode", "pair"]),
+                        ("h", ["--mode", "pair"]),
+                        ("i", ["--mode", "pair"]),
                         ("h", ["--mode", "psi", "--format", "latex"]),
                         ("h", ["--mode", "psi", "--format", "json"])]:
         out.append(["reduce", os.path.join(fixtures, name + ".bracket")] + extra)
+    for g, m, d in [(1, 1, "2,1"), (1, 2, "2,2")]:
+        out.append(["verify", "--g", str(g), "--m", str(m), "--d", d])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1",
                 "--stage", "psi-free", "--format", "latex"])
