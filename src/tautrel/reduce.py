@@ -12,16 +12,17 @@ relations below split a vertex along the sides that ``_sides`` generates.
 WDVV relations arise by splitting a genus-0 vertex of a one-edge-contracted
 graph in the inequivalent ways that separate a quadruple of its half-edges.
 Of the 2*C(k, 4) such exchange relations at a vertex with k half-edges, only
-a basis is emitted: k(k-3)/2 of them, the dimension of the relations among
-the boundary divisors of M_{0,k} (Keel 1992), which by linearity span the
-rest.  Neither psi elimination nor the closure builds a graph: they lower
-exponents, contract edges, split vertices and close loops on the base
-classes and edge records that a canonical key holds, and key the results
-with the same search as ``canonical_key``.  Each relation is an integer
-combination of graph keys, and their exact rational span certifies
+a basis is emitted, written down in closed form: the k(k-3)/2 relations of
+the quadruples (0, 1, i, j) that ``_local_basis`` lists, the dimension of
+the relations among the boundary divisors of M_{0,k} (Keel 1992), which by
+linearity span the rest.  Neither psi elimination nor the closure builds a
+graph: they lower exponents, contract edges, split vertices and close loops
+on the base classes and edge records that a canonical key holds, and key the
+results with the same search as ``canonical_key``.  Each relation is an
+integer combination of graph keys, and their exact rational span certifies
 vanishing.  The span is solved modulo primes and every answer is checked
 exactly.  Zero certificates are proofs; an Unknown outcome is not a
-nonzeroness claim.
+nonzeroness claim.  Integrals and pairings read exponents off the keys.
 """
 
 from __future__ import annotations
@@ -324,44 +325,22 @@ def _exchange_relation(split, quad, e):
     return {k: n for k, n in acc.items() if n}
 
 
-@lru_cache(maxsize=None)
 def _local_basis(k):
-    """The (quadruple index, exchange index) pairs of a basis of the exchange
-    relations among k points.
+    """A basis of the exchange relations among k points, as (quadruple,
+    exchange index) pairs in generation order: each quadruple (0, 1, i, j)
+    with 2 <= i < j < k, in lexicographic order, with exchange 0, and with
+    exchange 1 too when i = 2.
 
-    A pair is kept when its relation, over the abstract splittings of k
-    points (a side and its complement being one splitting), is independent
-    of the relations before it in generation order: quadruples in
-    lexicographic order, each with exchanges 0 and 1.  The kept ones span all
-    2*C(k, 4) relations, and there are k(k-3)/2 of them, the dimension of
-    the relations among the boundary divisors of M_{0,k} (Keel 1992).  One
-    exact elimination finds them.
+    Over the abstract splittings of k points, a side and its complement being
+    one splitting, these k(k-3)/2 relations are the first that are
+    independent of those before them, among all 2*C(k, 4) in lexicographic
+    order with exchanges 0 and 1, and they span them all: the dimension of
+    the relations among the boundary divisors of M_{0,k} (Keel 1992).
     """
-    everything = frozenset(range(k))
-    column = {}                    # splitting, as its side holding 0 -> index
-
-    def split(pair_a, pair_b):
-        for side in _sides(range(k), pair_a, pair_b):
-            yield column.setdefault(side if 0 in side else everything - side,
-                                    len(column))
-
-    echelon = {}                   # lowest column -> row with entry 1 there
-    basis = []
-    for q, quad in enumerate(itertools.combinations(range(k), 4)):
-        for e in (0, 1):
-            row = {j: Fraction(n) for j, n in _exchange_relation(split, quad, e).items()}
-            while row:             # reduce the row; a new leading column keeps it
-                c = min(row)
-                if c not in echelon:
-                    echelon[c] = {j: v / row[c] for j, v in row.items()}
-                    basis.append((q, e))
-                    break
-                f = row[c]
-                for j, v in echelon[c].items():
-                    row[j] = row.get(j, 0) - f * v
-                    if not row[j]:
-                        del row[j]
-    return tuple(basis)
+    for i, j in itertools.combinations(range(2, k), 2):
+        yield (0, 1, i, j), 0
+        if i == 2:
+            yield (0, 1, i, j), 1
 
 
 def wdvv_relations_at(key, vertex, ids):
@@ -373,9 +352,9 @@ def wdvv_relations_at(key, vertex, ids):
 
     The half-edges at the vertex are numbered as ``graph_from_key`` numbers
     them (see ``half_edges``).  Of the two exchange relations of each
-    unordered quadruple of them, only those at the indices of
-    ``_local_basis`` are emitted: k(k-3)/2 of them for k half-edges, in
-    generation order.  Pushing the splittings of the vertex into the graph
+    unordered quadruple of them, only the (quadruple, exchange) pairs that
+    ``_local_basis`` yields are emitted: k(k-3)/2 of them for k half-edges,
+    in generation order.  Pushing the splittings of the vertex into the graph
     is linear, so they span every exchange relation there.  Every relation
     is an integer combination of graph keys that vanishes as a class.
     Splitting a stable, psi-free genus-0 vertex so that each side keeps two
@@ -405,10 +384,9 @@ def wdvv_relations_at(key, vertex, ids):
                 split_id = id_of_side[side] = ids.setdefault(split_key, len(ids))
             yield split_id
 
-    quads = list(itertools.combinations(range(k), 4))
     out = []
-    for q, e in _local_basis(k):
-        relation = _exchange_relation(split_ids, quads[q], e)
+    for quad, e in _local_basis(k):
+        relation = _exchange_relation(split_ids, quad, e)
         if relation:
             out.append(relation)
     return out
@@ -805,6 +783,23 @@ def vertex_integral(genus, exponents):
     return total / _odd_factorial(2 * k + 3)
 
 
+def _integral(expr, powers):
+    """The integral of the expression times the psi monomial that raises
+    leg ``label`` by ``powers[label]``: each term's coefficient times the
+    integrals of its vertices, read off the base classes of its key.  A
+    vertex that the monomial makes overweight integrates to 0."""
+    total = Fraction(0)
+    for key, coeff in expr._terms.items():
+        value = coeff
+        for genus_v, extras, legs, intexp in key[0]:
+            exps = [e + powers.get(label, 0) for label, e in legs]
+            value *= vertex_integral(genus_v, tuple(sorted(exps + [*intexp] + [0] * extras)))
+            if value == 0:
+                break
+        total += value
+    return total
+
+
 def integrate(expr):
     """Integrate a top-degree expression over its ambient space."""
     if expr.is_zero():
@@ -812,23 +807,16 @@ def integrate(expr):
     if expr.degree() != expr.ambient.dimension:
         raise ValueError("degree %d is not the ambient dimension %d"
                          % (expr.degree(), expr.ambient.dimension))
-    total = Fraction(0)
-    for key, coeff in expr.items():
-        value = coeff
-        for genus_v, extras, legs, intexp in key[0]:
-            exps = tuple(sorted([e for _label, e in legs] + [*intexp] + [0] * extras))
-            value *= vertex_integral(genus_v, exps)
-            if value == 0:
-                break
-        total += value
-    return total
+    return _integral(expr, {})
 
 
 def pair_with_psi_monomials(expr):
     """All pairings of the expression against complementary psi monomials.
 
     Returns (exponent tuple over ambient legs, integral) pairs; a zero class
-    pairs to zero against everything.
+    pairs to zero against everything.  Each pairing adds the monomial's
+    powers to the leg exponents of every term, as ``multiply_by_leg_psi``
+    would, and integrates without keying the products.
     """
     labels = expr.ambient.labels
     if expr.is_zero():
@@ -836,14 +824,6 @@ def pair_with_psi_monomials(expr):
     codim = expr.ambient.dimension - expr.degree()
     if codim < 0:
         raise ValueError("expression degree exceeds the ambient dimension")
-    out = []
-    for combo in itertools.combinations_with_replacement(range(len(labels)), codim):
-        b = [0] * len(labels)
-        for i in combo:
-            b[i] += 1
-        padded = expr
-        for lab, power in zip(labels, b):
-            if power:
-                padded = padded.multiply_by_leg_psi(lab, power)
-        out.append((tuple(b), integrate(padded)))
-    return out
+    monomials = (tuple(combo.count(i) for i in range(len(labels))) for combo
+                 in itertools.combinations_with_replacement(range(len(labels)), codim))
+    return [(b, _integral(expr, dict(zip(labels, b)))) for b in monomials]

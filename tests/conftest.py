@@ -7,7 +7,9 @@ anchored at 1/24, and tree shapes from exhaustive parent-array enumeration.
 The genus-0 closed form and the genus-1 splitting recursion that computed
 vertex integrals before the DVV recursion replaced them stay here as
 references.  ``relation_expression`` reads a relation of a closure's basis
-back over graph keys.
+back over graph keys.  ``local_basis_by_elimination`` finds the basis of
+the exchange relations at a vertex by the exact elimination that ran before
+``_local_basis`` wrote it down.
 ``RootedTreeView`` is the graph-level rooted-tree walk that tree classes
 used before they were assembled on records; it stays here as a reference.
 So do the graph-level helpers that ``tautrel`` used before every term was
@@ -38,6 +40,7 @@ from tautrel.graphs import (
     leg_kind,
     validate,
 )
+from tautrel.reduce import _exchange_relation, _sides
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -310,6 +313,40 @@ def relation_expression(basis, i):
     keys = basis.keys
     return Expression(basis.ambient,
                       _raw={keys[k]: Fraction(n) for k, n in basis.relations[i].items()})
+
+
+def local_basis_by_elimination(k):
+    """The (quadruple, exchange index) pairs of the exchange relations among k
+    points that are independent of the relations before them in generation
+    order (quadruples in lexicographic order, each with exchanges 0 and 1),
+    over the abstract splittings of k points, a side and its complement
+    being one splitting.  Found by one exact elimination, as the closure did
+    before ``_local_basis`` wrote the basis down."""
+    everything = frozenset(range(k))
+    column = {}                    # splitting, as its side holding 0 -> index
+
+    def split(pair_a, pair_b):
+        for side in _sides(range(k), pair_a, pair_b):
+            yield column.setdefault(side if 0 in side else everything - side,
+                                    len(column))
+
+    echelon = {}                   # lowest column -> row with entry 1 there
+    basis = []
+    for quad in itertools.combinations(range(k), 4):
+        for e in (0, 1):
+            row = {j: Fraction(n) for j, n in _exchange_relation(split, quad, e).items()}
+            while row:             # reduce the row; a new leading column keeps it
+                c = min(row)
+                if c not in echelon:
+                    echelon[c] = {j: v / row[c] for j, v in row.items()}
+                    basis.append((quad, e))
+                    break
+                f = row[c]
+                for j, v in echelon[c].items():
+                    row[j] = row.get(j, 0) - f * v
+                    if not row[j]:
+                        del row[j]
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from conftest import (
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
     genus1_splitting_recursion,
+    local_basis_by_elimination,
     random_decorated_graph,
     relation_expression,
     valid_term,
@@ -830,6 +831,35 @@ def test_genus2_class_below_the_bound_pairs_nonzero():
     assert sum(1 for _monomial, value in pairings if value) == 3
 
 
+def pairings_by_multiplication(expr):
+    """The pairings as they were computed before they read the exponents off
+    the keys: each monomial multiplied in by ``multiply_by_leg_psi``, which
+    re-keys every term and drops the overweight ones, then integrated.  Also
+    the number of terms dropped over all monomials."""
+    labels = expr.ambient.labels
+    codim = expr.ambient.dimension - expr.degree()
+    out, dropped = [], 0
+    for combo in itertools.combinations_with_replacement(range(len(labels)), codim):
+        b = tuple(combo.count(i) for i in range(len(labels)))
+        padded = expr
+        for label, power in zip(labels, b):
+            padded = padded.multiply_by_leg_psi(label, power)
+        out.append((b, integrate(padded)))
+        dropped += len(expr) - len(padded)
+    return out, dropped
+
+
+@pytest.mark.parametrize("name", ["h", "i", "b2_2_4"])
+def test_pairings_equal_integrals_of_multiplied_classes(name):
+    expr = (weighted_tree_class(2, 2, (4,)) if name == "b2_2_4"
+            else parse_bracket(fixture_text(name)))
+    pairings = pair_with_psi_monomials(expr)
+    reference, dropped = pairings_by_multiplication(expr)
+    assert pairings == reference
+    assert any(value for _monomial, value in pairings)
+    assert dropped > 0             # some monomial makes some vertex overweight
+
+
 def test_single_reduction_steps_preserve_pairings():
     cases = [
         ("<P^1(x1) x2 x3 x4>_0", "genus0"),
@@ -1460,10 +1490,10 @@ def graph_wdvv_relations_at(dg, vertex):
                 key_of_side[side] = canonical_key(split_vertex(dg, vertex, side, 0, 0))
             yield key_of_side[side]
 
-    quads = list(itertools.combinations(sorted(halves), 4))
+    ordered = sorted(halves)
     out = []
-    for q, e in reduce._local_basis(len(halves)):
-        relation = reduce._exchange_relation(split_keys, quads[q], e)
+    for quad, e in reduce._local_basis(len(halves)):
+        relation = reduce._exchange_relation(split_keys, [ordered[n] for n in quad], e)
         if relation:
             out.append(relation)
     return out
@@ -1578,12 +1608,13 @@ def test_trusted_relations_match_validating_construction(name):
             halves = source.graph.halves_at(v)
             raw = keyed_relations_at(skey, v)
             everything = wdvv_relations_reference(source, v)
-            quads = list(itertools.combinations(sorted(halves), 4))
-            indexed = {(q, e): reference_exchange(source, v, quad, e)
-                       for q, quad in enumerate(quads) for e in (0, 1)}
+            ordered = sorted(halves)
+            indexed = {(quad, e): reference_exchange(source, v, [ordered[n] for n in quad], e)
+                       for quad in itertools.combinations(range(len(halves)), 4)
+                       for e in (0, 1)}
             assert [r for r in indexed.values() if not r.is_zero()] == everything
-            expected = [indexed[i] for i in reduce._local_basis(len(halves))
-                        if not indexed[i].is_zero()]
+            expected = [indexed[pair] for pair in reduce._local_basis(len(halves))
+                        if not indexed[pair].is_zero()]
             assert all(type(n) is int for r in raw for n in r.values())
             ambient = make_ambient(genus(source.graph), source.graph.leg_labels())
             got = [Expression(ambient, _raw={k: Fraction(n) for k, n in r.items()})
@@ -1600,7 +1631,8 @@ def test_trusted_relations_match_validating_construction(name):
 
 def abstract_exchange_relations(k):
     """All 2*C(k,4) exchange relations among k points, in generation order,
-    over the splittings of the points, each named by its side holding 0."""
+    keyed by (quadruple, exchange index), over the splittings of the points,
+    each named by its side holding 0."""
     points = frozenset(range(k))
 
     def splittings(pair_a, pair_b):
@@ -1610,25 +1642,31 @@ def abstract_exchange_relations(k):
                 side = {*pair_a, *extra}
                 yield tuple(sorted(side if 0 in side else points - side))
 
-    out = []
-    for a, b, c, d in itertools.combinations(range(k), 4):
-        for other in ((a, c), (b, d)), ((a, d), (b, c)):
+    out = {}
+    for quad in itertools.combinations(range(k), 4):
+        a, b, c, d = quad
+        for e, other in enumerate((((a, c), (b, d)), ((a, d), (b, c)))):
             rel = {}
             for s in splittings((a, b), (c, d)):
                 rel[s] = rel.get(s, 0) + 1
             for s in splittings(*other):
                 rel[s] = rel.get(s, 0) - 1
-            out.append(rel)
+            out[quad, e] = rel
     return out
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9, 10])
 def test_local_basis_spans_every_abstract_exchange_relation(k):
-    basis = reduce._local_basis(k)
+    basis = list(reduce._local_basis(k))
     assert len(basis) == k * (k - 3) // 2
-    assert len(set(basis)) == len(basis) and list(basis) == sorted(basis)
+    assert len(set(basis)) == len(basis) and basis == sorted(basis)
     everything = abstract_exchange_relations(k)
     assert len(everything) == 2 * comb(k, 4)
-    kept = [everything[2 * q + e] for q, e in basis]
+    kept = [everything[pair] for pair in basis]
     assert exact_rank(kept) == len(kept)
-    assert exact_rank(everything) == len(kept)
+    assert exact_rank(list(everything.values())) == len(kept)
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 5, 6, 7, 8, 9])
+def test_local_basis_is_the_basis_found_by_elimination(k):
+    assert list(reduce._local_basis(k)) == local_basis_by_elimination(k)

@@ -24,7 +24,9 @@ a frozen partner pair and on an edge end;
 ``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1), (0, 2, 1, 1,1),
 (1, 2, 2, 2,1,1), (0, 3, 1, 1,1,1) and (1, 1, 2, 2,1,1), the last of which
 exits 1 because forgetting two frozen legs leaves a vertex unstable,
-``reduce --mode zero-test`` on ``f`` and ``h0i0_combined``, ``reduce --mode
+``reduce --mode zero-test`` on ``f``, on ``h0i0_combined`` and on the
+boundary divisor of ``divisor9_text``, the first call whose closure reaches
+a vertex with eight or more half-edges, ``reduce --mode
 pair`` on ``b21_raw``, ``h`` and ``i``, ``reduce --mode psi`` on ``h`` with
 ``--format latex`` and with ``--format json``, the top-degree ``verify`` of
 (g, m, d) = (1, 1, 2,1), which integrates to -1/24 and exits 2, and of
@@ -35,7 +37,7 @@ latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 56 calls.  Both trees read the bracket fixtures
+forgetful pushforward outside the pools.  That makes 57 calls.  Both trees read the bracket fixtures
 from PARENT's ``tests/fixtures``.  The two trees run each call side by
 side.
 
@@ -75,6 +77,12 @@ def mixed_star_text(p):
     centre = " ".join(["P^%d(U1)" % p, "U2", "U3"] + a + b)
     return "<%s>_0 %s %s\n" % (centre, " ".join("<%s*>_1" % n for n in a),
                                " ".join("<%s* W W>_0" % n for n in b))
+
+
+def divisor9_text():
+    """<U1 .. U7 a>_0 <a* U8 U9>_0: a boundary divisor whose relation closure
+    reaches a genus-0 vertex with nine half-edges."""
+    return "<%s a>_0 <a* U8 U9>_0\n" % " ".join("U%d" % i for i in range(1, 8))
 
 
 def pinned_g1_text():
@@ -138,6 +146,8 @@ def calls(workdir, fixtures):
                         ("h", ["--mode", "psi", "--format", "latex"]),
                         ("h", ["--mode", "psi", "--format", "json"])]:
         out.append(["reduce", os.path.join(fixtures, name + ".bracket")] + extra)
+    out.append(["reduce", write(workdir, "divisor9", divisor9_text()),
+                "--mode", "zero-test"])
     for g, m, d in [(1, 1, "2,1"), (1, 2, "2,2")]:
         out.append(["verify", "--g", str(g), "--m", str(m), "--d", d])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
