@@ -580,62 +580,33 @@ def _rational(a, m):
 
 
 class _System:
-    """The system sum_j x_j * columns[j] = target, solved prime by prime.
+    """The integer row system rows . x = rhs, solved prime by prime.
 
-    Columns and target map equations to numbers; the span test names its
-    equations by key id, so building the rows hashes and sorts small ints.
-    The equations are taken in sorted order, and each is scaled once to
-    integers by the lcm of its denominators, which keeps its solutions.  The residues that primes give
-    for the same pivot columns are combined by CRT, and a solution is
-    reconstructed from them and accepted only when it satisfies the system
-    exactly.
+    Each row maps unknowns to numbers and is scaled once to integers by the
+    lcm of the denominators of its entries and its right-hand side, which
+    keeps its solutions.  The residues that primes give for the same pivot columns are
+    combined by CRT, and a solution is reconstructed from them and accepted
+    only when it satisfies every scaled row exactly.
     """
 
-    def __init__(self, columns, target):
-        self.columns = columns
-        self.target = {k: v for k, v in target.items() if v}
-        row_of = {key: {} for key in self.target}
-        for j, col in enumerate(columns):
-            for key, val in col.items():
-                row = row_of.get(key)
-                if row is None:
-                    row = row_of[key] = {}
-                row[j] = val
-        keys = sorted(row_of)      # equations in sorted order
-        self.rows = [row_of[key] for key in keys]
-        self.rhs = [self.target.get(key, 0) for key in keys]
-        self.int_rows, self.int_rhs = [], []
-        for row, b in zip(self.rows, self.rhs):
+    def __init__(self, rows, rhs):
+        self.rows, self.rhs = [], []
+        for row, b in zip(rows, rhs):
             scale = lcm(b.denominator, *(v.denominator for v in row.values()))
-            self.int_rows.append({j: v.numerator * (scale // v.denominator)
-                                  for j, v in row.items()})
-            self.int_rhs.append(b.numerator * (scale // b.denominator))
+            self.rows.append({j: v.numerator * (scale // v.denominator)
+                              for j, v in row.items()})
+            self.rhs.append(b.numerator * (scale // b.denominator))
         self.lifts = {}            # pivot columns -> (modulus, residues)
 
-    def transposed(self):
-        """The system [A | b]^T y = e_b, which has a solution exactly when
-        this one has none: y . A = 0 and y . b = 1."""
-        n = len(self.columns)
-        columns = []
-        for row, b in zip(self.rows, self.rhs):
-            col = dict(row)
-            if b:
-                col[n] = b
-            columns.append(col)
-        return _System(columns, {n: 1})
-
     def satisfied_by(self, x):
-        """The exact check sum_j x_j * columns[j] == target, in Fractions."""
-        acc = {}
-        for j, xj in x.items():
-            for key, v in self.columns[j].items():
-                acc[key] = acc.get(key, 0) + xj * v
-        return {k: v for k, v in acc.items() if v} == self.target
+        """The exact check row . x == rhs on every scaled row."""
+        return all(sum(v * x[j] for j, v in row.items() if j in x) == b
+                   for row, b in zip(self.rows, self.rhs))
 
     def solve_mod(self, p):
         """An exactly checked solution from the residues so far, None when
         this prime settles nothing, or ``_INCONSISTENT`` (a hint only)."""
-        residues = _eliminate(self.int_rows, self.int_rhs, p)
+        residues = _eliminate(self.rows, self.rhs, p)
         if residues is None or residues is _INCONSISTENT:
             return residues
         pivots = frozenset(residues)
@@ -659,16 +630,29 @@ class _System:
 def _solve_exact(columns, target):
     """Solve sum_i x_i * columns_i = target exactly over the rationals.
 
-    Elimination runs mod each prime of ``PRIMES`` in turn (see
+    Columns and target map keys to numbers, and zero target entries are
+    dropped.  The equations are one row per key, in sorted key order; the
+    span test names its keys by id, so building the rows hashes and sorts
+    small ints.  Elimination runs mod each prime of ``PRIMES`` in turn (see
     ``_eliminate``), so with free variables set to zero the solution depends
     on the system alone.  The answer comes from the first prime whose
     residues, combined by CRT with those of earlier primes that have the same
     pivot columns, reconstruct to an exact solution.  An inconsistency mod p
-    counts only when the same routine, on the transposed system, yields a
-    witness y with y . A = 0 and y . b = 1 exactly.  Returns a dict
-    column-index -> coefficient, or None when inconsistent.
+    counts only when the same routine yields a witness y over the keys whose
+    rows are the columns, each equal to 0, and the target, equal to 1:
+    exactly y . A = 0 and y . b = 1.  Returns a dict column-index ->
+    coefficient, or None when inconsistent.
     """
-    system = _System(columns, target)
+    target = {key: v for key, v in target.items() if v}
+    row_of = {key: {} for key in target}
+    for j, col in enumerate(columns):
+        for key, val in col.items():
+            row = row_of.get(key)
+            if row is None:
+                row = row_of[key] = {}
+            row[j] = val
+    keys = sorted(row_of)
+    system = _System([row_of[key] for key in keys], [target.get(key, 0) for key in keys])
     dual = None
     for p in PRIMES:
         x = system.solve_mod(p)
@@ -677,7 +661,7 @@ def _solve_exact(columns, target):
         if x is not _INCONSISTENT:
             return x
         if dual is None:
-            dual = system.transposed()
+            dual = _System([*columns, target], [0] * len(columns) + [1])
         y = dual.solve_mod(p)
         if y is not None and y is not _INCONSISTENT:
             return None            # an exact witness: y . A = 0, y . b = 1
@@ -786,17 +770,21 @@ def vertex_integral(genus, exponents):
 def _integral(expr, powers):
     """The integral of the expression times the psi monomial that raises
     leg ``label`` by ``powers[label]``: each term's coefficient times the
-    integrals of its vertices, read off the base classes of its key.  A
-    vertex that the monomial makes overweight integrates to 0."""
+    integrals of its vertices, read off the base classes of its key and
+    multiplied as integer numerators and denominators, one ``Fraction`` per
+    term.  A vertex that the monomial makes overweight integrates to 0."""
     total = Fraction(0)
     for key, coeff in expr._terms.items():
-        value = coeff
+        num, den = coeff.numerator, coeff.denominator
         for genus_v, extras, legs, intexp in key[0]:
             exps = [e + powers.get(label, 0) for label, e in legs]
-            value *= vertex_integral(genus_v, tuple(sorted(exps + [*intexp] + [0] * extras)))
-            if value == 0:
+            value = vertex_integral(genus_v, tuple(sorted(exps + [*intexp] + [0] * extras)))
+            if not value:
                 break
-        total += value
+            num *= value.numerator
+            den *= value.denominator
+        else:
+            total += Fraction(num, den)
     return total
 
 

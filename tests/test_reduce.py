@@ -1107,6 +1107,20 @@ def test_solve_exact_matches_left_looking_oracle(system, seed):
                         {renamed[k]: v for k, v in target.items()}) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(system=sparse_systems(), data=st.data())
+def test_zero_target_entries_are_ignored(system, data):
+    columns, target, _kind = system
+    expected = _solve_exact(columns, target)
+    # a key that some column touches and the target leaves out, and a key
+    # that no column touches
+    free = sorted(set().union(*columns) - set(target))
+    untouched = max(set(target).union(*columns), default=0) + 1
+    zeros = [untouched] + ([data.draw(st.sampled_from(free))] if free else [])
+    for key in zeros:
+        assert _solve_exact(columns, {**target, key: Fraction(0)}) == expected
+
+
 @pytest.mark.parametrize("name", ["f", "h1", "i1"])
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
@@ -1289,18 +1303,23 @@ def test_exhausted_prime_list_raises():
 
 
 def solve_recording_witnesses(columns, target):
-    """_solve_exact, with every solution of a transposed system that passed
-    the exact check."""
-    witnesses = []
-    check = reduce._System.satisfied_by
+    """_solve_exact, with every solution of a witness system that passed the
+    exact check.  The primal system is the first one built; any later one
+    is the witness system."""
+    systems, witnesses = [], []
 
-    def spy(system, x):
-        ok = check(system, x)
-        if ok and system.columns is not columns:
-            witnesses.append(x)
-        return ok
+    class Recording(reduce._System):
+        def __init__(self, rows, rhs):
+            super().__init__(rows, rhs)
+            systems.append(self)
 
-    with mock.patch.object(reduce._System, "satisfied_by", spy):
+        def satisfied_by(self, x):
+            ok = super().satisfied_by(x)
+            if ok and self is not systems[0]:
+                witnesses.append(x)
+            return ok
+
+    with mock.patch.object(reduce, "_System", Recording):
         return _solve_exact(columns, target), witnesses
 
 
@@ -1315,9 +1334,8 @@ def test_inconsistency_is_reported_only_with_an_exact_witness(system):
         assert got is None
     if got is None:
         assert len(witnesses) == 1
-        # y . A = 0 and y . b != 0, with y indexed by the sorted keys
-        keys = sorted(set(target).union(*columns))
-        y = {keys[r]: v for r, v in witnesses[0].items()}
+        # y . A = 0 and y . b != 0, with y indexed by the keys
+        y = witnesses[0]
         for col in columns:
             assert sum(y.get(k, 0) * v for k, v in col.items()) == 0
         assert sum(v * target.get(k, 0) for k, v in y.items()) != 0
