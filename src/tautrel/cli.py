@@ -36,7 +36,7 @@ SCHEMA = 1
 
 # Seconds per stage of a vanishing check and of the class assembly before it,
 # reported under "timing"; a stage that does not run stays 0.
-STAGES = ("assemble_s", "psi_s", "closure_s", "solve_s")
+STAGES = ("assemble_s", "psi_s", "pair_s", "closure_s", "solve_s")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,11 +100,13 @@ def _certificate_json(expr, cert):
 
 
 def _vanishing_check(expr, args, stages):
-    """Psi elimination, then, unless that leaves zero, the WDVV span test.
+    """Psi elimination, then, unless that leaves zero, the WDVV span test,
+    which pairs the class with psi monomials before any closure round.
 
     Returns the outcome fields and the exit status, and fills the seconds of
     each stage into ``stages``.  A relation budget overflow leaves no
-    certificate, so the whole span test then counts as closure.
+    certificate, so the whole span test, its pairings included, then counts
+    as closure.
     """
     clock = time.perf_counter()
     reduced = eliminate_all_psi(expr)
@@ -119,7 +121,7 @@ def _vanishing_check(expr, args, stages):
         stages["closure_s"] = time.perf_counter() - clock
         return {"proved": False, "method": "wdvv-span", "error": "budget-overflow",
                 "detail": str(exc)}, 2
-    stages.update(closure_s=cert.closure_s, solve_s=cert.solve_s)
+    stages.update(pair_s=cert.pair_s, closure_s=cert.closure_s, solve_s=cert.solve_s)
     return ({"proved": cert.zero, "method": "wdvv-span",
              "certificate": _certificate_json(reduced, cert)},
             0 if cert.zero else 2)

@@ -22,7 +22,9 @@ results with the same search as ``canonical_key``.  Each relation is an
 integer combination of graph keys, and their exact rational span certifies
 vanishing.  The span is solved modulo primes and every answer is checked
 exactly.  Zero certificates are proofs; an Unknown outcome is not a
-nonzeroness claim.  Integrals and pairings read exponents off the keys.
+nonzeroness claim.  Integrals and pairings read exponents off the keys; a
+class with a nonzero psi pairing is outside the span of the relations, so
+the span test ends at its first nonzero pairing, before any closure round.
 """
 
 from __future__ import annotations
@@ -478,7 +480,8 @@ class ZeroCertificate:
     basis: object                 # RelationBasis or None
     budget_spent: int
     reason: str
-    closure_s: float = field(default=0.0, compare=False)   # wall time per stage
+    pair_s: float = field(default=0.0, compare=False)      # wall time per stage
+    closure_s: float = field(default=0.0, compare=False)
     solve_s: float = field(default=0.0, compare=False)
 
 
@@ -671,15 +674,28 @@ def _solve_exact(columns, target):
 def span_zero_test(expr, budget=3, max_relations=200000):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
-    Escalates the relation-closure round count up to ``budget``, resuming
-    the closure of the previous round; a returned
-    Zero certificate is re-verified by substitution before being reported.
-    Unknown is a budget-bounded outcome, not a nonzeroness proof.
+    The expression comes after psi elimination.  First it is paired with the
+    complementary psi monomials, in the order of ``pair_with_psi_monomials``,
+    up to the first nonzero integral.  Every WDVV relation vanishes as a
+    class, so it pairs to zero with every monomial, and so does every
+    combination of them: an expression with a nonzero pairing lies outside
+    their span at every budget, and the test ends Unknown at once, with
+    ``budget`` spent, running neither the closure nor the solver.  Otherwise
+    the relation-closure round count escalates up to ``budget``, resuming
+    the closure of the previous round; a returned Zero certificate is
+    re-verified by substitution before being reported.  Unknown is a
+    budget-bounded outcome, not a nonzeroness proof.
     """
     if not expr.psi_free():
         raise ValueError("span test requires a psi-free expression")
     if expr.is_zero():
         return ZeroCertificate(True, (), None, 0, "normalizes to zero")
+    started = time.perf_counter()
+    nonzero = (expr.degree() <= expr.ambient.dimension
+               and any(value for _b, value in _pairings(expr)))
+    pair_s = time.perf_counter() - started
+    if nonzero:
+        return ZeroCertificate(False, (), None, budget, "unknown", pair_s)
     basis = None
     closure_s = solve_s = 0.0
     for rounds in range(1, budget + 1):
@@ -714,8 +730,8 @@ def span_zero_test(expr, budget=3, max_relations=200000):
         if total != expr:
             raise AssertionError("certificate failed re-substitution")
         return ZeroCertificate(True, combination, basis, rounds, "wdvv-span",
-                               closure_s, solve_s)
-    return ZeroCertificate(False, (), None, budget, "unknown", closure_s, solve_s)
+                               pair_s, closure_s, solve_s)
+    return ZeroCertificate(False, (), None, budget, "unknown", pair_s, closure_s, solve_s)
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +814,18 @@ def integrate(expr):
     return _integral(expr, {})
 
 
+def _pairings(expr):
+    """The pairings of a nonzero expression of degree at most the ambient
+    dimension against the complementary psi monomials, one at a time:
+    (exponent tuple over ambient legs, integral) pairs, the monomials in
+    ``combinations_with_replacement`` order of the legs."""
+    labels = expr.ambient.labels
+    codim = expr.ambient.dimension - expr.degree()
+    for combo in itertools.combinations_with_replacement(range(len(labels)), codim):
+        b = tuple(combo.count(i) for i in range(len(labels)))
+        yield b, _integral(expr, dict(zip(labels, b)))
+
+
 def pair_with_psi_monomials(expr):
     """All pairings of the expression against complementary psi monomials.
 
@@ -806,12 +834,8 @@ def pair_with_psi_monomials(expr):
     powers to the leg exponents of every term, as ``multiply_by_leg_psi``
     would, and integrates without keying the products.
     """
-    labels = expr.ambient.labels
     if expr.is_zero():
-        return [((0,) * len(labels), Fraction(0))]
-    codim = expr.ambient.dimension - expr.degree()
-    if codim < 0:
+        return [((0,) * len(expr.ambient.labels), Fraction(0))]
+    if expr.degree() > expr.ambient.dimension:
         raise ValueError("expression degree exceeds the ambient dimension")
-    monomials = (tuple(combo.count(i) for i in range(len(labels))) for combo
-                 in itertools.combinations_with_replacement(range(len(labels)), codim))
-    return [(b, _integral(expr, dict(zip(labels, b)))) for b in monomials]
+    return list(_pairings(expr))

@@ -196,6 +196,21 @@ def test_verify_budget_overflow_reported(capsys, argv):
     assert report["outcome"]["error"] == "budget-overflow"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--g", "1", "--m", "3", "--d", "2,1", "--max-relations", "1"),
+    ("verify", "--g", "0", "--m", "5", "--d", "1,1,1"),
+], ids=["max-relations-1", "out-of-pool"])
+def test_nonzero_pairing_ends_unknown_before_the_closure(capsys, argv):
+    """A class with a nonzero psi pairing ends unknown without a closure
+    round, so even a relation budget of 1 cannot overflow."""
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["outcome"]["proved"] is False
+    assert "error" not in report["outcome"]
+    assert report["outcome"]["certificate"] == {"reason": "unknown", "rounds": 3}
+    assert report["timing"]["closure_s"] == report["timing"]["solve_s"] == 0
+
+
 def test_only_the_kept_basis_counts_against_max_relations(capsys):
     """The closure of (1, 2, 1,1,1) keeps 318 relations, a basis at each vertex
     of the 536 that every exchange of every quadruple would give."""
@@ -218,7 +233,8 @@ def test_only_the_kept_basis_counts_against_max_relations(capsys):
 def test_span_commands_report_stage_seconds(capsys, argv):
     _code, report = run_json(capsys, *argv)
     timing = report["timing"]
-    assert set(timing) == {"seconds", "assemble_s", "psi_s", "closure_s", "solve_s"}
+    assert set(timing) == {"seconds", "assemble_s", "psi_s", "pair_s", "closure_s",
+                           "solve_s"}
     assert all(seconds >= 0 for seconds in timing.values())
 
 

@@ -647,6 +647,83 @@ def test_span_single_divisor_unknown():
     assert cert.reason == "unknown"
 
 
+def closure_only_span_test(expr, budget=3):
+    """The span test without its pairing check, as it ran before the check
+    came first: closure rounds and exact solves up to ``budget``.  The zero
+    flag and the rounds spent."""
+    basis = None
+    for rounds in range(1, budget + 1):
+        previous = basis
+        basis = generate_wdvv_relations(expr.support(), expr.ambient,
+                                        rounds=rounds, resume=basis)
+        if previous is not None and len(basis.relations) == len(previous.relations):
+            continue
+        target = {basis.ids[key]: v for key, v in expr._terms.items()}
+        if not set().union(*basis.relations).issuperset(target):
+            continue
+        if _solve_exact(basis.relations, target) is not None:
+            return True, rounds
+    return False, budget
+
+
+PROVED_CLASSES = [(g, m, d) for g, m, weights in
+                  [(0, 4, (1, 1, 1, 1)), (1, 2, (2, 1, 1)), (1, 2, (1, 1, 1))]
+                  for d in sorted(set(itertools.permutations(weights)))] + [
+    (0, 5, (1, 1, 2)), (1, 3, (2, 1, 1))]
+
+
+def assert_pairs_to_zero(expr):
+    """A class the span test proves zero must never have a nonzero pairing:
+    the pairing check would end its test before the closure."""
+    pairings = pair_with_psi_monomials(eliminate_all_psi(expr))
+    assert pairings and all(value == 0 for _b, value in pairings)
+
+
+@pytest.mark.parametrize("g, m, d", PROVED_CLASSES)
+def test_proved_classes_pair_to_zero_with_every_monomial(g, m, d):
+    assert_pairs_to_zero(weighted_tree_class(g, m, d))
+
+
+@pytest.mark.parametrize("name", ["f", "h0i0_combined", "h1", "i1"])
+def test_span_proved_fixtures_pair_to_zero_with_every_monomial(name):
+    assert_pairs_to_zero(parse_bracket(fixture_text(name)))
+
+
+def raise_on_closure(*args, **kwargs):
+    raise AssertionError("the relation closure or the span solver ran")
+
+
+@pytest.mark.parametrize("name", ["divisor", "b13_21"])
+def test_nonzero_pairing_ends_span_test_before_the_closure(name, monkeypatch):
+    expr = (parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0") if name == "divisor"
+            else eliminate_all_psi(weighted_tree_class(1, 3, (2, 1))))
+    assert expr.psi_free()
+    assert any(value for _b, value in pair_with_psi_monomials(expr))
+    monkeypatch.setattr(reduce, "generate_wdvv_relations", raise_on_closure)
+    monkeypatch.setattr(reduce, "_solve_exact", raise_on_closure)
+    cert = span_zero_test(expr, budget=3)
+    assert (cert.zero, cert.reason, cert.budget_spent) == (False, "unknown", 3)
+    assert cert.combination == () and cert.basis is None
+    assert cert.closure_s == cert.solve_s == 0.0 and cert.pair_s >= 0
+
+
+@pytest.mark.parametrize("d", [(2, 1), (1, 2), (1, 1, 1)])
+def test_closure_alone_also_ends_unknown_on_nonzero_pairings(d):
+    """Without the pairing check the full budget ends unknown as well, so the
+    check changes no outcome on these classes, only its cost."""
+    expr = eliminate_all_psi(weighted_tree_class(1, 3, d))
+    assert any(value for _b, value in pair_with_psi_monomials(expr))
+    assert closure_only_span_test(expr, budget=3) == (False, 3)
+    assert span_zero_test(expr, budget=3).reason == "unknown"
+
+
+def test_closure_only_reference_proves_what_the_span_test_proves():
+    expr = parse_bracket(fixture_text("f"))
+    cert = span_zero_test(expr, budget=3)
+    assert closure_only_span_test(expr, budget=3) == (cert.zero, cert.budget_spent)
+    assert cert.zero
+
+
 def test_span_rejects_psi_terms():
     with pytest.raises(ValueError):
         span_zero_test(parse_bracket("<P^1(x1) x2 x3 x4>_0"))

@@ -24,9 +24,11 @@ a frozen partner pair and on an edge end;
 ``check-pushforward`` for (g, m, l, d) = (1, 2, 1, 2,1), (0, 2, 1, 1,1),
 (1, 2, 2, 2,1,1), (0, 3, 1, 1,1,1) and (1, 1, 2, 2,1,1), the last of which
 exits 1 because forgetting two frozen legs leaves a vertex unstable,
-``reduce --mode zero-test`` on ``f``, on ``h0i0_combined`` and on the
-boundary divisor of ``divisor9_text``, the first call whose closure reaches
-a vertex with eight or more half-edges, ``reduce --mode
+``reduce --mode zero-test`` on ``f``, on ``h0i0_combined``, on the
+boundary divisor of ``divisor9_text``, whose first psi pairing is nonzero
+and so ends the span test before its closure, and on the relation of
+``wdvv9_text``, whose pairings all vanish and whose closure reaches a
+vertex with nine half-edges, ``reduce --mode
 pair`` on ``b21_raw``, ``h`` and ``i``, ``reduce --mode psi`` on ``h`` with
 ``--format latex`` and with ``--format json``, the top-degree ``verify`` of
 (g, m, d) = (1, 1, 2,1), which integrates to -1/24 and exits 2, and of
@@ -37,7 +39,7 @@ latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 57 calls.  Both trees read the bracket fixtures
+forgetful pushforward outside the pools.  That makes 58 calls.  Both trees read the bracket fixtures
 from PARENT's ``tests/fixtures``.  The two trees run each call side by
 side.
 
@@ -80,9 +82,27 @@ def mixed_star_text(p):
 
 
 def divisor9_text():
-    """<U1 .. U7 a>_0 <a* U8 U9>_0: a boundary divisor whose relation closure
-    reaches a genus-0 vertex with nine half-edges."""
+    """<U1 .. U7 a>_0 <a* U8 U9>_0: a boundary divisor whose first psi
+    pairing, with psi_{U1}^5, is nonzero, so its span test runs no closure."""
     return "<%s a>_0 <a* U8 U9>_0\n" % " ".join("U%d" % i for i in range(1, 8))
+
+
+def wdvv9_text():
+    """The WDVV relation on M_{0,9} that sums the boundary divisors separating
+    {U1, U2} from {U8, U9} and subtracts those separating {U1, U8} from
+    {U2, U9}, each side taking a subset S of U3..U7 and the other side the
+    rest: 64 divisor terms whose psi pairings all vanish, so the span test
+    runs its relation closure, which reaches a genus-0 vertex with nine
+    half-edges."""
+    middle = ["U%d" % i for i in range(3, 8)]
+    items = []
+    for sign, near, far in [("+", "U1 U2", "U8 U9"), ("-", "U1 U8", "U2 U9")]:
+        for r in range(len(middle) + 1):
+            for s in itertools.combinations(middle, r):
+                rest = [u for u in middle if u not in s]
+                items.append("%s <%s e>_0 <e* %s>_0" % (sign, " ".join([near, *s]),
+                                                       " ".join([far, *rest])))
+    return "\n".join(items) + "\n"
 
 
 def pinned_g1_text():
@@ -148,6 +168,7 @@ def calls(workdir, fixtures):
         out.append(["reduce", os.path.join(fixtures, name + ".bracket")] + extra)
     out.append(["reduce", write(workdir, "divisor9", divisor9_text()),
                 "--mode", "zero-test"])
+    out.append(["reduce", write(workdir, "wdvv9", wdvv9_text()), "--mode", "zero-test"])
     for g, m, d in [(1, 1, "2,1"), (1, 2, "2,2")]:
         out.append(["verify", "--g", str(g), "--m", str(m), "--d", d])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
