@@ -29,14 +29,12 @@ from .treeclass import (
     acceptable_assignments,
     enumerate_shapes,
     extra_count_bounds,
-    shape_class,
     weighted_tree_class,
 )
 from .reduce import (
     RelationBasis,
     ZeroCertificate,
     choose_partner_pair,
-    distribute,
     eliminate_all_psi,
     generate_wdvv_relations,
     integrate,

@@ -228,35 +228,6 @@ class Expression:
     def __neg__(self):
         return self.scale(-1)
 
-    def multiply_by_leg_psi(self, label, power):
-        """Multiply by the psi class of an ambient leg, raised to ``power``."""
-        if label not in self.ambient.labels:
-            raise ValueError("leg %r is not an ambient label" % label)
-        if power < 0:
-            raise ValueError("negative psi power")
-        if power == 0:
-            return self
-        return self._relabeled(self.ambient, lambda name, e: (
-            name, e + power if name == label else e))
-
-    def relabel_legs(self, mapping):
-        """Rename pinned legs; the ambient is rebuilt from the new labels."""
-        new_labels = [mapping.get(lab, lab) for lab in self.ambient.labels]
-        ambient = make_ambient(self.ambient.genus, new_labels)
-        return self._relabeled(ambient, lambda name, e: (mapping.get(name, name), e))
-
-    def _relabeled(self, ambient, leg):
-        """Every term with each leg (label, exponent) replaced by ``leg(label,
-        exponent)``, keyed on its records; overweight terms drop."""
-        out = []
-        for key, coeff in self._terms.items():
-            base, edges = key_records(key)
-            base = [(genus_v, extras, tuple(sorted(leg(*pair) for pair in legs)), intexp)
-                    for genus_v, extras, legs, intexp in base]
-            if not _base_overweight(base):
-                out.append((coeff, _canonical_search(base, edges)[0]))
-        return _summed(ambient, out)
-
 
 def attach_vertex(expr, leg_label, genus_v, legs):
     """Glue a fresh vertex onto the named leg of every term.

@@ -22,9 +22,10 @@ results with the same search as ``canonical_key``.  Each relation is an
 integer combination of graph keys, and their exact rational span certifies
 vanishing.  The span is solved modulo primes and every answer is checked
 exactly.  Zero certificates are proofs; an Unknown outcome is not a
-nonzeroness claim.  Integrals and pairings read exponents off the keys; a
-class with a nonzero psi pairing is outside the span of the relations, so
-the span test ends at its first nonzero pairing, before any closure round.
+nonzeroness claim.  Integrals and pairings read exponents off the keys.  A
+class with a nonzero psi pairing is outside the span of the relations; the
+CLI pairs the class before psi elimination and ends there, so the span test
+itself does not pair.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from .graphs import (
-    EXTRA,
     _canonical_search,
     contract_records,
     half_edges,
@@ -47,7 +47,7 @@ from .graphs import (
     split_records,
 )
 from . import graphs
-from .expressions import Expression, _base_overweight, _from_records, _summed
+from .expressions import Expression, _base_overweight, _summed
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +264,6 @@ def eliminate_all_psi(expr):
     return Expression(expr.ambient, _raw=done)
 
 
-def distribute(expr, label):
-    """Insert a fresh leg named ``label`` into each vertex in turn and sum."""
-    coeff, base, edges = _only_term(expr)
-    if label in {half[1] for half in half_edges(base, edges)}:
-        raise ValueError("name %r already used in the term" % label)
-    out = []
-    for v, (genus_v, extras, legs, intexp) in enumerate(base):
-        grown = list(base)
-        grown[v] = ((genus_v, extras + 1, legs, intexp) if label == EXTRA else
-                    (genus_v, extras, tuple(sorted(legs + ((label, 0),))), intexp))
-        out.append((coeff, grown, edges))
-    return _from_records(out)
-
-
 # ---------------------------------------------------------------------------
 # WDVV relations
 
@@ -480,8 +466,7 @@ class ZeroCertificate:
     basis: object                 # RelationBasis or None
     budget_spent: int
     reason: str
-    pair_s: float = field(default=0.0, compare=False)      # wall time per stage
-    closure_s: float = field(default=0.0, compare=False)
+    closure_s: float = field(default=0.0, compare=False)   # wall time per stage
     solve_s: float = field(default=0.0, compare=False)
 
 
@@ -674,28 +659,18 @@ def _solve_exact(columns, target):
 def span_zero_test(expr, budget=3, max_relations=200000):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
-    The expression comes after psi elimination.  First it is paired with the
-    complementary psi monomials, in the order of ``pair_with_psi_monomials``,
-    up to the first nonzero integral.  Every WDVV relation vanishes as a
-    class, so it pairs to zero with every monomial, and so does every
-    combination of them: an expression with a nonzero pairing lies outside
-    their span at every budget, and the test ends Unknown at once, with
-    ``budget`` spent, running neither the closure nor the solver.  Otherwise
-    the relation-closure round count escalates up to ``budget``, resuming
-    the closure of the previous round; a returned Zero certificate is
-    re-verified by substitution before being reported.  Unknown is a
-    budget-bounded outcome, not a nonzeroness proof.
+    The expression comes after psi elimination.  The relation-closure round
+    count escalates up to ``budget``, resuming the closure of the previous
+    round; a returned Zero certificate is re-verified by substitution before
+    being reported.  Unknown is a budget-bounded outcome, not a nonzeroness
+    proof.  The test does not pair the expression with psi monomials: a
+    nonzero pairing puts it outside the span at every budget, and the CLI
+    checks that before psi elimination.
     """
     if not expr.psi_free():
         raise ValueError("span test requires a psi-free expression")
     if expr.is_zero():
         return ZeroCertificate(True, (), None, 0, "normalizes to zero")
-    started = time.perf_counter()
-    nonzero = (expr.degree() <= expr.ambient.dimension
-               and any(value for _b, value in _pairings(expr)))
-    pair_s = time.perf_counter() - started
-    if nonzero:
-        return ZeroCertificate(False, (), None, budget, "unknown", pair_s)
     basis = None
     closure_s = solve_s = 0.0
     for rounds in range(1, budget + 1):
@@ -730,8 +705,8 @@ def span_zero_test(expr, budget=3, max_relations=200000):
         if total != expr:
             raise AssertionError("certificate failed re-substitution")
         return ZeroCertificate(True, combination, basis, rounds, "wdvv-span",
-                               pair_s, closure_s, solve_s)
-    return ZeroCertificate(False, (), None, budget, "unknown", pair_s, closure_s, solve_s)
+                               closure_s, solve_s)
+    return ZeroCertificate(False, (), None, budget, "unknown", closure_s, solve_s)
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +806,10 @@ def pair_with_psi_monomials(expr):
 
     Returns (exponent tuple over ambient legs, integral) pairs; a zero class
     pairs to zero against everything.  Each pairing adds the monomial's
-    powers to the leg exponents of every term, as ``multiply_by_leg_psi``
-    would, and integrates without keying the products.
+    powers to the leg exponents of every term and integrates the vertices of
+    each term, without keying the product.  A pairing is an intersection
+    number, so psi elimination, which rewrites a class into an equal one,
+    leaves every pairing as it was.
     """
     if expr.is_zero():
         return [((0,) * len(expr.ambient.labels), Fraction(0))]

@@ -256,14 +256,6 @@ def _shape_terms(shape, legs):
         yield from _push_at_vertices(1, *shape.records(legs, assignment), counts)
 
 
-def shape_class(shape, weights):
-    """Sum over acceptable extra-leg assignments of the forgotten decorated tree."""
-    legs = _leg_weights(shape, _as_weights(weights))
-    ambient = make_ambient(sum(shape.genera), [label for labels in shape.legs
-                                               for label in labels])
-    return _summed(ambient, _shape_terms(shape, legs))
-
-
 def weighted_tree_class(genus_value, n_frozen, weights):
     """Signed sum of shape classes over the whole shape family."""
     weights = _as_weights(weights)

@@ -15,6 +15,9 @@ used before they were assembled on records; it stays here as a reference.
 So do the graph-level helpers that ``tautrel`` used before every term was
 computed on as records: ``genus``, ``is_stable``, ``is_connected``,
 ``vertex_overweight``, ``builder_copy_of`` and ``graph_automorphism_order``.
+``multiply_by_leg_psi``, ``relabel_legs``, ``distribute`` and
+``shape_class`` are library functions that no command used; they stay here
+as references for the tests that use them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from functools import lru_cache
 
 import pytest
 
-from tautrel.expressions import Expression
+from tautrel.expressions import (
+    Expression,
+    _base_overweight,
+    _from_records,
+    _summed,
+    make_ambient,
+)
 from tautrel.graphs import (
     EXTRA,
     DecoratedGraph,
@@ -37,10 +46,13 @@ from tautrel.graphs import (
     _canonical_search,
     _records,
     canonical_key,
+    half_edges,
+    key_records,
     leg_kind,
     validate,
 )
-from tautrel.reduce import _exchange_relation, _sides
+from tautrel.reduce import _exchange_relation, _only_term, _sides
+from tautrel.treeclass import _as_weights, _leg_weights, _shape_terms
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -429,3 +441,61 @@ class RootedTreeView:
         for h, lab in enumerate(graph.labels):
             if lab is not None and leg_kind(lab) == "frozen" and graph.vertex_of[h] != root:
                 raise ValueError("frozen leg %s not attached to the root" % lab)
+
+
+# ---------------------------------------------------------------------------
+# library functions that no command uses
+
+
+def _relabeled(expr, ambient, leg):
+    """Every term with each leg (label, exponent) replaced by ``leg(label,
+    exponent)``, keyed on its records; overweight terms drop."""
+    out = []
+    for key, coeff in expr._terms.items():
+        base, edges = key_records(key)
+        base = [(genus_v, extras, tuple(sorted(leg(*pair) for pair in legs)), intexp)
+                for genus_v, extras, legs, intexp in base]
+        if not _base_overweight(base):
+            out.append((coeff, _canonical_search(base, edges)[0]))
+    return _summed(ambient, out)
+
+
+def multiply_by_leg_psi(expr, label, power):
+    """Multiply by the psi class of an ambient leg, raised to ``power``."""
+    if label not in expr.ambient.labels:
+        raise ValueError("leg %r is not an ambient label" % label)
+    if power < 0:
+        raise ValueError("negative psi power")
+    if power == 0:
+        return expr
+    return _relabeled(expr, expr.ambient, lambda name, e: (
+        name, e + power if name == label else e))
+
+
+def relabel_legs(expr, mapping):
+    """Rename pinned legs; the ambient is rebuilt from the new labels."""
+    new_labels = [mapping.get(lab, lab) for lab in expr.ambient.labels]
+    ambient = make_ambient(expr.ambient.genus, new_labels)
+    return _relabeled(expr, ambient, lambda name, e: (mapping.get(name, name), e))
+
+
+def distribute(expr, label):
+    """Insert a fresh leg named ``label`` into each vertex in turn and sum."""
+    coeff, base, edges = _only_term(expr)
+    if label in {half[1] for half in half_edges(base, edges)}:
+        raise ValueError("name %r already used in the term" % label)
+    out = []
+    for v, (genus_v, extras, legs, intexp) in enumerate(base):
+        grown = list(base)
+        grown[v] = ((genus_v, extras + 1, legs, intexp) if label == EXTRA else
+                    (genus_v, extras, tuple(sorted(legs + ((label, 0),))), intexp))
+        out.append((coeff, grown, edges))
+    return _from_records(out)
+
+
+def shape_class(shape, weights):
+    """Sum over acceptable extra-leg assignments of the forgotten decorated tree."""
+    legs = _leg_weights(shape, _as_weights(weights))
+    ambient = make_ambient(sum(shape.genera), [label for labels in shape.legs
+                                               for label in labels])
+    return _summed(ambient, _shape_terms(shape, legs))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from tautrel import cli, reduce
 from tautrel.cli import main
 from tautrel.expressions import parse_bracket
 
@@ -91,6 +92,16 @@ def test_verify_genus_2_below_top_degree_needs_psi_elimination():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "psi elimination on genus >= 2 vertices is unsupported" in proc.stderr
+
+
+def test_verify_genus_2_with_a_nonzero_raw_pairing_ends_unknown(capsys):
+    """The raw class pairs nonzero with psi_{V1}^2, so the check ends before
+    psi elimination, which genus-2 vertices would stop."""
+    code, report = run_json(capsys, "verify", "--g", "2", "--m", "2", "--d", "4",
+                            "--budget", "3")
+    assert code == 2
+    assert report["outcome"]["proved"] is False
+    assert report["outcome"]["certificate"] == {"reason": "unknown", "rounds": 3}
 
 
 def test_reduce_pair_on_genus_1_fixtures(capsys):
@@ -209,6 +220,42 @@ def test_nonzero_pairing_ends_unknown_before_the_closure(capsys, argv):
     assert "error" not in report["outcome"]
     assert report["outcome"]["certificate"] == {"reason": "unknown", "rounds": 3}
     assert report["timing"]["closure_s"] == report["timing"]["solve_s"] == 0
+
+
+def raise_on_call(*args, **kwargs):
+    raise AssertionError("psi elimination, the relation closure or the span solver ran")
+
+
+@pytest.mark.parametrize("name", ["b13_21", "divisor"])
+def test_nonzero_raw_pairing_ends_the_check_before_psi_elimination(
+        capsys, monkeypatch, tmp_path, name):
+    """The vanishing check pairs the class as it is given and ends unknown at
+    its first nonzero pairing, before psi elimination, the closure and the
+    solver."""
+    argv = ("verify", "--g", "1", "--m", "3", "--d", "2,1")
+    if name == "divisor":
+        path = tmp_path / "divisor.bracket"
+        path.write_text("<x1 x2 a>_0 <a* x3 x4 x5>_0\n")
+        argv = ("reduce", str(path), "--mode", "zero-test")
+    monkeypatch.setattr(cli, "eliminate_all_psi", raise_on_call)
+    monkeypatch.setattr(reduce, "generate_wdvv_relations", raise_on_call)
+    monkeypatch.setattr(reduce, "_solve_exact", raise_on_call)
+    code, report = run_json(capsys, *argv, "--budget", "3")
+    assert code == 2
+    assert report["outcome"]["proved"] is False
+    assert report["outcome"]["certificate"] == {"reason": "unknown", "rounds": 3}
+    timing = report["timing"]
+    assert timing["psi_s"] == timing["closure_s"] == timing["solve_s"] == 0
+
+
+def test_reduce_zero_test_on_a_class_that_cancels(capsys, tmp_path):
+    """A class that cancels to zero has no degree to pair at, and psi
+    elimination proves it."""
+    path = tmp_path / "cancels.bracket"
+    path.write_text("<x1 x2 x3 x4>_0 - <x1 x2 x3 x4>_0\n")
+    code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
+    assert code == 0
+    assert report["outcome"] == {"proved": True, "method": "psi-elimination"}
 
 
 def test_only_the_kept_basis_counts_against_max_relations(capsys):

@@ -34,10 +34,13 @@ from tautrel.treeclass import weighted_tree_class
 
 from conftest import (
     brute_force_automorphism_order,
+    distribute,
     fixture_text,
     genus,
     graph_automorphism_order,
+    multiply_by_leg_psi,
     random_decorated_graph,
+    relabel_legs,
     relabeled,
     relation_expression,
     valid_term,
@@ -92,20 +95,20 @@ def test_normalize_idempotent_and_algebra():
 
 def test_multiply_by_leg_psi_example():
     e = parse_bracket("<V1 V2 a>_0 <a* U1 U2>_0")
-    out = e.multiply_by_leg_psi("U1", 1)
+    out = multiply_by_leg_psi(e, "U1", 1)
     assert out == parse_bracket("<V1 V2 a>_0 <a* P^1(U1) U2>_0")
 
 
 def test_multiply_by_leg_psi_dimension_kill_and_identity():
     e = parse_bracket("<x1 x2 x3>_0")
-    assert e.multiply_by_leg_psi("x1", 1).is_zero()
-    assert e.multiply_by_leg_psi("x1", 0) == e
+    assert multiply_by_leg_psi(e, "x1", 1).is_zero()
+    assert multiply_by_leg_psi(e, "x1", 0) == e
 
 
 def test_multiply_commutes_between_legs():
     e = parse_bracket("<V1 V2 a>_0 <a* U1 U2>_1")
-    ab = e.multiply_by_leg_psi("U1", 1).multiply_by_leg_psi("U2", 2)
-    ba = e.multiply_by_leg_psi("U2", 2).multiply_by_leg_psi("U1", 1)
+    ab = multiply_by_leg_psi(multiply_by_leg_psi(e, "U1", 1), "U2", 2)
+    ba = multiply_by_leg_psi(multiply_by_leg_psi(e, "U2", 2), "U1", 1)
     assert ab == ba
 
 
@@ -254,7 +257,7 @@ def test_coefficient_grammar():
 
 def test_relabel_legs():
     e = parse_bracket("<V1 V2 V3 P^1(U1)>_0")
-    out = e.relabel_legs({"V3": "U2"})
+    out = relabel_legs(e, {"V3": "U2"})
     assert out == parse_bracket("<V1 V2 U2 P^1(U1)>_0")
 
 
@@ -581,7 +584,6 @@ def test_json_reader_matches_graph_reader_on_random_graphs(rng):
 
 def test_program_paths_build_no_graph(monkeypatch):
     from tautrel.reduce import (
-        distribute,
         integrate,
         pair_with_psi_monomials,
         psi_reduce_genus0,
@@ -601,8 +603,8 @@ def test_program_paths_build_no_graph(monkeypatch):
         assert render_latex(expr).count(r"\left<") == render_bracket(expr).count("<")
         assert expression_from_json(expression_to_json(expr)) == expr
     assert len(pair_with_psi_monomials(raw)) == 4
-    assert integrate(raw.multiply_by_leg_psi("U1", 1)) == 0
-    assert raw.relabel_legs({"V2": "V3"}).ambient.labels == ("U1", "U2", "V1", "V3")
+    assert integrate(multiply_by_leg_psi(raw, "U1", 1)) == 0
+    assert relabel_legs(raw, {"V2": "V3"}).ambient.labels == ("U1", "U2", "V1", "V3")
     assert not attach_vertex(raw, "V2", 0, [("V3", 0), ("V4", 0)]).is_zero()
     assert len(distribute(parse_bracket("<U1 U2 a>_0 <a* U3 U4>_0"), "U5")) == 2
     # legs are numbered first, in label order: x1 is half-edge 0

@@ -36,7 +36,6 @@ from tautrel.reduce import (
     PRIMES,
     _solve_exact,
     choose_partner_pair,
-    distribute,
     eliminate_all_psi,
     generate_wdvv_relations,
     integrate,
@@ -52,6 +51,7 @@ from tautrel.treeclass import weighted_tree_class
 from conftest import (
     FIXTURES,
     builder_copy_of,
+    distribute,
     fixture_text,
     genus,
     genus0_closed_form,
@@ -59,7 +59,9 @@ from conftest import (
     genus1_integral_by_string_dilaton,
     genus1_splitting_recursion,
     local_basis_by_elimination,
+    multiply_by_leg_psi,
     random_decorated_graph,
+    relabel_legs,
     relation_expression,
     valid_term,
     vertex_overweight,
@@ -572,12 +574,12 @@ def test_chain_class_is_symmetric_modulo_relations():
     chain = parse_bracket("<x1 x2 a>_0 <a* x3 b>_0 <b* x4 x5>_0")
     for sigma in [{"x1": "x3", "x3": "x1"}, {"x2": "x5", "x5": "x2"},
                   {"x1": "x2", "x2": "x3", "x3": "x1"}]:
-        assert certified_zero(chain - chain.relabel_legs(sigma), budget=2)
+        assert certified_zero(chain - relabel_legs(chain, sigma), budget=2)
 
 
 def test_span_budget_escalation():
     chain = parse_bracket("<x1 x2 a>_0 <a* x3 b>_0 <b* x4 x5>_0")
-    swapped = chain.relabel_legs({"x2": "x5", "x5": "x2"})
+    swapped = relabel_legs(chain, {"x2": "x5", "x5": "x2"})
     diff = chain - swapped
     assert not span_zero_test(diff, budget=1).zero
     cert = span_zero_test(diff, budget=3)
@@ -606,6 +608,17 @@ def test_eliminate_preserves_nonzero_pairings():
     assert pair_with_psi_monomials(e) == pair_with_psi_monomials(eliminate_all_psi(e))
     g1 = parse_bracket("<P^2(x1) P^1(x2) x3 x4>_1")
     assert pair_with_psi_monomials(g1) == pair_with_psi_monomials(eliminate_all_psi(g1))
+
+
+@pytest.mark.parametrize("g, m, d", [
+    (1, 3, (1, 1, 1)), (1, 3, (2, 1)), (0, 5, (1, 1, 1)), (1, 3, (2, 1, 1)),
+    (0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)), (1, 2, (2, 1, 1)), (1, 2, (1, 1, 1))])
+def test_raw_and_psi_free_classes_pair_alike(g, m, d):
+    """A pairing is an intersection number and psi elimination rewrites a
+    class into an equal one, so the vanishing check may pair the raw class
+    in place of the psi-free one: every monomial pairs alike."""
+    raw = weighted_tree_class(g, m, d)
+    assert pair_with_psi_monomials(raw) == pair_with_psi_monomials(eliminate_all_psi(raw))
 
 
 def test_genus1_integral_literals():
@@ -648,9 +661,9 @@ def test_span_single_divisor_unknown():
 
 
 def closure_only_span_test(expr, budget=3):
-    """The span test without its pairing check, as it ran before the check
-    came first: closure rounds and exact solves up to ``budget``.  The zero
-    flag and the rounds spent."""
+    """The closure-only span test, a reference for ``span_zero_test``:
+    closure rounds and exact solves up to ``budget``, with no pairing check
+    and no certificate.  The zero flag and the rounds spent."""
     basis = None
     for rounds in range(1, budget + 1):
         previous = basis
@@ -687,24 +700,6 @@ def test_proved_classes_pair_to_zero_with_every_monomial(g, m, d):
 @pytest.mark.parametrize("name", ["f", "h0i0_combined", "h1", "i1"])
 def test_span_proved_fixtures_pair_to_zero_with_every_monomial(name):
     assert_pairs_to_zero(parse_bracket(fixture_text(name)))
-
-
-def raise_on_closure(*args, **kwargs):
-    raise AssertionError("the relation closure or the span solver ran")
-
-
-@pytest.mark.parametrize("name", ["divisor", "b13_21"])
-def test_nonzero_pairing_ends_span_test_before_the_closure(name, monkeypatch):
-    expr = (parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0") if name == "divisor"
-            else eliminate_all_psi(weighted_tree_class(1, 3, (2, 1))))
-    assert expr.psi_free()
-    assert any(value for _b, value in pair_with_psi_monomials(expr))
-    monkeypatch.setattr(reduce, "generate_wdvv_relations", raise_on_closure)
-    monkeypatch.setattr(reduce, "_solve_exact", raise_on_closure)
-    cert = span_zero_test(expr, budget=3)
-    assert (cert.zero, cert.reason, cert.budget_spent) == (False, "unknown", 3)
-    assert cert.combination == () and cert.basis is None
-    assert cert.closure_s == cert.solve_s == 0.0 and cert.pair_s >= 0
 
 
 @pytest.mark.parametrize("d", [(2, 1), (1, 2), (1, 1, 1)])
@@ -920,7 +915,7 @@ def pairings_by_multiplication(expr):
         b = tuple(combo.count(i) for i in range(len(labels)))
         padded = expr
         for label, power in zip(labels, b):
-            padded = padded.multiply_by_leg_psi(label, power)
+            padded = multiply_by_leg_psi(padded, label, power)
         out.append((b, integrate(padded)))
         dropped += len(expr) - len(padded)
     return out, dropped

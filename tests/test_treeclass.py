@@ -19,7 +19,6 @@ from tautrel.treeclass import (
     acceptable_assignments,
     enumerate_shapes,
     extra_count_bounds,
-    shape_class,
     weighted_tree_class,
 )
 
@@ -29,6 +28,8 @@ from conftest import (
     builder_copy_of,
     fixture_text,
     genus,
+    relabel_legs,
+    shape_class,
 )
 
 
@@ -396,7 +397,7 @@ CYCLE = {"U1": "U2", "U2": "U3", "U3": "U1"}
                      "see the FOUND line on m = 0 in CHANGES.md"))),
 ])
 def test_class_is_equivariant_under_leg_relabeling(g, m, d, mapping):
-    relabeled = weighted_tree_class(g, m, d).relabel_legs(mapping)
+    relabeled = relabel_legs(weighted_tree_class(g, m, d), mapping)
     assert relabeled == weighted_tree_class(g, m, _relabeled_weights(d, mapping))
 
 
@@ -471,7 +472,7 @@ def test_appending_zero_weight_leg_matches_extra_frozen_leg():
             sign = -1 if shape.n_edges() % 2 else 1
             part = shape_class(shape, extended).scale(sign)
             total = part if total is None else total + part
-        renamed = total.relabel_legs({last: "V%d" % (m + 1)})
+        renamed = relabel_legs(total, {last: "V%d" % (m + 1)})
         assert renamed == weighted_tree_class(0, m + 1, d)
 
 

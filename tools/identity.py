@@ -26,20 +26,21 @@ a frozen partner pair and on an edge end;
 exits 1 because forgetting two frozen legs leaves a vertex unstable,
 ``reduce --mode zero-test`` on ``f``, on ``h0i0_combined``, on the
 boundary divisor of ``divisor9_text``, whose first psi pairing is nonzero
-and so ends the span test before its closure, and on the relation of
+and so ends the check before psi elimination, and on the relation of
 ``wdvv9_text``, whose pairings all vanish and whose closure reaches a
 vertex with nine half-edges, ``reduce --mode
 pair`` on ``b21_raw``, ``h`` and ``i``, ``reduce --mode psi`` on ``h`` with
 ``--format latex`` and with ``--format json``, the top-degree ``verify`` of
 (g, m, d) = (1, 1, 2,1), which integrates to -1/24 and exits 2, and of
 (1, 2, 2,2), which integrates to zero; these four run the vertex integrals
-of the genus-0 and genus-1 vertices,
+of the genus-0 and genus-1 vertices; ``verify 0 6 1,1,1,1``, whose
+psi-free class is large and whose raw class pairs nonzero at once,
 ``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
 latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 58 calls.  Both trees read the bracket fixtures
+forgetful pushforward outside the pools.  That makes 59 calls.  Both trees read the bracket fixtures
 from PARENT's ``tests/fixtures``.  The two trees run each call side by
 side.
 
@@ -83,7 +84,8 @@ def mixed_star_text(p):
 
 def divisor9_text():
     """<U1 .. U7 a>_0 <a* U8 U9>_0: a boundary divisor whose first psi
-    pairing, with psi_{U1}^5, is nonzero, so its span test runs no closure."""
+    pairing, with psi_{U1}^5, is nonzero, so its check runs no psi
+    elimination and no closure."""
     return "<%s a>_0 <a* U8 U9>_0\n" % " ".join("U%d" % i for i in range(1, 8))
 
 
@@ -169,7 +171,7 @@ def calls(workdir, fixtures):
     out.append(["reduce", write(workdir, "divisor9", divisor9_text()),
                 "--mode", "zero-test"])
     out.append(["reduce", write(workdir, "wdvv9", wdvv9_text()), "--mode", "zero-test"])
-    for g, m, d in [(1, 1, "2,1"), (1, 2, "2,2")]:
+    for g, m, d in [(1, 1, "2,1"), (1, 2, "2,2"), (0, 6, "1,1,1,1")]:
         out.append(["verify", "--g", str(g), "--m", str(m), "--d", d])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1",
