@@ -352,7 +352,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -30,7 +30,6 @@ itself does not pair.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -480,13 +479,14 @@ _INCONSISTENT = "inconsistent"
 def _eliminate(rows, rhs, p):
     """Solve the integer row system mod p; free variables are set to zero.
 
-    Right-looking sparse Gaussian elimination.  The next pivot row is the
-    active row of least Markowitz cost (Markowitz 1957), but a row always
-    pivots on its lowest column index, so the pivot columns are the leading
-    positions of an echelon basis of the row space whatever the row order.
-    Returns the residues of the pivot columns' values, ``_INCONSISTENT`` when
-    the system has no solution mod p, or None when p divides an entry, which
-    would change the system's shape.
+    Right-looking sparse Gaussian elimination that sweeps the columns in
+    increasing index order: of the active rows holding column c, the shortest
+    pivots on c (ties to the lowest row index), and c is eliminated from the
+    others.  Every lower column is gone by then, so the pivot columns are the
+    leading positions of an echelon basis of the row space whatever the row
+    order.  Returns the residues of the pivot columns' values,
+    ``_INCONSISTENT`` when the system has no solution mod p, or None when p
+    divides an entry, which would change the system's shape.
     """
     rows = [{j: v % p for j, v in row.items()} for row in rows]
     if any(0 in row.values() for row in rows):
@@ -498,35 +498,22 @@ def _eliminate(rows, rhs, p):
             return _INCONSISTENT
         for j in row:
             rows_of.setdefault(j, set()).add(r)
-    lead = [min(row) if row else None for row in rows]   # lowest column per row
-
-    def cost(r):
-        n = len(rows[r])
-        return ((n - 1) * (len(rows_of[lead[r]]) - 1), n, r)
-
-    heap = [cost(r) for r, row in enumerate(rows) if row]
-    heapq.heapify(heap)
     pivots = []                    # (column, normalized rest of the row, rhs)
-    while heap:
-        entry = heapq.heappop(heap)
-        r = entry[2]
-        row = rows[r]
-        if not row:                # already pivoted or emptied
+    for c in sorted(rows_of):
+        active = rows_of.pop(c)
+        if not active:
             continue
-        current = cost(r)
-        if current != entry:       # stale entry: requeue at its current cost
-            heapq.heappush(heap, current)
-            continue
-        rows[r] = None
+        r = min(active, key=lambda i: (len(rows[i]), i))
+        active.remove(r)
+        row, rows[r] = rows[r], None
+        inverse = pow(row.pop(c), -1, p)
         for j in row:
             rows_of[j].discard(r)
-        c = lead[r]
-        inverse = pow(row.pop(c), -1, p)
         prow = {j: v * inverse % p for j, v in row.items()}
         prhs = rhs[r] * inverse % p
         pivots.append((c, prow, prhs))
-        # eliminate c from the active rows that contain it
-        for r2 in rows_of.pop(c):
+        # eliminate c from the other active rows that contain it
+        for r2 in active:
             row2 = rows[r2]
             f = p - row2.pop(c)
             for j, v in prow.items():
@@ -541,11 +528,7 @@ def _eliminate(rows, rhs, p):
                     row2[j] = f * v % p
                     rows_of[j].add(r2)
             rhs[r2] = (rhs[r2] + f * prhs) % p
-            if row2:
-                if lead[r2] == c:  # otherwise it is below c and stays
-                    lead[r2] = min(row2)
-                heapq.heappush(heap, cost(r2))
-            elif rhs[r2]:
+            if not row2 and rhs[r2]:
                 return _INCONSISTENT
     # back substitution in reverse pivot order
     solution = {}
@@ -572,9 +555,10 @@ class _System:
 
     Each row maps unknowns to numbers and is scaled once to integers by the
     lcm of the denominators of its entries and its right-hand side, which
-    keeps its solutions.  The residues that primes give for the same pivot columns are
-    combined by CRT, and a solution is reconstructed from them and accepted
-    only when it satisfies every scaled row exactly.
+    keeps its solutions.  ``_eliminate`` sets free variables to zero, so the
+    primes that give the same pivot columns give residues of one solution;
+    these are combined by CRT, and a solution is reconstructed from them and
+    accepted only when it satisfies every scaled row exactly.
     """
 
     def __init__(self, rows, rhs):
@@ -619,9 +603,12 @@ def _solve_exact(columns, target):
     """Solve sum_i x_i * columns_i = target exactly over the rationals.
 
     Columns and target map keys to numbers, and zero target entries are
-    dropped.  The equations are one row per key, in sorted key order; the
-    span test names its keys by id, so building the rows hashes and sorts
-    small ints.  Elimination runs mod each prime of ``PRIMES`` in turn (see
+    dropped.  The target is divided by its content (the gcd of its numerators
+    over the lcm of its denominators), and the solution multiplied back, so
+    a large common factor of the target does not outrun the primes.  The
+    equations are one row per key, in sorted key order; the span test names
+    its keys by id, so building the rows hashes and sorts small ints.
+    Elimination runs mod each prime of ``PRIMES`` in turn (see
     ``_eliminate``), so with free variables set to zero the solution depends
     on the system alone.  The answer comes from the first prime whose
     residues, combined by CRT with those of earlier primes that have the same
@@ -632,6 +619,9 @@ def _solve_exact(columns, target):
     coefficient, or None when inconsistent.
     """
     target = {key: v for key, v in target.items() if v}
+    content = Fraction(gcd(*(v.numerator for v in target.values())),
+                       lcm(*(v.denominator for v in target.values()))) or 1
+    target = {key: v / content for key, v in target.items()}
     row_of = {key: {} for key in target}
     for j, col in enumerate(columns):
         for key, val in col.items():
@@ -647,7 +637,7 @@ def _solve_exact(columns, target):
         if x is None:
             continue
         if x is not _INCONSISTENT:
-            return x
+            return {j: v * content for j, v in x.items()}
         if dual is None:
             dual = _System([*columns, target], [0] * len(columns) + [1])
         y = dual.solve_mod(p)

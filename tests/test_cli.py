@@ -10,6 +10,7 @@ from tautrel.cli import main
 from tautrel.expressions import parse_bracket
 
 from conftest import FIXTURES, fixture_text
+from test_acceptance import replay_certificate
 from test_reduce import reference_eliminate_all_psi
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -256,6 +257,35 @@ def test_reduce_zero_test_on_a_class_that_cancels(capsys, tmp_path):
     code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
     assert code == 0
     assert report["outcome"] == {"proved": True, "method": "psi-elimination"}
+
+
+BIG = 10**100
+D12, D13, D14 = ("<x1 %s a>_0 <a* %s>_0" % pair for pair in
+                 [("x2", "x3 x4"), ("x3", "x2 x4"), ("x4", "x2 x3")])
+
+
+def test_large_multiple_of_a_relation_proves(capsys, tmp_path):
+    """10^100 times the WDVV relation on M_{0,4}: the solver divides the target
+    by its content, so the coefficient does not outrun the primes."""
+    path = tmp_path / "big.bracket"
+    path.write_text("%d * %s - %d * %s\n" % (BIG, D12, BIG, D13))
+    code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
+    assert code == 0
+    cert = report["outcome"]["certificate"]
+    assert [entry["coefficient"] for entry in cert["combination"]] == \
+        [{"num": BIG, "den": 1}]
+    assert replay_certificate(cert, cert["target"])
+
+
+def test_span_system_that_outruns_the_primes_is_a_clean_error(tmp_path):
+    """10^100 R1 + R2 has content 1 and needs a coefficient near 10^100, which
+    no list of primes reconstructs: one error line and exit 1."""
+    path = tmp_path / "mixed.bracket"
+    path.write_text("%d * %s - %d * %s + %s - %s\n" % (BIG, D12, BIG, D13, D12, D14))
+    proc = run_child("reduce", str(path), "--mode", "zero-test")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no prime of the list settles the span system\n"
 
 
 def test_only_the_kept_basis_counts_against_max_relations(capsys):

@@ -1299,17 +1299,25 @@ def test_primes_are_the_largest_below_2_to_the_61():
     assert not any(is_probable_prime(n) for n in between)
 
 
-def solve_recording_primes(columns, target):
-    """_solve_exact, with the primes each elimination ran at, in order."""
-    seen = []
+def solve_recording_eliminations(columns, target):
+    """_solve_exact, with the (rows, rhs, p, result) of each elimination it
+    ran, in order."""
+    calls = []
     eliminate = reduce._eliminate
 
     def spy(rows, rhs, p):
-        seen.append(p)
-        return eliminate(rows, rhs, p)
+        result = eliminate(rows, rhs, p)
+        calls.append((rows, rhs, p, result))
+        return result
 
     with mock.patch.object(reduce, "_eliminate", spy):
-        return _solve_exact(columns, target), seen
+        return _solve_exact(columns, target), calls
+
+
+def solve_recording_primes(columns, target):
+    """_solve_exact, with the primes each elimination ran at, in order."""
+    got, calls = solve_recording_eliminations(columns, target)
+    return got, [p for _rows, _rhs, p, _result in calls]
 
 
 P = PRIMES[0]
@@ -1366,12 +1374,53 @@ def test_inconsistency_mod_the_first_prime_is_only_a_hint():
     assert got == {0: 1 - Fraction(1, P), 1: Fraction(1, P)}
 
 
+@pytest.mark.parametrize("content", [Fraction(10**100), Fraction(1, 10**100),
+                                     Fraction(2**100, 3**60)])
+def test_target_content_is_divided_out(content):
+    """A common factor of the target that no list of primes could
+    reconstruct leaves the solution a multiple of the scaled one."""
+    columns = [{"a": Fraction(1), "b": Fraction(1)}, {"b": Fraction(1)}]
+    target = {"a": content, "b": 3 * content}
+    got, seen = solve_recording_primes(columns, target)
+    assert got == reference_solve_exact(columns, target) == {0: content, 1: 2 * content}
+    assert seen == [P]
+
+
 def test_exhausted_prime_list_raises():
+    # the content is 1/every, so the scaled target still needs b = every
     every = 1
     for p in PRIMES:
         every *= p
     with pytest.raises(ArithmeticError):
-        _solve_exact([{"a": Fraction(1)}], {"a": Fraction(1, every)})
+        _solve_exact([{"a": Fraction(1)}, {"b": Fraction(1)}],
+                     {"a": Fraction(1, every), "b": Fraction(1)})
+
+
+@pytest.mark.parametrize("name", ["f", "h1", "b13_211"])
+def test_eliminate_ignores_row_order_on_span_systems(name):
+    """Rows as given, reversed and shuffled give the same residues.  The span
+    systems are the round-2 systems of fixtures f and h1, which solve, and
+    the round-1 system of the psi-free (1, 3, 2,1,1) class, which is
+    inconsistent, with its witness system."""
+    if name == "b13_211":
+        expr, rounds = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1))), 1
+    else:
+        expr, rounds = parse_bracket(fixture_text(name)), 2
+    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    target = {basis.ids[key]: v for key, v in expr._terms.items()}
+    got, calls = solve_recording_eliminations(basis.relations, target)
+    results = [result for _rows, _rhs, _p, result in calls]
+    if name == "b13_211":
+        assert got is None
+        assert results[0] is reduce._INCONSISTENT and isinstance(results[1], dict)
+    else:
+        assert got is not None and isinstance(results[0], dict)
+    rng = random.Random(1)
+    for rows, rhs, p, result in calls[:2]:
+        order = list(range(len(rows)))
+        for perm in (order[::-1], rng.sample(order, len(order))):
+            assert reduce._eliminate([rows[i] for i in perm], [rhs[i] for i in perm],
+                                     p) == result
 
 
 def solve_recording_witnesses(columns, target):
