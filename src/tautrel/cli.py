@@ -142,7 +142,7 @@ def _vanishing_check(expr, args, stages):
 
 
 def _report(args, inputs, outcome, started, stages=None):
-    timing = {"seconds": round(time.time() - started, 3)}
+    timing = {"seconds": round(time.perf_counter() - started, 3)}
     for name, seconds in (stages or {}).items():
         timing[name] = round(seconds, 3)
     report = {
@@ -167,7 +167,7 @@ def _emit(args, text):
 
 
 def cmd_compute_b(args):
-    started = time.time()
+    started = time.perf_counter()
     stages = dict.fromkeys(("assemble_s", "psi_s"), 0.0)
     clock = time.perf_counter()
     expr = weighted_tree_class(args.g, args.m, args.d)
@@ -187,7 +187,7 @@ def cmd_compute_b(args):
 
 
 def cmd_verify(args):
-    started = time.time()
+    started = time.perf_counter()
     inputs = {"g": args.g, "m": args.m, "d": list(args.d)}
     stages = dict.fromkeys(STAGES, 0.0)
     clock = time.perf_counter()
@@ -211,7 +211,7 @@ def cmd_verify(args):
 
 
 def cmd_check_pushforward(args):
-    started = time.time()
+    started = time.perf_counter()
     d = args.d
     stages = dict.fromkeys(STAGES, 0.0)
     clock = time.perf_counter()
@@ -231,7 +231,7 @@ def cmd_check_pushforward(args):
 
 
 def cmd_enumerate(args):
-    started = time.time()
+    started = time.perf_counter()
     if args.with_extras is not None and len(args.with_extras) != args.n:
         raise ValueError("--with-extras takes %d weights, one per regular leg, not %d"
                          % (args.n, len(args.with_extras)))
@@ -254,7 +254,7 @@ def cmd_enumerate(args):
 
 
 def cmd_reduce(args):
-    started = time.time()
+    started = time.perf_counter()
     if args.expression == "-":
         text = sys.stdin.read()
     else:

@@ -479,7 +479,7 @@ def _layout(key):
     g2, ... (skipping any that collide with a pinned label); the unstarred
     end is on the lower vertex, or on a loop the one of higher exponent.
     """
-    base, edges = key_records(key)
+    base, edges = key
     halves = half_edges(base, edges)
     used = {label for _v, label, _e, _end in halves if label not in (None, EXTRA)}
     fresh = (name for i in itertools.count(1)
@@ -595,10 +595,9 @@ def _leg_json(h, label):
 def _key_json(key):
     """The JSON object of ``graph_from_key(key)``, written from the key's
     records in the numbering of ``half_edges``."""
-    base, edges = key_records(key)
-    halves = half_edges(base, edges)
+    halves = half_edges(*key)
     return {
-        "vertices": [{"id": v, "genus": part[0]} for v, part in enumerate(base)],
+        "vertices": [{"id": v, "genus": part[0]} for v, part in enumerate(key[0])],
         "half_edges": [{"id": h, "vertex": v, "exponent": e}
                        for h, (v, _label, e, _end) in enumerate(halves)],
         "involution": [[h, h + 1] for h, (_v, _label, _e, end) in enumerate(halves)
@@ -622,10 +621,7 @@ def _json_records(data):
     labels = {entry["id"]: _json_label(entry) for entry in data["legs"]}
     at = {entry["id"]: (vertex[entry["vertex"]], entry["exponent"])
           for entry in data["half_edges"]}
-    edges = []
-    for h, p in data["involution"]:
-        (v1, e1), (v2, e2) = at.pop(h), at.pop(p)
-        edges.append((v1, e1, v2, e2))
+    edges = [at.pop(h) + at.pop(p) for h, p in data["involution"]]
     if set(at) != set(labels):
         raise ValueError("legs and involution fixed points disagree")
     halves = [(v, labels[h], e) for h, (v, e) in at.items()]

@@ -8,11 +8,12 @@ anonymous extra legs which all share the label ``W``.  Pinned labels
 (regular/frozen/named) must be preserved by isomorphisms; extra legs and
 internal half-edge identities are freely interchangeable.
 
-The program computes on records: a base class per vertex and an edge record
-per edge (see ``_records``), which ``_canonical_search`` keys up to exactly
-that identification.  A key holds its records (``key_records``), and
-``half_edges`` numbers their half-edges.  Graph objects are the library's
-bridge: ``GraphBuilder`` input, ``canonical_key`` and ``graph_from_key``.
+The program computes on records: a base class per vertex and a flat
+(v1, e1, v2, e2) record per edge (see ``_records``), which
+``_canonical_search`` keys up to exactly that identification.  A key is its
+records: base classes in canonical vertex order, then the edge records, lower
+end first, sorted; ``half_edges`` numbers their half-edges.  Graph objects
+are the bridge: ``GraphBuilder`` input, ``canonical_key``, ``graph_from_key``.
 """
 
 from __future__ import annotations
@@ -349,8 +350,8 @@ def _canonical_search(base, edges):
                 i += 1
         recs = []
         for v1, e1, v2, e2 in edges:
-            end1, end2 = (pos[v1], e1), (pos[v2], e2)
-            recs.append((end1, end2) if end1 <= end2 else (end2, end1))
+            p1, p2 = pos[v1], pos[v2]
+            recs.append((p1, e1, p2, e2) if (p1, e1) <= (p2, e2) else (p2, e2, p1, e1))
         recs = tuple(sorted(recs))
         if recs == best:
             ties += 1
@@ -377,11 +378,10 @@ def canonical_key(dg):
 def graph_from_key(key):
     """Rebuild the canonical representative graph described by a key, its
     half-edges numbered as ``half_edges`` lists them."""
-    base, edges = key_records(key)
-    halves = half_edges(base, edges)
+    halves = half_edges(*key)
     involution = [h + 1 - end[1] if end is not None else h
                   for h, (_v, _label, _e, end) in enumerate(halves)]
-    graph = DualGraph(tuple(part[0] for part in base),
+    graph = DualGraph(tuple(part[0] for part in key[0]),
                       tuple(v for v, _label, _e, _end in halves), tuple(involution),
                       tuple(label for _v, label, _e, _end in halves))
     return DecoratedGraph(graph, tuple(e for _v, _label, e, _end in halves))
@@ -398,7 +398,7 @@ def symmetry_order(key, ties):
     be matched (m!) times two per loop whose ends carry equal exponents.
     """
     recs = key[1]
-    order = ties * 2 ** sum(1 for end1, end2 in recs if end1 == end2)
+    order = ties * 2 ** sum(1 for v1, e1, v2, e2 in recs if v1 == v2 and e1 == e2)
     for m in Counter(recs).values():
         order *= factorial(m)
     return order
@@ -407,32 +407,33 @@ def symmetry_order(key, ties):
 @lru_cache(maxsize=None)
 def automorphism_order(key):
     """``symmetry_order`` of a canonical key, searching its records once."""
-    return symmetry_order(key, _canonical_search(*key_records(key))[1])
+    return symmetry_order(key, _canonical_search(*key)[1])
 
 
 # ---------------------------------------------------------------------------
 # record surgery
 #
-# Record surgery works on the (base, edges) records of ``_records`` and
-# ``key_records`` and returns fresh lists, so a contracted or split graph is
-# keyed by ``_canonical_search`` without being built.
+# Record surgery works on the (base, edges) records of ``_records`` or of a
+# key and returns fresh lists, so a contracted or split graph is keyed by
+# ``_canonical_search`` without being built.
 
 
 def key_records(key):
-    """The records of the graph a key describes, numbered as in ``graph_from_key``."""
-    vpart, recs = key
-    return list(vpart), [(v1, e1, v2, e2) for (v1, e1), (v2, e2) in recs]
+    """A mutable copy of the records a key is, numbered as in
+    ``graph_from_key``, for code that edits them."""
+    return list(key[0]), list(key[1])
 
 
 def contract_records(base, edges, i):
-    """Contract the non-loop edge ``edges[i]``, merging its endpoints (genera add)."""
+    """Contract the non-loop edge ``edges[i]``, merging its endpoints (genera
+    add), in fresh lists: ``base`` and ``edges`` may be a key's tuples."""
     v1, e1, v2, e2 = edges[i]
     (g1, x1, legs1, int1), (g2, x2, legs2, int2) = base[v1], base[v2]
     rest1, rest2 = list(int1), list(int2)
     rest1.remove(e1)
     rest2.remove(e2)
     lo, hi = min(v1, v2), max(v1, v2)
-    base = base[:hi] + base[hi + 1:]
+    base = [*base[:hi], *base[hi + 1:]]
     base[lo] = (g1 + g2, x1 + x2, tuple(sorted(legs1 + legs2)),
                 tuple(sorted(rest1 + rest2)))
 
@@ -448,9 +449,9 @@ def half_edges(base, edges, at=None):
     vertex ``at`` only, in the one numbering of the program: legs vertex by
     vertex in base order, two halves per edge record, extra legs vertex by
     vertex.  Each is (vertex, label, exponent, end): an edge end has label
-    None and end (i, j), ``edges[i][j]`` being its vertex, ``edges[i][j + 1]``
-    its exponent, and the half after a j = 0 end its partner; a leg has end
-    None."""
+    None and end (i, j), indexing the flat record ``edges[i]`` of a key or of
+    records: ``edges[i][j]`` is its vertex, ``edges[i][j + 1]`` its exponent,
+    and the half after a j = 0 end its partner; a leg has end None."""
     vertices = range(len(base)) if at is None else (at,)
     out = [(v, label, exp, None) for v in vertices for label, exp in base[v][2]]
     for i, (v1, e1, v2, e2) in enumerate(edges):

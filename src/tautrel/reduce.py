@@ -41,7 +41,6 @@ from .graphs import (
     _canonical_search,
     contract_records,
     half_edges,
-    key_records,
     leg_kind,
     split_records,
 )
@@ -58,7 +57,7 @@ def _only_term(expr):
     if len(expr) != 1:
         raise ValueError("expected a single-term expression")
     ((key, coeff),) = expr._terms.items()
-    return coeff, *key_records(key)
+    return coeff, *key
 
 
 def _site(expr, vertex, half):
@@ -250,7 +249,7 @@ def eliminate_all_psi(expr):
         for key, coeff in work.items():
             if coeff == 0:
                 continue
-            base, edges = key_records(key)
+            base, edges = key
             site = _reduction_site(base, edges)
             if site is None:
                 done[key] = coeff
@@ -349,15 +348,14 @@ def wdvv_relations_at(key, vertex, ids):
     so the relations are assembled from the canonical keys of the split
     records directly.
     """
-    vpart, recs = key
-    genus_v, extras, legs, intexp = vpart[vertex]
+    base, edges = key
+    genus_v, extras, legs, intexp = base[vertex]
     k = len(legs) + len(intexp) + extras
     if genus_v != 0 or k < 4:
         return []
-    if any(e for _g, _x, legsig, _i in vpart for _label, e in legsig) or \
-            any(e1 or e2 for (_v1, e1), (_v2, e2) in recs):
+    if any(e for _g, _x, legsig, _i in base for _label, e in legsig) or \
+            any(e1 or e2 for _v1, e1, _v2, e2 in edges):
         raise ValueError("WDVV instantiation expects psi-free graphs")
-    base, edges = key_records(key)
     halves = half_edges(base, edges, vertex)
     id_of_side = {}
 
@@ -421,7 +419,7 @@ def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
         keys = tuple(ids)
         sources = set()
         for i in frontier:
-            base, edges = key_records(keys[i])
+            base, edges = keys[i]
             for j, (v1, _e1, v2, _e2) in enumerate(edges):
                 # skip loops, and records equal to the one before (records
                 # are sorted), whose contraction is already keyed

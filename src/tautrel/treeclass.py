@@ -12,7 +12,7 @@ forgetting the extras; the full class sums shapes with sign (-1)^(#edges).
 By the string equation, forgetting the extras of a non-root vertex applies
 the string table for that many points to the vertex's other exponents.  So
 each class is assembled on the records of the shape (a base class per
-vertex and an edge record per edge, as ``graphs.key_records`` gives them):
+vertex and a flat edge record per edge, as a canonical key holds them):
 the half-edge down to a child carries the child's extras minus one, the
 table is applied at every non-root vertex, and neither an extra leg nor a
 graph is ever built.  A shape is read off its tree spec in one walk, and

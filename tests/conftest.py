@@ -139,7 +139,7 @@ def graph_automorphism_order(dg):
     """The automorphism order of a graph, from the canonical search on its
     records, as ``automorphism_order`` took it before it took keys."""
     (_vpart, recs), ties = _canonical_search(*_records(dg))
-    order = ties * 2 ** sum(1 for end1, end2 in recs if end1 == end2)
+    order = ties * 2 ** sum(1 for v1, e1, v2, e2 in recs if v1 == v2 and e1 == e2)
     for m in Counter(recs).values():
         order *= math.factorial(m)
     return order

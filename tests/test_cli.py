@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -313,6 +314,26 @@ def test_span_commands_report_stage_seconds(capsys, argv):
     assert set(timing) == {"seconds", "assemble_s", "psi_s", "pair_s", "closure_s",
                            "solve_s"}
     assert all(seconds >= 0 for seconds in timing.values())
+
+
+def test_report_seconds_ignore_a_wall_clock_that_steps_back(capsys, monkeypatch):
+    """``timing.seconds`` is measured on the monotonic clock of the stages,
+    so a wall clock that an NTP step sets back cannot make it negative."""
+    class SteppingClock:
+        perf_counter = staticmethod(time.perf_counter)
+        wall = time.time()
+
+        @classmethod
+        def time(cls):
+            cls.wall -= 3600
+            return cls.wall
+
+    monkeypatch.setattr(cli, "time", SteppingClock)
+    code, report = run_json(capsys, "verify", "--g", "1", "--m", "2", "--d", "2,1,1")
+    assert code == 0
+    timing = report["timing"]
+    assert timing["seconds"] >= 0
+    assert timing["seconds"] >= max(timing.values())
 
 
 def test_compute_b_json_reports_stage_seconds_on_one_compact_line(capsys):

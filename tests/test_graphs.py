@@ -277,8 +277,17 @@ def test_automorphism_order_closed_forms(shape, n, expected):
     assert canonical_key(other) == canonical_key(dg)
 
 
-def reference_canonical_key(dg):
-    """Least edge records over all within-group vertex orders."""
+def flat_record(end1, end2):
+    return end1 + end2
+
+
+def nested_record(end1, end2):
+    return (end1, end2)
+
+
+def reference_canonical_key(dg, record=flat_record):
+    """Least edge records over all within-group vertex orders, ``record``
+    writing each from its two (vertex, exponent) ends, the lower one first."""
     base, edges = _records(dg)
     groups = _refined_groups(base, edges)
     order = [v for grp in groups for v in grp]
@@ -292,7 +301,7 @@ def reference_canonical_key(dg):
                 pos[v] = i
                 i += 1
         recs = tuple(sorted(
-            tuple(sorted(((pos[v1], e1), (pos[v2], e2))))
+            record(*sorted(((pos[v1], e1), (pos[v2], e2))))
             for v1, e1, v2, e2 in edges))
         if best is None or recs < best:
             best = recs
@@ -366,6 +375,57 @@ def test_canonical_search_matches_reference_loops_on_random_graphs(rng):
     dg = random_decorated_graph(rng, max_vertices=6)
     assert canonical_key(dg) == reference_canonical_key(dg)
     assert automorphism_order(canonical_key(dg)) == reference_automorphism_order(dg)
+
+
+def flattened(nested_key):
+    vpart, recs = nested_key
+    return vpart, tuple(flat_record(*rec) for rec in recs)
+
+
+def nested_symmetry_order(nested_key, ties):
+    """``symmetry_order`` on a key with nested ((v1, e1), (v2, e2)) records."""
+    recs = nested_key[1]
+    order = ties * 2 ** sum(1 for end1, end2 in recs if end1 == end2)
+    for m in Counter(recs).values():
+        order *= factorial(m)
+    return order
+
+
+def loops_and_repeats():
+    """Two vertices: loops with equal and with unequal end exponents, and
+    repeated edge records, both loops and edges between the vertices."""
+    b = GraphBuilder()
+    b.add_vertex(0)
+    b.add_vertex(0)
+    b.add_leg(0, "U1")
+    b.add_leg(1, "U2")
+    for v1, v2, e1, e2 in [(0, 0, 1, 1), (0, 0, 1, 1), (0, 0, 0, 2), (1, 1, 0, 0),
+                           (0, 1, 1, 0), (0, 1, 1, 0), (0, 1, 0, 1)]:
+        b.add_edge(v1, v2, e1, e2)
+    return b.build()
+
+
+FIXED_BATCH = [loops_and_repeats(), bouquet(3), theta(3), star([(1, 0)] * 3),
+               two_centre_star(2, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_flat_keys_are_the_nested_keys_flattened_in_the_same_order(rng):
+    """A key's flat (v1, e1, v2, e2) records are the nested ((v1, e1), (v2,
+    e2)) records flattened, and flattening keeps the order of keys and of
+    their records, so the least arrangement, the tie count, the symmetry
+    order and every sorted list of keys are those of the nested form."""
+    batch = [random_decorated_graph(rng, max_vertices=5) for _ in range(6)] + FIXED_BATCH
+    flat = [canonical_key(dg) for dg in batch]
+    nested = [reference_canonical_key(dg, nested_record) for dg in batch]
+    assert flat == [flattened(key) for key in nested]
+    for dg, key, old in zip(batch, flat, nested):
+        ties = _canonical_search(*_records(dg))[1]
+        assert graphs.symmetry_order(key, ties) == nested_symmetry_order(old, ties)
+    assert sorted(flat) == [flattened(key) for key in sorted(nested)]
+    assert sorted(key[1] for key in flat) == \
+        [flattened(key)[1] for key in sorted(nested, key=lambda key: key[1])]
 
 
 @settings(max_examples=150, deadline=None)

@@ -36,14 +36,17 @@ pair`` on ``b21_raw``, ``h`` and ``i``, ``reduce --mode psi`` on ``h`` with
 of the genus-0 and genus-1 vertices; ``verify 0 6 1,1,1,1``, whose
 psi-free class is large and whose raw class pairs nonzero at once,
 ``verify 1 3 2,1,1 --budget 1``, whose ``unknown`` rests on the witness
-solve of an inconsistent round, ``verify 1 3 2,2,1`` in its three weight
+solve of an inconsistent round, ``verify 1 2 2,1,1 --max-relations 10``
+and ``verify 0 5 1,1,2 --max-relations 5000``, which exit 2 with the
+``budget-overflow`` report, the first in round 1 and the second in round 2
+of a resumed closure, ``verify 1 3 2,2,1`` in its three weight
 orders, three more two-round certificates,
 ``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
 latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 63 calls.  Both trees
+forgetful pushforward outside the pools.  That makes 65 calls.  Both trees
 read the bracket fixtures from PARENT's ``tests/fixtures``.  The two trees
 run each call side by side.
 
@@ -177,6 +180,9 @@ def calls(workdir, fixtures):
     for g, m, d in [(1, 1, "2,1"), (1, 2, "2,2"), (0, 6, "1,1,1,1")]:
         out.append(["verify", "--g", str(g), "--m", str(m), "--d", d])
     out.append(["verify", "--g", "1", "--m", "3", "--d", "2,1,1", "--budget", "1"])
+    for g, m, d, cap in [(1, 2, "2,1,1", "10"), (0, 5, "1,1,2", "5000")]:
+        out.append(["verify", "--g", str(g), "--m", str(m), "--d", d,
+                    "--max-relations", cap])
     for d in orders((2, 2, 1)):
         out.append(["verify", "--g", "1", "--m", "3", "--d", d_text(d)])
     out.append(["compute-b", "--g", "1", "--m", "2", "--d", "2,1"])
