@@ -99,6 +99,16 @@ def _connected(n_vertices, edges):
     return len(reached) == n_vertices
 
 
+def _check_graph(base, edges):
+    """Raise unless the records are connected with vertices of nonnegative
+    genus."""
+    problems = ["negative genus"] if any(part[0] < 0 for part in base) else []
+    if not _connected(len(base), edges):
+        problems.append("disconnected")
+    if problems:
+        raise ValueError("invalid graph in term: %s" % "; ".join(problems))
+
+
 def _checked(ambient, terms):
     """The nonzero terms of (coefficient, base, edges) terms from outside.
 
@@ -110,11 +120,7 @@ def _checked(ambient, terms):
     """
     degree_seen = None
     for _coeff, base, edges in terms:
-        problems = ["negative genus"] if any(part[0] < 0 for part in base) else []
-        if not _connected(len(base), edges):
-            problems.append("disconnected")
-        if problems:
-            raise ValueError("invalid graph in term: %s" % "; ".join(problems))
+        _check_graph(base, edges)
         if any(2 * genus_v - 2 + len(legs) + len(intexp) + extras <= 0
                for genus_v, extras, legs, intexp in base):
             raise ValueError("unstable graph in term")
@@ -272,8 +278,11 @@ def _ambient_of(terms):
     if not terms:
         raise ValueError("cannot infer the ambient of an empty expression")
     _coeff, base, edges = terms[0]
-    return make_ambient(1 + len(edges) - len(base) + sum(part[0] for part in base),
-                        [label for part in base for label, _e in part[2]])
+    genus_t = 1 + len(edges) - len(base) + sum(part[0] for part in base)
+    if genus_t < 0:
+        # a connected graph with vertices of nonnegative genus has genus >= 0
+        _check_graph(base, edges)
+    return make_ambient(genus_t, [label for part in base for label, _e in part[2]])
 
 
 def _from_records(terms, ambient=None):

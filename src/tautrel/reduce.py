@@ -266,9 +266,9 @@ def eliminate_all_psi(expr):
 # WDVV relations
 
 
-@dataclass(frozen=True)
 class RelationBasis:
-    """Relations found by a closure run, with the state needed to resume it.
+    """A relation closure of ``support``, grown in place one round at a time
+    by ``generate_wdvv_relations``.
 
     Graph keys are nested tuples whose hash Python recomputes on every dict
     or set operation, so the closure numbers each key once, in a key table:
@@ -280,18 +280,20 @@ class RelationBasis:
     kept relation.  ``processed`` holds the keys of the contracted source
     graphs already instantiated, ``signatures`` the normalized relations
     already kept, and ``frontier`` the ids that joined the support in the
-    last round; an empty frontier after a round means the closure is closed.
+    last round, the whole support before the first; ``rounds`` counts the
+    rounds run.  An empty frontier after a round means the closure is closed.
     """
 
-    ambient: object
-    relations: tuple
-    keys: tuple
-    ids: dict = field(repr=False, compare=False)
-    support: frozenset
-    rounds: int
-    processed: frozenset = field(default=frozenset(), repr=False)
-    signatures: frozenset = field(default=frozenset(), repr=False)
-    frontier: frozenset = field(default=frozenset(), repr=False)
+    def __init__(self, support, ambient):
+        self.ambient = ambient
+        self.keys = sorted(support)
+        self.ids = {key: i for i, key in enumerate(self.keys)}
+        self.relations = []
+        self.support = set(range(len(self.keys)))
+        self.frontier = set(self.support)
+        self.rounds = 0
+        self.processed = set()
+        self.signatures = set()
 
 
 def _exchange_relation(split, quad, e):
@@ -386,70 +388,53 @@ def _relation_signature(relation):
     return frozenset((k, n // scale) for k, n in relation.items())
 
 
-def generate_wdvv_relations(support, ambient, rounds=3, max_relations=200000,
-                            resume=None):
-    """Exchange relations reachable from the support within a round budget.
+def generate_wdvv_relations(basis, max_relations=200000):
+    """Grow the closure ``basis`` by one round of exchange relations, in place,
+    and return it; a closed closure comes back unchanged.
 
-    Each round contracts one edge of every graph that joined the support in
+    A round contracts one edge of every graph that joined the support in
     the previous round (older graphs were contracted before) and
     instantiates the exchange relations at every genus-0 vertex of each new
-    contraction; graphs appearing in new relations join the support for the
-    next round.  A relation proportional to one already kept is dropped.
-    Keys are numbered in the key table of ``RelationBasis`` as they first
-    appear, and everything after that works on their ids.
-    ``resume`` takes a basis this function returned earlier for the same
-    support and continues its closure up to ``rounds`` rounds in all; the
-    result equals that of a fresh call with the same ``rounds``.
+    contraction; graphs appearing in new relations join the support and
+    form the frontier of the next round.  A relation proportional to one
+    already kept is dropped.  Keys are numbered in the key table of the
+    basis as they first appear, and everything after that works on their
+    ids.  More than ``max_relations`` relations raise ``OverflowError``.
     """
-    if resume is None:
-        ids = {key: i for i, key in enumerate(sorted(support))}
-        start = frozenset(ids.values())
-        resume = RelationBasis(ambient, (), tuple(ids), ids, start, 0, frontier=start)
-    if resume.rounds >= rounds or (resume.rounds and not resume.frontier):
-        return resume
-    ids = dict(resume.ids)         # a dict copy reuses the stored hashes
-    known = set(resume.support)
-    processed = set(resume.processed)
-    seen_signatures = set(resume.signatures)
-    relations = list(resume.relations)
-    frontier = resume.frontier
-    rounds_used = resume.rounds
-    while rounds_used < rounds:
-        rounds_used += 1
-        keys = tuple(ids)
-        sources = set()
-        for i in frontier:
-            base, edges = keys[i]
-            for j, (v1, _e1, v2, _e2) in enumerate(edges):
-                # skip loops, and records equal to the one before (records
-                # are sorted), whose contraction is already keyed
-                if v1 == v2 or (j and edges[j - 1] == edges[j]):
+    if basis.rounds and not basis.frontier:
+        return basis
+    basis.rounds += 1
+    keys, ids, relations, known = basis.keys, basis.ids, basis.relations, basis.support
+    sources = set()
+    for i in basis.frontier:
+        base, edges = keys[i]
+        for j, (v1, _e1, v2, _e2) in enumerate(edges):
+            # skip loops, and records equal to the one before (records
+            # are sorted), whose contraction is already keyed
+            if v1 == v2 or (j and edges[j - 1] == edges[j]):
+                continue
+            skey = _canonical_search(*contract_records(base, edges, j))[0]
+            if skey not in basis.processed:
+                sources.add(skey)
+    frontier = basis.frontier = set()
+    for skey in sorted(sources):
+        basis.processed.add(skey)
+        for v in range(len(skey[0])):
+            for rel in wdvv_relations_at(skey, v, ids):
+                sig = _relation_signature(rel)
+                if sig in basis.signatures:
                     continue
-                skey = _canonical_search(*contract_records(base, edges, j))[0]
-                if skey not in processed:
-                    sources.add(skey)
-        frontier = set()
-        for skey in sorted(sources):
-            processed.add(skey)
-            for v in range(len(skey[0])):
-                for rel in wdvv_relations_at(skey, v, ids):
-                    sig = _relation_signature(rel)
-                    if sig in seen_signatures:
-                        continue
-                    seen_signatures.add(sig)
-                    relations.append(rel)
-                    if len(relations) > max_relations:
-                        raise OverflowError(
-                            "relation budget exceeded (%d)" % max_relations)
-                    for i in rel:
-                        if i not in known:
-                            known.add(i)
-                            frontier.add(i)
-        if not frontier:
-            break
-    return RelationBasis(ambient, tuple(relations), tuple(ids), ids, frozenset(known),
-                         rounds_used, frozenset(processed), frozenset(seen_signatures),
-                         frozenset(frontier))
+                basis.signatures.add(sig)
+                relations.append(rel)
+                if len(relations) > max_relations:
+                    raise OverflowError(
+                        "relation budget exceeded (%d)" % max_relations)
+                for i in rel:
+                    if i not in known:
+                        known.add(i)
+                        frontier.add(i)
+    keys.extend(itertools.islice(ids, len(keys), None))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -647,32 +632,30 @@ def _solve_exact(columns, target):
 def span_zero_test(expr, budget=3, max_relations=200000):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
-    The expression comes after psi elimination.  The relation-closure round
-    count escalates up to ``budget``, resuming the closure of the previous
-    round; a returned Zero certificate is re-verified by substitution before
-    being reported.  Unknown is a budget-bounded outcome, not a nonzeroness
-    proof.  The test does not pair the expression with psi monomials: a
-    nonzero pairing puts it outside the span at every budget, and the CLI
-    checks that before psi elimination.
+    The expression comes after psi elimination.  One relation closure of its
+    support grows by a round at a time, up to ``budget`` rounds, and the
+    span is solved after each round that adds a relation; a returned Zero
+    certificate is re-verified by substitution before being reported.
+    Unknown is a budget-bounded outcome, not a nonzeroness proof.  The test
+    does not pair the expression with psi monomials: a nonzero pairing puts
+    it outside the span at every budget, and the CLI checks that before psi
+    elimination.
     """
     if not expr.psi_free():
         raise ValueError("span test requires a psi-free expression")
     if expr.is_zero():
         return ZeroCertificate(True, (), None, 0, "normalizes to zero")
-    basis = None
+    basis = RelationBasis(expr.support(), expr.ambient)
+    target = {basis.ids[key]: v for key, v in expr._terms.items()}
     closure_s = solve_s = 0.0
     for rounds in range(1, budget + 1):
-        previous = basis
+        count = len(basis.relations)
         started = time.perf_counter()
-        basis = generate_wdvv_relations(expr.support(), expr.ambient,
-                                        rounds=rounds, max_relations=max_relations,
-                                        resume=basis)
+        generate_wdvv_relations(basis, max_relations)
         closure_s += time.perf_counter() - started
-        if previous is not None and len(basis.relations) == len(previous.relations):
+        if len(basis.relations) == count:
             continue               # no new relation: the last outcome stands
-        target = {basis.ids[key]: v for key, v in expr._terms.items()}
-        touched = set().union(*basis.relations)
-        if not touched.issuperset(target):
+        if not set().union(*basis.relations).issuperset(target):
             continue
         # Relations sharing no key with the target's component are separate
         # blocks with a zero right-hand side; they keep their own pivot

@@ -6,8 +6,9 @@ string-equation recursion, genus-1 integrals from string plus dilaton
 anchored at 1/24, and tree shapes from exhaustive parent-array enumeration.
 The genus-0 closed form and the genus-1 splitting recursion that computed
 vertex integrals before the DVV recursion replaced them stay here as
-references.  ``relation_expression`` reads a relation of a closure's basis
-back over graph keys.  ``local_basis_by_elimination`` finds the basis of
+references.  ``closure`` grows a relation closure by a number of rounds, and
+``relation_expression`` reads a relation of a closure's basis back over
+graph keys.  ``local_basis_by_elimination`` finds the basis of
 the exchange relations at a vertex by the exact elimination that ran before
 ``_local_basis`` wrote it down.
 ``RootedTreeView`` is the graph-level rooted-tree walk that tree classes
@@ -51,7 +52,13 @@ from tautrel.graphs import (
     leg_kind,
     validate,
 )
-from tautrel.reduce import _exchange_relation, _only_term, _sides
+from tautrel.reduce import (
+    RelationBasis,
+    _exchange_relation,
+    _only_term,
+    _sides,
+    generate_wdvv_relations,
+)
 from tautrel.treeclass import _as_weights, _leg_weights, _shape_terms
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -316,6 +323,15 @@ def genus1_splitting_recursion(exps):
 
 # ---------------------------------------------------------------------------
 # relations of a closure
+
+
+def closure(support, ambient, rounds):
+    """A fresh relation closure of ``support`` grown by ``rounds`` rounds, one
+    ``generate_wdvv_relations`` call each."""
+    basis = RelationBasis(support, ambient)
+    for _ in range(rounds):
+        generate_wdvv_relations(basis)
+    return basis
 
 
 def relation_expression(basis, i):

@@ -386,6 +386,9 @@ def test_reduce_zero_denominator_is_a_parse_error():
     # disconnected, with the wrong legs, and overweight
     ("<U1 U2 U3>_0 + <P^5(U1) U2 U3 U4>_0 <U5 U6 U7>_0",
      "invalid graph in term: disconnected"),
+    # a disconnected first term, reported before the ambient is inferred
+    ("<U1 U2 U3>_0 <x y z>_0", "invalid graph in term: disconnected"),
+    ("<U1 U2 a>_0 <a* U3 U4>_0 <x>_0", "invalid graph in term: disconnected"),
     # genus 1 on a genus-0 ambient, and overweight
     ("<P^1(U1) U2 U3 U4>_0 + <P^9(U1) U2 U3 U4>_1",
      "term genus 1 does not match ambient genus 0"),

@@ -34,6 +34,7 @@ from tautrel.treeclass import weighted_tree_class
 
 from conftest import (
     brute_force_automorphism_order,
+    closure,
     distribute,
     fixture_text,
     genus,
@@ -150,9 +151,8 @@ def test_roundtrip_fixtures(name):
 
 
 def test_roundtrip_generated_graphs():
-    from tautrel.reduce import eliminate_all_psi, generate_wdvv_relations
     reduced = eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
-    basis = generate_wdvv_relations(reduced.support(), reduced.ambient, rounds=1)
+    basis = closure(reduced.support(), reduced.ambient, 1)
     seen = 0
     for rel in (relation_expression(basis, i) for i in range(len(basis.relations))):
         assert parse_bracket(render_bracket(rel)) == rel
@@ -197,6 +197,10 @@ def test_malformed_text_fails_before_symmetries_are_counted(monkeypatch):
 
 @pytest.mark.parametrize("text,message", [
     ("<U1 U2 U3>_0 + <P^5(U1) U2 U3 U4>_0 <U5 U6 U7>_0", "disconnected"),
+    # a disconnected first term, whose genus 1 + E - V is -1, is reported
+    # before the ambient is inferred from it
+    ("<U1 U2 U3>_0 <x y z>_0", "^invalid graph in term: disconnected$"),
+    ("<U1 U2 a>_0 <a* U3 U4>_0 <x>_0", "^invalid graph in term: disconnected$"),
     ("<P^1(U1) U2 U3 U4>_0 + <P^9(U1) U2 U3 U4>_1",
      "term genus 1 does not match ambient genus 0"),
     ("<U1 U2 U3 U4>_0 + 0 * <U1 U2>_0", "unstable graph in term"),
@@ -205,6 +209,28 @@ def test_malformed_text_fails_before_symmetries_are_counted(monkeypatch):
 def test_zero_and_overweight_printed_terms_are_checked(text, message):
     with pytest.raises(ValueError, match=message):
         parse_bracket(text)
+
+
+def three_legged_vertex(genus_v, *others):
+    """A vertex of genus ``genus_v`` with legs U1, U2, U3, and one more
+    vertex of genus 0 with legs ``others`` when some are given, not joined
+    to it."""
+    b = GraphBuilder()
+    b.add_vertex(genus_v)
+    for label in ("U1", "U2", "U3"):
+        b.add_leg(0, label)
+    if others:
+        b.add_vertex(0)
+        for label in others:
+            b.add_leg(1, label)
+    return b.build()
+
+
+def test_from_terms_reports_the_first_term_before_the_ambient():
+    with pytest.raises(ValueError, match="^invalid graph in term: disconnected$"):
+        from_terms([(1, three_legged_vertex(0, "x", "y", "z"))])
+    with pytest.raises(ValueError, match="^invalid graph in term: negative genus$"):
+        from_terms([(1, three_legged_vertex(-1))])
 
 
 def test_zero_and_overweight_printed_terms_drop_after_their_check():

@@ -15,6 +15,7 @@ from tautrel.expressions import (
     _base_overweight,
     make_ambient,
     parse_bracket,
+    zero,
 )
 from tautrel.graphs import (
     EXTRA,
@@ -34,6 +35,7 @@ from tautrel.graphs import (
 from tautrel import reduce
 from tautrel.reduce import (
     PRIMES,
+    RelationBasis,
     _solve_exact,
     choose_partner_pair,
     eliminate_all_psi,
@@ -51,6 +53,7 @@ from tautrel.treeclass import weighted_tree_class
 from conftest import (
     FIXTURES,
     builder_copy_of,
+    closure,
     distribute,
     fixture_text,
     genus,
@@ -544,7 +547,7 @@ def test_distributed_four_point_difference_is_five_point_relation():
     rhs = distribute(parse_bracket("<x1 x3 a>_0 <a* x2 x4>_0"), "x5")
     diff = lhs - rhs
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").support()
-    basis = generate_wdvv_relations(support, lhs.ambient, rounds=1)
+    basis = closure(support, lhs.ambient, 1)
     sigs = {tuple(sorted(rel.items())) for rel in as_expressions(basis)}
     assert tuple(sorted(diff.items())) in sigs or \
         tuple(sorted(diff.scale(-1).items())) in sigs
@@ -553,7 +556,7 @@ def test_distributed_four_point_difference_is_five_point_relation():
 def test_wdvv_four_points():
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0").support()
     ambient = parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0").ambient
-    basis = generate_wdvv_relations(support, ambient, rounds=1)
+    basis = closure(support, ambient, 1)
     assert len(basis.relations) == 2
     assert all(len(rel) == 2 for rel in basis.relations)
     # the relations identify all three pairings of the four labels
@@ -566,8 +569,8 @@ def test_wdvv_four_points():
 
 def test_wdvv_empty_support():
     ambient = parse_bracket("<x1 x2 x3 x4>_0").ambient
-    basis = generate_wdvv_relations(frozenset(), ambient, rounds=2)
-    assert basis.relations == ()
+    basis = closure(frozenset(), ambient, 2)
+    assert basis.relations == []
 
 
 def test_chain_class_is_symmetric_modulo_relations():
@@ -589,7 +592,7 @@ def test_span_budget_escalation():
 def test_relations_pair_to_zero():
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").support()
     ambient = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").ambient
-    basis = generate_wdvv_relations(support, ambient, rounds=1)
+    basis = closure(support, ambient, 1)
     for rel in as_expressions(basis)[:10]:
         assert all(v == 0 for _b, v in pair_with_psi_monomials(rel))
 
@@ -597,7 +600,7 @@ def test_relations_pair_to_zero():
 def test_relations_with_genus1_spectators_pair_to_zero():
     from tautrel.treeclass import weighted_tree_class
     reduced = eliminate_all_psi(weighted_tree_class(1, 2, (2, 1)))
-    basis = generate_wdvv_relations(reduced.support(), reduced.ambient, rounds=1)
+    basis = closure(reduced.support(), reduced.ambient, 1)
     assert basis.relations
     for rel in as_expressions(basis)[:20]:
         assert all(v == 0 for _b, v in pair_with_psi_monomials(rel))
@@ -660,18 +663,50 @@ def test_span_single_divisor_unknown():
     assert cert.reason == "unknown"
 
 
+@pytest.mark.parametrize("name,solves", [("divisor", 1), ("i", 1), ("h", 3)])
+def test_span_test_solves_only_after_a_round_that_adds_relations(name, solves):
+    # the divisor's and i's closures close in round 2, so rounds 2 and 3 add
+    # nothing; h's closure has 312, 450 and 454 relations after rounds 1-3
+    if name == "divisor":
+        expr = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0")
+    else:
+        expr = eliminate_all_psi(parse_bracket(fixture_text(name)))
+    calls = []
+
+    def spy(relations, target):
+        calls.append(len(relations))
+        return _solve_exact(relations, target)
+
+    with mock.patch.object(reduce, "_solve_exact", spy):
+        cert = span_zero_test(expr, budget=3)
+    assert (cert.zero, cert.reason, cert.budget_spent) == (False, "unknown", 3)
+    assert len(calls) == solves
+    if name == "h":
+        assert calls == [312, 450, 454]
+
+
+def test_span_test_of_zero_runs_no_closure(monkeypatch):
+    def raise_on_call(*args, **kwargs):
+        raise AssertionError("relation closure on the zero expression")
+
+    monkeypatch.setattr(reduce, "generate_wdvv_relations", raise_on_call)
+    ambient = parse_bracket("<x1 x2 x3 x4>_0").ambient
+    cert = span_zero_test(zero(ambient), budget=3)
+    assert cert.zero and cert.reason == "normalizes to zero"
+    assert cert.budget_spent == 0 and cert.combination == () and cert.basis is None
+
+
 def closure_only_span_test(expr, budget=3):
     """The closure-only span test, a reference for ``span_zero_test``:
     closure rounds and exact solves up to ``budget``, with no pairing check
     and no certificate.  The zero flag and the rounds spent."""
-    basis = None
+    basis = RelationBasis(expr.support(), expr.ambient)
+    target = {basis.ids[key]: v for key, v in expr._terms.items()}
     for rounds in range(1, budget + 1):
-        previous = basis
-        basis = generate_wdvv_relations(expr.support(), expr.ambient,
-                                        rounds=rounds, resume=basis)
-        if previous is not None and len(basis.relations) == len(previous.relations):
+        count = len(basis.relations)
+        generate_wdvv_relations(basis)
+        if len(basis.relations) == count:
             continue
-        target = {basis.ids[key]: v for key, v in expr._terms.items()}
         if not set().union(*basis.relations).issuperset(target):
             continue
         if _solve_exact(basis.relations, target) is not None:
@@ -1197,7 +1232,7 @@ def test_zero_target_entries_are_ignored(system, data):
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     expr = parse_bracket(fixture_text(name))
-    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    basis = closure(expr.support(), expr.ambient, rounds)
     columns = [dict(rel._terms) for rel in as_expressions(basis)]
     target = dict(expr._terms)
     solution = _solve_exact(columns, target)
@@ -1253,7 +1288,7 @@ def test_whole_closure_solves_like_target_component(name, rounds):
         expr = eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
     else:
         expr = parse_bracket(fixture_text(name))
-    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    basis = closure(expr.support(), expr.ambient, rounds)
     whole = _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
                          dict(expr._terms))
     assert whole is not None
@@ -1262,7 +1297,7 @@ def test_whole_closure_solves_like_target_component(name, rounds):
 
 def test_whole_closure_and_component_agree_on_inconsistent_system():
     expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1)))
-    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=2)
+    basis = closure(expr.support(), expr.ambient, 2)
     assert len(reachable_relations(basis, expr.support())) < len(basis.relations)
     assert _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
                         dict(expr._terms)) is None
@@ -1406,7 +1441,7 @@ def test_eliminate_ignores_row_order_on_span_systems(name):
         expr, rounds = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1))), 1
     else:
         expr, rounds = parse_bracket(fixture_text(name)), 2
-    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    basis = closure(expr.support(), expr.ambient, rounds)
     target = {basis.ids[key]: v for key, v in expr._terms.items()}
     got, calls = solve_recording_eliminations(basis.relations, target)
     results = [result for _rows, _rhs, _p, result in calls]
@@ -1533,7 +1568,7 @@ def test_key_table_closure_matches_reference_keyed_closure(name):
     support = sorted(expr.support())
     after = reference_keyed_closure(support, 3)
     for rounds in (1, 2, 3):
-        basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+        basis = closure(expr.support(), expr.ambient, rounds)
         relations, keys = after[min(rounds, len(after)) - 1]
         assert relation_lists(basis) == [list(rel.items()) for rel in relations]
         assert supported_keys(basis) == keys
@@ -1546,14 +1581,12 @@ def test_key_table_closure_matches_reference_keyed_closure(name):
         assert used <= set(range(len(basis.keys)))
 
 
-def overflow_round(expr, max_relations, resumed):
+def overflow_round(expr, max_relations):
     """First round of 1..3 whose closure exceeds max_relations, or None."""
-    basis = None
+    basis = RelationBasis(expr.support(), expr.ambient)
     for rounds in (1, 2, 3):
         try:
-            basis = generate_wdvv_relations(
-                expr.support(), expr.ambient, rounds=rounds,
-                max_relations=max_relations, resume=basis if resumed else None)
+            generate_wdvv_relations(basis, max_relations)
         except OverflowError:
             return rounds
     return None
@@ -1562,43 +1595,39 @@ def overflow_round(expr, max_relations, resumed):
 @pytest.mark.parametrize("name", ["f", "h1", "i1", "b131"])
 def test_resumed_closure_equals_fresh_closure(name):
     expr = closure_target(name)
-    fresh = [generate_wdvv_relations(expr.support(), expr.ambient, rounds=r)
-             for r in (1, 2, 3)]
-    basis = None
-    for rounds, expected in zip((1, 2, 3), fresh):
-        basis = generate_wdvv_relations(expr.support(), expr.ambient,
-                                        rounds=rounds, resume=basis)
+    fresh = [closure(expr.support(), expr.ambient, r) for r in (1, 2, 3)]
+    basis = RelationBasis(expr.support(), expr.ambient)
+    for expected in fresh:
+        assert generate_wdvv_relations(basis) is basis
         assert relation_lists(basis) == relation_lists(expected)
         assert basis.relations == expected.relations
         assert basis.keys == expected.keys
         assert basis.support == expected.support
         assert basis.rounds == expected.rounds
     first, second = len(fresh[0].relations), len(fresh[1].relations)
-    assert overflow_round(expr, first // 2, resumed=True) == 1
-    assert overflow_round(expr, first // 2, resumed=False) == 1
+    assert overflow_round(expr, first // 2) == 1
     grows = 2 if second > first else None
-    assert overflow_round(expr, first, resumed=True) == grows
-    assert overflow_round(expr, first, resumed=False) == grows
+    assert overflow_round(expr, first) == grows
 
 
-def test_resume_past_a_closed_closure_returns_it():
+def test_a_round_on_a_closed_closure_changes_nothing():
     expr = closure_target("i1")
-    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=1)
+    basis = closure(expr.support(), expr.ambient, 1)
     assert basis.rounds == 1 and not basis.frontier
-    again = generate_wdvv_relations(expr.support(), expr.ambient, rounds=3,
-                                    resume=basis)
-    assert again.relations == basis.relations and again.rounds == 1
-    assert generate_wdvv_relations(expr.support(), expr.ambient,
-                                   rounds=3).rounds == 1
+    relations, keys, support = list(basis.relations), list(basis.keys), set(basis.support)
+    assert generate_wdvv_relations(basis) is basis
+    assert basis.relations == relations and basis.rounds == 1
+    assert basis.keys == keys and basis.support == support
+    assert closure(expr.support(), expr.ambient, 3).rounds == 1
 
 
 @pytest.mark.parametrize("name", ["f", "h1", "i1", "b1211"])
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_int_closure_keeps_the_reference_signature_relations(name, rounds, monkeypatch):
     expr = closure_target(name)
-    basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    basis = closure(expr.support(), expr.ambient, rounds)
     monkeypatch.setattr(reduce, "_relation_signature", reference_relation_signature)
-    reference = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+    reference = closure(expr.support(), expr.ambient, rounds)
     assert relation_lists(basis) == relation_lists(reference)
     assert basis.support == reference.support
 
@@ -1669,7 +1698,7 @@ def test_record_closure_matches_graph_closure(name):
     expr = closure_target(name)
     after = graph_closure(expr.support(), 3)
     for rounds in (1, 2, 3):
-        basis = generate_wdvv_relations(expr.support(), expr.ambient, rounds=rounds)
+        basis = closure(expr.support(), expr.ambient, rounds)
         relations, support = after[min(rounds, len(after)) - 1]
         assert relation_lists(basis) == [list(rel.items()) for rel in relations]
         assert supported_keys(basis) == support

@@ -38,8 +38,8 @@ psi-free class is large and whose raw class pairs nonzero at once,
 ``verify 1 3 2,1,1 --budget 1``, whose ``unknown`` rests on the witness
 solve of an inconsistent round, ``verify 1 2 2,1,1 --max-relations 10``
 and ``verify 0 5 1,1,2 --max-relations 5000``, which exit 2 with the
-``budget-overflow`` report, the first in round 1 and the second in round 2
-of a resumed closure, ``verify 1 3 2,2,1`` in its three weight
+``budget-overflow`` report, the first in round 1 and the second in a
+closure grown to round 2, ``verify 1 3 2,2,1`` in its three weight
 orders, three more two-round certificates,
 ``compute-b 1 2 2,1`` as brackets and with ``--stage psi-free --format
 latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
