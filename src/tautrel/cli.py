@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 when the requested fact is proved (or the command just
-computes output), 2 when a vanishing/equality check comes back unknown or
-exceeds its relation budget, 1 on usage or internal errors.  All reports
-are deterministic apart from the timing field.
+``verify``, ``check-pushforward`` and ``reduce --mode zero-test`` end in one
+vanishing check and take its budgets.  Exit codes: 0 when the requested fact
+is proved (or the command just computes output), 2 when a check is unknown,
+finds a nonzero integral or exceeds its relation budget, 1 on usage or
+internal errors.  Reports are deterministic apart from the timing field.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .treeclass import acceptable_assignments, enumerate_shapes, weighted_tree_c
 from .reduce import (
     _pairings,
     eliminate_all_psi,
-    integrate,
     pair_with_psi_monomials,
     span_zero_test,
 )
@@ -101,25 +101,36 @@ def _certificate_json(expr, cert):
 
 
 def _vanishing_check(expr, args, stages):
-    """The pairing of the class with psi monomials, then psi elimination,
-    then, unless that leaves zero, the WDVV span test.
+    """Whether the class vanishes, by the first rule that settles it:
 
-    Every WDVV relation vanishes as a class, and psi elimination rewrites the
-    class into an equal one, so a class with a nonzero pairing is outside the
-    span at every budget.  The pairings run on the class as given, in the
-    order of ``pair_with_psi_monomials``, up to the first nonzero integral,
-    which ends the check unknown with the full budget spent, before psi
-    elimination.
+    1. zero as given (``normalizes-to-zero``);
+    2. at degree at most the ambient dimension, the pairings with the
+       complementary psi monomials in ``pair_with_psi_monomials`` order, up
+       to the first nonzero one.  At top degree, where H^top is a line, the
+       one pairing is the integral and settles the class
+       (``top-degree-integral``); forgetting an extra leg lowers the degree,
+       so a class with one is below.  Below, a nonzero pairing puts the class
+       outside the span of the WDVV relations, which all vanish: unknown;
+    3. psi elimination, when it leaves zero (``psi-elimination``);
+    4. the WDVV span test (``wdvv-span``).
 
     Returns the outcome fields and the exit status, and fills the seconds of
-    each stage into ``stages``.  A relation budget overflow leaves no
-    certificate, so the whole span test then counts as closure.
+    each stage into ``stages``; a budget overflow counts as closure.
     """
+    if expr.is_zero():
+        return {"proved": True, "method": "normalizes-to-zero"}, 0
     clock = time.perf_counter()
-    nonzero = (not expr.is_zero() and expr.degree() <= expr.ambient.dimension
-               and any(value for _b, value in _pairings(expr)))
+    value = 0
+    if expr.degree() <= expr.ambient.dimension:
+        value = next((v for _b, v in _pairings(expr) if v), 0)
     stages["pair_s"] = time.perf_counter() - clock
-    if nonzero:
+    if expr.degree() == expr.ambient.dimension and not any(
+            extras for key in expr.support() for _g, extras, _l, _i in key[0]):
+        outcome = {"proved": not value, "method": "top-degree-integral"}
+        if value:
+            outcome["integral"] = {"num": value.numerator, "den": value.denominator}
+        return outcome, 2 if value else 0
+    if value:
         return {"proved": False, "method": "wdvv-span",
                 "certificate": {"reason": "unknown", "rounds": args.budget}}, 2
     clock = time.perf_counter()
@@ -193,16 +204,7 @@ def cmd_verify(args):
     clock = time.perf_counter()
     expr = weighted_tree_class(args.g, args.m, args.d)
     stages["assemble_s"] = time.perf_counter() - clock
-    if expr.is_zero():
-        outcome, status = {"proved": True, "method": "normalizes-to-zero"}, 0
-    elif expr.degree() == expr.ambient.dimension:
-        value = integrate(expr)
-        outcome = {"proved": value == 0, "method": "top-degree-integral"}
-        status = 0 if value == 0 else 2
-        if value:
-            outcome["integral"] = {"num": value.numerator, "den": value.denominator}
-    else:
-        outcome, status = _vanishing_check(expr, args, stages)
+    outcome, status = _vanishing_check(expr, args, stages)
     if sum(args.d) < 2 * args.g + args.m - 1:
         outcome["warning"] = ("total weight %d is below 2g+m-1 = %d; vanishing is not"
                               " expected" % (sum(args.d), 2 * args.g + args.m - 1))
@@ -221,10 +223,8 @@ def cmd_check_pushforward(args):
         rhs = rhs + weighted_tree_class(args.g, args.m, k).scale(mult)
     diff = lhs - rhs
     stages["assemble_s"] = time.perf_counter() - clock
-    outcome, status = {"equal": True, "method": "normalize"}, 0
-    if not diff.is_zero():
-        outcome, status = _vanishing_check(diff, args, stages)
-        outcome["equal"] = outcome.pop("proved")
+    outcome, status = _vanishing_check(diff, args, stages)
+    outcome["equal"] = outcome.pop("proved")
     _report(args, {"g": args.g, "n": len(d), "m": args.m, "l": args.l,
                    "d": list(d)}, outcome, started, stages)
     return status
@@ -296,10 +296,11 @@ def build_parser():
     except ValueError as exc:
         parser.error(str(exc))
 
-    def common(p):
-        p.add_argument("--budget", type=_positive, default=budget,
-                       help="relation-closure rounds (env TAUTREL_BUDGET)")
-        p.add_argument("--max-relations", type=_positive, default=200000)
+    def common(p, budgets=True):
+        if budgets:
+            p.add_argument("--budget", type=_positive, default=budget,
+                           help="relation-closure rounds (env TAUTREL_BUDGET)")
+            p.add_argument("--max-relations", type=_positive, default=200000)
         p.add_argument("--out", help="write the output to a file instead of stdout")
 
     p = sub.add_parser("compute-b", help="assemble a weighted tree class")
@@ -309,7 +310,7 @@ def build_parser():
     p.add_argument("--stage", choices=["raw", "psi-free"], default="raw")
     p.add_argument("--format", choices=["bracket", "json", "latex"],
                    default="bracket")
-    common(p)
+    common(p, budgets=False)
     p.set_defaults(func=cmd_compute_b)
 
     p = sub.add_parser("verify", help="prove a weighted tree class vanishes")
@@ -334,7 +335,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--with-extras", type=_weights, default=None,
                    help="weights; list only shapes with an acceptable assignment")
-    common(p)
+    common(p, budgets=False)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("reduce", help="run a pipeline stage on a bracket file")

@@ -278,10 +278,8 @@ def _ambient_of(terms):
     if not terms:
         raise ValueError("cannot infer the ambient of an empty expression")
     _coeff, base, edges = terms[0]
+    _check_graph(base, edges)
     genus_t = 1 + len(edges) - len(base) + sum(part[0] for part in base)
-    if genus_t < 0:
-        # a connected graph with vertices of nonnegative genus has genus >= 0
-        _check_graph(base, edges)
     return make_ambient(genus_t, [label for part in base for label, _e in part[2]])
 
 

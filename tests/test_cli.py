@@ -123,10 +123,11 @@ def test_verify_below_range_warns_and_reports(capsys):
 
 
 def test_check_pushforward(capsys):
+    """The two sides cancel, so the difference is zero as given."""
     code, report = run_json(capsys, "check-pushforward", "--g", "0", "--m", "2",
                             "--l", "1", "--d", "1,1")
     assert code == 0
-    assert report["outcome"]["equal"] is True
+    assert report["outcome"] == {"equal": True, "method": "normalizes-to-zero"}
 
 
 def test_enumerate_counts(capsys):
@@ -251,25 +252,70 @@ def test_nonzero_raw_pairing_ends_the_check_before_psi_elimination(
 
 
 def test_reduce_zero_test_on_a_class_that_cancels(capsys, tmp_path):
-    """A class that cancels to zero has no degree to pair at, and psi
-    elimination proves it."""
+    """A class that cancels as it is parsed is zero as given, the first rule
+    of the check, as in ``verify`` of a class that assembles to zero."""
     path = tmp_path / "cancels.bracket"
     path.write_text("<x1 x2 x3 x4>_0 - <x1 x2 x3 x4>_0\n")
+    code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
+    assert code == 0
+    assert report["outcome"] == {"proved": True, "method": "normalizes-to-zero"}
+
+
+def test_reduce_zero_test_of_a_class_that_psi_elimination_cancels(capsys, tmp_path):
+    """psi_1 on M_{0,5} minus the boundary sum psi elimination rewrites it
+    into: nonzero as given and below top degree, with every pairing zero,
+    so the third rule settles it."""
+    path = tmp_path / "psi.bracket"
+    path.write_text("<P^1(x1) x2 x3 x4 x5>_0 - <x1 x4 g1>_0 <x2 x3 x5 g1*>_0"
+                    " - <x1 x4 x5 g1>_0 <x2 x3 g1*>_0 - <x1 x5 g1>_0 <x2 x3 x4 g1*>_0\n")
     code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
     assert code == 0
     assert report["outcome"] == {"proved": True, "method": "psi-elimination"}
 
 
+@pytest.mark.parametrize("g,m,d", [(1, 1, "2,1"), (1, 2, "2,2"), (1, 3, "1,1,1"),
+                                   (1, 2, "2,1,1")],
+                         ids=["nonzero-integral", "zero-integral", "nonzero-pairing",
+                              "span-proof"])
+def test_verify_and_zero_test_share_one_check(capsys, tmp_path, g, m, d):
+    """``reduce --mode zero-test`` on the class that ``compute-b`` prints
+    reaches the outcome of ``verify``, apart from its warning, at top degree
+    too."""
+    inputs = ("--g", str(g), "--m", str(m), "--d", d)
+    code, report = run_json(capsys, "verify", *inputs)
+    report["outcome"].pop("warning", None)
+    path = tmp_path / "b.bracket"
+    path.write_text(run_cli(capsys, "compute-b", *inputs)[1])
+    z_code, z_report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
+    assert (z_code, z_report["outcome"]) == (code, report["outcome"])
+
+
 BIG = 10**100
-D12, D13, D14 = ("<x1 %s a>_0 <a* %s>_0" % pair for pair in
-                 [("x2", "x3 x4"), ("x3", "x2 x4"), ("x4", "x2 x3")])
+
+
+def divisor(near, far):
+    return "<%s a>_0 <a* %s>_0" % (near, far)
+
+
+# WDVV relations on M_{0,5}, one degree below top: R1 exchanges x2 and x3
+# next to x1, R2 exchanges x2 and x4
+R1 = [(1, divisor("x1 x2", "x3 x4 x5")), (1, divisor("x1 x2 x5", "x3 x4")),
+      (-1, divisor("x1 x3", "x2 x4 x5")), (-1, divisor("x1 x3 x5", "x2 x4"))]
+R2 = R1[:2] + [(-1, divisor("x1 x4", "x2 x3 x5")), (-1, divisor("x1 x4 x5", "x2 x3"))]
+
+
+def bracket(*scaled):
+    """The text of the sum of ``scale * relation`` over the given pairs."""
+    text = " ".join("%s %d * %s" % ("-" if c * n < 0 else "+", abs(c * n), term)
+                    for c, relation in scaled for n, term in relation)
+    return text.lstrip("+ ") + "\n"
 
 
 def test_large_multiple_of_a_relation_proves(capsys, tmp_path):
-    """10^100 times the WDVV relation on M_{0,4}: the solver divides the target
+    """10^100 times a WDVV relation on M_{0,5}: the solver divides the target
     by its content, so the coefficient does not outrun the primes."""
     path = tmp_path / "big.bracket"
-    path.write_text("%d * %s - %d * %s\n" % (BIG, D12, BIG, D13))
+    path.write_text(bracket((BIG, R1)))
     code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
     assert code == 0
     cert = report["outcome"]["certificate"]
@@ -282,7 +328,7 @@ def test_span_system_that_outruns_the_primes_is_a_clean_error(tmp_path):
     """10^100 R1 + R2 has content 1 and needs a coefficient near 10^100, which
     no list of primes reconstructs: one error line and exit 1."""
     path = tmp_path / "mixed.bracket"
-    path.write_text("%d * %s - %d * %s + %s - %s\n" % (BIG, D12, BIG, D13, D12, D14))
+    path.write_text(bracket((BIG, R1), (1, R2)))
     proc = run_child("reduce", str(path), "--mode", "zero-test")
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -352,11 +398,14 @@ def test_reduce_pair_mode(capsys):
     assert report["outcome"]["all_zero"] is True
 
 
-@pytest.mark.parametrize("text", [
+EXTRA_LEG_TEXTS = [
     "<P^1(U1) U2 U3 U4 U5 W>_0",          # an extra leg at a genus-0 psi site
     "<U1 U2 U3 a>_0 <a* W W>_0",          # more edges than the ambient dimension
     "<P^1(U1) U2 U3 a>_0 <a* W W>_0",
-])
+]
+
+
+@pytest.mark.parametrize("text", EXTRA_LEG_TEXTS)
 def test_reduce_psi_with_extra_legs(capsys, tmp_path, text):
     path = tmp_path / "extras.bracket"
     path.write_text(text)
@@ -365,6 +414,23 @@ def test_reduce_psi_with_extra_legs(capsys, tmp_path, text):
     reduced = parse_bracket(report["outcome"]["expression"])
     assert reduced.psi_free()
     assert reduced == reference_eliminate_all_psi(parse_bracket(text))
+
+
+@pytest.mark.parametrize("text", EXTRA_LEG_TEXTS + [
+    # the pushforward of psi_1 from M_{0,5}, which is the fundamental class
+    # of M_{0,4}: degree equal to the ambient dimension, but not top degree
+    "<P^1(U1) U2 U3 U4 W>_0",
+])
+def test_reduce_zero_test_with_extra_legs(capsys, tmp_path, text):
+    """A class with extra legs gets no top-degree verdict, and one whose
+    degree exceeds the ambient dimension pairs with no psi monomial: both go
+    on to psi elimination and the span test."""
+    path = tmp_path / "extras.bracket"
+    path.write_text(text)
+    code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
+    assert code == 2
+    assert report["outcome"]["proved"] is False
+    assert report["outcome"]["method"] == "wdvv-span"
 
 
 def test_reduce_parse_error_exit_one(capsys, tmp_path):
@@ -394,6 +460,10 @@ def test_reduce_zero_denominator_is_a_parse_error():
      "term genus 1 does not match ambient genus 0"),
     # unstable, with a zero coefficient
     ("<U1 U2 U3 U4>_0 + 0 * <U1 U2>_0", "unstable graph in term"),
+    # two bare vertices: disconnected, reported before their ambient
+    ("<>_1 <>_1", "invalid graph in term: disconnected"),
+    # one bare vertex: its ambient has no legs and is unstable
+    ("<>_1", "unstable ambient space (genus 1 with 0 legs)"),
 ])
 def test_malformed_zero_or_overweight_terms_are_parse_errors(text, message):
     proc = run_child("reduce", "-", "--mode", "psi", input=text)
@@ -446,6 +516,18 @@ def test_bad_budget_flag_is_a_usage_error(flag, value):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "%s: must be a positive integer" % flag in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute-b", "--g", "1", "--m", "2", "--d", "2,1"),
+    ("enumerate", "--g", "1", "--n", "2", "--m", "2"),
+], ids=["compute-b", "enumerate"])
+@pytest.mark.parametrize("flag", ["--budget", "--max-relations"])
+def test_commands_without_a_check_take_no_budgets(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, flag, "2"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: %s 2" % flag in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -185,7 +185,7 @@ def test_malformed_text_fails_before_symmetries_are_counted(monkeypatch):
     def fail(base, edges):
         raise AssertionError("canonical search on unchecked text")
     monkeypatch.setattr(expressions, "_canonical_search", fail)
-    with pytest.raises(ValueError, match="unstable ambient"):
+    with pytest.raises(ValueError, match="disconnected"):
         parse_bracket("<>_1 " * 12)
     with pytest.raises(ValueError, match="disconnected"):
         parse_bracket("<U1>_1 " + "<>_1 " * 11, ambient=make_ambient(1, ["U1"]))
@@ -197,8 +197,8 @@ def test_malformed_text_fails_before_symmetries_are_counted(monkeypatch):
 
 @pytest.mark.parametrize("text,message", [
     ("<U1 U2 U3>_0 + <P^5(U1) U2 U3 U4>_0 <U5 U6 U7>_0", "disconnected"),
-    # a disconnected first term, whose genus 1 + E - V is -1, is reported
-    # before the ambient is inferred from it
+    # a disconnected first term is reported before the ambient is inferred
+    # from it
     ("<U1 U2 U3>_0 <x y z>_0", "^invalid graph in term: disconnected$"),
     ("<U1 U2 a>_0 <a* U3 U4>_0 <x>_0", "^invalid graph in term: disconnected$"),
     ("<P^1(U1) U2 U3 U4>_0 + <P^9(U1) U2 U3 U4>_1",

@@ -28,7 +28,8 @@ exits 1 because forgetting two frozen legs leaves a vertex unstable,
 boundary divisor of ``divisor9_text``, whose first psi pairing is nonzero
 and so ends the check before psi elimination, and on the relation of
 ``wdvv9_text``, whose pairings all vanish and whose closure reaches a
-vertex with nine half-edges, ``reduce --mode
+vertex with nine half-edges, and on the three classes of ``TOP_DEGREE`` on
+M_{0,4}, which integrate to 0 and to 1 and cancel as given, ``reduce --mode
 pair`` on ``b21_raw``, ``h`` and ``i``, ``reduce --mode psi`` on ``h`` with
 ``--format latex`` and with ``--format json``, the top-degree ``verify`` of
 (g, m, d) = (1, 1, 2,1), which integrates to -1/24 and exits 2, and of
@@ -46,11 +47,14 @@ latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 65 calls.  Both trees
+forgetful pushforward outside the pools.  That makes 68 calls.  Both trees
 read the bracket fixtures from PARENT's ``tests/fixtures``.  The two trees
 run each call side by side.
 
-Exits 0 when every call matches and 1 at the first difference.
+Every call is compared, and each one that differs is printed with the
+fields that differ and, for each, where the two outputs part.  The last
+line counts the identical calls.  Exits 0 when every call matches and 1
+when any differs.
 """
 
 from __future__ import annotations
@@ -130,6 +134,14 @@ PSI_SITES = [
     "<U1 U2 U3 P^2(a)>_0 <a* U4>_1",                # overweight at genus 0: parses to 0
 ]
 
+# top-degree classes on M_{0,4}: a WDVV relation, a boundary divisor, and a
+# class that cancels as it is parsed
+TOP_DEGREE = [
+    "<U1 U2 a>_0 <a* U3 U4>_0 - <U1 U3 a>_0 <a* U2 U4>_0",
+    "<U1 U2 a>_0 <a* U3 U4>_0",
+    "<x1 x2 x3 x4>_0 - <x1 x2 x3 x4>_0",
+]
+
 
 def write(workdir, name, text):
     path = os.path.join(workdir, name + ".bracket")
@@ -177,6 +189,9 @@ def calls(workdir, fixtures):
     out.append(["reduce", write(workdir, "divisor9", divisor9_text()),
                 "--mode", "zero-test"])
     out.append(["reduce", write(workdir, "wdvv9", wdvv9_text()), "--mode", "zero-test"])
+    for i, text in enumerate(TOP_DEGREE):
+        path = write(workdir, "top_degree_%d" % i, text + "\n")
+        out.append(["reduce", path, "--mode", "zero-test"])
     for g, m, d in [(1, 1, "2,1"), (1, 2, "2,2"), (0, 6, "1,1,1,1")]:
         out.append(["verify", "--g", str(g), "--m", str(m), "--d", d])
     out.append(["verify", "--g", "1", "--m", "3", "--d", "2,1,1", "--budget", "1"])
@@ -220,12 +235,22 @@ def finish(proc):
     return proc.returncode, stderr, normalized(stdout)
 
 
+def parting(a, b, context=60):
+    """Where two outputs part: the text of each from a little before the
+    first character that differs."""
+    a, b = str(a), str(b)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    start = max(0, i - context)
+    return a[start:i + context], b[start:i + context]
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         print("usage: python3 tools/identity.py PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = args
+    identical = 0
     with tempfile.TemporaryDirectory() as workdir:
         todo = calls(workdir, os.path.join(parent, "tests", "fixtures"))
         for i, call in enumerate(todo, 1):
@@ -234,15 +259,22 @@ def main(argv=None):
             (pcode, perr, pout), (ccode, cerr, cout) = [finish(p) for p in procs]
             line = "[%d/%d] %s (%.1f s)" % (i, len(todo), " ".join(call),
                                             time.perf_counter() - clock)
-            for name, a, b in [("exit code", pcode, ccode), ("stderr", perr, cerr),
-                               ("stdout", pout, cout)]:
-                if a != b:
-                    print("%s: %s differs" % (line, name))
-                    return 1
-            print("%s: identical, exit %d, %d bytes" % (line, pcode, len(pout)),
-                  flush=True)
-    print("all %d calls identical" % len(todo))
-    return 0
+            differ = [(name, a, b) for name, a, b in [("exit code", pcode, ccode),
+                                                      ("stderr", perr, cerr),
+                                                      ("stdout", pout, cout)]
+                      if a != b]
+            if not differ:
+                identical += 1
+                print("%s: identical, exit %d, %d bytes" % (line, pcode, len(pout)),
+                      flush=True)
+                continue
+            print("%s: differs in %s" % (line, ", ".join(name for name, *_ in differ)))
+            for name, a, b in differ:
+                a, b = parting(a, b)
+                print("  %s, parent: ...%s...\n  %s, change: ...%s..."
+                      % (name, a, name, b), flush=True)
+    print("%d of %d calls identical" % (identical, len(todo)))
+    return 0 if identical == len(todo) else 1
 
 
 if __name__ == "__main__":
