@@ -1,10 +1,12 @@
 """Command-line front end.
 
 ``verify``, ``check-pushforward`` and ``reduce --mode zero-test`` end in one
-vanishing check and take its budgets.  Exit codes: 0 when the requested fact
-is proved (or the command just computes output), 2 when a check is unknown,
-finds a nonzero integral or exceeds its relation budget, 1 on usage or
-internal errors.  Reports are deterministic apart from the timing field.
+vanishing check and take its budgets; only they read ``TAUTREL_BUDGET``, and
+the other commands and modes report their budgets as null.  Exit codes: 0
+when the requested fact is proved (or the command just computes output), 2
+when a check is unknown, finds a nonzero integral or exceeds its relation
+budget, 1 on usage or internal errors.  Reports are deterministic apart from
+the timing field.
 """
 
 from __future__ import annotations
@@ -291,16 +293,14 @@ def build_parser():
     parser = _Parser(prog="tautrel",
                      description="exact calculus for psi-decorated boundary classes")
     sub = parser.add_subparsers(dest="command", required=True)
-    try:
-        budget = default_budget()
-    except ValueError as exc:
-        parser.error(str(exc))
 
     def common(p, budgets=True):
         if budgets:
-            p.add_argument("--budget", type=_positive, default=budget,
-                           help="relation-closure rounds (env TAUTREL_BUDGET)")
-            p.add_argument("--max-relations", type=_positive, default=200000)
+            p.add_argument("--budget", type=_positive,
+                           help="relation-closure rounds (default: env TAUTREL_BUDGET,"
+                                " else 3)")
+            p.add_argument("--max-relations", type=_positive,
+                           help="relation budget (default: 200000)")
         p.add_argument("--out", help="write the output to a file instead of stdout")
 
     p = sub.add_parser("compute-b", help="assemble a weighted tree class")
@@ -348,9 +348,28 @@ def build_parser():
     return parser
 
 
+def _fill_budgets(parser, args):
+    """Give the budgets of a vanishing check their defaults; a command or
+    mode that runs none keeps them None and must not be given them."""
+    if not hasattr(args, "budget"):
+        return
+    if getattr(args, "mode", "zero-test") != "zero-test":
+        if args.budget is not None or args.max_relations is not None:
+            parser.error("--budget and --max-relations need --mode zero-test")
+        return
+    if args.budget is None:
+        try:
+            args.budget = default_budget()
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.max_relations is None:
+        args.max_relations = 200000
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    _fill_budgets(parser, args)
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

@@ -279,9 +279,11 @@ class RelationBasis:
     every graph reached so far: the initial support and every graph of a
     kept relation.  ``processed`` holds the keys of the contracted source
     graphs already instantiated, ``signatures`` the normalized relations
-    already kept, and ``frontier`` the ids that joined the support in the
-    last round, the whole support before the first; ``rounds`` counts the
-    rounds run.  An empty frontier after a round means the closure is closed.
+    already kept (see ``_relation_signature``), and ``frontier`` the ids that
+    joined the support in the last round, the whole support before the first;
+    ``rounds`` counts the rounds run.  An empty frontier after a round means
+    the closure is closed.  ``parts`` holds one copy of each base class and
+    edge record of the keys that the closure stores (see ``_interned``).
     """
 
     def __init__(self, support, ambient):
@@ -294,6 +296,18 @@ class RelationBasis:
         self.rounds = 0
         self.processed = set()
         self.signatures = set()
+        self.parts = {}
+
+
+def _interned(key, parts):
+    """``key`` rebuilt from the copies that ``parts`` holds of its base
+    classes and edge records; a part not there yet is added as it is.  The
+    canonical search builds fresh tuples for every key, so the keys a closure
+    stores would otherwise each hold their own copies of the same few parts.
+    The key stays equal and hashes the same."""
+    base, edges = key
+    return (tuple([parts.setdefault(b, b) for b in base]),
+            tuple([parts.setdefault(r, r) for r in edges]))
 
 
 def _exchange_relation(split, quad, e):
@@ -331,12 +345,13 @@ def _local_basis(k):
             yield (0, 1, i, j), 1
 
 
-def wdvv_relations_at(key, vertex, ids):
+def wdvv_relations_at(key, vertex, ids, parts):
     """A basis of the WDVV relations from one genus-0 vertex of the graph with
     key ``key``, as id -> int dicts over the key table ``ids``.
 
     ``ids`` maps graph keys to ids; each splitting's key is looked up there
-    once, and a key not in it is added with the next id.
+    once, and a key not in it is added with the next id, rebuilt from the
+    shared parts of ``parts`` (see ``_interned``).
 
     The half-edges at the vertex are numbered as ``graph_from_key`` numbers
     them (see ``half_edges``).  Of the two exchange relations of each
@@ -368,7 +383,10 @@ def wdvv_relations_at(key, vertex, ids):
             if split_id is None:
                 split_key = _canonical_search(
                     *split_records(base, edges, vertex, halves, side, 0))[0]
-                split_id = id_of_side[side] = ids.setdefault(split_key, len(ids))
+                split_id = ids.get(split_key)
+                if split_id is None:
+                    split_id = ids[_interned(split_key, parts)] = len(ids)
+                id_of_side[side] = split_id
             yield split_id
 
     out = []
@@ -380,12 +398,13 @@ def wdvv_relations_at(key, vertex, ids):
 
 
 def _relation_signature(relation):
-    """The relation's proportionality class: the entries divided by their gcd,
-    signed so that the entry of the least key id is positive."""
+    """The relation's proportionality class as a flat tuple (id, n, id, n,
+    ...) in increasing id order: the entries divided by their gcd, signed so
+    that the entry of the least key id is positive."""
     scale = gcd(*relation.values())
     if relation[min(relation)] < 0:
         scale = -scale
-    return frozenset((k, n // scale) for k, n in relation.items())
+    return tuple([x for k in sorted(relation) for x in (k, relation[k] // scale)])
 
 
 def generate_wdvv_relations(basis, max_relations=200000):
@@ -418,9 +437,9 @@ def generate_wdvv_relations(basis, max_relations=200000):
                 sources.add(skey)
     frontier = basis.frontier = set()
     for skey in sorted(sources):
-        basis.processed.add(skey)
+        basis.processed.add(_interned(skey, basis.parts))
         for v in range(len(skey[0])):
-            for rel in wdvv_relations_at(skey, v, ids):
+            for rel in wdvv_relations_at(skey, v, ids, basis.parts):
                 sig = _relation_signature(rel)
                 if sig in basis.signatures:
                     continue
@@ -538,18 +557,21 @@ class _System:
 
     Each row maps unknowns to numbers and is scaled once to integers by the
     lcm of the denominators of its entries and its right-hand side, which
-    keeps its solutions.  ``_eliminate`` sets free variables to zero, so the
-    primes that give the same pivot columns give residues of one solution;
-    these are combined by CRT, and a solution is reconstructed from them and
-    accepted only when it satisfies every scaled row exactly.
+    keeps its solutions.  A row of ``int`` entries with scale 1 is held as
+    given, not copied; neither the system nor ``_eliminate`` mutates a row.
+    ``_eliminate`` sets free variables to zero, so the primes that give the
+    same pivot columns give residues of one solution; these are combined by
+    CRT, and a solution is reconstructed from them and accepted only when it
+    satisfies every scaled row exactly.
     """
 
     def __init__(self, rows, rhs):
         self.rows, self.rhs = [], []
         for row, b in zip(rows, rhs):
             scale = lcm(b.denominator, *(v.denominator for v in row.values()))
-            self.rows.append({j: v.numerator * (scale // v.denominator)
-                              for j, v in row.items()})
+            if scale != 1 or any(type(v) is not int for v in row.values()):
+                row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+            self.rows.append(row)
             self.rhs.append(b.numerator * (scale // b.denominator))
         self.lifts = {}            # pivot columns -> (modulus, residues)
 

@@ -509,6 +509,55 @@ def test_bad_budget_env_is_a_usage_error(value):
     assert "TAUTREL_BUDGET" in proc.stderr
 
 
+F_BRACKET = os.path.join(FIXTURES, "f.bracket")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-pushforward", "--g", "1", "--m", "2", "--l", "1", "--d", "2,1"),
+    ("reduce", F_BRACKET, "--mode", "zero-test"),
+], ids=["check-pushforward", "reduce-zero-test"])
+def test_bad_budget_env_fails_every_check(argv):
+    proc = run_child(*argv, env=dict(os.environ, TAUTREL_BUDGET="junk"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "TAUTREL_BUDGET" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute-b", "--g", "1", "--m", "1", "--d", "2,1"),
+    ("--help",),
+    ("verify", "--help"),
+    ("enumerate", "--g", "1", "--n", "1", "--m", "2"),
+    ("reduce", F_BRACKET, "--mode", "psi"),
+    ("reduce", F_BRACKET, "--mode", "pair"),
+], ids=["compute-b", "help", "verify-help", "enumerate", "reduce-psi", "reduce-pair"])
+def test_budget_env_is_read_only_by_a_check(argv):
+    proc = run_child(*argv, env=dict(os.environ, TAUTREL_BUDGET="junk"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and not proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["psi", "pair"])
+def test_reduce_outside_zero_test_has_no_budgets(capsys, mode):
+    _code, report = run_json(capsys, "reduce", F_BRACKET, "--mode", mode)
+    assert report["budgets"] == {"rounds": None, "max_relations": None}
+    for flag in ("--budget", "--max-relations"):
+        with pytest.raises(SystemExit) as err:
+            main(["reduce", F_BRACKET, "--mode", mode, flag, "7"])
+        assert err.value.code == 1
+        assert "need --mode zero-test" in capsys.readouterr().err
+
+
+def test_zero_test_budgets_default_and_follow_the_flags(capsys, monkeypatch):
+    monkeypatch.delenv("TAUTREL_BUDGET", raising=False)
+    _code, report = run_json(capsys, "reduce", F_BRACKET, "--mode", "zero-test")
+    assert report["budgets"] == {"rounds": 3, "max_relations": 200000}
+    monkeypatch.setenv("TAUTREL_BUDGET", "2")
+    _code, report = run_json(capsys, "reduce", F_BRACKET, "--mode", "zero-test",
+                             "--max-relations", "900")
+    assert report["budgets"] == {"rounds": 2, "max_relations": 900}
+
+
 @pytest.mark.parametrize("flag", ["--budget", "--max-relations"])
 @pytest.mark.parametrize("value", ["junk", "0", "-3"])
 def test_bad_budget_flag_is_a_usage_error(flag, value):

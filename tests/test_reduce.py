@@ -1,3 +1,4 @@
+import copy
 import heapq
 import itertools
 import math
@@ -1499,6 +1500,51 @@ def test_inconsistency_is_reported_only_with_an_exact_witness(system):
         assert not witnesses
 
 
+@pytest.mark.parametrize("name,budget,proved", [("f", 2, True), ("b13_211", 1, False)])
+def test_span_solves_never_mutate_the_rows_they_share(name, budget, proved, monkeypatch):
+    # the primal system shares its rows with nothing but _solve_exact's
+    # transpose; the witness system of an inconsistent round holds the
+    # closure's relation dicts themselves
+    if name == "b13_211":
+        expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1)))
+    else:
+        expr = parse_bracket(fixture_text(name))
+    systems, solves = [], []
+
+    class Recording(reduce._System):
+        def __init__(self, rows, rhs):
+            super().__init__(rows, rhs)
+            systems.append(self)
+
+    def checked(columns, target):
+        before = copy.deepcopy((columns, target))
+        got = _solve_exact(columns, target)
+        solves.append(got)
+        assert (columns, target) == before
+        return got
+
+    monkeypatch.setattr(reduce, "_System", Recording)
+    monkeypatch.setattr(reduce, "_solve_exact", checked)
+    cert = span_zero_test(expr, budget=budget)
+    assert cert.zero is proved and len(solves) == 1
+    # one system per solve, plus the witness system of an inconsistent one
+    assert len(systems) == (1 if proved else 2)
+    if not proved:
+        assert solves == [None]
+
+
+def test_system_holds_int_rows_as_given_and_scales_the_rest():
+    shared = {0: 2, 2: -1}
+    system = reduce._System([shared, {0: Fraction(3), 1: Fraction(-4)},
+                             {1: Fraction(1, 2)}],
+                            [0, Fraction(5), Fraction(1, 3)])
+    assert system.rows[0] is shared
+    assert system.rows[1:] == [{0: 3, 1: -4}, {1: 3}] and system.rhs == [0, 5, 2]
+    assert all(type(v) is int for row in system.rows for v in row.values())
+    assert all(type(b) is int for b in system.rhs)
+    assert shared == {0: 2, 2: -1}
+
+
 # ---------------------------------------------------------------------------
 # incremental relation closure and trusted relation assembly
 
@@ -1524,7 +1570,7 @@ def supported_keys(basis):
 def keyed_relations_at(key, vertex):
     """``wdvv_relations_at`` over a fresh key table, mapped back to keys."""
     ids = {}
-    relations = wdvv_relations_at(key, vertex, ids)
+    relations = wdvv_relations_at(key, vertex, ids, {})
     keys = list(ids)
     return [{keys[i]: n for i, n in rel.items()} for rel in relations]
 
@@ -1579,6 +1625,31 @@ def test_key_table_closure_matches_reference_keyed_closure(name):
         assert list(basis.ids) == list(basis.keys)
         used = set(basis.support).union(*basis.relations)
         assert used <= set(range(len(basis.keys)))
+
+
+def test_interning_keeps_the_key_table_and_shares_parts(monkeypatch):
+    expr = closure_target("h1")
+    basis = closure(expr.support(), expr.ambient, 2)
+    monkeypatch.setattr(reduce, "_interned", lambda key, parts: key)
+    plain = closure(expr.support(), expr.ambient, 2)
+    assert basis.keys == plain.keys and list(basis.ids) == list(plain.ids)
+    assert basis.relations == plain.relations and basis.processed == plain.processed
+    assert not plain.parts
+    # every key the closure stored holds the table's copy of each part, so
+    # equal records of two stored keys are one object; without the table
+    # they are not
+    stored = basis.keys[len(expr.support()):]
+    assert stored and all(basis.parts[part] is part for key in stored
+                          for part in (*key[0], *key[1]))
+    pairs = [(key, other) for key, other in zip(stored, stored[1:])
+             if set(key[1]) & set(other[1])]
+    assert pairs
+    key, other = pairs[0]
+    rec = min(set(key[1]) & set(other[1]))
+    assert key[1][key[1].index(rec)] is other[1][other[1].index(rec)]
+    plain_key, plain_other = (plain.keys[plain.ids[k]] for k in pairs[0])
+    assert plain_key[1][plain_key[1].index(rec)] is not \
+        plain_other[1][plain_other[1].index(rec)]
 
 
 def overflow_round(expr, max_relations):
