@@ -82,22 +82,19 @@ def _format_expression(expr, fmt):
 
 def _certificate_json(expr, cert):
     """The certificate as JSON.  Each relation is written as
-    ``expression_to_json`` writes it, from one JSON object per distinct graph
-    of the combination, built once however many relations share it."""
+    ``expression_to_json`` writes it, on the ambient of the target ``expr``,
+    from one JSON object per distinct graph of the combination, built once
+    however many relations share it."""
     out = {"reason": cert.reason, "rounds": cert.budget_spent}
     if cert.reason == "wdvv-span":
         out["target"] = expression_to_json(expr)
-        basis = cert.basis
-        keys = basis.keys
-        used = [basis.relations[i] for _c, i in cert.combination]
-        order = sorted(set().union(*used), key=lambda i: _term_order(keys[i]))
-        rank = {i: r for r, i in enumerate(order)}
-        graph = [_key_json(keys[i]) for i in order]
+        graph = {key: _key_json(key)
+                 for key in set().union(*(rel for _c, rel in cert.combination))}
         out["combination"] = [
             {"coefficient": {"num": c.numerator, "den": c.denominator},
-             "relation": _terms_json(basis.ambient, (
-                 (n, graph[r]) for r, n in sorted((rank[i], n) for i, n in rel.items())))}
-            for (c, _i), rel in zip(cert.combination, used)
+             "relation": _terms_json(expr.ambient, (
+                 (rel[key], graph[key]) for key in sorted(rel, key=_term_order)))}
+            for c, rel in cert.combination
         ]
     return out
 
@@ -207,9 +204,14 @@ def cmd_verify(args):
     expr = weighted_tree_class(args.g, args.m, args.d)
     stages["assemble_s"] = time.perf_counter() - clock
     outcome, status = _vanishing_check(expr, args, stages)
+    failed = []                    # the hypotheses of B = 0 that do not hold
+    if args.m < 2:
+        failed.append("m = %d is below 2" % args.m)
     if sum(args.d) < 2 * args.g + args.m - 1:
-        outcome["warning"] = ("total weight %d is below 2g+m-1 = %d; vanishing is not"
-                              " expected" % (sum(args.d), 2 * args.g + args.m - 1))
+        failed.append("total weight %d is below 2g+m-1 = %d"
+                      % (sum(args.d), 2 * args.g + args.m - 1))
+    if failed:
+        outcome["warning"] = "; ".join(failed + ["vanishing is not expected"])
     _report(args, inputs, outcome, started, stages)
     return status
 

@@ -241,23 +241,26 @@ def attach_vertex(expr, leg_label, genus_v, legs):
     The pinned leg ``leg_label`` becomes one half of a new edge whose other
     half sits on a new vertex of genus ``genus_v`` carrying ``legs`` (pairs
     of label and exponent).  This realizes formal multiplication by a single
-    extra bracket factor.
+    extra bracket factor.  The result's ambient comes from the input's, so
+    the zero class glues too.
     """
     new_vertex = base_classes([genus_v], [(0, *leg) for leg in legs] + [(0, None, 0)])[0]
+    if leg_label not in expr.ambient.labels:
+        raise ValueError("no leg labeled %r" % leg_label)
+    ambient = make_ambient(expr.ambient.genus + genus_v,
+                           [label for label in expr.ambient.labels if label != leg_label]
+                           + [label for label, _e in legs if label != EXTRA])
     out = []
     for key, coeff in expr.items():
         base, edges = key_records(key)
-        glue = [(v, e) for v, part in enumerate(base) for label, e in part[2]
-                if label == leg_label]
-        if not glue:
-            raise ValueError("no leg labeled %r" % leg_label)
-        (v, exp), = glue
+        (v, exp), = [(v, e) for v, part in enumerate(base) for label, e in part[2]
+                     if label == leg_label]
         g, extras, vlegs, intexp = base[v]
         base[v] = (g, extras, tuple(leg for leg in vlegs if leg[0] != leg_label),
                    tuple(sorted(intexp + (exp,))))
         base.append(new_vertex)
         out.append((coeff, base, edges + [(v, exp, len(base) - 1, 0)]))
-    return _from_records(out)
+    return _from_records(out, ambient)
 
 
 def zero(ambient):

@@ -60,18 +60,6 @@ def _only_term(expr):
     return coeff, *key
 
 
-def _site(expr, vertex, half):
-    """The coefficient and records of a one-term ``expr``, the psi exponent at
-    ``half``, and the half-edges at ``vertex`` in the order of
-    ``half_edges(base, edges, vertex)``.  Half-edges are numbered as in
-    ``half_edges``, which is how the graph that ``expr.terms()`` gives
-    numbers them."""
-    coeff, base, edges = _only_term(expr)
-    halves = half_edges(base, edges)
-    return (coeff, base, edges, halves[half][2],
-            [h for h, x in enumerate(halves) if x[0] == vertex])
-
-
 def _sides(halves, stay, away):
     """Sides of the splittings of a vertex with half-edges ``halves``: ``stay``
     plus any subset of the other half-edges outside ``away``, kept when it has
@@ -130,13 +118,33 @@ def _psi_keys(base, edges, vertex, halves, half, away):
             yield factor, _canonical_search(b, e)[0]
 
 
-def _rewritten(ambient, coeff, base, edges, vertex, half, away):
-    """``coeff`` times the graph with records (base, edges), with one psi power
-    rewritten.  ``half`` and ``away`` are positions at ``vertex`` (see
-    ``_psi_terms``)."""
-    halves = half_edges(base, edges, vertex)
-    return _summed(ambient, ((coeff * factor, k) for factor, k
-                             in _psi_keys(base, edges, vertex, halves, half, away)))
+def _rewrite_one(expr, vertex, half, genus, partner_pair=()):
+    """The rewrite of one psi power at ``half`` on the genus ``genus`` vertex
+    ``vertex`` of a one-term ``expr``, after the checks of both rewrites.  The
+    half-edges, numbered as in ``half_edges`` (so as in the graph that
+    ``expr.terms()`` gives), become positions at the vertex here only."""
+    coeff, base, edges = _only_term(expr)
+    halves = half_edges(base, edges)
+    exp = halves[half][2]
+    at = [h for h, x in enumerate(halves) if x[0] == vertex]
+    if base[vertex][0] != genus:
+        raise ValueError("target vertex must have genus %d" % genus)
+    if genus == 0 and len(at) < 4:
+        raise ValueError("genus-0 reduction needs at least 4 half-edges"
+                         " (3-pointed psi classes vanish by dimension)")
+    if exp < 1:
+        raise ValueError("target half-edge carries no psi class")
+    if genus == 0:
+        x1, x2 = partner_pair      # a pair of another length fails to unpack
+        partner_pair = (x1, x2)
+    site = (half, *partner_pair)
+    if len(set(site)) != len(site) or not set(site) <= set(at):
+        raise ValueError("target half-edge is not at the vertex" if genus else
+                         "partner pair must be two other half-edges of the vertex")
+    h, *away = [at.index(n) for n in site]
+    return _summed(expr.ambient, (
+        (coeff * factor, k) for factor, k
+        in _psi_keys(base, edges, vertex, [halves[n] for n in at], h, away)))
 
 
 def psi_reduce_genus0(expr, vertex, half, partner_pair):
@@ -147,19 +155,7 @@ def psi_reduce_genus0(expr, vertex, half, partner_pair):
     choice of partner pair yields an expression equal to the input as a
     class; different choices differ by WDVV relations.
     """
-    coeff, base, edges, exp, halves = _site(expr, vertex, half)
-    if base[vertex][0] != 0:
-        raise ValueError("target vertex must have genus 0")
-    if len(halves) < 4:
-        raise ValueError("genus-0 reduction needs at least 4 half-edges"
-                         " (3-pointed psi classes vanish by dimension)")
-    if exp < 1:
-        raise ValueError("target half-edge carries no psi class")
-    x1, x2 = partner_pair
-    if len({half, x1, x2}) != 3 or {x1, x2} - set(halves) or half not in halves:
-        raise ValueError("partner pair must be two other half-edges of the vertex")
-    return _rewritten(expr.ambient, coeff, base, edges, vertex, halves.index(half),
-                      (halves.index(x1), halves.index(x2)))
+    return _rewrite_one(expr, vertex, half, 0, partner_pair)
 
 
 def psi_reduce_genus1(expr, vertex, half):
@@ -168,14 +164,7 @@ def psi_reduce_genus1(expr, vertex, half):
     The loop term carries the bracket coefficient 1/12, hence 1/24 internally
     because attaching the loop doubles the automorphism count.
     """
-    coeff, base, edges, exp, halves = _site(expr, vertex, half)
-    if base[vertex][0] != 1:
-        raise ValueError("target vertex must have genus 1")
-    if exp < 1:
-        raise ValueError("target half-edge carries no psi class")
-    if half not in halves:
-        raise ValueError("target half-edge is not at the vertex")
-    return _rewritten(expr.ambient, coeff, base, edges, vertex, halves.index(half), ())
+    return _rewrite_one(expr, vertex, half, 1)
 
 
 def choose_partner_pair(halves, half):
@@ -271,7 +260,7 @@ class RelationBasis:
     by ``generate_wdvv_relations``.
 
     Graph keys are nested tuples whose hash Python recomputes on every dict
-    or set operation, so the closure numbers each key once, in a key table:
+    or set operation, so ``id_of`` numbers each key once, in a key table:
     ``keys[i]`` is the key with id i, and ``ids`` maps each key back to its
     id.  The support comes first, in key order, and then each key in the
     order the closure's splittings first produce it.  ``relations`` holds
@@ -286,17 +275,24 @@ class RelationBasis:
     edge record of the keys that the closure stores (see ``_interned``).
     """
 
-    def __init__(self, support, ambient):
-        self.ambient = ambient
-        self.keys = sorted(support)
-        self.ids = {key: i for i, key in enumerate(self.keys)}
-        self.relations = []
-        self.support = set(range(len(self.keys)))
+    def __init__(self, support):
+        self.keys, self.ids, self.parts = [], {}, {}
+        self.support = {self.id_of(key) for key in sorted(support)}
         self.frontier = set(self.support)
+        self.relations = []
         self.rounds = 0
         self.processed = set()
         self.signatures = set()
-        self.parts = {}
+
+    def id_of(self, key):
+        """The id of ``key``; a key without one gets the next id and is
+        stored rebuilt from the shared parts (see ``_interned``)."""
+        i = self.ids.get(key)
+        if i is None:
+            key = _interned(key, self.parts)
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
 
 
 def _interned(key, parts):
@@ -345,13 +341,10 @@ def _local_basis(k):
             yield (0, 1, i, j), 1
 
 
-def wdvv_relations_at(key, vertex, ids, parts):
+def wdvv_relations_at(key, vertex, basis):
     """A basis of the WDVV relations from one genus-0 vertex of the graph with
-    key ``key``, as id -> int dicts over the key table ``ids``.
-
-    ``ids`` maps graph keys to ids; each splitting's key is looked up there
-    once, and a key not in it is added with the next id, rebuilt from the
-    shared parts of ``parts`` (see ``_interned``).
+    key ``key``, as id -> int dicts over the key table of the closure
+    ``basis``, which numbers each splitting's key (``RelationBasis.id_of``).
 
     The half-edges at the vertex are numbered as ``graph_from_key`` numbers
     them (see ``half_edges``).  Of the two exchange relations of each
@@ -381,12 +374,8 @@ def wdvv_relations_at(key, vertex, ids, parts):
         for side in _sides(range(k), pair_a, pair_b):
             split_id = id_of_side.get(side)
             if split_id is None:
-                split_key = _canonical_search(
-                    *split_records(base, edges, vertex, halves, side, 0))[0]
-                split_id = ids.get(split_key)
-                if split_id is None:
-                    split_id = ids[_interned(split_key, parts)] = len(ids)
-                id_of_side[side] = split_id
+                split_id = id_of_side[side] = basis.id_of(_canonical_search(
+                    *split_records(base, edges, vertex, halves, side, 0))[0])
             yield split_id
 
     out = []
@@ -423,7 +412,7 @@ def generate_wdvv_relations(basis, max_relations=200000):
     if basis.rounds and not basis.frontier:
         return basis
     basis.rounds += 1
-    keys, ids, relations, known = basis.keys, basis.ids, basis.relations, basis.support
+    keys, relations, known = basis.keys, basis.relations, basis.support
     sources = set()
     for i in basis.frontier:
         base, edges = keys[i]
@@ -439,7 +428,7 @@ def generate_wdvv_relations(basis, max_relations=200000):
     for skey in sorted(sources):
         basis.processed.add(_interned(skey, basis.parts))
         for v in range(len(skey[0])):
-            for rel in wdvv_relations_at(skey, v, ids, basis.parts):
+            for rel in wdvv_relations_at(skey, v, basis):
                 sig = _relation_signature(rel)
                 if sig in basis.signatures:
                     continue
@@ -452,7 +441,6 @@ def generate_wdvv_relations(basis, max_relations=200000):
                     if i not in known:
                         known.add(i)
                         frontier.add(i)
-    keys.extend(itertools.islice(ids, len(keys), None))
     return basis
 
 
@@ -463,8 +451,7 @@ def generate_wdvv_relations(basis, max_relations=200000):
 @dataclass(frozen=True)
 class ZeroCertificate:
     zero: bool
-    combination: tuple            # ((coefficient, relation index), ...)
-    basis: object                 # RelationBasis or None
+    combination: tuple            # ((coefficient, {key: int} relation), ...)
     budget_spent: int
     reason: str
     closure_s: float = field(default=0.0, compare=False)   # wall time per stage
@@ -657,7 +644,8 @@ def span_zero_test(expr, budget=3, max_relations=200000):
     The expression comes after psi elimination.  One relation closure of its
     support grows by a round at a time, up to ``budget`` rounds, and the
     span is solved after each round that adds a relation; a returned Zero
-    certificate is re-verified by substitution before being reported.
+    certificate lists the relations it uses over keys, not ids, and is
+    re-verified by substitution before being reported.
     Unknown is a budget-bounded outcome, not a nonzeroness proof.  The test
     does not pair the expression with psi monomials: a nonzero pairing puts
     it outside the span at every budget, and the CLI checks that before psi
@@ -666,8 +654,8 @@ def span_zero_test(expr, budget=3, max_relations=200000):
     if not expr.psi_free():
         raise ValueError("span test requires a psi-free expression")
     if expr.is_zero():
-        return ZeroCertificate(True, (), None, 0, "normalizes to zero")
-    basis = RelationBasis(expr.support(), expr.ambient)
+        return ZeroCertificate(True, (), 0, "normalizes to zero")
+    basis = RelationBasis(expr.support())
     target = {basis.ids[key]: v for key, v in expr._terms.items()}
     closure_s = solve_s = 0.0
     for rounds in range(1, budget + 1):
@@ -687,19 +675,17 @@ def span_zero_test(expr, budget=3, max_relations=200000):
         solve_s += time.perf_counter() - started
         if solution is None:
             continue
-        combination = tuple(sorted((v, i) for i, v in solution.items()))
+        combination = tuple((v, {basis.keys[k]: n for k, n in basis.relations[i].items()})
+                            for v, i in sorted((v, i) for i, v in solution.items()))
         # re-substitution check: the certificate must reproduce the input
         acc = {}
-        for c, i in combination:
-            for k, v in basis.relations[i].items():
-                acc[k] = acc.get(k, Fraction(0)) + c * v
-        total = Expression(expr.ambient,
-                           _raw={basis.keys[i]: v for i, v in acc.items() if v != 0})
-        if total != expr:
+        for c, rel in combination:
+            for key, n in rel.items():
+                acc[key] = acc.get(key, 0) + c * n
+        if {key: v for key, v in acc.items() if v} != expr._terms:
             raise AssertionError("certificate failed re-substitution")
-        return ZeroCertificate(True, combination, basis, rounds, "wdvv-span",
-                               closure_s, solve_s)
-    return ZeroCertificate(False, (), None, budget, "unknown", closure_s, solve_s)
+        return ZeroCertificate(True, combination, rounds, "wdvv-span", closure_s, solve_s)
+    return ZeroCertificate(False, (), budget, "unknown", closure_s, solve_s)
 
 
 # ---------------------------------------------------------------------------

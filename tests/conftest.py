@@ -34,6 +34,7 @@ import pytest
 
 from tautrel.expressions import (
     Expression,
+    _ambient_of,
     _base_overweight,
     _from_records,
     _summed,
@@ -325,10 +326,10 @@ def genus1_splitting_recursion(exps):
 # relations of a closure
 
 
-def closure(support, ambient, rounds):
+def closure(support, rounds):
     """A fresh relation closure of ``support`` grown by ``rounds`` rounds, one
     ``generate_wdvv_relations`` call each."""
-    basis = RelationBasis(support, ambient)
+    basis = RelationBasis(support)
     for _ in range(rounds):
         generate_wdvv_relations(basis)
     return basis
@@ -337,10 +338,9 @@ def closure(support, ambient, rounds):
 def relation_expression(basis, i):
     """Relation ``i`` of a ``RelationBasis`` as an ``Expression`` over graph
     keys, read back through the basis's key table, with ``Fraction``
-    coefficients."""
-    keys = basis.keys
-    return Expression(basis.ambient,
-                      _raw={keys[k]: Fraction(n) for k, n in basis.relations[i].items()})
+    coefficients, on the genus and legs of its graphs."""
+    terms = {basis.keys[k]: Fraction(n) for k, n in basis.relations[i].items()}
+    return Expression(_ambient_of([(1, *next(iter(terms)))]), _raw=terms)
 
 
 def local_basis_by_elimination(k):

@@ -122,6 +122,21 @@ def test_verify_below_range_warns_and_reports(capsys):
     assert report["outcome"]["proved"] is False
 
 
+@pytest.mark.parametrize("g,m,d,warning", [
+    (0, 3, "1", "total weight 1 is below 2g+m-1 = 2; vanishing is not expected"),
+    (1, 1, "2,1", "m = 1 is below 2; vanishing is not expected"),
+    (0, 0, "0,0,0", "m = 0 is below 2; vanishing is not expected"),
+    (1, 1, "1", "m = 1 is below 2; total weight 1 is below 2g+m-1 = 2;"
+                " vanishing is not expected"),
+    (1, 2, "2,1", None),
+], ids=["weight", "m-1", "m-0", "m-and-weight", "in-range"])
+def test_verify_warning_names_each_failed_hypothesis(capsys, g, m, d, warning):
+    """B vanishes only for m >= 2 and |d| >= 2g+m-1 (n >= 1 always holds, as
+    ``--d`` takes at least one weight)."""
+    _code, report = run_json(capsys, "verify", "--g", str(g), "--m", str(m), "--d", d)
+    assert report["outcome"].get("warning") == warning
+
+
 def test_check_pushforward(capsys):
     """The two sides cancel, so the difference is zero as given."""
     code, report = run_json(capsys, "check-pushforward", "--g", "0", "--m", "2",

@@ -152,7 +152,7 @@ def test_roundtrip_fixtures(name):
 
 def test_roundtrip_generated_graphs():
     reduced = eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
-    basis = closure(reduced.support(), reduced.ambient, 1)
+    basis = closure(reduced.support(), 1)
     seen = 0
     for rel in (relation_expression(basis, i) for i in range(len(basis.relations))):
         assert parse_bracket(render_bracket(rel)) == rel
@@ -291,6 +291,22 @@ def test_attach_vertex_matches_textual_product():
     e = parse_bracket("<r U1 a>_0 <a* U2 U3>_0")
     glued = attach_vertex(e, "r", 0, [("V1", 0), ("V2", 0)])
     assert glued == parse_bracket("<r U1 a>_0 <a* U2 U3>_0 <r* V1 V2>_0")
+
+
+@pytest.mark.parametrize("genus_v,legs,product", [
+    (0, [("V1", 0), ("V2", 0)], "<r* V1 V2>_0"),
+    (1, [("W", 0), ("V1", 1)], "<r* W P^1(V1)>_1"),
+    (1, [], "<r*>_1"),
+], ids=["genus0", "genus1-extra-leg", "genus1-bare"])
+def test_attach_vertex_glues_the_zero_class(genus_v, legs, product):
+    """The ambient of the glued class comes from the input's, so the zero
+    class glues to the zero class on the ambient of the textual product."""
+    e = parse_bracket("<r U1 a>_0 <a* U2 U3>_0")
+    glued = parse_bracket("<r U1 a>_0 <a* U2 U3>_0 " + product)
+    assert attach_vertex(e, "r", genus_v, legs) == glued
+    assert attach_vertex(zero(e.ambient), "r", genus_v, legs) == zero(glued.ambient)
+    with pytest.raises(ValueError, match="no leg labeled 'x'"):
+        attach_vertex(zero(e.ambient), "x", genus_v, legs)
 
 
 def test_json_roundtrip_bit_exact():

@@ -1,9 +1,12 @@
 import copy
+import gc
 import heapq
 import itertools
 import math
 import os
 import random
+import re
+import weakref
 from fractions import Fraction
 from math import comb, isqrt
 from unittest import mock
@@ -116,15 +119,44 @@ def test_genus0_reduce_five_points():
         " + <x1 x2 x3 a>_0 <a* x4 x5>_0")
 
 
-def test_genus0_reduce_preconditions():
-    e = parse_bracket("<P^1(x1) x2 x3 x4>_0")
-    h = {lab: half_by_label(e, lab) for lab in ("x1", "x2", "x3", "x4")}
-    with pytest.raises(ValueError):
-        psi_reduce_genus0(e, 0, h["x2"], (h["x3"], h["x4"]))  # bare target
-    small = parse_bracket("<x1 x2 a>_0 <a* P^1(x3) x4>_1")
-    hs = half_by_label(small, "x3")
-    with pytest.raises(ValueError):
-        psi_reduce_genus0(small, 0, hs, (0, 1))  # three-pointed vertex
+ON_GENUS_0 = "partner pair must be two other half-edges of the vertex"
+
+
+@pytest.mark.parametrize("genus,text,at,target,partners,message", [
+    (0, "<P^1(x1) x2 x3 x4>_0 + <x1 P^1(x2) x3 x4>_0", "x1", "x1", ("x3", "x4"),
+     "expected a single-term expression"),
+    (1, "<P^1(x1) x2>_1 + <x1 P^1(x2)>_1", "x1", "x1", (),
+     "expected a single-term expression"),
+    (0, "<P^1(x1) x2>_1", "x1", "x1", ("x2", "x2"), "target vertex must have genus 0"),
+    (1, "<P^1(x1) x2 x3 x4>_0", "x1", "x1", (), "target vertex must have genus 1"),
+    (0, "<P^1(x1) x2 x6 a>_0 <a* x3 x4 x5>_0", "x3", "x1", ("x3", "x4"), ON_GENUS_0),
+    (1, "<P^1(x1) x2 x3 a>_0 <a* x4>_1", "x4", "x1", (),
+     "target half-edge is not at the vertex"),
+    (0, "<P^1(x1) x2 x3 x4>_0", "x1", "x1", ("x1", "x3"), ON_GENUS_0),
+    (0, "<P^1(x1) x2 x3 a>_0 <a* x4 x5>_0", "x1", "x1", ("x2", "x4"), ON_GENUS_0),
+    (0, "<P^1(x1) x2 x3 x4>_0", "x1", "x2", ("x3", "x4"),
+     "target half-edge carries no psi class"),
+    (1, "<P^1(x1) x2>_1", "x1", "x2", (), "target half-edge carries no psi class"),
+    (0, "<x1 x2 a>_0 <a* P^1(x3) x4>_1", "x1", "x3", ("x1", "x2"),
+     "genus-0 reduction needs at least 4 half-edges"),
+], ids=["genus0-two-terms", "genus1-two-terms", "genus0-wrong-genus",
+        "genus1-wrong-genus", "genus0-target-elsewhere", "genus1-target-elsewhere",
+        "genus0-pair-holds-target", "genus0-pair-elsewhere", "genus0-bare-target",
+        "genus1-bare-target", "genus0-three-pointed"])
+def test_single_term_rewrite_errors(genus, text, at, target, partners, message):
+    """Each check of the single-term psi rewrites raises its own message.
+    Legs are named; the vertex is the one of leg ``at``, numbered, like the
+    half-edges, in the graph of the first term."""
+    e = parse_bracket(text)
+    graph = e.terms()[0][1].graph
+    vertex = graph.vertex_of[graph.leg_with_label(at)]
+    half = graph.leg_with_label(target)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if genus == 0:
+            psi_reduce_genus0(e, vertex, half,
+                              tuple(graph.leg_with_label(x) for x in partners))
+        else:
+            psi_reduce_genus1(e, vertex, half)
 
 
 def test_genus1_reduce_base_case():
@@ -548,7 +580,7 @@ def test_distributed_four_point_difference_is_five_point_relation():
     rhs = distribute(parse_bracket("<x1 x3 a>_0 <a* x2 x4>_0"), "x5")
     diff = lhs - rhs
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").support()
-    basis = closure(support, lhs.ambient, 1)
+    basis = closure(support, 1)
     sigs = {tuple(sorted(rel.items())) for rel in as_expressions(basis)}
     assert tuple(sorted(diff.items())) in sigs or \
         tuple(sorted(diff.scale(-1).items())) in sigs
@@ -556,8 +588,7 @@ def test_distributed_four_point_difference_is_five_point_relation():
 
 def test_wdvv_four_points():
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0").support()
-    ambient = parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0").ambient
-    basis = closure(support, ambient, 1)
+    basis = closure(support, 1)
     assert len(basis.relations) == 2
     assert all(len(rel) == 2 for rel in basis.relations)
     # the relations identify all three pairings of the four labels
@@ -569,8 +600,7 @@ def test_wdvv_four_points():
 
 
 def test_wdvv_empty_support():
-    ambient = parse_bracket("<x1 x2 x3 x4>_0").ambient
-    basis = closure(frozenset(), ambient, 2)
+    basis = closure(frozenset(), 2)
     assert basis.relations == []
 
 
@@ -592,8 +622,7 @@ def test_span_budget_escalation():
 
 def test_relations_pair_to_zero():
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").support()
-    ambient = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0").ambient
-    basis = closure(support, ambient, 1)
+    basis = closure(support, 1)
     for rel in as_expressions(basis)[:10]:
         assert all(v == 0 for _b, v in pair_with_psi_monomials(rel))
 
@@ -601,7 +630,7 @@ def test_relations_pair_to_zero():
 def test_relations_with_genus1_spectators_pair_to_zero():
     from tautrel.treeclass import weighted_tree_class
     reduced = eliminate_all_psi(weighted_tree_class(1, 2, (2, 1)))
-    basis = closure(reduced.support(), reduced.ambient, 1)
+    basis = closure(reduced.support(), 1)
     assert basis.relations
     for rel in as_expressions(basis)[:20]:
         assert all(v == 0 for _b, v in pair_with_psi_monomials(rel))
@@ -649,12 +678,38 @@ def test_span_certifies_residue_fixture():
 
 
 def test_span_certificate_resubstitution():
-    cert = span_zero_test(parse_bracket(fixture_text("f")), budget=3)
+    target = parse_bracket(fixture_text("f"))
+    cert = span_zero_test(target, budget=3)
     total = None
-    for coeff, i in cert.combination:
-        piece = relation_expression(cert.basis, i).scale(coeff)
+    for coeff, rel in cert.combination:
+        piece = Expression(target.ambient,
+                           _raw={k: Fraction(n) for k, n in rel.items()}).scale(coeff)
         total = piece if total is None else total + piece
-    assert total == parse_bracket(fixture_text("f"))
+    assert total == target
+
+
+def test_certificate_is_self_contained(monkeypatch):
+    """A proved certificate lists its relations over keys and keeps no
+    closure alive; its relations times their coefficients sum to the
+    target."""
+    made = []
+
+    class Recorded(RelationBasis):
+        def __init__(self, support):
+            super().__init__(support)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(reduce, "RelationBasis", Recorded)
+    target = parse_bracket(fixture_text("f"))
+    cert = span_zero_test(target, budget=2)
+    assert cert.zero
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+    total = {}
+    for coeff, rel in cert.combination:
+        for key, n in rel.items():
+            total[key] = total.get(key, 0) + coeff * n
+    assert {key: v for key, v in total.items() if v} == target._terms
 
 
 def test_span_single_divisor_unknown():
@@ -694,14 +749,14 @@ def test_span_test_of_zero_runs_no_closure(monkeypatch):
     ambient = parse_bracket("<x1 x2 x3 x4>_0").ambient
     cert = span_zero_test(zero(ambient), budget=3)
     assert cert.zero and cert.reason == "normalizes to zero"
-    assert cert.budget_spent == 0 and cert.combination == () and cert.basis is None
+    assert cert.budget_spent == 0 and cert.combination == ()
 
 
 def closure_only_span_test(expr, budget=3):
     """The closure-only span test, a reference for ``span_zero_test``:
     closure rounds and exact solves up to ``budget``, with no pairing check
     and no certificate.  The zero flag and the rounds spent."""
-    basis = RelationBasis(expr.support(), expr.ambient)
+    basis = RelationBasis(expr.support())
     target = {basis.ids[key]: v for key, v in expr._terms.items()}
     for rounds in range(1, budget + 1):
         count = len(basis.relations)
@@ -1233,7 +1288,7 @@ def test_zero_target_entries_are_ignored(system, data):
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     expr = parse_bracket(fixture_text(name))
-    basis = closure(expr.support(), expr.ambient, rounds)
+    basis = closure(expr.support(), rounds)
     columns = [dict(rel._terms) for rel in as_expressions(basis)]
     target = dict(expr._terms)
     solution = _solve_exact(columns, target)
@@ -1289,7 +1344,7 @@ def test_whole_closure_solves_like_target_component(name, rounds):
         expr = eliminate_all_psi(weighted_tree_class(1, 2, (1, 1, 1)))
     else:
         expr = parse_bracket(fixture_text(name))
-    basis = closure(expr.support(), expr.ambient, rounds)
+    basis = closure(expr.support(), rounds)
     whole = _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
                          dict(expr._terms))
     assert whole is not None
@@ -1298,7 +1353,7 @@ def test_whole_closure_solves_like_target_component(name, rounds):
 
 def test_whole_closure_and_component_agree_on_inconsistent_system():
     expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1)))
-    basis = closure(expr.support(), expr.ambient, 2)
+    basis = closure(expr.support(), 2)
     assert len(reachable_relations(basis, expr.support())) < len(basis.relations)
     assert _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
                         dict(expr._terms)) is None
@@ -1442,7 +1497,7 @@ def test_eliminate_ignores_row_order_on_span_systems(name):
         expr, rounds = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1))), 1
     else:
         expr, rounds = parse_bracket(fixture_text(name)), 2
-    basis = closure(expr.support(), expr.ambient, rounds)
+    basis = closure(expr.support(), rounds)
     target = {basis.ids[key]: v for key, v in expr._terms.items()}
     got, calls = solve_recording_eliminations(basis.relations, target)
     results = [result for _rows, _rhs, _p, result in calls]
@@ -1569,10 +1624,9 @@ def supported_keys(basis):
 
 def keyed_relations_at(key, vertex):
     """``wdvv_relations_at`` over a fresh key table, mapped back to keys."""
-    ids = {}
-    relations = wdvv_relations_at(key, vertex, ids, {})
-    keys = list(ids)
-    return [{keys[i]: n for i, n in rel.items()} for rel in relations]
+    basis = RelationBasis(())
+    relations = wdvv_relations_at(key, vertex, basis)
+    return [{basis.keys[i]: n for i, n in rel.items()} for rel in relations]
 
 
 def reference_keyed_closure(support, rounds):
@@ -1614,7 +1668,7 @@ def test_key_table_closure_matches_reference_keyed_closure(name):
     support = sorted(expr.support())
     after = reference_keyed_closure(support, 3)
     for rounds in (1, 2, 3):
-        basis = closure(expr.support(), expr.ambient, rounds)
+        basis = closure(expr.support(), rounds)
         relations, keys = after[min(rounds, len(after)) - 1]
         assert relation_lists(basis) == [list(rel.items()) for rel in relations]
         assert supported_keys(basis) == keys
@@ -1629,9 +1683,9 @@ def test_key_table_closure_matches_reference_keyed_closure(name):
 
 def test_interning_keeps_the_key_table_and_shares_parts(monkeypatch):
     expr = closure_target("h1")
-    basis = closure(expr.support(), expr.ambient, 2)
+    basis = closure(expr.support(), 2)
     monkeypatch.setattr(reduce, "_interned", lambda key, parts: key)
-    plain = closure(expr.support(), expr.ambient, 2)
+    plain = closure(expr.support(), 2)
     assert basis.keys == plain.keys and list(basis.ids) == list(plain.ids)
     assert basis.relations == plain.relations and basis.processed == plain.processed
     assert not plain.parts
@@ -1654,7 +1708,7 @@ def test_interning_keeps_the_key_table_and_shares_parts(monkeypatch):
 
 def overflow_round(expr, max_relations):
     """First round of 1..3 whose closure exceeds max_relations, or None."""
-    basis = RelationBasis(expr.support(), expr.ambient)
+    basis = RelationBasis(expr.support())
     for rounds in (1, 2, 3):
         try:
             generate_wdvv_relations(basis, max_relations)
@@ -1666,8 +1720,8 @@ def overflow_round(expr, max_relations):
 @pytest.mark.parametrize("name", ["f", "h1", "i1", "b131"])
 def test_resumed_closure_equals_fresh_closure(name):
     expr = closure_target(name)
-    fresh = [closure(expr.support(), expr.ambient, r) for r in (1, 2, 3)]
-    basis = RelationBasis(expr.support(), expr.ambient)
+    fresh = [closure(expr.support(), r) for r in (1, 2, 3)]
+    basis = RelationBasis(expr.support())
     for expected in fresh:
         assert generate_wdvv_relations(basis) is basis
         assert relation_lists(basis) == relation_lists(expected)
@@ -1683,22 +1737,22 @@ def test_resumed_closure_equals_fresh_closure(name):
 
 def test_a_round_on_a_closed_closure_changes_nothing():
     expr = closure_target("i1")
-    basis = closure(expr.support(), expr.ambient, 1)
+    basis = closure(expr.support(), 1)
     assert basis.rounds == 1 and not basis.frontier
     relations, keys, support = list(basis.relations), list(basis.keys), set(basis.support)
     assert generate_wdvv_relations(basis) is basis
     assert basis.relations == relations and basis.rounds == 1
     assert basis.keys == keys and basis.support == support
-    assert closure(expr.support(), expr.ambient, 3).rounds == 1
+    assert closure(expr.support(), 3).rounds == 1
 
 
 @pytest.mark.parametrize("name", ["f", "h1", "i1", "b1211"])
 @pytest.mark.parametrize("rounds", [1, 2])
 def test_int_closure_keeps_the_reference_signature_relations(name, rounds, monkeypatch):
     expr = closure_target(name)
-    basis = closure(expr.support(), expr.ambient, rounds)
+    basis = closure(expr.support(), rounds)
     monkeypatch.setattr(reduce, "_relation_signature", reference_relation_signature)
-    reference = closure(expr.support(), expr.ambient, rounds)
+    reference = closure(expr.support(), rounds)
     assert relation_lists(basis) == relation_lists(reference)
     assert basis.support == reference.support
 
@@ -1769,7 +1823,7 @@ def test_record_closure_matches_graph_closure(name):
     expr = closure_target(name)
     after = graph_closure(expr.support(), 3)
     for rounds in (1, 2, 3):
-        basis = closure(expr.support(), expr.ambient, rounds)
+        basis = closure(expr.support(), rounds)
         relations, support = after[min(rounds, len(after)) - 1]
         assert relation_lists(basis) == [list(rel.items()) for rel in relations]
         assert supported_keys(basis) == support
