@@ -29,6 +29,7 @@ from .expressions import (
 from .pushforward import forget_frozen_legs, string_table
 from .treeclass import acceptable_assignments, enumerate_shapes, weighted_tree_class
 from .reduce import (
+    MAX_RELATIONS,
     _pairings,
     eliminate_all_psi,
     pair_with_psi_monomials,
@@ -302,7 +303,7 @@ def build_parser():
                            help="relation-closure rounds (default: env TAUTREL_BUDGET,"
                                 " else 3)")
             p.add_argument("--max-relations", type=_positive,
-                           help="relation budget (default: 200000)")
+                           help="relation budget (default: %d)" % MAX_RELATIONS)
         p.add_argument("--out", help="write the output to a file instead of stdout")
 
     p = sub.add_parser("compute-b", help="assemble a weighted tree class")
@@ -344,17 +345,21 @@ def build_parser():
     p.add_argument("expression", help="path to a bracket expression file, or -")
     p.add_argument("--mode", choices=["psi", "zero-test", "pair"], required=True)
     p.add_argument("--format", choices=["bracket", "json", "latex"],
-                   default="bracket")
+                   help="output of --mode psi (default: bracket)")
     common(p)
     p.set_defaults(func=cmd_reduce)
     return parser
 
 
-def _fill_budgets(parser, args):
+def _fill_options(parser, args):
     """Give the budgets of a vanishing check their defaults; a command or
-    mode that runs none keeps them None and must not be given them."""
+    mode that runs none keeps them None and must not be given them.  Of
+    the ``reduce`` modes, only ``psi`` writes an expression and takes
+    ``--format``."""
     if not hasattr(args, "budget"):
         return
+    if getattr(args, "format", None) and args.mode != "psi":
+        parser.error("--format needs --mode psi")
     if getattr(args, "mode", "zero-test") != "zero-test":
         if args.budget is not None or args.max_relations is not None:
             parser.error("--budget and --max-relations need --mode zero-test")
@@ -365,13 +370,13 @@ def _fill_budgets(parser, args):
         except ValueError as exc:
             parser.error(str(exc))
     if args.max_relations is None:
-        args.max_relations = 200000
+        args.max_relations = MAX_RELATIONS
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _fill_budgets(parser, args)
+    _fill_options(parser, args)
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

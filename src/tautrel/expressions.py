@@ -304,118 +304,63 @@ def from_terms(terms, ambient=None):
 # bracket grammar
 
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<number>\d+)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*\*?)
-  | (?P<sym>[<>_()^+\-*/])
-""", re.VERBOSE)
+_COMMENT = re.compile(r"#[^\n]*")
+_BAD_CHARACTER = re.compile(r"[^\s\dA-Za-z<>_()^+\-*/]")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*\*?"
+# one anchored pattern per grammar level, each allowing whitespace before it
+_SIGN = re.compile(r"\s*(?P<sign>[+-])")
+_COEFFICIENT = re.compile(r"\s*(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?P<times>\s*\*)?")
+_OPEN = re.compile(r"\s*<")
+_ITEM = re.compile(r"\s*(?:P\s*\^\s*(?P<exp>\d+)\s*\(\s*(?P<leg>%s)\s*\)|(?P<name>%s))"
+                   % (_NAME, _NAME))
+_CLOSE = re.compile(r"\s*>\s*_\s*(?P<genus>\d+)")
 
 
-def _tokens(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError("bad character %r at position %d" % (text[pos], pos))
-        pos = m.end()
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group()))
-    return out
+def _expected(what, pos):
+    raise ValueError("expected %s at position %d" % (what, pos))
 
 
-class _Parser:
-    def __init__(self, text):
-        self.toks = _tokens(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, tok = self.next()
-        if tok != value:
-            raise ValueError("expected %r, found %r" % (value, tok))
-        return tok
-
-    def parse_expression(self):
-        terms = []
-        sign = 1
-        kind, tok = self.peek()
-        if tok in ("+", "-"):
-            self.next()
-            sign = -1 if tok == "-" else 1
-        if self.peek() == ("number", "0") and self.i + 1 == len(self.toks):
-            self.next()
-            return []
-        while True:
-            terms.append(self.parse_term(sign))
-            kind, tok = self.peek()
-            if tok is None:
-                return terms
-            if tok not in ("+", "-"):
-                raise ValueError("expected '+' or '-', found %r" % tok)
-            self.next()
-            sign = -1 if tok == "-" else 1
-
-    def parse_term(self, sign):
-        coeff = Fraction(sign)
-        kind, tok = self.peek()
-        if kind == "number":
-            self.next()
-            num = int(tok)
-            den = 1
-            if self.peek()[1] == "/":
-                self.next()
-                kind2, tok2 = self.next()
-                if kind2 != "number":
-                    raise ValueError("malformed rational coefficient")
-                den = int(tok2)
-                if den == 0:
-                    raise ValueError("zero denominator in coefficient")
-            coeff *= Fraction(num, den)
-            self.expect("*")
-        factors = [self.parse_factor()]
-        while self.peek()[1] == "<":
-            factors.append(self.parse_factor())
-        return coeff, factors
-
-    def parse_factor(self):
-        self.expect("<")
-        items = []
-        while True:
-            kind, tok = self.peek()
-            if tok == ">":
-                self.next()
-                break
-            if kind != "name":
-                raise ValueError("expected a half-edge name, found %r" % tok)
-            self.next()
-            if tok == "P" and self.peek()[1] == "^":
-                self.next()
-                kind2, tok2 = self.next()
-                if kind2 != "number":
-                    raise ValueError("malformed exponent after P^")
-                exp = int(tok2)
-                self.expect("(")
-                kind3, name = self.next()
-                if kind3 != "name":
-                    raise ValueError("expected a name inside P^k(...)")
-                self.expect(")")
-                items.append((name, exp))
-            else:
-                items.append((tok, 0))
-        self.expect("_")
-        kind, tok = self.next()
-        if kind != "number":
-            raise ValueError("malformed genus subscript")
-        return int(tok), items
+def _printed_terms(text):
+    """The (coefficient, [(genus, [(name, exponent), ...]), ...]) of each
+    printed term.  Comments become spaces of their length, so positions
+    index the input; one scan finds a bad character, then the patterns
+    above read the text, in which a bare ``0`` is the empty sum."""
+    text = _COMMENT.sub(lambda m: " " * len(m.group()), text).rstrip()
+    bad = _BAD_CHARACTER.search(text)
+    if bad:
+        raise ValueError("bad character %r at position %d" % (bad.group(), bad.start()))
+    sign = _SIGN.match(text)
+    pos = sign.end() if sign else 0
+    if text[pos:].strip() == "0":
+        return []
+    terms = []
+    while True:
+        coeff = Fraction(-1 if sign and sign["sign"] == "-" else 1)
+        m = _COEFFICIENT.match(text, pos)
+        if m:
+            if m["den"] and int(m["den"]) == 0:
+                raise ValueError("zero denominator in coefficient")
+            if not m["times"]:
+                _expected("'*'", m.end())
+            coeff *= Fraction(int(m["num"]), int(m["den"] or 1))
+            pos = m.end()
+        factors = []
+        m = _OPEN.match(text, pos) or _expected("'<'", pos)
+        while m:
+            pos, items = m.end(), []
+            while m := _ITEM.match(text, pos):
+                items.append((m["leg"], int(m["exp"])) if m["leg"] else (m["name"], 0))
+                pos = m.end()
+            m = _CLOSE.match(text, pos) or _expected(
+                "a half-edge name or '>_' and a genus", pos)
+            factors.append((int(m["genus"]), items))
+            pos = m.end()
+            m = _OPEN.match(text, pos)
+        terms.append((coeff, factors))
+        if pos == len(text):
+            return terms
+        sign = _SIGN.match(text, pos) or _expected("'+' or '-'", pos)
+        pos = sign.end()
 
 
 _EXTRA_NAME = re.compile(r"^W\d*$")
@@ -468,7 +413,7 @@ def parse_bracket(text, ambient=None):
     orders give the automorphism order that divides the printed coefficient.
     """
     terms = [(coeff, *_term_records(factors))
-             for coeff, factors in _Parser(text).parse_expression()]
+             for coeff, factors in _printed_terms(text)]
     if ambient is None:
         ambient = _ambient_of(terms)
     out = []

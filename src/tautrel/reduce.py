@@ -125,6 +125,10 @@ def _rewrite_one(expr, vertex, half, genus, partner_pair=()):
     ``expr.terms()`` gives), become positions at the vertex here only."""
     coeff, base, edges = _only_term(expr)
     halves = half_edges(base, edges)
+    if not 0 <= vertex < len(base):
+        raise ValueError("no vertex numbered %r" % (vertex,))
+    if not 0 <= half < len(halves):
+        raise ValueError("no half-edge numbered %r" % (half,))
     exp = halves[half][2]
     at = [h for h, x in enumerate(halves) if x[0] == vertex]
     if base[vertex][0] != genus:
@@ -182,14 +186,9 @@ def choose_partner_pair(halves, half):
         return (order, graphs.label_sort_key(label), n)
 
     candidates = sorted((n for n in range(len(halves)) if n != half), key=rank)
-    legs = [n for n in candidates if halves[n][1] is not None]
-    if len(legs) >= 2:
-        return legs[0], legs[1]
-    if len(legs) == 1:
-        internal = [n for n in candidates if halves[n][1] is None]
-        return legs[0], internal[0]
     for a, b in itertools.combinations(candidates, 2):
-        if halves[a][3][0] != halves[b][3][0]:
+        # not the two ends of one loop (a leg ends no edge)
+        if halves[a][1] is not None or halves[a][3][0] != halves[b][3][0]:
             return a, b
     return candidates[0], candidates[1]
 
@@ -253,6 +252,10 @@ def eliminate_all_psi(expr):
 
 # ---------------------------------------------------------------------------
 # WDVV relations
+
+
+# the relations a closure may hold before it raises ``OverflowError``
+MAX_RELATIONS = 200000
 
 
 class RelationBasis:
@@ -396,7 +399,7 @@ def _relation_signature(relation):
     return tuple([x for k in sorted(relation) for x in (k, relation[k] // scale)])
 
 
-def generate_wdvv_relations(basis, max_relations=200000):
+def generate_wdvv_relations(basis, max_relations=MAX_RELATIONS):
     """Grow the closure ``basis`` by one round of exchange relations, in place,
     and return it; a closed closure comes back unchanged.
 
@@ -638,7 +641,7 @@ def _solve_exact(columns, target):
     raise ArithmeticError("no prime of the list settles the span system")
 
 
-def span_zero_test(expr, budget=3, max_relations=200000):
+def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
     The expression comes after psi elimination.  One relation closure of its

@@ -479,6 +479,8 @@ def test_reduce_zero_denominator_is_a_parse_error():
     ("<>_1 <>_1", "invalid graph in term: disconnected"),
     # one bare vertex: its ambient has no legs and is unstable
     ("<>_1", "unstable ambient space (genus 1 with 0 legs)"),
+    # a coefficient where a sign should join two terms
+    ("<U1 U2 U3>_0 3 * <U1 U2 U3>_0", "expected '+' or '-' at position 12"),
 ])
 def test_malformed_zero_or_overweight_terms_are_parse_errors(text, message):
     proc = run_child("reduce", "-", "--mode", "psi", input=text)
@@ -561,6 +563,14 @@ def test_reduce_outside_zero_test_has_no_budgets(capsys, mode):
             main(["reduce", F_BRACKET, "--mode", mode, flag, "7"])
         assert err.value.code == 1
         assert "need --mode zero-test" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["zero-test", "pair"])
+def test_format_needs_mode_psi(capsys, mode):
+    with pytest.raises(SystemExit) as err:
+        main(["reduce", F_BRACKET, "--mode", mode, "--format", "latex"])
+    assert err.value.code == 1
+    assert "--format needs --mode psi" in capsys.readouterr().err
 
 
 def test_zero_test_budgets_default_and_follow_the_flags(capsys, monkeypatch):

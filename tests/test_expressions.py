@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,51 @@ def test_coefficient_grammar():
     assert coeff == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("text,twin", [
+    ("3 / 2 * < P ^ 2 ( x* ) x > _ 1", "3/2 * <P^2(x*) x>_1"),
+    ("<x1 x2 # a comment\n x3> # another\n _0 # the end", "<x1 x2 x3>_0"),
+    ("<P  P*>_0", "<P P*>_0"),
+    ("<P ^1(P*)P>_0", "<P^1(P*) P>_0"),
+    ("< x_0 x_0* >_ 1", "<x_0 x_0*>_1"),
+    ("<>_1<>_1", "<>_1 <>_1"),
+    ("+<x>_0", "<x>_0"),
+    ("-<x>_0-2*<x>_0", "- <x>_0 - 2 * <x>_0"),
+    ("- 0", "0"),
+    ("+0 # nothing\n", "0"),
+    ("0*<x>_0", "0 * <x>_0"),
+])
+def test_grammar_corner_cases_read_as_their_plain_twins(text, twin):
+    assert expressions._printed_terms(text) == expressions._printed_terms(twin)
+
+
+def test_grammar_reads_names_exponents_and_genera():
+    assert expressions._printed_terms("-3/2 * <P P^2(x*) x_0>_1 <>_2 + <P*>_0") == [
+        (Fraction(-3, 2), [(1, [("P", 0), ("x*", 2), ("x_0", 0)]), (2, [])]),
+        (Fraction(1), [(0, [("P*", 0)])])]
+    assert parse_bracket("<P x1 x2>_0 <P* x3 x4>_0") == parse_bracket(
+        "<x1 x2 x_0>_0 <x_0* x3 x4>_0")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("<x1 x2>_0 3 * <x1>_0", "expected '+' or '-' at position 9"),
+    ("3 <x>_0", "expected '*' at position 1"),
+    ("3/ * <x>_0", "expected '*' at position 1"),
+    ("3/0 <x>_0", "zero denominator in coefficient"),
+    ("* <x>_0", "expected '<' at position 0"),
+    ("", "expected '<' at position 0"),
+    ("<x>_0 + # no term\n", "expected '<' at position 7"),
+    ("<x1 x2", "expected a half-edge name or '>_' and a genus at position 6"),
+    ("<x1 x2> 0", "expected a half-edge name or '>_' and a genus at position 6"),
+    ("<x1>_ x", "expected a half-edge name or '>_' and a genus at position 3"),
+    ("<P^(x1)>_0", "expected a half-edge name or '>_' and a genus at position 2"),
+    ("<P^1 x1>_0", "expected a half-edge name or '>_' and a genus at position 2"),
+    ("<x1 x2>_0 # fine\n @", "bad character '@' at position 18"),
+])
+def test_grammar_errors_name_a_position(text, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_bracket(text)
+
+
 def test_relabel_legs():
     e = parse_bracket("<V1 V2 V3 P^1(U1)>_0")
     out = relabel_legs(e, {"V3": "U2"})
@@ -431,9 +477,10 @@ _GRAMMAR_TOKENS = ["<", ">", "_", "(", ")", "^", "+", "-", "*", "/", "0", "1", "
     st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=80).map(" ".join)))
 def test_bracket_text_parses_or_raises_value_error(text):
     try:
-        parse_bracket(text)
+        expr = parse_bracket(text)
     except ValueError:
-        pass
+        return
+    assert parse_bracket(render_bracket(expr), ambient=expr.ambient) == expr
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,25 @@ def test_single_term_rewrite_errors(genus, text, at, target, partners, message):
             psi_reduce_genus1(e, vertex, half)
 
 
+@pytest.mark.parametrize("genus,vertex,half,message", [
+    (0, 1, 0, "no vertex numbered 1"),
+    (0, -1, 0, "no vertex numbered -1"),
+    (0, 0, 9, "no half-edge numbered 9"),
+    (0, 0, -1, "no half-edge numbered -1"),
+    (1, 1, 0, "no vertex numbered 1"),
+    (1, 0, 2, "no half-edge numbered 2"),
+])
+def test_single_term_rewrite_rejects_numbers_out_of_range(genus, vertex, half, message):
+    """A vertex or half-edge number outside the graph of the one term is
+    named, not read from the other end of a list."""
+    e = parse_bracket("<P^1(x1) x2 x3 x4>_0" if genus == 0 else "<P^1(x1) x2>_1")
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        if genus == 0:
+            psi_reduce_genus0(e, vertex, half, (2, 3))
+        else:
+            psi_reduce_genus1(e, vertex, half)
+
+
 def test_genus1_reduce_base_case():
     e = parse_bracket("<P^1(x1)>_1")
     out = psi_reduce_genus1(e, 0, half_by_label(e, "x1"))
