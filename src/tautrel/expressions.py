@@ -305,15 +305,18 @@ def from_terms(terms, ambient=None):
 
 
 _COMMENT = re.compile(r"#[^\n]*")
-_BAD_CHARACTER = re.compile(r"[^\s\dA-Za-z<>_()^+\-*/]")
+# the grammar is ASCII-only: re.ASCII keeps \d and \s from matching other
+# Unicode digits and spaces
+_BAD_CHARACTER = re.compile(r"[^\s\dA-Za-z<>_()^+\-*/]", re.ASCII)
 _NAME = r"[A-Za-z][A-Za-z0-9_]*\*?"
 # one anchored pattern per grammar level, each allowing whitespace before it
-_SIGN = re.compile(r"\s*(?P<sign>[+-])")
-_COEFFICIENT = re.compile(r"\s*(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?P<times>\s*\*)?")
-_OPEN = re.compile(r"\s*<")
+_SIGN = re.compile(r"\s*(?P<sign>[+-])", re.ASCII)
+_COEFFICIENT = re.compile(r"\s*(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?P<times>\s*\*)?",
+                          re.ASCII)
+_OPEN = re.compile(r"\s*<", re.ASCII)
 _ITEM = re.compile(r"\s*(?:P\s*\^\s*(?P<exp>\d+)\s*\(\s*(?P<leg>%s)\s*\)|(?P<name>%s))"
-                   % (_NAME, _NAME))
-_CLOSE = re.compile(r"\s*>\s*_\s*(?P<genus>\d+)")
+                   % (_NAME, _NAME), re.ASCII)
+_CLOSE = re.compile(r"\s*>\s*_\s*(?P<genus>\d+)", re.ASCII)
 
 
 def _expected(what, pos):
@@ -325,7 +328,7 @@ def _printed_terms(text):
     printed term.  Comments become spaces of their length, so positions
     index the input; one scan finds a bad character, then the patterns
     above read the text, in which a bare ``0`` is the empty sum."""
-    text = _COMMENT.sub(lambda m: " " * len(m.group()), text).rstrip()
+    text = _COMMENT.sub(lambda m: " " * len(m.group()), text).rstrip(" \t\n\r\f\v")
     bad = _BAD_CHARACTER.search(text)
     if bad:
         raise ValueError("bad character %r at position %d" % (bad.group(), bad.start()))

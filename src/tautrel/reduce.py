@@ -30,6 +30,7 @@ itself does not pair.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -471,14 +472,18 @@ _INCONSISTENT = "inconsistent"
 def _eliminate(rows, rhs, p):
     """Solve the integer row system mod p; free variables are set to zero.
 
-    Right-looking sparse Gaussian elimination that sweeps the columns in
-    increasing index order: of the active rows holding column c, the shortest
-    pivots on c (ties to the lowest row index), and c is eliminated from the
-    others.  Every lower column is gone by then, so the pivot columns are the
-    leading positions of an echelon basis of the row space whatever the row
-    order.  Returns the residues of the pivot columns' values,
-    ``_INCONSISTENT`` when the system has no solution mod p, or None when p
-    divides an entry, which would change the system's shape.
+    Right-looking sparse Gaussian elimination with min-column pivots, which
+    keep fill-in low (Markowitz 1957, reduced to column counts): the next
+    pivot column is the active column held by the fewest active rows, ties
+    to the lowest column index, and of those rows the shortest pivots, ties
+    to the lowest row index.  The counts sit in a heap that is refreshed
+    lazily: a column popped with a stale count goes back with its current
+    one, so a column whose count fell since it was pushed waits at its old
+    count.  A pivot depends only on the reduced system's structure and on
+    indices, so the same system and prime give the same pivots on every run.
+    Returns the residues of the pivot columns' values, ``_INCONSISTENT`` when
+    the system has no solution mod p, or None when p divides an entry, which
+    would change the system's shape.
     """
     rows = [{j: v % p for j, v in row.items()} for row in rows]
     if any(0 in row.values() for row in rows):
@@ -490,11 +495,18 @@ def _eliminate(rows, rhs, p):
             return _INCONSISTENT
         for j in row:
             rows_of.setdefault(j, set()).add(r)
+    heap = [(len(active), c) for c, active in rows_of.items()]
+    heapq.heapify(heap)
     pivots = []                    # (column, normalized rest of the row, rhs)
-    for c in sorted(rows_of):
-        active = rows_of.pop(c)
+    while heap:
+        count, c = heapq.heappop(heap)
+        active = rows_of[c]
         if not active:
             continue
+        if len(active) != count:
+            heapq.heappush(heap, (len(active), c))
+            continue
+        del rows_of[c]
         r = min(active, key=lambda i: (len(rows[i]), i))
         active.remove(r)
         row, rows[r] = rows[r], None
@@ -604,10 +616,11 @@ def _solve_exact(columns, target):
     equations are one row per key, in sorted key order; the span test names
     its keys by id, so building the rows hashes and sorts small ints.
     Elimination runs mod each prime of ``PRIMES`` in turn (see
-    ``_eliminate``), so with free variables set to zero the solution depends
-    on the system alone.  The answer comes from the first prime whose
-    residues, combined by CRT with those of earlier primes that have the same
-    pivot columns, reconstruct to an exact solution.  An inconsistency mod p
+    ``_eliminate``); with free variables set to zero and the rows in key
+    order, the same columns and target give the same solution on every run.
+    The answer comes from the first prime whose residues, combined by CRT
+    with those of earlier primes that have the same pivot columns,
+    reconstruct to an exact solution.  An inconsistency mod p
     counts only when the same routine yields a witness y over the keys whose
     rows are the columns, each equal to 0, and the target, equal to 1:
     exactly y . A = 0 and y . b = 1.  Returns a dict column-index ->

@@ -327,6 +327,18 @@ def test_grammar_errors_name_a_position(text, message):
         parse_bracket(text)
 
 
+@pytest.mark.parametrize("text,position", [
+    ("<x1 x2 x3>_\u0660", 11),          # an Arabic-Indic zero as the genus
+    ("\u0663 * <x1 x2 x3>_0", 0),       # an Arabic-Indic three as a coefficient
+    ("<x1\u00a0x2 x3>_0", 3),           # a no-break space between names
+    ("<x1 x2 x3>_0\u00a0", 12),         # a trailing no-break space
+])
+def test_grammar_is_ascii_only(text, position):
+    message = "bad character %r at position %d" % (text[position], position)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_bracket(text)
+
+
 def test_relabel_legs():
     e = parse_bracket("<V1 V2 V3 P^1(U1)>_0")
     out = relabel_legs(e, {"V3": "U2"})

@@ -1212,6 +1212,20 @@ def rebuild(columns, solution):
     return {k: v for k, v in acc.items() if v != 0}
 
 
+def assert_valid(columns, target, got):
+    """A solution rebuilds the target exactly, and None comes with an exact
+    witness y over the keys: y . A = 0 and y . b != 0."""
+    if got is not None:
+        assert rebuild(columns, got) == target
+        return
+    again, witnesses = solve_recording_witnesses(columns, target)
+    assert again is None and len(witnesses) == 1
+    y = witnesses[0]
+    for col in columns:
+        assert sum(y.get(k, 0) * v for k, v in col.items()) == 0
+    assert sum(v * target.get(k, 0) for k, v in y.items()) != 0
+
+
 def shuffled_dict(d, rng):
     items = list(d.items())
     rng.shuffle(items)
@@ -1268,25 +1282,30 @@ def sparse_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(system=sparse_systems(), seed=st.integers(0, 2**32 - 1))
 def test_solve_exact_matches_left_looking_oracle(system, seed):
+    """Min-column pivots may return another solution than the oracles'
+    lowest-column one, but whether one exists is the system's own property."""
     columns, target, kind = system
     expected = left_looking_solve(columns, target)
     assert reference_solve_exact(columns, target) == expected
     got = _solve_exact(columns, target)
-    assert got == expected
+    assert (got is None) == (expected is None)
     if kind == "image":
         assert got is not None
     if kind in ("broken", "untouched"):
         assert got is None
-    if got is not None:
-        assert rebuild(columns, got) == target
-    # neither the insertion order of keys nor their sorted order matters
+    assert_valid(columns, target, got)
+    # the insertion order of keys changes nothing
     rng = random.Random(seed)
     shuffled = [shuffled_dict(col, rng) for col in columns]
-    assert _solve_exact(shuffled, shuffled_dict(target, rng)) == expected
+    assert _solve_exact(shuffled, shuffled_dict(target, rng)) == got
+    # renaming the keys permutes the rows: still a valid, equally consistent result
     keys = sorted(set(target).union(*columns))
     renamed = dict(zip(keys, rng.sample(keys, len(keys))))
-    assert _solve_exact([{renamed[k]: v for k, v in col.items()} for col in columns],
-                        {renamed[k]: v for k, v in target.items()}) == expected
+    columns = [{renamed[k]: v for k, v in col.items()} for col in columns]
+    target = {renamed[k]: v for k, v in target.items()}
+    again = _solve_exact(columns, target)
+    assert (again is None) == (got is None)
+    assert_valid(columns, target, again)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1310,11 +1329,13 @@ def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     basis = closure(expr.support(), rounds)
     columns = [dict(rel._terms) for rel in as_expressions(basis)]
     target = dict(expr._terms)
+    expected = left_looking_solve(columns, target)
+    assert expected is not None and reference_solve_exact(columns, target) == expected
     solution = _solve_exact(columns, target)
     assert solution is not None
-    assert solution == left_looking_solve(columns, target)
-    assert solution == reference_solve_exact(columns, target)
     assert rebuild(columns, solution) == target
+    shuffled = [shuffled_dict(col, random.Random(rounds)) for col in columns]
+    assert _solve_exact(shuffled, target) == solution
 
 
 def reachable_relations(basis, target_keys):
@@ -1508,9 +1529,11 @@ def test_exhausted_prime_list_raises():
 
 @pytest.mark.parametrize("name", ["f", "h1", "b13_211"])
 def test_eliminate_ignores_row_order_on_span_systems(name):
-    """Rows as given, reversed and shuffled give the same residues.  The span
-    systems are the round-2 systems of fixtures f and h1, which solve, and
-    the round-1 system of the psi-free (1, 3, 2,1,1) class, which is
+    """Rows as given, reversed and shuffled give valid, equally consistent
+    results; the pivots, and so the residues, may differ, since ties go to
+    the lowest row index.  Shuffled row dicts give the same residues.  The
+    span systems are the round-2 systems of fixtures f and h1, which solve,
+    and the round-1 system of the psi-free (1, 3, 2,1,1) class, which is
     inconsistent, with its witness system."""
     if name == "b13_211":
         expr, rounds = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1))), 1
@@ -1527,10 +1550,50 @@ def test_eliminate_ignores_row_order_on_span_systems(name):
         assert got is not None and isinstance(results[0], dict)
     rng = random.Random(1)
     for rows, rhs, p, result in calls[:2]:
+        shuffled = reduce._eliminate([shuffled_dict(row, rng) for row in rows], rhs, p)
+        assert shuffled == result
+        if isinstance(result, dict):
+            assert list(shuffled) == list(result)      # the same pivot order
         order = list(range(len(rows)))
         for perm in (order[::-1], rng.sample(order, len(order))):
-            assert reduce._eliminate([rows[i] for i in perm], [rhs[i] for i in perm],
-                                     p) == result
+            got = reduce._eliminate([rows[i] for i in perm], [rhs[i] for i in perm], p)
+            if result is reduce._INCONSISTENT:
+                assert got is reduce._INCONSISTENT
+                continue
+            assert isinstance(got, dict)
+            assert all(sum(v * got.get(j, 0) for j, v in row.items()) % p == b % p
+                       for row, b in zip(rows, rhs))
+
+
+def test_min_column_pivots_on_a_hand_built_system():
+    """Column 2 is held by one row, the fewest, though columns 0 and 1 are
+    lower.  It pivots first, on row 1; that leaves row 0 alone in column 0,
+    whose stale count 2 goes back as 1 and pivots next.  Columns 1 and 3 are
+    then free, where the lowest-column rule leaves columns 2 and 3 free."""
+    rows = [{0: 1, 1: 1, 3: 1}, {0: 1, 1: 2, 2: 1, 3: 1}]
+    rhs = [1, 2]
+    got = reduce._eliminate(rows, rhs, P)
+    assert got == {0: 1, 2: 1}
+    assert list(got) == [0, 2]                 # reverse pivot order: 2, then 0
+    columns = [{"a": Fraction(1), "b": Fraction(1)}, {"a": Fraction(1), "b": Fraction(2)},
+               {"b": Fraction(1)}, {"a": Fraction(1), "b": Fraction(1)}]
+    target = {"a": Fraction(1), "b": Fraction(2)}
+    assert _solve_exact(columns, target) == {0: 1, 2: 1}
+    assert left_looking_solve(columns, target) == {1: 1}
+
+
+def test_eliminate_is_deterministic_on_a_span_system():
+    """Two calls on the witness system of the inconsistent round-1 system of
+    the psi-free (1, 3, 2,1,1) class give identical residues, pivot order
+    included."""
+    expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1)))
+    basis = closure(expr.support(), 1)
+    target = {basis.ids[key]: v for key, v in expr._terms.items()}
+    _got, calls = solve_recording_eliminations(basis.relations, target)
+    rows, rhs, p, result = calls[1]
+    assert isinstance(result, dict)
+    again = reduce._eliminate(rows, rhs, p)
+    assert list(again.items()) == list(result.items())
 
 
 def solve_recording_witnesses(columns, target):
@@ -1560,7 +1623,7 @@ def test_inconsistency_is_reported_only_with_an_exact_witness(system):
     columns, target, kind = system
     got, witnesses = solve_recording_witnesses(columns, target)
     if kind == "image":
-        assert got == reference_solve_exact(columns, target)
+        assert got is not None and rebuild(columns, got) == target
     if kind in ("broken", "untouched"):
         assert got is None
     if got is None:

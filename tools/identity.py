@@ -52,9 +52,15 @@ read the bracket fixtures from PARENT's ``tests/fixtures``.  The two trees
 run each call side by side.
 
 Every call is compared, and each one that differs is printed with the
-fields that differ and, for each, where the two outputs part.  The last
-line counts the identical calls.  Exits 0 when every call matches and 1
-when any differs.
+fields that differ and, for each, where the two outputs part.  When both
+outputs are reports with a span certificate, it also says whether they
+differ only in ``outcome.certificate.combination`` (exit code, standard
+error, verdict, method, rounds and target all equal) and whether both
+certificates replay exactly: the stated combination of relations must
+rebuild the stated target, read with PARENT's ``expression_from_json``.
+The last line counts the identical calls and the differing calls whose
+difference is only a combination that replays in both trees.  Exits 0
+when every call matches and 1 when any differs.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 
 def orders(weights):
@@ -235,6 +242,43 @@ def finish(proc):
     return proc.returncode, stderr, normalized(stdout)
 
 
+def certificate(stdout):
+    """The span certificate of a JSON report, or None."""
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return None
+    outcome = report.get("outcome") if isinstance(report, dict) else None
+    cert = outcome.get("certificate") if isinstance(outcome, dict) else None
+    return cert if isinstance(cert, dict) and "combination" in cert else None
+
+
+def replays(cert):
+    """True when the certificate's combination rebuilds its target exactly."""
+    from tautrel.expressions import expression_from_json
+
+    acc = {}
+    for entry in cert["combination"]:
+        coeff = Fraction(entry["coefficient"]["num"], entry["coefficient"]["den"])
+        for key, value in expression_from_json(entry["relation"]).items():
+            acc[key] = acc.get(key, 0) + coeff * value
+    target = expression_from_json(cert["target"])
+    return {k: v for k, v in acc.items() if v} == dict(target.items())
+
+
+def combination_only(pout, cout):
+    """(whether two normalized reports differ only in the certificate's
+    combination, whether both certificates replay), or None when either
+    output is not a report with a span certificate."""
+    certs = [certificate(pout), certificate(cout)]
+    if None in certs:
+        return None
+    rest = [json.loads(out) for out in (pout, cout)]
+    for report in rest:
+        del report["outcome"]["certificate"]["combination"]
+    return rest[0] == rest[1], all(replays(cert) for cert in certs)
+
+
 def parting(a, b, context=60):
     """Where two outputs part: the text of each from a little before the
     first character that differs."""
@@ -250,7 +294,8 @@ def main(argv=None):
         print("usage: python3 tools/identity.py PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = args
-    identical = 0
+    sys.path.insert(0, os.path.join(parent, "src"))
+    identical = combination_only_calls = 0
     with tempfile.TemporaryDirectory() as workdir:
         todo = calls(workdir, os.path.join(parent, "tests", "fixtures"))
         for i, call in enumerate(todo, 1):
@@ -273,7 +318,16 @@ def main(argv=None):
                 a, b = parting(a, b)
                 print("  %s, parent: ...%s...\n  %s, change: ...%s..."
                       % (name, a, name, b), flush=True)
-    print("%d of %d calls identical" % (identical, len(todo)))
+            compared = combination_only(pout, cout)
+            if compared is not None:
+                only, replay = compared
+                only = only and pcode == ccode and perr == cerr
+                print("  only the certificate's combination differs: %s; both "
+                      "certificates replay exactly: %s"
+                      % ("yes" if only else "no", "yes" if replay else "no"), flush=True)
+                combination_only_calls += only and replay
+    print("%d of %d calls identical, %d differ only in a certificate combination "
+          "that replays in both trees" % (identical, len(todo), combination_only_calls))
     return 0 if identical == len(todo) else 1
 
 
