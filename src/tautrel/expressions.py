@@ -366,9 +366,6 @@ def _printed_terms(text):
         pos = sign.end()
 
 
-_EXTRA_NAME = re.compile(r"^W\d*$")
-
-
 def _term_records(factors):
     """The records of a printed term, built from its factors: a name and its
     starred twin make an edge, any other name a leg, and W-names extra legs."""
@@ -376,7 +373,7 @@ def _term_records(factors):
     occurrences = {}
     for v, (_genus_v, items) in enumerate(factors):
         for name, exp in items:
-            if not _EXTRA_NAME.match(name):
+            if leg_kind(name) != "extra":
                 occurrences.setdefault(_pair_base(name), []).append((v, name, exp))
             elif exp != 0:
                 raise ValueError("extra leg %r cannot carry an exponent" % name)

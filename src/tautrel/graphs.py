@@ -30,13 +30,15 @@ _KIND_ORDER = {"regular": 0, "frozen": 1, "named": 2, "extra": 3}
 
 
 def leg_kind(label):
-    """Classify a leg label: ``U<i>`` regular, ``V<i>`` frozen, ``W`` extra, else named."""
-    if label == EXTRA:
+    """Classify a leg label as the bracket grammar reads it: ``W`` and ``W``
+    plus ASCII digits extra, ``U<i>`` regular and ``V<i>`` frozen for i an
+    ASCII decimal without a leading zero, and any other label named."""
+    head, digits = label[:1], label[1:]
+    decimal = digits.isascii() and digits.isdigit()
+    if head == EXTRA and (decimal or not digits):
         return "extra"
-    if len(label) > 1 and label[0] == "U" and label[1:].isdigit():
-        return "regular"
-    if len(label) > 1 and label[0] == "V" and label[1:].isdigit():
-        return "frozen"
+    if head in ("U", "V") and decimal and str(int(digits)) == digits:
+        return "regular" if head == "U" else "frozen"
     return "named"
 
 

@@ -276,10 +276,16 @@ class RelationBasis:
     joined the support in the last round, the whole support before the first;
     ``rounds`` counts the rounds run.  An empty frontier after a round means
     the closure is closed.  ``parts`` holds one copy of each base class and
-    edge record of the keys that the closure stores (see ``_interned``).
+    edge record of the keys that the closure stores (see ``_interned``).  A
+    support with a psi power raises ``ValueError``; contractions and
+    splittings add none, so every key that the closure reaches is psi-free.
     """
 
     def __init__(self, support):
+        for base, edges in support:
+            if any(e for _g, _x, legs, _i in base for _label, e in legs) or \
+                    any(e1 or e2 for _v1, e1, _v2, e2 in edges):
+                raise ValueError("WDVV relations need a psi-free support")
         self.keys, self.ids, self.parts = [], {}, {}
         self.support = {self.id_of(key) for key in sorted(support)}
         self.frontier = set(self.support)
@@ -357,19 +363,16 @@ def wdvv_relations_at(key, vertex, basis):
     in generation order.  Pushing the splittings of the vertex into the graph
     is linear, so they span every exchange relation there.  Every relation
     is an integer combination of graph keys that vanishes as a class.
-    Splitting a stable, psi-free genus-0 vertex so that each side keeps two
-    of the quadruple yields valid stable graphs of the same genus and legs,
-    so the relations are assembled from the canonical keys of the split
-    records directly.
+    Splitting a stable, psi-free genus-0 vertex (every key of a closure is
+    psi-free) so that each side keeps two of the quadruple yields valid
+    stable graphs of the same genus and legs, so the relations are assembled
+    from the canonical keys of the split records directly.
     """
     base, edges = key
     genus_v, extras, legs, intexp = base[vertex]
     k = len(legs) + len(intexp) + extras
     if genus_v != 0 or k < 4:
         return []
-    if any(e for _g, _x, legsig, _i in base for _label, e in legsig) or \
-            any(e1 or e2 for _v1, e1, _v2, e2 in edges):
-        raise ValueError("WDVV instantiation expects psi-free graphs")
     halves = half_edges(base, edges, vertex)
     id_of_side = {}
 
@@ -557,28 +560,20 @@ def _rational(a, m):
 class _System:
     """The integer row system rows . x = rhs, solved prime by prime.
 
-    Each row maps unknowns to numbers and is scaled once to integers by the
-    lcm of the denominators of its entries and its right-hand side, which
-    keeps its solutions.  A row of ``int`` entries with scale 1 is held as
-    given, not copied; neither the system nor ``_eliminate`` mutates a row.
-    ``_eliminate`` sets free variables to zero, so the primes that give the
-    same pivot columns give residues of one solution; these are combined by
-    CRT, and a solution is reconstructed from them and accepted only when it
-    satisfies every scaled row exactly.
+    Each row maps unknowns to ``int`` entries and each right-hand side is an
+    ``int``; the rows are held as given, and neither the system nor
+    ``_eliminate`` mutates one.  ``_eliminate`` sets free variables to zero,
+    so the primes that give the same pivot columns give residues of one
+    solution; these are combined by CRT, and a solution is reconstructed
+    from them and accepted only when it satisfies every row exactly.
     """
 
     def __init__(self, rows, rhs):
-        self.rows, self.rhs = [], []
-        for row, b in zip(rows, rhs):
-            scale = lcm(b.denominator, *(v.denominator for v in row.values()))
-            if scale != 1 or any(type(v) is not int for v in row.values()):
-                row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-            self.rows.append(row)
-            self.rhs.append(b.numerator * (scale // b.denominator))
+        self.rows, self.rhs = rows, rhs
         self.lifts = {}            # pivot columns -> (modulus, residues)
 
     def satisfied_by(self, x):
-        """The exact check row . x == rhs on every scaled row."""
+        """The exact check row . x == rhs on every row."""
         return all(sum(v * x[j] for j, v in row.items() if j in x) == b
                    for row, b in zip(self.rows, self.rhs))
 
@@ -609,10 +604,13 @@ class _System:
 def _solve_exact(columns, target):
     """Solve sum_i x_i * columns_i = target exactly over the rationals.
 
-    Columns and target map keys to numbers, and zero target entries are
-    dropped.  The target is divided by its content (the gcd of its numerators
-    over the lcm of its denominators), and the solution multiplied back, so
-    a large common factor of the target does not outrun the primes.  The
+    Columns map keys to ``int`` entries, as relations do, and the target
+    maps keys to numbers; zero target entries are dropped.  The target is
+    divided by its content (the gcd of its numerators over the lcm of its
+    denominators), which leaves it integral, and the solution multiplied
+    back, so a large common factor of the target does not outrun the primes.
+    A target key that no column holds ends the solve at once: its unit
+    vector y is an exact witness, y . A = 0 and y . b != 0.  The
     equations are one row per key, in sorted key order; the span test names
     its keys by id, so building the rows hashes and sorts small ints.
     Elimination runs mod each prime of ``PRIMES`` in turn (see
@@ -629,7 +627,7 @@ def _solve_exact(columns, target):
     target = {key: v for key, v in target.items() if v}
     content = Fraction(gcd(*(v.numerator for v in target.values())),
                        lcm(*(v.denominator for v in target.values()))) or 1
-    target = {key: v / content for key, v in target.items()}
+    target = {key: (v / content).numerator for key, v in target.items()}
     row_of = {key: {} for key in target}
     for j, col in enumerate(columns):
         for key, val in col.items():
@@ -637,6 +635,8 @@ def _solve_exact(columns, target):
             if row is None:
                 row = row_of[key] = {}
             row[j] = val
+    if not all(row_of[key] for key in target):
+        return None                # an untouched target key: a unit witness
     keys = sorted(row_of)
     system = _System([row_of[key] for key in keys], [target.get(key, 0) for key in keys])
     dual = None
@@ -657,18 +657,17 @@ def _solve_exact(columns, target):
 def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
-    The expression comes after psi elimination.  One relation closure of its
-    support grows by a round at a time, up to ``budget`` rounds, and the
-    span is solved after each round that adds a relation; a returned Zero
-    certificate lists the relations it uses over keys, not ids, and is
-    re-verified by substitution before being reported.
+    The expression comes after psi elimination (``RelationBasis`` rejects a
+    psi power).  One relation closure of its support grows by a round at a
+    time, up to ``budget`` rounds, and the span is solved after each round
+    that adds a relation; a returned Zero certificate lists the relations it
+    uses over keys, not ids, and is re-verified by substitution before being
+    reported.
     Unknown is a budget-bounded outcome, not a nonzeroness proof.  The test
     does not pair the expression with psi monomials: a nonzero pairing puts
     it outside the span at every budget, and the CLI checks that before psi
     elimination.
     """
-    if not expr.psi_free():
-        raise ValueError("span test requires a psi-free expression")
     if expr.is_zero():
         return ZeroCertificate(True, (), 0, "normalizes to zero")
     basis = RelationBasis(expr.support())
@@ -681,8 +680,6 @@ def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
         closure_s += time.perf_counter() - started
         if len(basis.relations) == count:
             continue               # no new relation: the last outcome stands
-        if not set().union(*basis.relations).issuperset(target):
-            continue
         # Relations sharing no key with the target's component are separate
         # blocks with a zero right-hand side; they keep their own pivot
         # columns and solve to zero, so they need not be filtered out.

@@ -375,6 +375,48 @@ def test_json_roundtrip_bit_exact():
     assert json.dumps(expression_to_json(back), sort_keys=True) == blob
 
 
+def three_leg_point(labels):
+    b = GraphBuilder()
+    v = b.add_vertex(0)
+    for lab in labels:
+        b.add_leg(v, lab)
+    return b.build()
+
+
+def test_leg_kinds_follow_the_grammar():
+    kinds = {lab: leg_kind(lab) for lab in
+             ["U0", "U1", "U12", "V3", "U01", "V00", "U²", "U٣", "U", "Ua",
+              "W", "W1", "W01", "W*", "W1*", "Wa", "x"]}
+    assert kinds == {"U0": "regular", "U1": "regular", "U12": "regular", "V3": "frozen",
+                     "U01": "named", "V00": "named", "U²": "named", "U٣": "named",
+                     "U": "named", "Ua": "named", "W": "extra", "W1": "extra",
+                     "W01": "extra", "W*": "named", "W1*": "named", "Wa": "named",
+                     "x": "named"}
+
+
+def test_leading_zero_label_is_named_and_round_trips_through_json():
+    e = parse_bracket("<U01 U2 U3>_0")
+    assert e.ambient.labels == ("U2", "U3", "U01")
+    blob = expression_to_json(e)
+    legs = blob["terms"][0]["graph"]["legs"]
+    assert [leg.get("name") for leg in legs if leg["kind"] == "named"] == ["U01"]
+    assert expression_from_json(json.loads(json.dumps(blob))) == e
+    assert parse_bracket(render_bracket(e)) == e
+
+
+def test_non_ascii_digit_label_is_named():
+    e = from_terms([(Fraction(1), three_leg_point(["U1", "U2", "U²"]))])
+    assert e.ambient.labels == ("U1", "U2", "U²")
+    assert expression_from_json(json.loads(json.dumps(expression_to_json(e)))) == e
+
+
+def test_pinned_extra_name_is_rejected_as_an_ambient_label():
+    with pytest.raises(ValueError, match="extra legs cannot be ambient labels"):
+        from_terms([(Fraction(1), three_leg_point(["U1", "U2", "W1"]))])
+    with pytest.raises(ValueError, match="extra legs cannot be ambient labels"):
+        make_ambient(0, ["U1", "U2", "W1"])
+
+
 def graph_to_json(dg):
     """The JSON object of a graph, written from the graph itself: the
     reference for the graph objects ``expression_to_json`` writes from keys."""

@@ -830,8 +830,17 @@ def test_closure_only_reference_proves_what_the_span_test_proves():
 
 
 def test_span_rejects_psi_terms():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="psi-free support"):
         span_zero_test(parse_bracket("<P^1(x1) x2 x3 x4>_0"))
+
+
+@pytest.mark.parametrize("text", ["<P^1(x1) x2 x3 x4>_0",
+                                  "<x1 x2 a>_0 <P^1(a*) x3 x4 x5>_0",
+                                  "<x1 x2 a>_0 <a* x3 x4 x5>_0 + <P^1(x1) x2 x3 x4 x5>_0"])
+def test_relation_closure_rejects_a_psi_decorated_support(text):
+    """A psi power at a leg or an edge end, in any key of the support."""
+    with pytest.raises(ValueError, match="psi-free support"):
+        RelationBasis(parse_bracket(text).support())
 
 
 def test_reduction_path_independence_modulo_relations():
@@ -1089,7 +1098,7 @@ def reference_solve_exact(columns, target):
     rows = [{} for _ in keys]
     for j, col in enumerate(columns):
         for key, val in col.items():
-            rows[rank_of[key]][j] = val
+            rows[rank_of[key]][j] = Fraction(val)
     rhs = [target.get(key, Fraction(0)) for key in keys]
     rows_of = {}                   # column -> active rows containing it
     for r, row in enumerate(rows):
@@ -1172,7 +1181,7 @@ def left_looking_solve(columns, target):
     rows = {}
     for j, col in enumerate(columns):
         for key, val in col.items():
-            rows.setdefault(key, {})[j] = val
+            rows.setdefault(key, {})[j] = Fraction(val)
     pivots = []
     for key in sorted(set(rows) | set(target)):
         row = dict(rows.get(key, {}))
@@ -1212,18 +1221,32 @@ def rebuild(columns, solution):
     return {k: v for k, v in acc.items() if v != 0}
 
 
+def assert_exact_witness(columns, target, witnesses):
+    """The witness of a None result, checked exactly over the keys: y . A = 0
+    and y . b != 0.  It is the one recorded witness-system solution, or,
+    when a target key is untouched and no system was built, that key's unit
+    vector."""
+    untouched = sorted({key for key, v in target.items() if v} - set().union(*columns))
+    if untouched:
+        assert not witnesses
+        y = {untouched[0]: 1}
+    else:
+        assert len(witnesses) == 1
+        y = witnesses[0]
+    for col in columns:
+        assert sum(y.get(k, 0) * v for k, v in col.items()) == 0
+    assert sum(v * target.get(k, 0) for k, v in y.items()) != 0
+
+
 def assert_valid(columns, target, got):
     """A solution rebuilds the target exactly, and None comes with an exact
-    witness y over the keys: y . A = 0 and y . b != 0."""
+    witness (see ``assert_exact_witness``)."""
     if got is not None:
         assert rebuild(columns, got) == target
         return
     again, witnesses = solve_recording_witnesses(columns, target)
-    assert again is None and len(witnesses) == 1
-    y = witnesses[0]
-    for col in columns:
-        assert sum(y.get(k, 0) * v for k, v in col.items()) == 0
-    assert sum(v * target.get(k, 0) for k, v in y.items()) != 0
+    assert again is None
+    assert_exact_witness(columns, target, witnesses)
 
 
 def shuffled_dict(d, rng):
@@ -1273,7 +1296,7 @@ def sparse_systems(draw):
             rhs.append(Fraction(draw(st.sampled_from([-2, -1, 1, 2]))))
     # distinct keys whose sorted order is not the generation order
     keys = draw(st.permutations(range(len(matrix))))
-    columns = [{keys[i]: Fraction(row[j]) for i, row in enumerate(matrix) if row[j]}
+    columns = [{keys[i]: row[j] for i, row in enumerate(matrix) if row[j]}
                for j in range(n_cols)]
     target = {keys[i]: v for i, v in enumerate(rhs) if v != 0}
     return columns, target, kind
@@ -1327,7 +1350,7 @@ def test_zero_target_entries_are_ignored(system, data):
 def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     expr = parse_bracket(fixture_text(name))
     basis = closure(expr.support(), rounds)
-    columns = [dict(rel._terms) for rel in as_expressions(basis)]
+    columns = keyed_relations(basis)
     target = dict(expr._terms)
     expected = left_looking_solve(columns, target)
     assert expected is not None and reference_solve_exact(columns, target) == expected
@@ -1367,9 +1390,8 @@ def reachable_relations(basis, target_keys):
 def solve_over_component(basis, expr):
     """The solution restricted to the target's component, by relation index."""
     usable = reachable_relations(basis, expr.support())
-    relations = as_expressions(basis)
-    solution = _solve_exact([dict(relations[i]._terms) for i in usable],
-                            dict(expr._terms))
+    relations = keyed_relations(basis)
+    solution = _solve_exact([relations[i] for i in usable], dict(expr._terms))
     if solution is None:
         return None
     return {usable[j]: v for j, v in solution.items()}
@@ -1385,8 +1407,7 @@ def test_whole_closure_solves_like_target_component(name, rounds):
     else:
         expr = parse_bracket(fixture_text(name))
     basis = closure(expr.support(), rounds)
-    whole = _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
-                         dict(expr._terms))
+    whole = _solve_exact(keyed_relations(basis), dict(expr._terms))
     assert whole is not None
     assert whole == solve_over_component(basis, expr)
 
@@ -1395,8 +1416,7 @@ def test_whole_closure_and_component_agree_on_inconsistent_system():
     expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1)))
     basis = closure(expr.support(), 2)
     assert len(reachable_relations(basis, expr.support())) < len(basis.relations)
-    assert _solve_exact([dict(rel._terms) for rel in as_expressions(basis)],
-                        dict(expr._terms)) is None
+    assert _solve_exact(keyed_relations(basis), dict(expr._terms)) is None
     assert solve_over_component(basis, expr) is None
 
 
@@ -1456,7 +1476,7 @@ P = PRIMES[0]
 
 def test_entry_equal_to_the_first_prime_moves_to_the_next_prime():
     # mod P the first column vanishes and the second would solve the row
-    columns = [{"a": Fraction(P)}, {"a": Fraction(1)}]
+    columns = [{"a": P}, {"a": 1}]
     target = {"a": Fraction(1)}
     got, seen = solve_recording_primes(columns, target)
     assert got == reference_solve_exact(columns, target) == {0: Fraction(1, P)}
@@ -1465,7 +1485,7 @@ def test_entry_equal_to_the_first_prime_moves_to_the_next_prime():
 
 
 def test_target_denominator_equal_to_the_first_prime_moves_to_the_next_prime():
-    columns = [{"a": Fraction(1), "b": Fraction(1)}, {"b": Fraction(1)}]
+    columns = [{"a": 1, "b": 1}, {"b": 1}]
     target = {"a": Fraction(1, P), "b": Fraction(2)}
     got, seen = solve_recording_primes(columns, target)
     assert got == reference_solve_exact(columns, target)
@@ -1476,7 +1496,7 @@ def test_target_denominator_equal_to_the_first_prime_moves_to_the_next_prime():
 def test_large_denominator_is_combined_over_two_primes():
     d = 2**40 + 15
     assert d > isqrt(P // 2)
-    columns = [{"a": Fraction(d), "b": Fraction(1)}, {"b": Fraction(1)}]
+    columns = [{"a": d, "b": 1}, {"b": 1}]
     target = {"a": Fraction(1)}
     got, seen = solve_recording_primes(columns, target)
     assert got == reference_solve_exact(columns, target)
@@ -1486,8 +1506,7 @@ def test_large_denominator_is_combined_over_two_primes():
 
 def test_prime_dividing_a_pivot_minor_is_kept_apart():
     # the columns are dependent mod P only, so P finds other pivot columns
-    columns = [{"a": Fraction(1), "b": Fraction(1)},
-               {"a": Fraction(1), "b": Fraction(1 + P)}]
+    columns = [{"a": 1, "b": 1}, {"a": 1, "b": 1 + P}]
     target = {"a": Fraction(1), "b": Fraction(1 + P)}
     got, seen = solve_recording_primes(columns, target)
     assert got == reference_solve_exact(columns, target) == {1: Fraction(1)}
@@ -1497,8 +1516,7 @@ def test_prime_dividing_a_pivot_minor_is_kept_apart():
 def test_inconsistency_mod_the_first_prime_is_only_a_hint():
     # inconsistent mod P, where the transposed system gives y = (-1, 1),
     # which fails the exact check on the second column
-    columns = [{"a": Fraction(1), "b": Fraction(1)},
-               {"a": Fraction(1), "b": Fraction(1 + P)}]
+    columns = [{"a": 1, "b": 1}, {"a": 1, "b": 1 + P}]
     target = {"a": Fraction(1), "b": Fraction(2)}
     got = _solve_exact(columns, target)
     assert got == reference_solve_exact(columns, target)
@@ -1510,7 +1528,7 @@ def test_inconsistency_mod_the_first_prime_is_only_a_hint():
 def test_target_content_is_divided_out(content):
     """A common factor of the target that no list of primes could
     reconstruct leaves the solution a multiple of the scaled one."""
-    columns = [{"a": Fraction(1), "b": Fraction(1)}, {"b": Fraction(1)}]
+    columns = [{"a": 1, "b": 1}, {"b": 1}]
     target = {"a": content, "b": 3 * content}
     got, seen = solve_recording_primes(columns, target)
     assert got == reference_solve_exact(columns, target) == {0: content, 1: 2 * content}
@@ -1523,7 +1541,7 @@ def test_exhausted_prime_list_raises():
     for p in PRIMES:
         every *= p
     with pytest.raises(ArithmeticError):
-        _solve_exact([{"a": Fraction(1)}, {"b": Fraction(1)}],
+        _solve_exact([{"a": 1}, {"b": 1}],
                      {"a": Fraction(1, every), "b": Fraction(1)})
 
 
@@ -1575,8 +1593,7 @@ def test_min_column_pivots_on_a_hand_built_system():
     got = reduce._eliminate(rows, rhs, P)
     assert got == {0: 1, 2: 1}
     assert list(got) == [0, 2]                 # reverse pivot order: 2, then 0
-    columns = [{"a": Fraction(1), "b": Fraction(1)}, {"a": Fraction(1), "b": Fraction(2)},
-               {"b": Fraction(1)}, {"a": Fraction(1), "b": Fraction(1)}]
+    columns = [{"a": 1, "b": 1}, {"a": 1, "b": 2}, {"b": 1}, {"a": 1, "b": 1}]
     target = {"a": Fraction(1), "b": Fraction(2)}
     assert _solve_exact(columns, target) == {0: 1, 2: 1}
     assert left_looking_solve(columns, target) == {1: 1}
@@ -1627,12 +1644,7 @@ def test_inconsistency_is_reported_only_with_an_exact_witness(system):
     if kind in ("broken", "untouched"):
         assert got is None
     if got is None:
-        assert len(witnesses) == 1
-        # y . A = 0 and y . b != 0, with y indexed by the keys
-        y = witnesses[0]
-        for col in columns:
-            assert sum(y.get(k, 0) * v for k, v in col.items()) == 0
-        assert sum(v * target.get(k, 0) for k, v in y.items()) != 0
+        assert_exact_witness(columns, target, witnesses)
     else:
         assert not witnesses
 
@@ -1670,16 +1682,45 @@ def test_span_solves_never_mutate_the_rows_they_share(name, budget, proved, monk
         assert solves == [None]
 
 
-def test_system_holds_int_rows_as_given_and_scales_the_rest():
+def test_system_holds_its_rows_as_given():
     shared = {0: 2, 2: -1}
-    system = reduce._System([shared, {0: Fraction(3), 1: Fraction(-4)},
-                             {1: Fraction(1, 2)}],
-                            [0, Fraction(5), Fraction(1, 3)])
+    system = reduce._System([shared, {0: 3, 1: -4}], [0, 5])
     assert system.rows[0] is shared
-    assert system.rows[1:] == [{0: 3, 1: -4}, {1: 3}] and system.rhs == [0, 5, 2]
-    assert all(type(v) is int for row in system.rows for v in row.values())
-    assert all(type(b) is int for b in system.rhs)
+    assert system.rows[1:] == [{0: 3, 1: -4}] and system.rhs == [0, 5]
+    assert system.solve_mod(P) is not None
     assert shared == {0: 2, 2: -1}
+
+
+def test_untouched_target_key_ends_the_solve_before_any_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a span system was built or eliminated")
+
+    monkeypatch.setattr(reduce, "_System", refuse)
+    monkeypatch.setattr(reduce, "_eliminate", refuse)
+    columns = [{"a": 1, "b": 1}, {"b": -1}]
+    assert _solve_exact(columns, {"a": Fraction(1), "c": Fraction(1, 2)}) is None
+    assert _solve_exact([], {"a": Fraction(3)}) is None
+
+
+@pytest.mark.parametrize("g, m, d", [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)),
+                                     (1, 2, (2, 1, 1)), (1, 2, (1, 1, 1))])
+def test_span_systems_hold_only_int_entries(g, m, d, monkeypatch):
+    """The span test hands ``_System`` only ``int`` entries and right-hand
+    sides on the classes that the ``prove`` benchmark proves, the witness
+    system of the inconsistent round 1 of (0, 5, 1,1,2) among them."""
+    systems = []
+
+    class Recording(reduce._System):
+        def __init__(self, rows, rhs):
+            systems.append((rows, rhs))
+            super().__init__(rows, rhs)
+
+    monkeypatch.setattr(reduce, "_System", Recording)
+    assert span_zero_test(eliminate_all_psi(weighted_tree_class(g, m, d))).zero
+    assert len(systems) == (3 if (g, m, d) == (0, 5, (1, 1, 2)) else 1)
+    for rows, rhs in systems:
+        assert all(type(v) is int for row in rows for v in row.values())
+        assert all(type(b) is int for b in rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,18 @@ PARENT and CHANGE are checkouts of tautrel.  The reader of a tree is
 .parse_expression()`` in trees from before that function; both give the
 (coefficient, factors) of each printed term.  COUNT texts are drawn from a
 ``random.Random(SEED)``, a quarter each of four kinds: random grammar
-characters; grammar tokens joined by random spacing; valid terms with
-comments, ``P`` and ``P*`` as names, ``x_0`` names, non-ASCII digits and
-no-break spaces between tokens; and such terms with one to three random
-edits.  A text must be accepted by both readers with equal results, or
-rejected by both with ``ValueError``, and where PARENT says ``bad
-character ...`` or ``zero denominator in coefficient``, CHANGE must say the
-same.  The last line counts the texts, the accepted ones and the
-mismatches; the first mismatches are printed.  Exits 0 when there are none.
+characters; grammar tokens joined by random spacing, no-break spaces
+among it; valid terms with comments, ``P`` and ``P*`` as names and ``x_0``
+names, drawn from ASCII digits and spaces only, as the grammar is
+ASCII-only; and such terms with one to three random edits, which may
+insert the non-ASCII digits and spaces of the first two kinds.  A text must
+be accepted by both readers with equal results, or rejected by both with
+``ValueError``, and where PARENT says ``bad character ...`` or ``zero
+denominator in coefficient``, CHANGE must say the same.  The last line
+counts the texts, the accepted ones and the mismatches; the first
+mismatches are printed.  Exits 0 when there are none.  Run with one tree as
+both PARENT and CHANGE, it checks that the reader fails on a text only with
+``ValueError``: any other exception escapes ``outcome``.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ CHARS = "<>_()^+-*/# \n\t0123456789PUVWabgx\xa0٣٠\r$@.,é"
 TOKENS = ["<", ">", "_", "(", ")", "^", "+", "-", "*", "/", "0", "00", "1", "2", "12",
           "٣", "P", "P*", "U1", "U2", "V1", "W", "W1", "a", "a*", "b", "b*", "g1",
           "x_0", ">_0", ">_1", "P^1(", "#c\n", "3/2", "0/1", "1/0"]
-SPACES = ["", "", " ", "  ", "\n", "\t", "\xa0", "#note\n", " # c\n", " "]
+SPACES = ["", "", " ", "  ", "\n", "\t", "#note\n", " # c\n", " "]
 NAMES = ["x1", "x2", "U1", "U2", "U3", "V1", "W", "W2", "a", "a*", "b", "b*", "P", "P*",
          "x_0", "g1", "Pa", "P_1"]
-DIGITS = ["0", "1", "2", "3", "12", "٣", "١٢", "007"]
+DIGITS = ["0", "1", "2", "3", "12", "007"]
 
 
 def reader(tree):
@@ -74,7 +78,7 @@ def valid_text(rng):
                             name, sp(), ")"]
                 else:
                     out.append(name)
-                out.append(rng.choice([" ", " ", "\n", "\xa0", "#x\n"]))
+                out.append(rng.choice([" ", " ", "\n", "#x\n"]))
             out += [">", sp(), "_", sp(), rng.choice(DIGITS)]
         out.append(sp())
     return "".join(out)
@@ -102,7 +106,7 @@ def sample(rng):
     if kind == 0:
         return "chars", "".join(rng.choice(CHARS) for _ in range(rng.randint(0, 40)))
     if kind == 1:
-        return "tokens", "".join(rng.choice(TOKENS) + rng.choice(SPACES)
+        return "tokens", "".join(rng.choice(TOKENS) + rng.choice(SPACES + ["\xa0"])
                                  for _ in range(rng.randint(0, 30)))
     if kind == 2:
         return "valid", valid_text(rng)
