@@ -12,6 +12,7 @@ the timing field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ SCHEMA = 1
 # Seconds per stage of a vanishing check and of the class assembly before it,
 # reported under "timing"; a stage that does not run stays 0.
 STAGES = ("assemble_s", "psi_s", "pair_s", "closure_s", "solve_s")
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,16 +167,33 @@ def _report(args, inputs, outcome, started, stages=None):
                     "max_relations": getattr(args, "max_relations", None)},
         "timing": timing,
     }
-    _emit(args, json.dumps(report, separators=(",", ":"), sort_keys=True))
+    _emit(args, lambda out: _write_json(out, report))
 
 
-def _emit(args, text):
-    """Write ``text`` to the ``--out`` file when one is given, else to stdout."""
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+def _write_json(out, value):
+    """Write ``json.dumps(value, separators=(",", ":"), sort_keys=True)`` to
+    ``out`` in pieces, dicts in key order and each list item encoded alone."""
+    if isinstance(value, dict):
+        out.write("{")
+        for i, key in enumerate(sorted(value)):
+            out.write("," * bool(i) + _ENCODER.encode(key) + ":")
+            _write_json(out, value[key])
+        out.write("}")
+    elif isinstance(value, list):
+        out.write("[")
+        for i, item in enumerate(value):
+            out.write("," * bool(i) + _ENCODER.encode(item))
+        out.write("]")
     else:
-        print(text)
+        out.write(_ENCODER.encode(value))
+
+
+def _emit(args, write):
+    """Call ``write`` on the ``--out`` file if given, else on stdout; end the line."""
+    with (open(args.out, "w") if getattr(args, "out", None)
+          else contextlib.nullcontext(sys.stdout)) as out:
+        write(out)
+        out.write("\n")
 
 
 def cmd_compute_b(args):
@@ -193,7 +212,7 @@ def cmd_compute_b(args):
                        "stage": args.stage},
                 {"expression": payload, "terms": len(expr)}, started, stages)
     else:
-        _emit(args, payload)
+        _emit(args, lambda out: out.write(payload))
     return 0
 
 

@@ -33,10 +33,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .graphs import (
     _canonical_search,
@@ -482,65 +484,74 @@ def _eliminate(rows, rhs, p):
     to the lowest row index.  The counts sit in a heap that is refreshed
     lazily: a column popped with a stale count goes back with its current
     one, so a column whose count fell since it was pushed waits at its old
-    count.  A pivot depends only on the reduced system's structure and on
-    indices, so the same system and prime give the same pivots on every run.
-    Returns the residues of the pivot columns' values, ``_INCONSISTENT`` when
-    the system has no solution mod p, or None when p divides an entry, which
-    would change the system's shape.
+    count.  A column's exact count is the length of its append-only list of
+    rows less the entries gone stale as rows lost it or pivoted.  A row is
+    copied when it is first updated, so the caller's rows are never mutated,
+    and a final pivot row is packed into flat lists.  A pivot depends only
+    on the reduced system's structure and on indices, so the same system and
+    prime give the same pivots on every run.  Returns the residues of the
+    pivot columns' values, ``_INCONSISTENT`` when the system has no solution
+    mod p, or None when p divides an entry, which would change its shape.
     """
-    rows = [{j: v % p for j, v in row.items()} for row in rows]
-    if any(0 in row.values() for row in rows):
+    if any(not v % p for row in rows for v in row.values()):
         return None
     rhs = [b % p for b in rhs]
-    rows_of = {}                   # column -> active rows containing it
+    work = list(rows)              # the input row, its updated copy, or () once pivoted
+    held = {}                      # column -> the rows that took it on, in order
     for r, row in enumerate(rows):
         if not row and rhs[r]:
             return _INCONSISTENT
         for j in row:
-            rows_of.setdefault(j, set()).add(r)
-    heap = [(len(active), c) for c, active in rows_of.items()]
+            held.setdefault(j, []).append(r)
+    gone = dict.fromkeys(held, 0)  # column -> entries of its list that went stale
+    heap = [(len(rs), c) for c, rs in held.items()]
     heapq.heapify(heap)
-    pivots = []                    # (column, normalized rest of the row, rhs)
+    pivots, packed, values = [], [], array("q")   # (column, start in packed, rhs)
     while heap:
-        count, c = heapq.heappop(heap)
-        active = rows_of[c]
-        if not active:
+        n, c = heapq.heappop(heap)
+        count = len(held[c]) - gone[c]
+        if count != n:
+            if count:
+                heapq.heappush(heap, (count, c))
             continue
-        if len(active) != count:
-            heapq.heappush(heap, (len(active), c))
-            continue
-        del rows_of[c]
-        r = min(active, key=lambda i: (len(rows[i]), i))
+        active = [r for r in dict.fromkeys(held.pop(c)) if c in work[r]]
+        r = min(active, key=lambda i: (len(work[i]), i))
         active.remove(r)
-        row, rows[r] = rows[r], None
-        inverse = pow(row.pop(c), -1, p)
-        for j in row:
-            rows_of[j].discard(r)
-        prow = {j: v * inverse % p for j, v in row.items()}
+        row, work[r] = work[r], ()
+        inverse = pow(row[c], -1, p)
+        cols = [j for j in row if j != c]
+        vals = [row[j] * inverse % p for j in cols]
         prhs = rhs[r] * inverse % p
-        pivots.append((c, prow, prhs))
+        for j in cols:
+            gone[j] += 1
         # eliminate c from the other active rows that contain it
         for r2 in active:
-            row2 = rows[r2]
+            row2 = work[r2]
+            if row2 is rows[r2]:
+                row2 = work[r2] = dict(row2)
             f = p - row2.pop(c)
-            for j, v in prow.items():
+            for j, v in zip(cols, vals):
                 if j in row2:
                     val = (row2[j] + f * v) % p
                     if val:
                         row2[j] = val
                     else:
                         del row2[j]
-                        rows_of[j].discard(r2)
+                        gone[j] += 1
                 else:
                     row2[j] = f * v % p
-                    rows_of[j].add(r2)
+                    held[j].append(r2)
             rhs[r2] = (rhs[r2] + f * prhs) % p
             if not row2 and rhs[r2]:
                 return _INCONSISTENT
+        pivots.append((c, len(packed), prhs))
+        packed += cols
+        values.extend(vals)
     # back substitution in reverse pivot order
-    solution = {}
-    for c, prow, prhs in reversed(pivots):
-        solution[c] = (prhs - sum(v * solution.get(j, 0) for j, v in prow.items())) % p
+    solution, end = {}, len(packed)
+    for c, start, prhs in reversed(pivots):
+        known = map(solution.get, packed[start:end], itertools.repeat(0))
+        solution[c], end = (prhs - sum(map(mul, values[start:end], known))) % p, start
     return solution
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tautrel import cli, reduce
 from tautrel.cli import main
@@ -403,7 +405,54 @@ def test_compute_b_json_reports_stage_seconds_on_one_compact_line(capsys):
     report = json.loads(printed)
     assert set(report["timing"]) == {"seconds", "assemble_s", "psi_s"}
     assert all(seconds >= 0 for seconds in report["timing"].values())
+    assert printed.count("\n") == 1 and printed.endswith("\n")
+
+
+B21_RAW = os.path.join(FIXTURES, "b21_raw.bracket")
+REPORT_CALLS = {
+    "compute-b": ("compute-b", "--g", "1", "--m", "2", "--d", "2,1", "--format", "json",
+                  "--stage", "psi-free"),
+    "verify-proved": ("verify", "--g", "1", "--m", "2", "--d", "2,1,1"),
+    "verify-unknown": ("verify", "--g", "1", "--m", "3", "--d", "1,1,1"),
+    "overflow": ("verify", "--g", "1", "--m", "2", "--d", "2,1,1", "--max-relations", "10"),
+    "reduce-pair": ("reduce", B21_RAW, "--mode", "pair"),
+    "reduce-psi": ("reduce", B21_RAW, "--mode", "psi", "--format", "json"),
+    "enumerate": ("enumerate", "--g", "1", "--n", "2", "--m", "2", "--with-extras", "2,1"),
+    "check-pushforward": ("check-pushforward", "--g", "0", "--m", "2", "--l", "1",
+                          "--d", "1,1"),
+    "out-file": ("verify", "--g", "1", "--m", "2", "--d", "2,1,1", "--out"),
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_CALLS.values(), ids=REPORT_CALLS)
+def test_reports_are_compact_sorted_json_byte_for_byte(capsys, tmp_path, argv):
+    """Every report, written in pieces, has the bytes of ``json.dumps`` with
+    compact separators and sorted keys, plus a newline."""
+    path = tmp_path / "report.json"
+    if argv[-1] == "--out":
+        argv += (str(path),)
+    code, printed = run_cli(capsys, *argv)
+    if argv[-2] == "--out":
+        assert printed == ""
+        printed = path.read_text()
+    report = json.loads(printed)
     assert printed == json.dumps(report, separators=(",", ":"), sort_keys=True) + "\n"
+    if argv == REPORT_CALLS["verify-proved"]:
+        assert code == 0 and report["outcome"]["certificate"]["combination"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    out = io.StringIO()
+    cli._write_json(out, value)
+    assert out.getvalue() == json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
 def test_reduce_pair_mode(capsys):

@@ -694,6 +694,27 @@ def test_render_cases_cover_their_features():
     assert "g10 g2 g3" in render_bracket(RENDER_CASES["ten edges at a vertex"]())
 
 
+def _leg_outside_the_grammar():
+    b = GraphBuilder()
+    b.add_vertex(0)
+    for label in ("U1", "U2", "U²"):
+        b.add_leg(0, label)
+    return from_terms([(1, b.build())])
+
+
+@pytest.mark.parametrize("build, message", [
+    (_leg_outside_the_grammar, "bad character '²' at position 8"),
+    (_pinned_g_names, "unmatched half-edge star 'g2\\*'"),
+])
+def test_bracket_text_round_trips_only_labels_the_grammar_reads(build, message):
+    """A leg label built in code that no bracket name spells renders as
+    given, so the text does not parse back; JSON round-trips it."""
+    expr = build()
+    with pytest.raises(ValueError, match=message):
+        parse_bracket(render_bracket(expr))
+    assert expression_from_json(expression_to_json(expr)) == expr
+
+
 @pytest.mark.parametrize("name", ["b21_raw", "f", "h", "h0i0_combined"])
 def test_render_from_keys_matches_graph_render_on_fixtures(name):
     assert_render_matches_reference(parse_bracket(fixture_text(name)))

@@ -1613,6 +1613,141 @@ def test_eliminate_is_deterministic_on_a_span_system():
     assert list(again.items()) == list(result.items())
 
 
+def reference_eliminate(rows, rhs, p):
+    """A set-based elimination, with a set of active rows per column, a dict
+    per pivot row and a mod-p copy of every row, and the same min-column
+    pivots, ties and lazy heap as ``_eliminate``, which must return the same
+    residues in the same order."""
+    rows = [{j: v % p for j, v in row.items()} for row in rows]
+    if any(0 in row.values() for row in rows):
+        return None
+    rhs = [b % p for b in rhs]
+    rows_of = {}                   # column -> active rows containing it
+    for r, row in enumerate(rows):
+        if not row and rhs[r]:
+            return reduce._INCONSISTENT
+        for j in row:
+            rows_of.setdefault(j, set()).add(r)
+    heap = [(len(active), c) for c, active in rows_of.items()]
+    heapq.heapify(heap)
+    pivots = []                    # (column, normalized rest of the row, rhs)
+    while heap:
+        count, c = heapq.heappop(heap)
+        active = rows_of[c]
+        if not active:
+            continue
+        if len(active) != count:
+            heapq.heappush(heap, (len(active), c))
+            continue
+        del rows_of[c]
+        r = min(active, key=lambda i: (len(rows[i]), i))
+        active.remove(r)
+        row, rows[r] = rows[r], None
+        inverse = pow(row.pop(c), -1, p)
+        for j in row:
+            rows_of[j].discard(r)
+        prow = {j: v * inverse % p for j, v in row.items()}
+        prhs = rhs[r] * inverse % p
+        pivots.append((c, prow, prhs))
+        # eliminate c from the other active rows that contain it
+        for r2 in active:
+            row2 = rows[r2]
+            f = p - row2.pop(c)
+            for j, v in prow.items():
+                if j in row2:
+                    val = (row2[j] + f * v) % p
+                    if val:
+                        row2[j] = val
+                    else:
+                        del row2[j]
+                        rows_of[j].discard(r2)
+                else:
+                    row2[j] = f * v % p
+                    rows_of[j].add(r2)
+            rhs[r2] = (rhs[r2] + f * prhs) % p
+            if not row2 and rhs[r2]:
+                return reduce._INCONSISTENT
+    # back substitution in reverse pivot order
+    solution = {}
+    for c, prow, prhs in reversed(pivots):
+        solution[c] = (prhs - sum(v * solution.get(j, 0) for j, v in prow.items())) % p
+    return solution
+
+
+def assert_eliminates_like_reference(rows, rhs, p):
+    """``_eliminate`` gives the reference's residues, pivot order included,
+    or the same None or ``_INCONSISTENT``, and leaves the caller's rows and
+    right-hand sides as they were."""
+    before = copy.deepcopy((rows, rhs))
+    expected = reference_eliminate(rows, rhs, p)
+    got = reduce._eliminate(rows, rhs, p)
+    assert (rows, rhs) == before
+    if isinstance(expected, dict):
+        assert list(got.items()) == list(expected.items())
+    else:
+        assert got is expected
+    return got
+
+
+@pytest.mark.parametrize("g, m, d", [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)),
+                                     (1, 2, (2, 1, 1)), (1, 2, (1, 1, 1)),
+                                     (1, 3, (2, 1, 1))])
+def test_eliminate_matches_reference_on_span_systems(g, m, d, monkeypatch):
+    """Every elimination of the span test, witness systems included, on the
+    classes that the ``prove`` benchmark proves and on both rounds of the
+    psi-free (1, 3, 2,1,1) class, whose round 1 is inconsistent."""
+    calls = []
+    eliminate = reduce._eliminate
+
+    def recording(rows, rhs, p):
+        calls.append((rows, rhs, p))
+        return eliminate(rows, rhs, p)
+
+    monkeypatch.setattr(reduce, "_eliminate", recording)
+    assert span_zero_test(eliminate_all_psi(weighted_tree_class(g, m, d))).zero
+    monkeypatch.undo()
+    results = [assert_eliminates_like_reference(*call) for call in calls]
+    assert isinstance(results[-1], dict)
+    if d == (2, 1, 1) and m == 3:
+        assert reduce._INCONSISTENT in results
+
+
+@st.composite
+def systems_mod_7(draw):
+    """(rows, rhs) with small entries, which cancel often mod 7, so that an
+    update drops a column from a row and a later one adds it back; now and
+    then an entry is a multiple of 7, where the elimination returns None."""
+    n_rows = draw(st.integers(1, 7))
+    n_cols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n_rows):
+        order = draw(st.permutations(range(n_cols)))
+        entries = [draw(st.sampled_from([0, 0, 1, 2, 3, -1, -2, -3])) for _ in order]
+        rows.append({j: v for j, v in zip(order, entries) if v})
+    if draw(st.integers(0, 9)) == 0 and rows[0]:
+        j = next(iter(rows[0]))
+        rows[0][j] *= 7
+    rhs = [draw(st.integers(-3, 3)) for _ in rows]
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=systems_mod_7())
+def test_eliminate_matches_reference_mod_a_small_prime(system):
+    rows, rhs = system
+    assert_eliminates_like_reference(rows, rhs, 7)
+
+
+def test_eliminate_reads_a_column_list_with_a_stale_and_a_live_entry():
+    """Pivot column 3 (row 1) cancels column 1 from row 3, pivot column 0
+    (row 0) puts it back, and column 1 pivots last, on row 3, which its list
+    holds twice."""
+    rows = [{0: -3, 1: 2}, {3: -1, 2: -3, 1: 3}, {0: -3, 1: -1, 2: -2},
+            {1: 3, 0: -2, 3: -1, 2: 2}]
+    got = assert_eliminates_like_reference(rows, [1, -1, 2, 2], 7)
+    assert list(got.items()) == [(1, 5), (2, 6), (0, 3), (3, 5)]
+
+
 def solve_recording_witnesses(columns, target):
     """_solve_exact, with every solution of a witness system that passed the
     exact check.  The primal system is the first one built; any later one
@@ -1689,6 +1824,11 @@ def test_system_holds_its_rows_as_given():
     assert system.rows[1:] == [{0: 3, 1: -4}] and system.rhs == [0, 5]
     assert system.solve_mod(P) is not None
     assert shared == {0: 2, 2: -1}
+    # column 0 pivots on row 0 and updates row 1, which ends alone in column 1
+    rows = [{0: 2, 1: -1}, {0: 3, 1: -4}]
+    system = reduce._System(rows, [1, 5])
+    assert system.solve_mod(P) == {0: Fraction(-1, 5), 1: Fraction(-7, 5)}
+    assert rows == [{0: 2, 1: -1}, {0: 3, 1: -4}] and system.rhs == [1, 5]
 
 
 def test_untouched_target_key_ends_the_solve_before_any_system(monkeypatch):
