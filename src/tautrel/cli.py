@@ -117,15 +117,13 @@ def _vanishing_check(expr, args, stages):
     4. the WDVV span test (``wdvv-span``).
 
     Returns the outcome fields and the exit status, and fills the seconds of
-    each stage into ``stages``; a budget overflow counts as closure.
+    each stage into ``stages``, those of a budget overflow too.
     """
     if expr.is_zero():
         return {"proved": True, "method": "normalizes-to-zero"}, 0
-    clock = time.perf_counter()
     value = 0
     if expr.degree() <= expr.ambient.dimension:
-        value = next((v for _b, v in _pairings(expr) if v), 0)
-    stages["pair_s"] = time.perf_counter() - clock
+        value = _timed(stages, "pair_s", next, (v for _b, v in _pairings(expr) if v), 0)
     if expr.degree() == expr.ambient.dimension and not any(
             extras for key in expr.support() for _g, extras, _l, _i in key[0]):
         outcome = {"proved": not value, "method": "top-degree-integral"}
@@ -135,23 +133,28 @@ def _vanishing_check(expr, args, stages):
     if value:
         return {"proved": False, "method": "wdvv-span",
                 "certificate": {"reason": "unknown", "rounds": args.budget}}, 2
-    clock = time.perf_counter()
-    reduced = eliminate_all_psi(expr)
-    stages["psi_s"] = time.perf_counter() - clock
+    reduced = _timed(stages, "psi_s", eliminate_all_psi, expr)
     if reduced.is_zero():
         return {"proved": True, "method": "psi-elimination"}, 0
-    clock = time.perf_counter()
     try:
         cert = span_zero_test(reduced, budget=args.budget,
                               max_relations=args.max_relations)
     except OverflowError as exc:
-        stages["closure_s"] = time.perf_counter() - clock
+        stages.update(closure_s=exc.closure_s, solve_s=exc.solve_s)
         return {"proved": False, "method": "wdvv-span", "error": "budget-overflow",
                 "detail": str(exc)}, 2
     stages.update(closure_s=cert.closure_s, solve_s=cert.solve_s)
     return ({"proved": cert.zero, "method": "wdvv-span",
              "certificate": _certificate_json(reduced, cert)},
             0 if cert.zero else 2)
+
+
+def _timed(stages, name, fn, *args):
+    """``fn(*args)``, its wall seconds stored as ``stages[name]``."""
+    clock = time.perf_counter()
+    out = fn(*args)
+    stages[name] = time.perf_counter() - clock
+    return out
 
 
 def _report(args, inputs, outcome, started, stages=None):
@@ -199,13 +202,9 @@ def _emit(args, write):
 def cmd_compute_b(args):
     started = time.perf_counter()
     stages = dict.fromkeys(("assemble_s", "psi_s"), 0.0)
-    clock = time.perf_counter()
-    expr = weighted_tree_class(args.g, args.m, args.d)
-    stages["assemble_s"] = time.perf_counter() - clock
+    expr = _timed(stages, "assemble_s", weighted_tree_class, args.g, args.m, args.d)
     if args.stage == "psi-free":
-        clock = time.perf_counter()
-        expr = eliminate_all_psi(expr)
-        stages["psi_s"] = time.perf_counter() - clock
+        expr = _timed(stages, "psi_s", eliminate_all_psi, expr)
     payload = _format_expression(expr, args.format)
     if args.format == "json":
         _report(args, {"g": args.g, "m": args.m, "d": list(args.d),
@@ -220,9 +219,7 @@ def cmd_verify(args):
     started = time.perf_counter()
     inputs = {"g": args.g, "m": args.m, "d": list(args.d)}
     stages = dict.fromkeys(STAGES, 0.0)
-    clock = time.perf_counter()
-    expr = weighted_tree_class(args.g, args.m, args.d)
-    stages["assemble_s"] = time.perf_counter() - clock
+    expr = _timed(stages, "assemble_s", weighted_tree_class, args.g, args.m, args.d)
     outcome, status = _vanishing_check(expr, args, stages)
     failed = []                    # the hypotheses of B = 0 that do not hold
     if args.m < 2:

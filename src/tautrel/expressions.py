@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .graphs import (
     EXTRA,
+    FROZEN_FIRST,
     _canonical_search,
     _records,
     automorphism_order,
@@ -217,10 +218,8 @@ class Expression:
         if not self.is_zero() and not other.is_zero():
             if self.degree() != other.degree():
                 raise ValueError("mixed cohomological degrees in sum")
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return Expression(self.ambient, _raw={k: c for k, c in acc.items() if c != 0})
+        return _summed(self.ambient, ((c, k) for terms in (self._terms, other._terms)
+                                      for k, c in terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -375,11 +374,10 @@ def _term_records(factors):
         for name, exp in items:
             if leg_kind(name) != "extra":
                 occurrences.setdefault(_pair_base(name), []).append((v, name, exp))
-            elif exp != 0:
-                raise ValueError("extra leg %r cannot carry an exponent" % name)
             else:
-                # extra legs are anonymous, so one W-name may recur
-                halves.append((v, EXTRA, 0))
+                # extra legs are anonymous, so one W-name may recur;
+                # ``base_classes`` rejects an exponent on one
+                halves.append((v, EXTRA, exp))
     edges = []
     for stem, occ in sorted(occurrences.items()):
         if len(occ) == 1:
@@ -423,9 +421,6 @@ def parse_bracket(text, ambient=None):
     return _summed(ambient, out)
 
 
-_DISPLAY_KIND = {"frozen": 0, "regular": 1, "named": 2}
-
-
 def _layout(key):
     """Deterministic per-vertex item lists for rendering the graph of a key.
 
@@ -450,7 +445,7 @@ def _layout(key):
         if end is not None:
             ends[v].append((names[end], exp))
         elif label != EXTRA:
-            legs[v].append(((_DISPLAY_KIND[leg_kind(label)], label_sort_key(label)),
+            legs[v].append(((FROZEN_FIRST[leg_kind(label)], label_sort_key(label)),
                             label, exp))
     return [[(label, exp) for _k, label, exp in sorted(legs[v])]
             + [("W%d" % j, 0) for j in range(1, part[1] + 1)] + sorted(ends[v])
@@ -601,7 +596,13 @@ def expression_to_json(expr):
 
 
 def expression_from_json(data):
-    ambient = make_ambient(data["ambient"]["genus"], data["ambient"]["labels"])
-    return _from_records([(Fraction(t["coefficient"]["num"], t["coefficient"]["den"]),
-                           *_json_records(t["graph"]))
-                          for t in data["terms"]], ambient)
+    """The expression of a JSON object as ``expression_to_json`` writes it; a
+    missing entry, an entry of the wrong type or a zero denominator raises
+    ``ValueError``."""
+    try:
+        ambient = make_ambient(data["ambient"]["genus"], data["ambient"]["labels"])
+        terms = [(Fraction(t["coefficient"]["num"], t["coefficient"]["den"]),
+                  *_json_records(t["graph"])) for t in data["terms"]]
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError("malformed expression JSON: %r" % exc) from None
+    return _from_records(terms, ambient)

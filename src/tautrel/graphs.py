@@ -27,6 +27,8 @@ from math import factorial
 EXTRA = "W"
 
 _KIND_ORDER = {"regular": 0, "frozen": 1, "named": 2, "extra": 3}
+# the order in which a vertex shows its legs and offers them as partners
+FROZEN_FIRST = {"frozen": 0, "regular": 1, "named": 2, "extra": 3}
 
 
 def leg_kind(label):
@@ -163,11 +165,7 @@ class GraphBuilder:
         return h
 
     def add_half(self, v, exponent=0):
-        h = len(self.vertex_of)
-        self.vertex_of.append(v)
-        self.labels.append(None)
-        self.exponents.append(exponent)
-        return h
+        return self.add_leg(v, None, exponent)
 
     def add_edge(self, v1, v2, exp1=0, exp2=0):
         h1 = self.add_half(v1, exp1)

@@ -185,8 +185,7 @@ def choose_partner_pair(halves, half):
         label = halves[n][1]
         if label is None:
             return (4, (), n)
-        order = {"frozen": 0, "regular": 1, "named": 2, "extra": 3}[leg_kind(label)]
-        return (order, graphs.label_sort_key(label), n)
+        return (graphs.FROZEN_FIRST[leg_kind(label)], graphs.label_sort_key(label), n)
 
     candidates = sorted((n for n in range(len(halves)) if n != half), key=rank)
     for a, b in itertools.combinations(candidates, 2):
@@ -687,7 +686,11 @@ def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
     for rounds in range(1, budget + 1):
         count = len(basis.relations)
         started = time.perf_counter()
-        generate_wdvv_relations(basis, max_relations)
+        try:
+            generate_wdvv_relations(basis, max_relations)
+        except OverflowError as exc:   # carries the stage seconds spent so far
+            exc.closure_s, exc.solve_s = closure_s + time.perf_counter() - started, solve_s
+            raise
         closure_s += time.perf_counter() - started
         if len(basis.relations) == count:
             continue               # no new relation: the last outcome stands

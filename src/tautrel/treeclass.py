@@ -98,13 +98,8 @@ def _subsets(items):
 
 
 def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """The ``parts``-tuples of naturals summing to ``total``, in lexicographic order."""
+    return (c for c in itertools.product(range(total + 1), repeat=parts) if sum(c) == total)
 
 
 @lru_cache(maxsize=None)

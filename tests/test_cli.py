@@ -147,6 +147,19 @@ def test_check_pushforward(capsys):
     assert report["outcome"] == {"equal": True, "method": "normalizes-to-zero"}
 
 
+@pytest.mark.parametrize("d", [
+    pytest.param(d, marks=pytest.mark.xfail(strict=True, reason=(
+        "the m = 0 class keeps one rooting per unrooted tree, so the two sides "
+        "integrate to -2/3 apart; see the m = 0 item of ROADMAP.md")))
+    for d in ("2,1,1", "1,1,2")])
+def test_check_pushforward_holds_onto_m_0(capsys, d):
+    """Forgetting the one frozen leg of an m = 1 class gives the string-table
+    sum of m = 0 classes."""
+    _code, report = run_json(capsys, "check-pushforward", "--g", "1", "--m", "0",
+                             "--l", "1", "--d", d)
+    assert report["outcome"]["equal"] is True
+
+
 def test_enumerate_counts(capsys):
     code, report = run_json(capsys, "enumerate", "--g", "1", "--n", "2", "--m", "2")
     assert code == 0
@@ -377,6 +390,23 @@ def test_span_commands_report_stage_seconds(capsys, argv):
     assert set(timing) == {"seconds", "assemble_s", "psi_s", "pair_s", "closure_s",
                            "solve_s"}
     assert all(seconds >= 0 for seconds in timing.values())
+
+
+def test_budget_overflow_keeps_the_solve_seconds_before_it(capsys, monkeypatch):
+    """``0 5 1,1,2`` solves round 1 and overflows in round 2, so its report
+    keeps the seconds of the round-1 solve, and the closure rounds' too."""
+    solve = reduce._solve_exact
+
+    def slow_solve(*args):
+        time.sleep(0.01)
+        return solve(*args)
+
+    monkeypatch.setattr(reduce, "_solve_exact", slow_solve)
+    code, report = run_json(capsys, "verify", "--g", "0", "--m", "5", "--d", "1,1,2",
+                            "--max-relations", "5000")
+    assert code == 2 and report["outcome"]["error"] == "budget-overflow"
+    assert report["timing"]["solve_s"] >= 0.01
+    assert report["timing"]["closure_s"] > 0
 
 
 def test_report_seconds_ignore_a_wall_clock_that_steps_back(capsys, monkeypatch):

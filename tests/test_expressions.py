@@ -787,3 +787,31 @@ def test_negative_vertex_genus_is_rejected():
     b.add_leg(0, "U1")
     with pytest.raises(ValueError, match="invalid graph in term: negative genus"):
         Expression(make_ambient(2, ["U1"]), [(1, b.build())])
+
+
+def test_extra_leg_psi_is_rejected_with_one_message():
+    with pytest.raises(ValueError, match="^extra legs cannot carry psi exponents$"):
+        parse_bracket("<U1 U2 a>_0 <a* U3 P^1(W)>_0")
+    b = GraphBuilder()
+    v = b.add_vertex(0)
+    for lab in ("U1", "U2", "U3"):
+        b.add_leg(v, lab)
+    b.add_leg(v, EXTRA, 1)
+    with pytest.raises(ValueError, match="^extra legs cannot carry psi exponents$"):
+        from_terms([(Fraction(1), b.build())])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda term: term["graph"]["involution"][0].__setitem__(1, 99),
+    lambda term: term["graph"]["legs"][0].pop("kind"),
+    lambda term: term["coefficient"].__setitem__("den", 0),
+    lambda term: term["graph"]["involution"][1].__setitem__(
+        0, term["graph"]["involution"][0][0]),
+    lambda term: term["coefficient"].__setitem__("den", "3"),
+], ids=["unknown-half-edge", "leg-without-kind", "zero-denominator",
+        "half-edge-paired-twice", "string-denominator"])
+def test_malformed_expression_json_raises_value_error(edit):
+    blob = expression_to_json(parse_bracket("<U1 U2 a>_0 <a* U3 b>_0 <b* U4 U5>_0"))
+    edit(blob["terms"][0])
+    with pytest.raises(ValueError, match="^malformed expression JSON: "):
+        expression_from_json(blob)

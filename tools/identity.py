@@ -10,8 +10,9 @@ parsed report without its ``timing`` field (the one field allowed to vary),
 so two trees that lay a report out differently still compare equal, and
 the rest as is.  The list covers every ``verify`` of the benchmark's
 ``prove`` and ``exhaust`` pools in every weight order, every ``compute-b``
-of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric inputs
-for k in {7, 8} and p in {1, 2}.  It also covers calls outside the pools:
+of its ``classes`` pool, and ``reduce --mode psi`` on the symmetric input
+of each ``symmetric`` shape, all read from PARENT's ``perfbench/pool.py``,
+so the list follows the pools.  It also covers calls outside the pools:
 ``verify 1 3 2,1,1`` in its three weight orders, the largest span system
 and certificate, whose equations the solver takes in key-id order;
 ``reduce --mode psi`` on the symmetric input for k = 9, p = 1 and on the
@@ -47,17 +48,17 @@ latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 1,1,2) and (2, 1, 2,1,1), and ``enumerate --with-extras`` for (g, n, m, d) =
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
-forgetful pushforward outside the pools.  That makes 68 calls.  Both trees
-read the bracket fixtures from PARENT's ``tests/fixtures``.  The two trees
-run each call side by side.
+forgetful pushforward outside the pools.  With the pools as they stand that
+makes 68 calls.  Both trees read the bracket fixtures from PARENT's
+``tests/fixtures`` and run each call side by side.
 
 Every call is compared, and each one that differs is printed with the
 fields that differ and, for each, where the two outputs part.  When both
 outputs are reports with a span certificate, it also says whether they
 differ only in ``outcome.certificate.combination`` (exit code, standard
 error, verdict, method, rounds and target all equal) and whether both
-certificates replay exactly: the stated combination of relations must
-rebuild the stated target, read with PARENT's ``expression_from_json``.
+certificates replay exactly, by PARENT's ``perfbench/checks.py``: the
+stated combination of relations must rebuild the stated target.
 The last line counts the identical calls and the differing calls whose
 difference is only a combination that replays in both trees.  Exits 0
 when every call matches and 1 when any differs.
@@ -72,7 +73,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from fractions import Fraction
 
 
 def orders(weights):
@@ -81,13 +81,6 @@ def orders(weights):
 
 def d_text(weights):
     return ",".join(str(w) for w in weights)
-
-
-def symmetric_text(k, p):
-    """<P^p(U1) U2 U3 A1..Ak>_0 <A1*>_1 ... <Ak*>_1: k genus-1 tails."""
-    names = ["A%d" % i for i in range(1, k + 1)]
-    centre = " ".join(["P^%d(U1)" % p, "U2", "U3"] + names)
-    return "<%s>_0 %s\n" % (centre, " ".join("<%s*>_1" % n for n in names))
 
 
 def mixed_star_text(p):
@@ -157,22 +150,19 @@ def write(workdir, name, text):
     return path
 
 
+def every_order(templates):
+    """The calls of pool templates, each in every order of its weights."""
+    return [t.concrete(d) for t in templates for d in orders(t.weights)]
+
+
 def calls(workdir, fixtures):
-    out = []
-    for g, m, weights in [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)), (1, 2, (2, 1, 1)),
-                          (1, 2, (1, 1, 1)), (1, 3, (1, 1, 1)), (1, 3, (2, 1)),
-                          (1, 3, (2, 1, 1))]:
-        for d in orders(weights):
-            out.append(["verify", "--g", str(g), "--m", str(m), "--d", d_text(d)])
-    for g, m, weights, extra in [(2, 1, (1, 1, 1, 1), ["--stage", "raw"]),
-                                 (2, 0, (2, 2, 1, 1), ["--stage", "raw"]),
-                                 (1, 2, (1, 1, 1, 1),
-                                  ["--stage", "psi-free", "--format", "json"])]:
-        for d in orders(weights):
-            out.append(["compute-b", "--g", str(g), "--m", str(m), "--d", d_text(d)]
-                       + extra)
-    for k, p in list(itertools.product((7, 8), (1, 2))) + [(9, 1)]:
-        path = write(workdir, "symmetric_k%d_p%d" % (k, p), symmetric_text(k, p))
+    import pool    # PARENT's perfbench/pool.py, put on the path by main
+
+    out = every_order(pool.TEMPLATES["prove"] + pool.TEMPLATES["exhaust"])
+    out += [["verify", "--g", "1", "--m", "3", "--d", d_text(d)] for d in orders((2, 1, 1))]
+    out += every_order(pool.TEMPLATES["classes"])
+    for k, p in pool.SYMMETRIC_SHAPES + [(9, 1)]:
+        path = write(workdir, "symmetric_k%d_p%d" % (k, p), pool.symmetric_text(k, p))
         out.append(["reduce", path, "--mode", "psi"])
     for p in (0, 1):
         path = write(workdir, "mixed_star_p%d" % p, mixed_star_text(p))
@@ -253,30 +243,19 @@ def certificate(stdout):
     return cert if isinstance(cert, dict) and "combination" in cert else None
 
 
-def replays(cert):
-    """True when the certificate's combination rebuilds its target exactly."""
-    from tautrel.expressions import expression_from_json
-
-    acc = {}
-    for entry in cert["combination"]:
-        coeff = Fraction(entry["coefficient"]["num"], entry["coefficient"]["den"])
-        for key, value in expression_from_json(entry["relation"]).items():
-            acc[key] = acc.get(key, 0) + coeff * value
-    target = expression_from_json(cert["target"])
-    return {k: v for k, v in acc.items() if v} == dict(target.items())
-
-
 def combination_only(pout, cout):
     """(whether two normalized reports differ only in the certificate's
     combination, whether both certificates replay), or None when either
     output is not a report with a span certificate."""
+    from checks import replay
+
     certs = [certificate(pout), certificate(cout)]
     if None in certs:
         return None
     rest = [json.loads(out) for out in (pout, cout)]
     for report in rest:
         del report["outcome"]["certificate"]["combination"]
-    return rest[0] == rest[1], all(replays(cert) for cert in certs)
+    return rest[0] == rest[1], all(replay(cert) for cert in certs)
 
 
 def parting(a, b, context=60):
@@ -294,7 +273,7 @@ def main(argv=None):
         print("usage: python3 tools/identity.py PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = args
-    sys.path.insert(0, os.path.join(parent, "src"))
+    sys.path[:0] = [os.path.join(parent, "src"), os.path.join(parent, "perfbench")]
     identical = combination_only_calls = 0
     with tempfile.TemporaryDirectory() as workdir:
         todo = calls(workdir, os.path.join(parent, "tests", "fixtures"))
