@@ -32,6 +32,7 @@ from .treeclass import acceptable_assignments, enumerate_shapes, weighted_tree_c
 from .reduce import (
     MAX_RELATIONS,
     _pairings,
+    _timed,
     eliminate_all_psi,
     pair_with_psi_monomials,
     span_zero_test,
@@ -116,11 +117,11 @@ def _vanishing_check(expr, args, stages):
     3. psi elimination, when it leaves zero (``psi-elimination``);
     4. the WDVV span test (``wdvv-span``).
 
-    Returns the outcome fields and the exit status, and fills the seconds of
-    each stage into ``stages``, those of a budget overflow too.
+    Returns the outcome fields, and adds the seconds of each stage it runs to
+    ``stages``, those spent before a budget overflow too.
     """
     if expr.is_zero():
-        return {"proved": True, "method": "normalizes-to-zero"}, 0
+        return {"proved": True, "method": "normalizes-to-zero"}
     value = 0
     if expr.degree() <= expr.ambient.dimension:
         value = _timed(stages, "pair_s", next, (v for _b, v in _pairings(expr) if v), 0)
@@ -129,32 +130,21 @@ def _vanishing_check(expr, args, stages):
         outcome = {"proved": not value, "method": "top-degree-integral"}
         if value:
             outcome["integral"] = {"num": value.numerator, "den": value.denominator}
-        return outcome, 2 if value else 0
+        return outcome
     if value:
         return {"proved": False, "method": "wdvv-span",
-                "certificate": {"reason": "unknown", "rounds": args.budget}}, 2
+                "certificate": {"reason": "unknown", "rounds": args.budget}}
     reduced = _timed(stages, "psi_s", eliminate_all_psi, expr)
     if reduced.is_zero():
-        return {"proved": True, "method": "psi-elimination"}, 0
+        return {"proved": True, "method": "psi-elimination"}
     try:
         cert = span_zero_test(reduced, budget=args.budget,
-                              max_relations=args.max_relations)
+                              max_relations=args.max_relations, stages=stages)
     except OverflowError as exc:
-        stages.update(closure_s=exc.closure_s, solve_s=exc.solve_s)
         return {"proved": False, "method": "wdvv-span", "error": "budget-overflow",
-                "detail": str(exc)}, 2
-    stages.update(closure_s=cert.closure_s, solve_s=cert.solve_s)
-    return ({"proved": cert.zero, "method": "wdvv-span",
-             "certificate": _certificate_json(reduced, cert)},
-            0 if cert.zero else 2)
-
-
-def _timed(stages, name, fn, *args):
-    """``fn(*args)``, its wall seconds stored as ``stages[name]``."""
-    clock = time.perf_counter()
-    out = fn(*args)
-    stages[name] = time.perf_counter() - clock
-    return out
+                "detail": str(exc)}
+    return {"proved": cert.zero, "method": "wdvv-span",
+            "certificate": _certificate_json(reduced, cert)}
 
 
 def _report(args, inputs, outcome, started, stages=None):
@@ -220,7 +210,7 @@ def cmd_verify(args):
     inputs = {"g": args.g, "m": args.m, "d": list(args.d)}
     stages = dict.fromkeys(STAGES, 0.0)
     expr = _timed(stages, "assemble_s", weighted_tree_class, args.g, args.m, args.d)
-    outcome, status = _vanishing_check(expr, args, stages)
+    outcome = _vanishing_check(expr, args, stages)
     failed = []                    # the hypotheses of B = 0 that do not hold
     if args.m < 2:
         failed.append("m = %d is below 2" % args.m)
@@ -230,7 +220,7 @@ def cmd_verify(args):
     if failed:
         outcome["warning"] = "; ".join(failed + ["vanishing is not expected"])
     _report(args, inputs, outcome, started, stages)
-    return status
+    return 0 if outcome["proved"] else 2
 
 
 def cmd_check_pushforward(args):
@@ -244,11 +234,11 @@ def cmd_check_pushforward(args):
         rhs = rhs + weighted_tree_class(args.g, args.m, k).scale(mult)
     diff = lhs - rhs
     stages["assemble_s"] = time.perf_counter() - clock
-    outcome, status = _vanishing_check(diff, args, stages)
+    outcome = _vanishing_check(diff, args, stages)
     outcome["equal"] = outcome.pop("proved")
     _report(args, {"g": args.g, "n": len(d), "m": args.m, "l": args.l,
                    "d": list(d)}, outcome, started, stages)
-    return status
+    return 0 if outcome["equal"] else 2
 
 
 def cmd_enumerate(args):
@@ -303,9 +293,9 @@ def cmd_reduce(args):
         return 0
     # zero-test
     stages = dict.fromkeys(STAGES, 0.0)
-    outcome, status = _vanishing_check(expr, args, stages)
+    outcome = _vanishing_check(expr, args, stages)
     _report(args, inputs, outcome, started, stages)
-    return status
+    return 0 if outcome["proved"] else 2
 
 
 def build_parser():

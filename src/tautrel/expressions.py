@@ -558,10 +558,15 @@ def _key_json(key):
 
 
 def _json_label(entry):
+    """The label of a JSON leg, which must be the leg ``_leg_json`` writes."""
     kind = entry["kind"]
     if kind in ("regular", "frozen"):
-        return "%s%d" % ("U" if kind == "regular" else "V", entry["index"])
-    return EXTRA if kind == "extra" else entry["name"]
+        label = "%s%d" % ("U" if kind == "regular" else "V", entry["index"])
+    else:
+        label = EXTRA if kind == "extra" else entry["name"]
+    if _leg_json(entry["id"], label) != entry:
+        raise ValueError("malformed expression JSON: leg %r" % (entry,))
+    return label
 
 
 def _json_records(data):

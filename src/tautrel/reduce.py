@@ -34,7 +34,7 @@ import heapq
 import itertools
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -458,12 +458,11 @@ def generate_wdvv_relations(basis, max_relations=MAX_RELATIONS):
 
 @dataclass(frozen=True)
 class ZeroCertificate:
+    """A span test's outcome; its seconds go to the caller's ``stages``."""
     zero: bool
     combination: tuple            # ((coefficient, {key: int} relation), ...)
     budget_spent: int
     reason: str
-    closure_s: float = field(default=0.0, compare=False)   # wall time per stage
-    solve_s: float = field(default=0.0, compare=False)
 
 
 # The moduli of the span solver, tried in this order: the eight largest primes
@@ -664,7 +663,16 @@ def _solve_exact(columns, target):
     raise ArithmeticError("no prime of the list settles the span system")
 
 
-def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
+def _timed(stages, name, fn, *args):
+    """``fn(*args)``, its wall seconds added to ``stages[name]``, a raise's too."""
+    clock = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - clock
+
+
+def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS, stages=None):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
     The expression comes after psi elimination (``RelationBasis`` rejects a
@@ -672,7 +680,9 @@ def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
     time, up to ``budget`` rounds, and the span is solved after each round
     that adds a relation; a returned Zero certificate lists the relations it
     uses over keys, not ids, and is re-verified by substitution before being
-    reported.
+    reported.  The seconds of the closure rounds and of the solves are added
+    to ``stages["closure_s"]`` and ``stages["solve_s"]``, those spent before
+    a budget overflow too; the dict only collects them.
     Unknown is a budget-bounded outcome, not a nonzeroness proof.  The test
     does not pair the expression with psi monomials: a nonzero pairing puts
     it outside the span at every budget, and the CLI checks that before psi
@@ -680,26 +690,18 @@ def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
     """
     if expr.is_zero():
         return ZeroCertificate(True, (), 0, "normalizes to zero")
+    stages = {} if stages is None else stages
     basis = RelationBasis(expr.support())
     target = {basis.ids[key]: v for key, v in expr._terms.items()}
-    closure_s = solve_s = 0.0
     for rounds in range(1, budget + 1):
         count = len(basis.relations)
-        started = time.perf_counter()
-        try:
-            generate_wdvv_relations(basis, max_relations)
-        except OverflowError as exc:   # carries the stage seconds spent so far
-            exc.closure_s, exc.solve_s = closure_s + time.perf_counter() - started, solve_s
-            raise
-        closure_s += time.perf_counter() - started
+        _timed(stages, "closure_s", generate_wdvv_relations, basis, max_relations)
         if len(basis.relations) == count:
             continue               # no new relation: the last outcome stands
         # Relations sharing no key with the target's component are separate
         # blocks with a zero right-hand side; they keep their own pivot
         # columns and solve to zero, so they need not be filtered out.
-        started = time.perf_counter()
-        solution = _solve_exact(basis.relations, target)
-        solve_s += time.perf_counter() - started
+        solution = _timed(stages, "solve_s", _solve_exact, basis.relations, target)
         if solution is None:
             continue
         combination = tuple((v, {basis.keys[k]: n for k, n in basis.relations[i].items()})
@@ -711,8 +713,8 @@ def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS):
                 acc[key] = acc.get(key, 0) + c * n
         if {key: v for key, v in acc.items() if v} != expr._terms:
             raise AssertionError("certificate failed re-substitution")
-        return ZeroCertificate(True, combination, rounds, "wdvv-span", closure_s, solve_s)
-    return ZeroCertificate(False, (), budget, "unknown", closure_s, solve_s)
+        return ZeroCertificate(True, combination, rounds, "wdvv-span")
+    return ZeroCertificate(False, (), budget, "unknown")
 
 
 # ---------------------------------------------------------------------------

@@ -801,6 +801,14 @@ def test_extra_leg_psi_is_rejected_with_one_message():
         from_terms([(Fraction(1), b.build())])
 
 
+def replace_first_leg(**fields):
+    """An edit that gives a term's first leg ``fields`` beside its id."""
+    def edit(term):
+        legs = term["graph"]["legs"]
+        legs[0] = {"id": legs[0]["id"], **fields}
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     lambda term: term["graph"]["involution"][0].__setitem__(1, 99),
     lambda term: term["graph"]["legs"][0].pop("kind"),
@@ -808,8 +816,13 @@ def test_extra_leg_psi_is_rejected_with_one_message():
     lambda term: term["graph"]["involution"][1].__setitem__(
         0, term["graph"]["involution"][0][0]),
     lambda term: term["coefficient"].__setitem__("den", "3"),
+    replace_first_leg(kind="bogus", name="x"),
+    replace_first_leg(kind="regular", index=-1),
+    replace_first_leg(kind="named", name="U1"),
+    replace_first_leg(kind="regular", index=1.5),
 ], ids=["unknown-half-edge", "leg-without-kind", "zero-denominator",
-        "half-edge-paired-twice", "string-denominator"])
+        "half-edge-paired-twice", "string-denominator", "unknown-kind",
+        "negative-index", "regular-label-as-named", "fractional-index"])
 def test_malformed_expression_json_raises_value_error(edit):
     blob = expression_to_json(parse_bracket("<U1 U2 a>_0 <a* U3 b>_0 <b* U4 U5>_0"))
     edit(blob["terms"][0])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import heapq
 import itertools
@@ -832,6 +833,27 @@ def test_closure_only_reference_proves_what_the_span_test_proves():
 def test_span_rejects_psi_terms():
     with pytest.raises(ValueError, match="psi-free support"):
         span_zero_test(parse_bracket("<P^1(x1) x2 x3 x4>_0"))
+
+
+def test_span_test_adds_its_seconds_to_the_callers_stages():
+    """The closure and solve seconds go into the ``stages`` the caller passes,
+    those spent before a budget overflow too; neither the certificate nor
+    the error carries seconds."""
+    assert [f.name for f in dataclasses.fields(reduce.ZeroCertificate)] == [
+        "zero", "combination", "budget_spent", "reason"]
+    b122 = eliminate_all_psi(weighted_tree_class(1, 2, (2, 1, 1)))
+    proved = {}
+    assert span_zero_test(b122, stages=proved).zero
+    assert proved["closure_s"] > 0 and proved["solve_s"] > 0
+    unknown = {}
+    cert = span_zero_test(eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1))),
+                          budget=1, stages=unknown)
+    assert cert.reason == "unknown" and set(unknown) == {"closure_s", "solve_s"}
+    overflow = {}
+    with pytest.raises(OverflowError) as info:
+        span_zero_test(b122, max_relations=10, stages=overflow)
+    assert overflow["closure_s"] > 0
+    assert not hasattr(info.value, "closure_s")
 
 
 @pytest.mark.parametrize("text", ["<P^1(x1) x2 x3 x4>_0",

@@ -3,9 +3,8 @@
     python3 tools/grammar_fuzz.py PARENT CHANGE SEED COUNT
 
 PARENT and CHANGE are checkouts of tautrel.  The reader of a tree is
-``expressions._printed_terms(text)``, or ``expressions._Parser(text)
-.parse_expression()`` in trees from before that function; both give the
-(coefficient, factors) of each printed term.  COUNT texts are drawn from a
+``expressions._printed_terms(text)``, which gives the (coefficient,
+factors) of each printed term.  COUNT texts are drawn from a
 ``random.Random(SEED)``, a quarter each of four kinds: random grammar
 characters; grammar tokens joined by random spacing, no-break spaces
 among it; valid terms with comments, ``P`` and ``P*`` as names and ``x_0``
@@ -47,9 +46,7 @@ def reader(tree):
         module = importlib.import_module("tautrel.expressions")
     finally:
         sys.path.pop(0)
-    if hasattr(module, "_printed_terms"):
-        return module._printed_terms
-    return lambda text: module._Parser(text).parse_expression()
+    return module._printed_terms
 
 
 def valid_text(rng):
