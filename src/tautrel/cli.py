@@ -17,12 +17,12 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 from .expressions import (
-    _key_json,
+    _listed,
     _term_order,
     _terms_json,
-    expression_to_json,
     parse_bracket,
     render_bracket,
     render_latex,
@@ -78,28 +78,25 @@ def default_budget():
 
 def _format_expression(expr, fmt):
     if fmt == "json":
-        return expression_to_json(expr)
+        return _terms_json(expr.ambient, expr.items())
     if fmt == "latex":
         return render_latex(expr)
     return render_bracket(expr)
 
 
 def _certificate_json(expr, cert):
-    """The certificate as JSON.  Each relation is written as
-    ``expression_to_json`` writes it, on the ambient of the target ``expr``,
-    from one JSON object per distinct graph of the combination, built once
-    however many relations share it."""
+    """The certificate as JSON.  The target and each relation are written as
+    ``expression_to_json`` writes them, on the ambient of the target ``expr``;
+    the target's terms and the relations are iterators, each item made when
+    it is written."""
     out = {"reason": cert.reason, "rounds": cert.budget_spent}
     if cert.reason == "wdvv-span":
-        out["target"] = expression_to_json(expr)
-        graph = {key: _key_json(key)
-                 for key in set().union(*(rel for _c, rel in cert.combination))}
-        out["combination"] = [
+        out["target"] = _format_expression(expr, "json")
+        out["combination"] = (
             {"coefficient": {"num": c.numerator, "den": c.denominator},
-             "relation": _terms_json(expr.ambient, (
-                 (rel[key], graph[key]) for key in sorted(rel, key=_term_order)))}
-            for c, rel in cert.combination
-        ]
+             "relation": _listed(_terms_json(expr.ambient, (
+                 (key, rel[key]) for key in sorted(rel, key=_term_order))))}
+            for c, rel in cert.combination)
     return out
 
 
@@ -165,14 +162,15 @@ def _report(args, inputs, outcome, started, stages=None):
 
 def _write_json(out, value):
     """Write ``json.dumps(value, separators=(",", ":"), sort_keys=True)`` to
-    ``out`` in pieces, dicts in key order and each list item encoded alone."""
+    ``out`` in pieces: dicts in key order, and each item of a list, or of an
+    iterator that stands for one, encoded alone as it is produced."""
     if isinstance(value, dict):
         out.write("{")
         for i, key in enumerate(sorted(value)):
             out.write("," * bool(i) + _ENCODER.encode(key) + ":")
             _write_json(out, value[key])
         out.write("}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, Iterator)):
         out.write("[")
         for i, item in enumerate(value):
             out.write("," * bool(i) + _ENCODER.encode(item))

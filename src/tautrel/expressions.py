@@ -191,9 +191,6 @@ class Expression:
             return len(key[1]) + sum(_exponents(key[0]))
         return None
 
-    def psi_free(self):
-        return not any(e for key in self._terms for e in _exponents(key[0]))
-
     def __eq__(self, other):
         return (isinstance(other, Expression) and self.ambient == other.ambient
                 and self._terms == other._terms)
@@ -584,20 +581,24 @@ def _json_records(data):
     return base_classes([entry["genus"] for entry in data["vertices"]], halves), edges
 
 
-def _terms_json(ambient, terms):
-    """The JSON object of a sum on ``ambient`` of the (coefficient, JSON graph
-    object) pairs ``terms``, in their order."""
+def _terms_json(ambient, items):
+    """The JSON object of a sum on ``ambient`` of the (key, coefficient) pairs
+    ``items``, in their order.  Its terms are an iterator: each term object,
+    graph and all, is made when it is read."""
     return {
         "ambient": {"genus": ambient.genus, "labels": list(ambient.labels)},
-        "terms": [
-            {"coefficient": {"num": c.numerator, "den": c.denominator}, "graph": graph}
-            for c, graph in terms
-        ],
+        "terms": ({"coefficient": {"num": c.numerator, "den": c.denominator},
+                   "graph": _key_json(key)} for key, c in items),
     }
 
 
+def _listed(data):
+    """A JSON object of ``_terms_json`` with its terms in a list."""
+    return dict(data, terms=list(data["terms"]))
+
+
 def expression_to_json(expr):
-    return _terms_json(expr.ambient, ((c, _key_json(key)) for key, c in expr.items()))
+    return _listed(_terms_json(expr.ambient, expr.items()))
 
 
 def expression_from_json(data):

@@ -17,8 +17,9 @@ So do the graph-level helpers that ``tautrel`` used before every term was
 computed on as records: ``genus``, ``is_stable``, ``is_connected``,
 ``vertex_overweight``, ``builder_copy_of`` and ``graph_automorphism_order``.
 ``multiply_by_leg_psi``, ``relabel_legs``, ``distribute`` and
-``shape_class`` are library functions that no command used; they stay here
-as references for the tests that use them.
+``shape_class`` are library functions that no command used, and
+``psi_free`` was a method of ``Expression`` that no command used; they stay
+here as references for the tests that use them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from tautrel.expressions import (
     Expression,
     _ambient_of,
     _base_overweight,
+    _exponents,
     _from_records,
     _summed,
     make_ambient,
@@ -507,6 +509,11 @@ def distribute(expr, label):
                     (genus_v, extras, tuple(sorted(legs + ((label, 0),))), intexp))
         out.append((coeff, grown, edges))
     return _from_records(out)
+
+
+def psi_free(expr):
+    """Whether no term of ``expr`` carries a psi class."""
+    return not any(e for key in expr.support() for e in _exponents(key[0]))
 
 
 def shape_class(shape, weights):

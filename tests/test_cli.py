@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautrel import cli, reduce
 from tautrel.cli import main
-from tautrel.expressions import parse_bracket
+from tautrel.expressions import expression_to_json, parse_bracket
+from tautrel.reduce import eliminate_all_psi
+from tautrel.treeclass import weighted_tree_class
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, psi_free
 from test_acceptance import replay_certificate
 from test_reduce import reference_eliminate_all_psi
 
@@ -30,12 +33,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def run_child(*argv, env=None, **kwargs):
-    """Run ``python -m tautrel.cli`` in a child process that imports from ``src/``."""
+def child_env(env=None):
+    """``env`` (default: this process's environment) importing from ``src/`` first."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(*argv, env=None, **kwargs):
+    """Run ``python -m tautrel.cli`` in a child process that imports from ``src/``."""
     return subprocess.run([sys.executable, "-m", "tautrel.cli", *argv],
-                          capture_output=True, text=True, env=env, **kwargs)
+                          capture_output=True, text=True, env=child_env(env), **kwargs)
 
 
 def strip_timing(report):
@@ -68,7 +76,7 @@ def test_compute_b_psi_free_stage(capsys):
     code, out = run_cli(capsys, "compute-b", "--g", "1", "--m", "2", "--d", "2,1",
                         "--stage", "psi-free")
     assert code == 0
-    assert parse_bracket(out).psi_free()
+    assert psi_free(parse_bracket(out))
 
 
 def test_verify_proved(capsys):
@@ -477,12 +485,97 @@ JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+def walked_lists_as_iterators(value):
+    """``value`` with each list that ``_write_json`` walks to through dicts
+    replaced by an iterator over its items, which stay as they are."""
+    if isinstance(value, dict):
+        return {key: walked_lists_as_iterators(item) for key, item in value.items()}
+    return iter(value) if isinstance(value, list) else value
+
+
 @settings(max_examples=300, deadline=None)
 @given(value=JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
-    out = io.StringIO()
-    cli._write_json(out, value)
-    assert out.getvalue() == json.dumps(value, separators=(",", ":"), sort_keys=True)
+    """A value, and the same value with its lists given as iterators, write
+    the bytes of ``json.dumps``."""
+    expected = json.dumps(value, separators=(",", ":"), sort_keys=True)
+    for written in (value, walked_lists_as_iterators(value)):
+        out = io.StringIO()
+        cli._write_json(out, written)
+        assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("stage", ["raw", "psi-free"])
+def test_report_expressions_are_expression_to_json(capsys, stage):
+    """The expressions that reports write term by term, a class and a
+    certificate's target, are what ``expression_to_json`` returns."""
+    code, report = run_json(capsys, "compute-b", "--g", "1", "--m", "2", "--d", "2,1,1",
+                            "--stage", stage, "--format", "json")
+    expr = weighted_tree_class(1, 2, (2, 1, 1))
+    if stage == "psi-free":
+        expr = eliminate_all_psi(expr)
+    assert code == 0 and report["outcome"]["expression"] == expression_to_json(expr)
+    code, report = run_json(capsys, "verify", "--g", "1", "--m", "2", "--d", "2,1,1")
+    target = report["outcome"]["certificate"]["target"]
+    assert code == 0 and target == expression_to_json(
+        eliminate_all_psi(weighted_tree_class(1, 2, (2, 1, 1))))
+
+
+NO_TREE_CALLS = {
+    "compute-b": ("compute-b", "--g", "1", "--m", "2", "--d", "1,1,1,1",
+                  "--stage", "psi-free", "--format", "json"),
+    "verify-1-2": ("verify", "--g", "1", "--m", "2", "--d", "1,1,1"),
+    "verify-0-4": ("verify", "--g", "0", "--m", "4", "--d", "1,1,1,1"),
+}
+
+
+@pytest.mark.parametrize("argv", NO_TREE_CALLS.values(), ids=NO_TREE_CALLS)
+def test_reports_are_written_without_a_json_tree(monkeypatch, argv):
+    """From the return of the last pipeline stage (psi elimination, or the
+    span test) to the start of the write, traced memory grows by at most
+    0.1 MB: the report's terms and relations are made as they are written,
+    not held as a tree of JSON values first."""
+    traced = {}
+
+    def after(fn):
+        def stage(*args, **kwargs):
+            ret = fn(*args, **kwargs)
+            traced["stage"] = tracemalloc.get_traced_memory()[0]
+            return ret
+        return stage
+
+    def emit(args, write, real=cli._emit):
+        traced["emit"] = tracemalloc.get_traced_memory()[0]
+        real(args, write)
+
+    for name in ("eliminate_all_psi", "span_zero_test"):
+        monkeypatch.setattr(cli, name, after(getattr(cli, name)))
+    monkeypatch.setattr(cli, "_emit", emit)
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", os.devnull])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert traced["emit"] - traced["stage"] <= 0.1 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [NO_TREE_CALLS["compute-b"], NO_TREE_CALLS["verify-0-4"]],
+                         ids=["compute-b", "verify-0-4"])
+def test_a_reader_closing_the_pipe_mid_report_is_an_error(argv):
+    """A reader that closes standard output after 10 bytes of a report, which
+    is far longer than a pipe holds, ends the call with exit 1 and one line
+    on standard error."""
+    proc = subprocess.Popen([sys.executable, "-m", "tautrel.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert code == 1
+    assert head == b'{"budgets"'
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_reduce_pair_mode(capsys):
@@ -506,7 +599,7 @@ def test_reduce_psi_with_extra_legs(capsys, tmp_path, text):
     code, report = run_json(capsys, "reduce", str(path), "--mode", "psi")
     assert code == 0
     reduced = parse_bracket(report["outcome"]["expression"])
-    assert reduced.psi_free()
+    assert psi_free(reduced)
     assert reduced == reference_eliminate_all_psi(parse_bracket(text))
 
 
