@@ -1,12 +1,11 @@
 """Command-line front end.
 
 ``verify``, ``check-pushforward`` and ``reduce --mode zero-test`` end in one
-vanishing check and take its budgets; only they read ``TAUTREL_BUDGET``, and
-the other commands and modes report their budgets as null.  Exit codes: 0
-when the requested fact is proved (or the command just computes output), 2
-when a check is unknown, finds a nonzero integral or exceeds its relation
-budget, 1 on usage or internal errors.  Reports are deterministic apart from
-the timing field.
+vanishing check and take its budgets; the other commands and modes report
+their budgets as null.  Exit codes: 0 when the requested fact is proved (or
+the command just computes output), 2 when a check is unknown, finds a
+nonzero integral or exceeds its relation budget, 1 on usage or internal
+errors.  Reports are deterministic apart from the timing field.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 from collections.abc import Iterator
@@ -30,6 +28,7 @@ from .expressions import (
 from .pushforward import forget_frozen_legs, string_table
 from .treeclass import acceptable_assignments, enumerate_shapes, weighted_tree_class
 from .reduce import (
+    DEFAULT_ROUNDS,
     MAX_RELATIONS,
     _pairings,
     _timed,
@@ -66,14 +65,6 @@ def _positive(text):
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer, not %r" % text)
     return value
-
-
-def default_budget():
-    """Rounds from ``TAUTREL_BUDGET`` (3 when unset); a bad value is an error."""
-    try:
-        return _positive(os.environ.get("TAUTREL_BUDGET", "3"))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError("TAUTREL_BUDGET %s" % exc)
 
 
 def _format_expression(expr, fmt):
@@ -145,6 +136,8 @@ def _vanishing_check(expr, args, stages):
 
 
 def _report(args, inputs, outcome, started, stages=None):
+    """Write the report of ``outcome`` and return the exit status: 2 when its
+    ``proved`` or ``equal`` is false, else 0."""
     timing = {"seconds": round(time.perf_counter() - started, 3)}
     for name, seconds in (stages or {}).items():
         timing[name] = round(seconds, 3)
@@ -158,6 +151,7 @@ def _report(args, inputs, outcome, started, stages=None):
         "timing": timing,
     }
     _emit(args, lambda out: _write_json(out, report))
+    return 0 if outcome.get("proved", outcome.get("equal", True)) else 2
 
 
 def _write_json(out, value):
@@ -194,13 +188,12 @@ def cmd_compute_b(args):
     if args.stage == "psi-free":
         expr = _timed(stages, "psi_s", eliminate_all_psi, expr)
     payload = _format_expression(expr, args.format)
-    if args.format == "json":
-        _report(args, {"g": args.g, "m": args.m, "d": list(args.d),
-                       "stage": args.stage},
-                {"expression": payload, "terms": len(expr)}, started, stages)
-    else:
+    if args.format != "json":
         _emit(args, lambda out: out.write(payload))
-    return 0
+        return 0
+    return _report(args, {"g": args.g, "m": args.m, "d": list(args.d),
+                          "stage": args.stage},
+                   {"expression": payload, "terms": len(expr)}, started, stages)
 
 
 def cmd_verify(args):
@@ -217,26 +210,28 @@ def cmd_verify(args):
                       % (sum(args.d), 2 * args.g + args.m - 1))
     if failed:
         outcome["warning"] = "; ".join(failed + ["vanishing is not expected"])
-    _report(args, inputs, outcome, started, stages)
-    return 0 if outcome["proved"] else 2
+    return _report(args, inputs, outcome, started, stages)
+
+
+def _pushforward_difference(g, m, l, d):
+    """The forgetful pushforward of the (g, m + l, d) class minus its
+    string-table sum of (g, m) classes."""
+    lhs = forget_frozen_legs(weighted_tree_class(g, m + l, d), l)
+    rhs = lhs.scale(0)
+    for k, mult in string_table(d, l):
+        rhs = rhs + weighted_tree_class(g, m, k).scale(mult)
+    return lhs - rhs
 
 
 def cmd_check_pushforward(args):
     started = time.perf_counter()
-    d = args.d
     stages = dict.fromkeys(STAGES, 0.0)
-    clock = time.perf_counter()
-    lhs = forget_frozen_legs(weighted_tree_class(args.g, args.m + args.l, d), args.l)
-    rhs = lhs.scale(0)
-    for k, mult in string_table(d, args.l):
-        rhs = rhs + weighted_tree_class(args.g, args.m, k).scale(mult)
-    diff = lhs - rhs
-    stages["assemble_s"] = time.perf_counter() - clock
+    diff = _timed(stages, "assemble_s", _pushforward_difference,
+                  args.g, args.m, args.l, args.d)
     outcome = _vanishing_check(diff, args, stages)
     outcome["equal"] = outcome.pop("proved")
-    _report(args, {"g": args.g, "n": len(d), "m": args.m, "l": args.l,
-                   "d": list(d)}, outcome, started, stages)
-    return 0 if outcome["equal"] else 2
+    return _report(args, {"g": args.g, "n": len(args.d), "m": args.m, "l": args.l,
+                          "d": list(args.d)}, outcome, started, stages)
 
 
 def cmd_enumerate(args):
@@ -244,22 +239,19 @@ def cmd_enumerate(args):
     if args.with_extras is not None and len(args.with_extras) != args.n:
         raise ValueError("--with-extras takes %d weights, one per regular leg, not %d"
                          % (args.n, len(args.with_extras)))
-    shapes = enumerate_shapes(args.g, args.n, args.m)
     rows = []
-    for shape in shapes:
+    for shape in enumerate_shapes(args.g, args.n, args.m):
         row = {"edges": shape.n_edges(),
                "vertices": len(shape.genera),
                "genera": list(shape.genera)}
         if args.with_extras is not None:
-            assignments = acceptable_assignments(shape, args.with_extras)
-            row["assignments"] = len(assignments)
+            row["assignments"] = len(acceptable_assignments(shape, args.with_extras))
+            if not row["assignments"]:
+                continue           # no acceptable assignment: not listed
         rows.append(row)
-    if args.with_extras is not None:
-        rows = [r for r in rows if r["assignments"] > 0]
-    _report(args, {"g": args.g, "n": args.n, "m": args.m,
-                   "with_extras": list(args.with_extras) if args.with_extras else None},
-            {"count": len(rows), "shapes": rows}, started)
-    return 0
+    return _report(args, {"g": args.g, "n": args.n, "m": args.m,
+                          "with_extras": list(args.with_extras) if args.with_extras else None},
+                   {"count": len(rows), "shapes": rows}, started)
 
 
 def cmd_reduce(args):
@@ -277,23 +269,19 @@ def cmd_reduce(args):
     inputs = {"file": args.expression, "mode": args.mode, "terms": len(expr)}
     if args.mode == "psi":
         reduced = eliminate_all_psi(expr)
-        _report(args, inputs,
-                {"expression": _format_expression(reduced, args.format),
-                 "terms": len(reduced)}, started)
-        return 0
+        return _report(args, inputs,
+                       {"expression": _format_expression(reduced, args.format),
+                        "terms": len(reduced)}, started)
     if args.mode == "pair":
         pairings = pair_with_psi_monomials(expr)
-        _report(args, inputs,
-                {"pairings": [{"monomial": list(b),
-                               "value": {"num": v.numerator, "den": v.denominator}}
-                              for b, v in pairings],
-                 "all_zero": all(v == 0 for _b, v in pairings)}, started)
-        return 0
+        return _report(args, inputs,
+                       {"pairings": [{"monomial": list(b),
+                                      "value": {"num": v.numerator, "den": v.denominator}}
+                                     for b, v in pairings],
+                        "all_zero": all(v == 0 for _b, v in pairings)}, started)
     # zero-test
     stages = dict.fromkeys(STAGES, 0.0)
-    outcome = _vanishing_check(expr, args, stages)
-    _report(args, inputs, outcome, started, stages)
-    return 0 if outcome["proved"] else 2
+    return _report(args, inputs, _vanishing_check(expr, args, stages), started, stages)
 
 
 def build_parser():
@@ -304,8 +292,7 @@ def build_parser():
     def common(p, budgets=True):
         if budgets:
             p.add_argument("--budget", type=_positive,
-                           help="relation-closure rounds (default: env TAUTREL_BUDGET,"
-                                " else 3)")
+                           help="relation-closure rounds (default: %d)" % DEFAULT_ROUNDS)
             p.add_argument("--max-relations", type=_positive,
                            help="relation budget (default: %d)" % MAX_RELATIONS)
         p.add_argument("--out", help="write the output to a file instead of stdout")
@@ -331,7 +318,7 @@ def build_parser():
                        help="compare the forgetful pushforward with the weighted sum")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_positive, required=True)
     p.add_argument("--d", type=_weights, required=True)
     common(p)
     p.set_defaults(func=cmd_check_pushforward)
@@ -368,13 +355,8 @@ def _fill_options(parser, args):
         if args.budget is not None or args.max_relations is not None:
             parser.error("--budget and --max-relations need --mode zero-test")
         return
-    if args.budget is None:
-        try:
-            args.budget = default_budget()
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.max_relations is None:
-        args.max_relations = MAX_RELATIONS
+    args.budget = args.budget or DEFAULT_ROUNDS
+    args.max_relations = args.max_relations or MAX_RELATIONS
 
 
 def main(argv=None):

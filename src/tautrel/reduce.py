@@ -258,6 +258,8 @@ def eliminate_all_psi(expr):
 
 # the relations a closure may hold before it raises ``OverflowError``
 MAX_RELATIONS = 200000
+# the relation-closure rounds of a span test when none are given
+DEFAULT_ROUNDS = 3
 
 
 class RelationBasis:
@@ -672,7 +674,7 @@ def _timed(stages, name, fn, *args):
         stages[name] = stages.get(name, 0.0) + time.perf_counter() - clock
 
 
-def span_zero_test(expr, budget=3, max_relations=MAX_RELATIONS, stages=None):
+def span_zero_test(expr, budget=DEFAULT_ROUNDS, max_relations=MAX_RELATIONS, stages=None):
     """Certify that a psi-free expression is a combination of WDVV relations.
 
     The expression comes after psi elimination (``RelationBasis`` rejects a

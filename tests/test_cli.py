@@ -680,50 +680,39 @@ def test_reduce_reads_stdin():
     assert json.loads(proc.stdout)["outcome"]["proved"] is True
 
 
-def test_budget_env_variable(monkeypatch):
-    from tautrel.cli import default_budget
-    monkeypatch.setenv("TAUTREL_BUDGET", "5")
-    assert default_budget() == 5
-    monkeypatch.setenv("TAUTREL_BUDGET", "junk")
-    with pytest.raises(ValueError, match="TAUTREL_BUDGET"):
-        default_budget()
-
-
-@pytest.mark.parametrize("value", ["junk", "2.5", "", "0", "-1"])
-def test_bad_budget_env_is_a_usage_error(value):
-    env = dict(os.environ, TAUTREL_BUDGET=value)
-    proc = run_child("verify", "--g", "1", "--m", "2", "--d", "2,1", env=env)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "TAUTREL_BUDGET" in proc.stderr
-
-
 F_BRACKET = os.path.join(FIXTURES, "f.bracket")
 
 
-@pytest.mark.parametrize("argv", [
-    ("check-pushforward", "--g", "1", "--m", "2", "--l", "1", "--d", "2,1"),
-    ("reduce", F_BRACKET, "--mode", "zero-test"),
-], ids=["check-pushforward", "reduce-zero-test"])
-def test_bad_budget_env_fails_every_check(argv):
-    proc = run_child(*argv, env=dict(os.environ, TAUTREL_BUDGET="junk"))
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "TAUTREL_BUDGET" in proc.stderr
+@pytest.mark.parametrize("argv, rounds", [
+    (("compute-b", "--g", "1", "--m", "1", "--d", "2,1"), None),
+    (("--help",), None),
+    (("verify", "--help"), None),
+    (("enumerate", "--g", "1", "--n", "1", "--m", "2"), None),
+    (("reduce", F_BRACKET, "--mode", "psi"), None),
+    (("reduce", F_BRACKET, "--mode", "pair"), None),
+    (("verify", "--g", "1", "--m", "2", "--d", "2,1"), 3),
+    (("check-pushforward", "--g", "1", "--m", "2", "--l", "1", "--d", "2,1"), 3),
+    (("reduce", F_BRACKET, "--mode", "zero-test"), 3),
+], ids=["compute-b", "help", "verify-help", "enumerate", "reduce-psi", "reduce-pair",
+        "verify", "check-pushforward", "reduce-zero-test"])
+def test_budget_env_is_read_only_by_a_check(argv, rounds):
+    """The environment is not an input: ``TAUTREL_BUDGET``, once read for the
+    rounds of a check, changes neither the exit code nor the output, and a
+    check runs its default rounds."""
+    env = {k: v for k, v in os.environ.items() if k != "TAUTREL_BUDGET"}
 
+    def result(**extra):
+        proc = run_child(*argv, env=dict(env, **extra))
+        assert not proc.stderr
+        if not proc.stdout.startswith("{"):
+            return proc.returncode, proc.stdout
+        return proc.returncode, strip_timing(json.loads(proc.stdout))
 
-@pytest.mark.parametrize("argv", [
-    ("compute-b", "--g", "1", "--m", "1", "--d", "2,1"),
-    ("--help",),
-    ("verify", "--help"),
-    ("enumerate", "--g", "1", "--n", "1", "--m", "2"),
-    ("reduce", F_BRACKET, "--mode", "psi"),
-    ("reduce", F_BRACKET, "--mode", "pair"),
-], ids=["compute-b", "help", "verify-help", "enumerate", "reduce-psi", "reduce-pair"])
-def test_budget_env_is_read_only_by_a_check(argv):
-    proc = run_child(*argv, env=dict(os.environ, TAUTREL_BUDGET="junk"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout and not proc.stderr
+    code, out = result()
+    assert code == 0 and out
+    if isinstance(out, dict):
+        assert out["budgets"]["rounds"] == rounds
+    assert result(TAUTREL_BUDGET="junk") == result(TAUTREL_BUDGET="5") == (code, out)
 
 
 @pytest.mark.parametrize("mode", ["psi", "pair"])
@@ -745,13 +734,11 @@ def test_format_needs_mode_psi(capsys, mode):
     assert "--format needs --mode psi" in capsys.readouterr().err
 
 
-def test_zero_test_budgets_default_and_follow_the_flags(capsys, monkeypatch):
-    monkeypatch.delenv("TAUTREL_BUDGET", raising=False)
+def test_zero_test_budgets_default_and_follow_the_flags(capsys):
     _code, report = run_json(capsys, "reduce", F_BRACKET, "--mode", "zero-test")
     assert report["budgets"] == {"rounds": 3, "max_relations": 200000}
-    monkeypatch.setenv("TAUTREL_BUDGET", "2")
     _code, report = run_json(capsys, "reduce", F_BRACKET, "--mode", "zero-test",
-                             "--max-relations", "900")
+                             "--budget", "2", "--max-relations", "900")
     assert report["budgets"] == {"rounds": 2, "max_relations": 900}
 
 
@@ -762,6 +749,29 @@ def test_bad_budget_flag_is_a_usage_error(flag, value):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "%s: must be a positive integer" % flag in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compute-b", "--g", "1", "--m", "2", "--d", "2,x"),
+     "tautrel compute-b: error: argument --d: weights must look like 2,1"),
+    (("compute-b", "--g", "1", "--m", "2", "--d", "1,-1"),
+     "error: weights must be nonnegative"),
+    (("enumerate", "--g", "1", "--n", "0", "--m", "2"),
+     "error: need at least one regular leg"),
+    (("enumerate", "--g", "1", "--n", "1", "--m", "-1"),
+     "error: negative frozen leg count"),
+    (("check-pushforward", "--g", "1", "--m", "2", "--l", "0", "--d", "2,1"),
+     "tautrel check-pushforward: error: argument --l: must be a positive integer,"
+     " not '0'"),
+    (("check-pushforward", "--g", "1", "--m", "2", "--l", "-1", "--d", "2,1"),
+     "tautrel check-pushforward: error: argument --l: must be a positive integer,"
+     " not '-1'"),
+], ids=["d-not-integers", "d-negative", "n-zero", "m-negative", "l-zero", "l-negative"])
+def test_input_errors_exit_1_with_one_line(argv, message):
+    proc = run_child(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == message + "\n"
 
 
 @pytest.mark.parametrize("argv", [
