@@ -17,6 +17,7 @@ import sys
 import time
 from collections.abc import Iterator
 
+from .graphs import EXTRA
 from .expressions import (
     _listed,
     _term_order,
@@ -114,7 +115,8 @@ def _vanishing_check(expr, args, stages):
     if expr.degree() <= expr.ambient.dimension:
         value = _timed(stages, "pair_s", next, (v for _b, v in _pairings(expr) if v), 0)
     if expr.degree() == expr.ambient.dimension and not any(
-            extras for key in expr.support() for _g, extras, _l, _i in key[0]):
+            label == EXTRA for key in expr.support() for part in key[0]
+            for label, _e in part[1]):
         outcome = {"proved": not value, "method": "top-degree-integral"}
         if value:
             outcome["integral"] = {"num": value.numerator, "den": value.denominator}
@@ -216,6 +218,8 @@ def cmd_verify(args):
 def _pushforward_difference(g, m, l, d):
     """The forgetful pushforward of the (g, m + l, d) class minus its
     string-table sum of (g, m) classes."""
+    if m < 0:
+        raise ValueError("negative frozen leg count")
     lhs = forget_frozen_legs(weighted_tree_class(g, m + l, d), l)
     rhs = lhs.scale(0)
     for k, mult in string_table(d, l):

@@ -78,13 +78,13 @@ def _base_overweight(base):
     """Whether some vertex's psi load exceeds the dimension of its moduli
     factor, read off the base classes of a graph's records."""
     return any(sum(e for _label, e in legs) + sum(intexp) >
-               3 * genus_v - 3 + len(legs) + len(intexp) + extras
-               for genus_v, extras, legs, intexp in base)
+               3 * genus_v - 3 + len(legs) + len(intexp)
+               for genus_v, legs, intexp in base)
 
 
 def _exponents(base):
     """The psi exponents of a graph's legs and edge ends, read off its base classes."""
-    for _g, _x, legs, intexp in base:
+    for _g, legs, intexp in base:
         for _label, e in legs:
             yield e
         yield from intexp
@@ -122,15 +122,15 @@ def _checked(ambient, terms):
     degree_seen = None
     for _coeff, base, edges in terms:
         _check_graph(base, edges)
-        if any(2 * genus_v - 2 + len(legs) + len(intexp) + extras <= 0
-               for genus_v, extras, legs, intexp in base):
+        if any(2 * genus_v - 2 + len(legs) + len(intexp) <= 0
+               for genus_v, legs, intexp in base):
             raise ValueError("unstable graph in term")
         genus_t = 1 + len(edges) - len(base) + sum(part[0] for part in base)
         if genus_t != ambient.genus:
             raise ValueError("term genus %d does not match ambient genus %d"
                              % (genus_t, ambient.genus))
-        labels = sorted((label for part in base for label, _e in part[2]),
-                        key=label_sort_key)
+        labels = sorted((label for part in base for label, _e in part[1]
+                         if label != EXTRA), key=label_sort_key)
         if tuple(labels) != ambient.labels:
             raise ValueError("term legs %r do not match ambient labels %r"
                              % (labels, list(ambient.labels)))
@@ -249,10 +249,10 @@ def attach_vertex(expr, leg_label, genus_v, legs):
     out = []
     for key, coeff in expr.items():
         base, edges = key_records(key)
-        (v, exp), = [(v, e) for v, part in enumerate(base) for label, e in part[2]
+        (v, exp), = [(v, e) for v, part in enumerate(base) for label, e in part[1]
                      if label == leg_label]
-        g, extras, vlegs, intexp = base[v]
-        base[v] = (g, extras, tuple(leg for leg in vlegs if leg[0] != leg_label),
+        g, vlegs, intexp = base[v]
+        base[v] = (g, tuple(leg for leg in vlegs if leg[0] != leg_label),
                    tuple(sorted(intexp + (exp,))))
         base.append(new_vertex)
         out.append((coeff, base, edges + [(v, exp, len(base) - 1, 0)]))
@@ -279,7 +279,8 @@ def _ambient_of(terms):
     _coeff, base, edges = terms[0]
     _check_graph(base, edges)
     genus_t = 1 + len(edges) - len(base) + sum(part[0] for part in base)
-    return make_ambient(genus_t, [label for part in base for label, _e in part[2]])
+    return make_ambient(genus_t, [label for part in base for label, _e in part[1]
+                                  if label != EXTRA])
 
 
 def _from_records(terms, ambient=None):
@@ -445,7 +446,8 @@ def _layout(key):
             legs[v].append(((FROZEN_FIRST[leg_kind(label)], label_sort_key(label)),
                             label, exp))
     return [[(label, exp) for _k, label, exp in sorted(legs[v])]
-            + [("W%d" % j, 0) for j in range(1, part[1] + 1)] + sorted(ends[v])
+            + [("W%d" % j, 0) for j in range(1, part[1].count((EXTRA, 0)) + 1)]
+            + sorted(ends[v])
             for v, part in enumerate(base)]
 
 

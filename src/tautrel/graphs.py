@@ -6,14 +6,16 @@ points of the involution are legs (marked points).  Leg labels come in four
 kinds: regular ``U<i>``, frozen ``V<i>``, arbitrary named labels, and
 anonymous extra legs which all share the label ``W``.  Pinned labels
 (regular/frozen/named) must be preserved by isomorphisms; extra legs and
-internal half-edge identities are freely interchangeable.
+internal half-edge identities are freely interchangeable.  An extra leg is
+otherwise a leg like the others, whose label may recur.
 
-The program computes on records: a base class per vertex and a flat
-(v1, e1, v2, e2) record per edge (see ``_records``), which
-``_canonical_search`` keys up to exactly that identification.  A key is its
-records: base classes in canonical vertex order, then the edge records, lower
-end first, sorted; ``half_edges`` numbers their half-edges.  Graph objects
-are the bridge: ``GraphBuilder`` input, ``canonical_key``, ``graph_from_key``.
+The program computes on records: a base class per vertex (see
+``base_classes``) and a flat (v1, e1, v2, e2) record per edge (see
+``_records``), which ``_canonical_search`` keys up to exactly that
+identification.  A key is its records: base classes in canonical vertex
+order, then the edge records, lower end first, sorted; ``half_edges``
+numbers their half-edges.  Graph objects are the bridge: ``GraphBuilder``
+input, ``canonical_key``, ``graph_from_key``.
 """
 
 from __future__ import annotations
@@ -194,22 +196,20 @@ def base_classes(genera, halves):
     """The base class of every vertex, from the vertex genera and the
     (vertex, label, exponent) of every half-edge, label None on an edge end.
 
-    A vertex's base class is (genus, extra-leg count, sorted decorated legs,
-    sorted exponents of its edge ends).
+    A vertex's base class is (genus, sorted (label, exponent) legs, sorted
+    exponents of its edge ends); an extra leg is the leg ``(EXTRA, 0)``, the
+    one label that may recur.
     """
-    extras = [0] * len(genera)
     legsig = [[] for _ in genera]
     intexp = [[] for _ in genera]
     for v, lab, exp in halves:
-        if lab == EXTRA:
-            if exp != 0:
-                raise ValueError("extra legs cannot carry psi exponents")
-            extras[v] += 1
-        elif lab is not None:
-            legsig[v].append((lab, exp))
-        else:
+        if lab is None:
             intexp[v].append(exp)
-    return [(genus_v, extras[v], tuple(sorted(legsig[v])), tuple(sorted(intexp[v])))
+            continue
+        if lab == EXTRA and exp != 0:
+            raise ValueError("extra legs cannot carry psi exponents")
+        legsig[v].append((lab, exp))
+    return [(genus_v, tuple(sorted(legsig[v])), tuple(sorted(intexp[v])))
             for v, genus_v in enumerate(genera)]
 
 
@@ -273,8 +273,8 @@ def _twin_classes(grp, incidences):
     (own exponent, far exponent, far vertex) of every edge end at them, are
     equal.  A loop is entered from both ends with the far vertex -1, so no
     vertex lists itself; an edge u-v would list v at u only, and equal
-    incidences rule it out.  The group already fixes genus, extras and
-    pinned legs, so swapping two twins is an automorphism.
+    incidences rule it out.  The group already fixes genus and legs, so
+    swapping two twins is an automorphism.
     """
     classes = {}
     for v in grp:
@@ -367,7 +367,7 @@ def canonical_key(dg):
     Two decorated graphs get equal keys exactly when some isomorphism matches
     them fixing every regular/frozen/named leg label; internal half-edges and
     extra legs may be renamed freely.  The key is self-describing: it lists
-    per-vertex data (genus, extra-leg count, decorated legs) in a canonical
+    per-vertex data (genus, decorated legs, edge-end exponents) in a canonical
     vertex order together with the multiset of decorated edge records, so the
     graph can be rebuilt from it (see ``graph_from_key``).
     """
@@ -392,10 +392,10 @@ def symmetry_order(key, ties):
     with key ``key``, whose canonical search counted ``ties`` vertex orders.
 
     Regular, frozen and named legs are fixed pointwise; internal half-edges
-    may permute.  Extra legs are treated as a per-vertex multiplicity and are
-    never a symmetry source.  Each vertex automorphism lifts to the
-    half-edges in as many ways as the m equal edge records of each kind can
-    be matched (m!) times two per loop whose ends carry equal exponents.
+    may permute.  Swapping extra legs at one vertex is never counted as a
+    symmetry.  Each vertex automorphism lifts to the half-edges in as many
+    ways as the m equal edge records of each kind can be matched (m!) times
+    two per loop whose ends carry equal exponents.
     """
     recs = key[1]
     order = ties * 2 ** sum(1 for v1, e1, v2, e2 in recs if v1 == v2 and e1 == e2)
@@ -428,14 +428,13 @@ def contract_records(base, edges, i):
     """Contract the non-loop edge ``edges[i]``, merging its endpoints (genera
     add), in fresh lists: ``base`` and ``edges`` may be a key's tuples."""
     v1, e1, v2, e2 = edges[i]
-    (g1, x1, legs1, int1), (g2, x2, legs2, int2) = base[v1], base[v2]
+    (g1, legs1, int1), (g2, legs2, int2) = base[v1], base[v2]
     rest1, rest2 = list(int1), list(int2)
     rest1.remove(e1)
     rest2.remove(e2)
     lo, hi = min(v1, v2), max(v1, v2)
     base = [*base[:hi], *base[hi + 1:]]
-    base[lo] = (g1 + g2, x1 + x2, tuple(sorted(legs1 + legs2)),
-                tuple(sorted(rest1 + rest2)))
+    base[lo] = (g1 + g2, tuple(sorted(legs1 + legs2)), tuple(sorted(rest1 + rest2)))
 
     def moved(u):
         return lo if u == hi else u - (u > hi)
@@ -447,19 +446,18 @@ def contract_records(base, edges, i):
 def half_edges(base, edges, at=None):
     """The half-edges of the graph with records (base, edges), or of its
     vertex ``at`` only, in the one numbering of the program: legs vertex by
-    vertex in base order, two halves per edge record, extra legs vertex by
-    vertex.  Each is (vertex, label, exponent, end): an edge end has label
+    vertex in base order, extra legs among them, then two halves per edge
+    record.  Each is (vertex, label, exponent, end): an edge end has label
     None and end (i, j), indexing the flat record ``edges[i]`` of a key or of
     records: ``edges[i][j]`` is its vertex, ``edges[i][j + 1]`` its exponent,
     and the half after a j = 0 end its partner; a leg has end None."""
     vertices = range(len(base)) if at is None else (at,)
-    out = [(v, label, exp, None) for v in vertices for label, exp in base[v][2]]
+    out = [(v, label, exp, None) for v in vertices for label, exp in base[v][1]]
     for i, (v1, e1, v2, e2) in enumerate(edges):
         if at is None or v1 == at:
             out.append((v1, None, e1, (i, 0)))
         if at is None or v2 == at:
             out.append((v2, None, e2, (i, 2)))
-    out += [(v, EXTRA, 0, None) for v in vertices for _ in range(base[v][1])]
     return out
 
 
@@ -472,25 +470,20 @@ def split_records(base, edges, v, halves, side, genus):
     in that list, stay on ``v``, which gets genus 0; the rest move to a new
     last vertex of genus ``genus``.  Legs and edge ends keep their exponents.
     """
-    legs = base[v][2]
     nv = len(base)
     legs_a, legs_b = [], []
     int_a, int_b = [0], [0]
-    extras_a = extras_b = 0
     out = [list(rec) for rec in edges]
     for n, (_v, label, exp, end) in enumerate(halves):
         stays = n in side
-        if end is not None:
-            (int_a if stays else int_b).append(exp)
-            if not stays:
-                out[end[0]][end[1]] = nv
-        elif label == EXTRA:
-            extras_a += stays
-            extras_b += not stays
-        else:
-            (legs_a if stays else legs_b).append(legs[n])
+        if end is None:
+            (legs_a if stays else legs_b).append((label, exp))
+            continue
+        (int_a if stays else int_b).append(exp)
+        if not stays:
+            out[end[0]][end[1]] = nv
     out.append([v, 0, nv, 0])
     base = list(base)
-    base[v] = (0, extras_a, tuple(legs_a), tuple(sorted(int_a)))
-    base.append((genus, extras_b, tuple(legs_b), tuple(sorted(int_b))))
+    base[v] = (0, tuple(legs_a), tuple(sorted(int_a)))
+    base.append((genus, tuple(legs_b), tuple(sorted(int_b))))
     return base, out

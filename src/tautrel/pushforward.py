@@ -68,39 +68,35 @@ def _push_at_vertices(coeff, base, edges, counts):
         new_base, new_edges = list(base), [list(rec) for rec in edges]
         for (v, halves, _table), (residual, m) in zip(choices, picks):
             mult *= m
-            genus_v, extras, legs, _intexp = base[v]
+            genus_v, legs, _intexp = base[v]
             n = len(legs)
-            intexp = []
             for (_v, _label, _e, end), e in zip(halves[n:], residual[n:]):
-                if end is not None:
-                    new_edges[end[0]][end[1] + 1] = e
-                    intexp.append(e)
-            new_base[v] = (genus_v, extras,
+                new_edges[end[0]][end[1] + 1] = e
+            new_base[v] = (genus_v,
                            tuple((label, e) for (label, _e), e in zip(legs, residual)),
-                           tuple(sorted(intexp)))
+                           tuple(sorted(residual[n:])))
         yield mult, _canonical_search(new_base, new_edges)[0]
 
 
 def _forget(expr, ambient, doomed):
     """Push forward to ``ambient`` along the map forgetting every leg whose
-    label is in ``doomed``, vertex by vertex; ``EXTRA`` in ``doomed`` stands
-    for the extra legs."""
+    label is in ``doomed``, vertex by vertex; ``EXTRA`` in ``doomed`` forgets
+    every extra leg, as any label forgets its legs."""
     out = []
     for key, coeff in expr.items():
         base, edges = key_records(key)
         counts = {}
-        for v, (genus_v, extras, legs, intexp) in enumerate(base):
+        for v, (genus_v, legs, intexp) in enumerate(base):
             for label, e in legs:
                 if label in doomed and e:
                     raise ValueError("cannot forget leg %s carrying a psi exponent" % label)
             kept = tuple(leg for leg in legs if leg[0] not in doomed)
-            lost = extras if EXTRA in doomed else 0
-            if lost or len(kept) < len(legs):
-                counts[v] = lost + len(legs) - len(kept)
-                base[v] = (genus_v, extras - lost, kept, intexp)
+            if len(kept) < len(legs):
+                counts[v] = len(legs) - len(kept)
+                base[v] = (genus_v, kept, intexp)
         for v in counts:
-            genus_v, extras, legs, intexp = base[v]
-            if 2 * genus_v - 2 + len(legs) + len(intexp) + extras <= 0:
+            genus_v, legs, intexp = base[v]
+            if 2 * genus_v - 2 + len(legs) + len(intexp) <= 0:
                 raise ValueError("vertex %d becomes unstable after forgetting legs" % v)
         out.extend(_push_at_vertices(coeff, base, edges, counts))
     return _summed(ambient, out)

@@ -88,7 +88,7 @@ def _psi_terms(base, edges, vertex, halves, half, away):
     genus 1.  Each graph is then stable, has the genus and legs of the input,
     one more edge and one psi power fewer, by construction.
     """
-    genus_v, extras, legs, intexp = base[vertex]
+    genus_v, legs, intexp = base[vertex]
     _v, label, exp, end = halves[half]
     base, edges = list(base), list(edges)
     if end is None:
@@ -101,14 +101,14 @@ def _psi_terms(base, edges, vertex, halves, half, away):
         rest = list(intexp)
         rest.remove(exp)
         intexp = tuple(sorted(rest + [exp - 1]))
-    base[vertex] = (genus_v, extras, legs, intexp)
+    base[vertex] = (genus_v, legs, intexp)
     halves = list(halves)
     halves[half] = (vertex, label, exp - 1, end)
     out = [(1, split_records(base, edges, vertex, halves, side, genus_v))
            for side in _sides(range(len(halves)), (half,), away)]
     if genus_v == 1:
         loop = list(base)
-        loop[vertex] = (0, extras, legs, tuple(sorted(intexp + (0, 0))))
+        loop[vertex] = (0, legs, tuple(sorted(intexp + (0, 0))))
         out.append((Fraction(1, 24), (loop, edges + [(vertex, 0, vertex, 0)])))
     return out
 
@@ -206,7 +206,7 @@ def _reduction_site(base, edges):
     Positive exponents on genus >= 2 vertices are unsupported.
     """
     best = None
-    for v, (genus_v, _extras, legs, intexp) in enumerate(base):
+    for v, (genus_v, legs, intexp) in enumerate(base):
         top = max([e for _label, e in legs] + list(intexp), default=0)
         if top <= 0:
             continue
@@ -286,7 +286,7 @@ class RelationBasis:
 
     def __init__(self, support):
         for base, edges in support:
-            if any(e for _g, _x, legs, _i in base for _label, e in legs) or \
+            if any(e for _g, legs, _i in base for _label, e in legs) or \
                     any(e1 or e2 for _v1, e1, _v2, e2 in edges):
                 raise ValueError("WDVV relations need a psi-free support")
         self.keys, self.ids, self.parts = [], {}, {}
@@ -372,8 +372,8 @@ def wdvv_relations_at(key, vertex, basis):
     from the canonical keys of the split records directly.
     """
     base, edges = key
-    genus_v, extras, legs, intexp = base[vertex]
-    k = len(legs) + len(intexp) + extras
+    genus_v, legs, intexp = base[vertex]
+    k = len(legs) + len(intexp)
     if genus_v != 0 or k < 4:
         return []
     halves = half_edges(base, edges, vertex)
@@ -777,9 +777,9 @@ def _integral(expr, powers):
     total = Fraction(0)
     for key, coeff in expr._terms.items():
         num, den = coeff.numerator, coeff.denominator
-        for genus_v, extras, legs, intexp in key[0]:
+        for genus_v, legs, intexp in key[0]:
             exps = [e + powers.get(label, 0) for label, e in legs]
-            value = vertex_integral(genus_v, tuple(sorted(exps + [*intexp] + [0] * extras)))
+            value = vertex_integral(genus_v, tuple(sorted(exps + [*intexp])))
             if not value:
                 break
             num *= value.numerator

@@ -66,7 +66,7 @@ class TreeShape:
         base = []
         for v, genus_v in enumerate(self.genera):
             intexp = [down[c] for c in self.children[v]] + [0] * (v > 0)
-            base.append((genus_v, 0, legs[v], tuple(sorted(intexp))))
+            base.append((genus_v, legs[v], tuple(sorted(intexp))))
         edges = [(self.parent[c], down[c], c, 0) for c in range(1, len(self.genera))]
         return base, edges
 

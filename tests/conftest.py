@@ -471,8 +471,8 @@ def _relabeled(expr, ambient, leg):
     out = []
     for key, coeff in expr._terms.items():
         base, edges = key_records(key)
-        base = [(genus_v, extras, tuple(sorted(leg(*pair) for pair in legs)), intexp)
-                for genus_v, extras, legs, intexp in base]
+        base = [(genus_v, tuple(sorted(leg(*pair) for pair in legs)), intexp)
+                for genus_v, legs, intexp in base]
         if not _base_overweight(base):
             out.append((coeff, _canonical_search(base, edges)[0]))
     return _summed(ambient, out)
@@ -503,10 +503,9 @@ def distribute(expr, label):
     if label in {half[1] for half in half_edges(base, edges)}:
         raise ValueError("name %r already used in the term" % label)
     out = []
-    for v, (genus_v, extras, legs, intexp) in enumerate(base):
+    for v, (genus_v, legs, intexp) in enumerate(base):
         grown = list(base)
-        grown[v] = ((genus_v, extras + 1, legs, intexp) if label == EXTRA else
-                    (genus_v, extras, tuple(sorted(legs + ((label, 0),))), intexp))
+        grown[v] = (genus_v, tuple(sorted(legs + ((label, 0),))), intexp)
         out.append((coeff, grown, edges))
     return _from_records(out)
 

@@ -766,7 +766,10 @@ def test_bad_budget_flag_is_a_usage_error(flag, value):
     (("check-pushforward", "--g", "1", "--m", "2", "--l", "-1", "--d", "2,1"),
      "tautrel check-pushforward: error: argument --l: must be a positive integer,"
      " not '-1'"),
-], ids=["d-not-integers", "d-negative", "n-zero", "m-negative", "l-zero", "l-negative"])
+    (("check-pushforward", "--g", "1", "--m", "-1", "--l", "1", "--d", "2,1"),
+     "error: negative frozen leg count"),
+], ids=["d-not-integers", "d-negative", "n-zero", "m-negative", "l-zero", "l-negative",
+        "m-negative-pushforward"])
 def test_input_errors_exit_1_with_one_line(argv, message):
     proc = run_child(*argv)
     assert proc.returncode == 1

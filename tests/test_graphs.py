@@ -166,6 +166,20 @@ def test_canonical_key_extra_legs_anonymous():
     assert canonical_key(build(one_order)) == canonical_key(build(other_order))
 
 
+def test_an_extra_leg_is_a_leg():
+    """A base class is (genus, legs, edge-end exponents), an extra leg is
+    the leg (W, 0), and ``half_edges`` lists it among the legs of its vertex,
+    before the edge ends."""
+    (key,) = parse_bracket("<U1 W W a>_0 <a* U2 U3>_0").support()
+    base, edges = key
+    assert base == ((0, (("U1", 0), (EXTRA, 0), (EXTRA, 0)), (0,)),
+                    (0, (("U2", 0), ("U3", 0)), (0,)))
+    assert [(label, e, end) for _v, label, e, end in half_edges(base, edges, 0)] == \
+        [("U1", 0, None), (EXTRA, 0, None), (EXTRA, 0, None), (None, 0, (0, 0))]
+    assert [label for _v, label, _e, _end in half_edges(base, edges)] == \
+        ["U1", EXTRA, EXTRA, "U2", "U3", None, None]
+
+
 def test_automorphism_order_examples():
     tree = parse_bracket("<V1 V2 a>_0 <a* U1 U2>_1").terms()[0][1]
     assert automorphism_order(canonical_key(tree)) == 1
@@ -841,15 +855,13 @@ def check_splits_and_contractions(dg):
 
 def record_numbering(dg, v):
     """The half-edges of ``dg`` at ``v`` in the order ``half_edges`` lists
-    them at a vertex: legs as sorted in the base class, then edge ends in record
-    order, then extra legs."""
+    them at a vertex: legs, extra legs among them, as sorted in the base
+    class, then edge ends in record order."""
     g = dg.graph
-    halves = g.halves_at(v)
-    legs = sorted((h for h in halves if g.labels[h] not in (None, EXTRA)),
+    legs = sorted((h for h in g.halves_at(v) if g.labels[h] is not None),
                   key=lambda h: (g.labels[h], dg.exponents[h]))
     ends = [x for h, p in g.edges() for x in (h, p) if g.vertex_of[x] == v]
-    extras = [h for h in halves if g.labels[h] == EXTRA]
-    return legs + ends + extras
+    return legs + ends
 
 
 def check_record_surgery(dg):

@@ -17,7 +17,8 @@ so the list follows the pools.  It also covers calls outside the pools:
 and certificate, whose equations the solver takes in key-id order;
 ``reduce --mode psi`` on the symmetric input for k = 9, p = 1 and on the
 mixed star of ``mixed_star_text`` for p in {0, 1}, whose genus-0 tails
-with extra legs go through parse, psi elimination and render, on the
+with extra legs go through parse, psi elimination and render, and for
+p = 1 with ``--format json`` too, which numbers the extra legs, on the
 psi-free star of ``pinned_g1_text``, whose pinned leg ``g1`` and ten-edge
 centre test the edge names of render, and on the
 single terms of ``PSI_SITES``, which put a psi site next to a loop, next to
@@ -49,7 +50,7 @@ latex``, ``compute-b --stage raw`` for (g, m, d) = (1, 3, 2,1,1), (0, 5,
 (1, 2, 2, 2,1), (2, 4, 1, 1,1,1,1) and (2, 4, 0, 2,2,1,1), the last with
 no frozen leg to mark the root; these assemble tree classes and run the
 forgetful pushforward outside the pools.  With the pools as they stand that
-makes 68 calls.  Both trees read the bracket fixtures from PARENT's
+makes 69 calls.  Both trees read the bracket fixtures from PARENT's
 ``tests/fixtures`` and run each call side by side.
 
 Every call is compared, and each one that differs is printed with the
@@ -167,6 +168,7 @@ def calls(workdir, fixtures):
     for p in (0, 1):
         path = write(workdir, "mixed_star_p%d" % p, mixed_star_text(p))
         out.append(["reduce", path, "--mode", "psi"])
+    out.append(["reduce", path, "--mode", "psi", "--format", "json"])   # p = 1
     out.append(["reduce", write(workdir, "pinned_g1", pinned_g1_text()), "--mode", "psi"])
     for i, text in enumerate(PSI_SITES):
         path = write(workdir, "psi_site_%d" % i, text + "\n")
