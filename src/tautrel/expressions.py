@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graphs import (
@@ -40,12 +40,10 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(namedtuple("Ambient", "genus labels")):
     """Target moduli space: a genus and the ordered pinned leg labels."""
 
-    genus: int
-    labels: tuple
+    __slots__ = ()
 
     @property
     def dimension(self):

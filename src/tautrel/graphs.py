@@ -21,8 +21,7 @@ input, ``canonical_key``, ``graph_from_key``.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -53,8 +52,7 @@ def label_sort_key(label):
     return (_KIND_ORDER[kind], 0, label)
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(namedtuple("DualGraph", "genera vertex_of involution labels")):
     """Immutable half-edge structure.
 
     ``genera[v]`` is the genus of vertex ``v``; half-edge ``h`` is attached to
@@ -62,10 +60,7 @@ class DualGraph:
     ``labels[h]`` is the leg label, or ``None`` for an internal half-edge.
     """
 
-    genera: tuple
-    vertex_of: tuple
-    involution: tuple
-    labels: tuple
+    __slots__ = ()
 
     @property
     def n_vertices(self):
@@ -75,9 +70,6 @@ class DualGraph:
     def n_half_edges(self):
         return len(self.vertex_of)
 
-    def halves_at(self, v):
-        return [h for h, w in enumerate(self.vertex_of) if w == v]
-
     def edges(self):
         """Internal edges as (h, involution[h]) pairs with h < partner."""
         return [(h, self.involution[h]) for h in range(self.n_half_edges)
@@ -86,24 +78,11 @@ class DualGraph:
     def n_edges(self):
         return len(self.edges())
 
-    def leg_labels(self):
-        """Sorted non-extra leg labels."""
-        out = [lab for lab in self.labels if lab is not None and lab != EXTRA]
-        return sorted(out, key=label_sort_key)
 
-    def leg_with_label(self, label):
-        for h, lab in enumerate(self.labels):
-            if lab == label:
-                return h
-        raise KeyError(label)
-
-
-@dataclass(frozen=True)
-class DecoratedGraph:
+class DecoratedGraph(namedtuple("DecoratedGraph", "graph exponents")):
     """A dual graph plus one nonnegative psi exponent per half-edge."""
 
-    graph: DualGraph
-    exponents: tuple
+    __slots__ = ()
 
     def degree(self):
         """Complex cohomological degree of the pushed-forward class."""

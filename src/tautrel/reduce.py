@@ -34,7 +34,7 @@ import heapq
 import itertools
 import time
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -263,24 +263,28 @@ DEFAULT_ROUNDS = 3
 
 
 class RelationBasis:
-    """A relation closure of ``support``, grown in place one round at a time
-    by ``generate_wdvv_relations``.
+    """A relation closure of an initial support, grown in place one round at
+    a time by ``generate_wdvv_relations``.
 
     Graph keys are nested tuples whose hash Python recomputes on every dict
     or set operation, so ``id_of`` numbers each key once, in a key table:
     ``keys[i]`` is the key with id i, and ``ids`` maps each key back to its
-    id.  The support comes first, in key order, and then each key in the
-    order the closure's splittings first produce it.  ``relations`` holds
-    each kept relation as an id -> int dict.  ``support`` holds the ids of
-    every graph reached so far: the initial support and every graph of a
-    kept relation.  ``processed`` holds the keys of the contracted source
-    graphs already instantiated, ``signatures`` the normalized relations
-    already kept (see ``_relation_signature``), and ``frontier`` the ids that
-    joined the support in the last round, the whole support before the first;
-    ``rounds`` counts the rounds run.  An empty frontier after a round means
-    the closure is closed.  ``parts`` holds one copy of each base class and
-    edge record of the keys that the closure stores (see ``_interned``).  A
-    support with a psi power raises ``ValueError``; contractions and
+    id.  The initial support comes first, in key order, and then each key in
+    the order the closure's splittings first produce it.  Each relation is
+    held once: ``relations`` maps its signature, the flat tuple that
+    ``_relation_signature`` normalizes it to, to the integer scale that
+    restores it (see ``_restored``), in the order the relations were kept;
+    relation i is the i-th item.  ``rows`` grows the span system's rows as
+    each relation is kept: key id -> {relation index: entry}, with the
+    entries in increasing relation index.  Its keys are the support: the
+    initial support, with empty rows at first, and each key from when its
+    row gets its first entry.  ``processed`` holds the keys of the
+    contracted source graphs already instantiated, and ``frontier`` the ids
+    that joined the support in the last round, the whole support before the
+    first; ``rounds`` counts the rounds run.  An empty frontier after a round
+    means the closure is closed.  ``parts`` holds one copy of each base class
+    and edge record of the keys that the closure stores (see ``_interned``).
+    A support with a psi power raises ``ValueError``; contractions and
     splittings add none, so every key that the closure reaches is psi-free.
     """
 
@@ -290,12 +294,11 @@ class RelationBasis:
                     any(e1 or e2 for _v1, e1, _v2, e2 in edges):
                 raise ValueError("WDVV relations need a psi-free support")
         self.keys, self.ids, self.parts = [], {}, {}
-        self.support = {self.id_of(key) for key in sorted(support)}
-        self.frontier = set(self.support)
-        self.relations = []
+        self.rows = {self.id_of(key): {} for key in sorted(support)}
+        self.frontier = set(self.rows)
+        self.relations = {}
         self.rounds = 0
         self.processed = set()
-        self.signatures = set()
 
     def id_of(self, key):
         """The id of ``key``; a key without one gets the next id and is
@@ -397,13 +400,19 @@ def wdvv_relations_at(key, vertex, basis):
 
 
 def _relation_signature(relation):
-    """The relation's proportionality class as a flat tuple (id, n, id, n,
-    ...) in increasing id order: the entries divided by their gcd, signed so
-    that the entry of the least key id is positive."""
+    """The relation's proportionality class and its scale: a flat tuple (id,
+    n, id, n, ...) in increasing id order, the entries divided by their gcd
+    and signed so that the entry of the least key id is positive, and that
+    gcd, signed alike, which ``_restored`` multiplies back."""
     scale = gcd(*relation.values())
     if relation[min(relation)] < 0:
         scale = -scale
-    return tuple([x for k in sorted(relation) for x in (k, relation[k] // scale)])
+    return tuple([x for k in sorted(relation) for x in (k, relation[k] // scale)]), scale
+
+
+def _restored(signature, scale):
+    """The relation ``scale`` times ``signature``, as an id -> int dict."""
+    return {signature[k]: scale * signature[k + 1] for k in range(0, len(signature), 2)}
 
 
 def generate_wdvv_relations(basis, max_relations=MAX_RELATIONS):
@@ -415,14 +424,15 @@ def generate_wdvv_relations(basis, max_relations=MAX_RELATIONS):
     instantiates the exchange relations at every genus-0 vertex of each new
     contraction; graphs appearing in new relations join the support and
     form the frontier of the next round.  A relation proportional to one
-    already kept is dropped.  Keys are numbered in the key table of the
-    basis as they first appear, and everything after that works on their
-    ids.  More than ``max_relations`` relations raise ``OverflowError``.
+    already kept is dropped; a kept one adds its entries to the rows.  Keys
+    are numbered in the key table of the basis as they first appear, and
+    everything after that works on their ids.  More than ``max_relations``
+    relations raise ``OverflowError``.
     """
     if basis.rounds and not basis.frontier:
         return basis
     basis.rounds += 1
-    keys, relations, known = basis.keys, basis.relations, basis.support
+    keys, relations, rows = basis.keys, basis.relations, basis.rows
     sources = set()
     for i in basis.frontier:
         base, edges = keys[i]
@@ -439,18 +449,20 @@ def generate_wdvv_relations(basis, max_relations=MAX_RELATIONS):
         basis.processed.add(_interned(skey, basis.parts))
         for v in range(len(skey[0])):
             for rel in wdvv_relations_at(skey, v, basis):
-                sig = _relation_signature(rel)
-                if sig in basis.signatures:
+                sig, scale = _relation_signature(rel)
+                if sig in relations:
                     continue
-                basis.signatures.add(sig)
-                relations.append(rel)
-                if len(relations) > max_relations:
+                r = len(relations)
+                relations[sig] = scale
+                if r >= max_relations:
                     raise OverflowError(
                         "relation budget exceeded (%d)" % max_relations)
-                for i in rel:
-                    if i not in known:
-                        known.add(i)
+                for i, n in rel.items():
+                    row = rows.get(i)
+                    if row is None:
+                        row = rows[i] = {}
                         frontier.add(i)
+                    row[r] = n
     return basis
 
 
@@ -458,13 +470,11 @@ def generate_wdvv_relations(basis, max_relations=MAX_RELATIONS):
 # exact span membership
 
 
-@dataclass(frozen=True)
-class ZeroCertificate:
-    """A span test's outcome; its seconds go to the caller's ``stages``."""
-    zero: bool
-    combination: tuple            # ((coefficient, {key: int} relation), ...)
-    budget_spent: int
-    reason: str
+class ZeroCertificate(namedtuple("ZeroCertificate", "zero combination budget_spent reason")):
+    """A span test's outcome; its seconds go to the caller's ``stages``.
+    ``combination`` is ((coefficient, {key: int} relation), ...)."""
+
+    __slots__ = ()
 
 
 # The moduli of the span solver, tried in this order: the eight largest primes
@@ -486,12 +496,14 @@ def _eliminate(rows, rhs, p):
     one, so a column whose count fell since it was pushed waits at its old
     count.  A column's exact count is the length of its append-only list of
     rows less the entries gone stale as rows lost it or pivoted.  A row is
-    copied when it is first updated, so the caller's rows are never mutated,
-    and a final pivot row is packed into flat lists.  A pivot depends only
-    on the reduced system's structure and on indices, so the same system and
-    prime give the same pivots on every run.  Returns the residues of the
-    pivot columns' values, ``_INCONSISTENT`` when the system has no solution
-    mod p, or None when p divides an entry, which would change its shape.
+    copied when it is first updated, so the caller's rows are never mutated.
+    A final pivot row is packed into flat lists, and the pivots' columns,
+    starts in them and right-hand sides go into three more, no tuple per
+    pivot.  A pivot depends only on the reduced system's structure and on
+    indices, so the same system and prime give the same pivots on every run.
+    Returns the residues of the pivot columns' values, ``_INCONSISTENT``
+    when the system has no solution mod p, or None when p divides an entry,
+    which would change its shape.
     """
     if any(not v % p for row in rows for v in row.values()):
         return None
@@ -506,7 +518,8 @@ def _eliminate(rows, rhs, p):
     gone = dict.fromkeys(held, 0)  # column -> entries of its list that went stale
     heap = [(len(rs), c) for c, rs in held.items()]
     heapq.heapify(heap)
-    pivots, packed, values = [], [], array("q")   # (column, start in packed, rhs)
+    pivots, starts, prhss = [], array("q"), array("q")   # column, start in packed, rhs
+    packed, values = [], array("q")
     while heap:
         n, c = heapq.heappop(heap)
         count = len(held[c]) - gone[c]
@@ -544,12 +557,14 @@ def _eliminate(rows, rhs, p):
             rhs[r2] = (rhs[r2] + f * prhs) % p
             if not row2 and rhs[r2]:
                 return _INCONSISTENT
-        pivots.append((c, len(packed), prhs))
+        pivots.append(c)
+        starts.append(len(packed))
+        prhss.append(prhs)
         packed += cols
         values.extend(vals)
     # back substitution in reverse pivot order
     solution, end = {}, len(packed)
-    for c, start, prhs in reversed(pivots):
+    for c, start, prhs in zip(reversed(pivots), reversed(starts), reversed(prhss)):
         known = map(solution.get, packed[start:end], itertools.repeat(0))
         solution[c], end = (prhs - sum(map(mul, values[start:end], known))) % p, start
     return solution
@@ -612,21 +627,24 @@ class _System:
         return x if self.satisfied_by(x) else None
 
 
-def _solve_exact(columns, target):
-    """Solve sum_i x_i * columns_i = target exactly over the rationals.
+def _solve_exact(rows, target, columns):
+    """Solve sum_j x_j * column_j = target exactly over the rationals.
 
-    Columns map keys to ``int`` entries, as relations do, and the target
-    maps keys to numbers; zero target entries are dropped.  The target is
+    The system comes by rows, as a closure grows them (``RelationBasis``):
+    ``rows`` maps each key to its row, column index -> ``int`` entry, and
+    the target maps keys to numbers; zero target entries are dropped.
+    ``columns`` iterates over the columns, key -> ``int`` dicts in column
+    order, and is read only when a witness system is built.  The target is
     divided by its content (the gcd of its numerators over the lcm of its
     denominators), which leaves it integral, and the solution multiplied
     back, so a large common factor of the target does not outrun the primes.
-    A target key that no column holds ends the solve at once: its unit
+    A target key without a row entry ends the solve at once: its unit
     vector y is an exact witness, y . A = 0 and y . b != 0.  The
-    equations are one row per key, in sorted key order; the span test names
-    its keys by id, so building the rows hashes and sorts small ints.
+    equations are the rows in sorted key order; the span test names its
+    keys by id, so the sort is over small ints.
     Elimination runs mod each prime of ``PRIMES`` in turn (see
     ``_eliminate``); with free variables set to zero and the rows in key
-    order, the same columns and target give the same solution on every run.
+    order, the same system and target give the same solution on every run.
     The answer comes from the first prime whose residues, combined by CRT
     with those of earlier primes that have the same pivot columns,
     reconstruct to an exact solution.  An inconsistency mod p
@@ -639,17 +657,10 @@ def _solve_exact(columns, target):
     content = Fraction(gcd(*(v.numerator for v in target.values())),
                        lcm(*(v.denominator for v in target.values()))) or 1
     target = {key: (v / content).numerator for key, v in target.items()}
-    row_of = {key: {} for key in target}
-    for j, col in enumerate(columns):
-        for key, val in col.items():
-            row = row_of.get(key)
-            if row is None:
-                row = row_of[key] = {}
-            row[j] = val
-    if not all(row_of[key] for key in target):
+    if not all(rows.get(key) for key in target):
         return None                # an untouched target key: a unit witness
-    keys = sorted(row_of)
-    system = _System([row_of[key] for key in keys], [target.get(key, 0) for key in keys])
+    keys = sorted(rows)
+    system = _System([rows[key] for key in keys], [target.get(key, 0) for key in keys])
     dual = None
     for p in PRIMES:
         x = system.solve_mod(p)
@@ -658,7 +669,8 @@ def _solve_exact(columns, target):
         if x is not _INCONSISTENT:
             return {j: v * content for j, v in x.items()}
         if dual is None:
-            dual = _System([*columns, target], [0] * len(columns) + [1])
+            columns = [*columns, target]
+            dual = _System(columns, [0] * (len(columns) - 1) + [1])
         y = dual.solve_mod(p)
         if y is not None and y is not _INCONSISTENT:
             return None            # an exact witness: y . A = 0, y . b = 1
@@ -681,8 +693,8 @@ def span_zero_test(expr, budget=DEFAULT_ROUNDS, max_relations=MAX_RELATIONS, sta
     psi power).  One relation closure of its support grows by a round at a
     time, up to ``budget`` rounds, and the span is solved after each round
     that adds a relation; a returned Zero certificate lists the relations it
-    uses over keys, not ids, and is re-verified by substitution before being
-    reported.  The seconds of the closure rounds and of the solves are added
+    uses over keys, not ids, each restored from its signature, and is
+    re-verified by substitution before being reported.  The seconds of the closure rounds and of the solves are added
     to ``stages["closure_s"]`` and ``stages["solve_s"]``, those spent before
     a budget overflow too; the dict only collects them.
     Unknown is a budget-bounded outcome, not a nonzeroness proof.  The test
@@ -703,10 +715,13 @@ def span_zero_test(expr, budget=DEFAULT_ROUNDS, max_relations=MAX_RELATIONS, sta
         # Relations sharing no key with the target's component are separate
         # blocks with a zero right-hand side; they keep their own pivot
         # columns and solve to zero, so they need not be filtered out.
-        solution = _timed(stages, "solve_s", _solve_exact, basis.relations, target)
+        solution = _timed(stages, "solve_s", _solve_exact, basis.rows, target,
+                          itertools.starmap(_restored, basis.relations.items()))
         if solution is None:
             continue
-        combination = tuple((v, {basis.keys[k]: n for k, n in basis.relations[i].items()})
+        used = {i: _restored(*item) for i, item in enumerate(basis.relations.items())
+                if i in solution}
+        combination = tuple((v, {basis.keys[k]: n for k, n in used[i].items()})
                             for v, i in sorted((v, i) for i, v in solution.items()))
         # re-substitution check: the certificate must reproduce the input
         acc = {}
@@ -768,27 +783,6 @@ def vertex_integral(genus, exponents):
     return total / _odd_factorial(2 * k + 3)
 
 
-def _integral(expr, powers):
-    """The integral of the expression times the psi monomial that raises
-    leg ``label`` by ``powers[label]``: each term's coefficient times the
-    integrals of its vertices, read off the base classes of its key and
-    multiplied as integer numerators and denominators, one ``Fraction`` per
-    term.  A vertex that the monomial makes overweight integrates to 0."""
-    total = Fraction(0)
-    for key, coeff in expr._terms.items():
-        num, den = coeff.numerator, coeff.denominator
-        for genus_v, legs, intexp in key[0]:
-            exps = [e + powers.get(label, 0) for label, e in legs]
-            value = vertex_integral(genus_v, tuple(sorted(exps + [*intexp])))
-            if not value:
-                break
-            num *= value.numerator
-            den *= value.denominator
-        else:
-            total += Fraction(num, den)
-    return total
-
-
 def integrate(expr):
     """Integrate a top-degree expression over its ambient space."""
     if expr.is_zero():
@@ -796,28 +790,65 @@ def integrate(expr):
     if expr.degree() != expr.ambient.dimension:
         raise ValueError("degree %d is not the ambient dimension %d"
                          % (expr.degree(), expr.ambient.dimension))
-    return _integral(expr, {})
+    return next(_pairings(expr))[1]
 
 
 def _pairings(expr):
     """The pairings of a nonzero expression of degree at most the ambient
-    dimension against the complementary psi monomials, one at a time:
-    (exponent tuple over ambient legs, integral) pairs, the monomials in
-    ``combinations_with_replacement`` order of the legs."""
+    dimension against the complementary psi monomials: (exponent tuple over
+    ambient legs, integral) pairs, the monomials in
+    ``combinations_with_replacement`` order of the legs, zeros included.
+
+    A vertex integrates to nonzero only at its dimension, so the terms are
+    walked once, and each adds only to the monomials that raise the
+    exponents of each of its vertices' ambient legs by exactly what the
+    vertex lacks of its dimension: the coefficient times the integrals of
+    its vertices, read off the base classes of its key and multiplied as
+    integer numerators and denominators.  Numerators are summed per
+    monomial and denominator, and a monomial, its ambient leg positions
+    sorted with repetition, makes one ``Fraction`` per denominator."""
     labels = expr.ambient.labels
+    position = {label: i for i, label in enumerate(labels)}
+    acc = {}
+    for key, coeff in expr._terms.items():
+        choices = []               # per vertex: (leg positions, integral) pairs
+        for genus_v, legs, intexp in key[0]:
+            lack = (3 * genus_v - 3 + len(legs) + len(intexp)
+                    - sum(e for _label, e in legs) - sum(intexp))
+            if lack < 0:
+                break
+            at = [n for n, (label, _e) in enumerate(legs) if label in position]
+            ways = []
+            for raised in itertools.combinations_with_replacement(at, lack):
+                exps = [e + raised.count(n) for n, (_label, e) in enumerate(legs)]
+                value = vertex_integral(genus_v, tuple(sorted(exps + [*intexp])))
+                if value:
+                    ways.append(([position[legs[n][0]] for n in raised], value))
+            if not ways:
+                break
+            choices.append(ways)
+        else:
+            for pick in itertools.product(*choices):
+                num, den, monomial = coeff.numerator, coeff.denominator, []
+                for raised, value in pick:
+                    num *= value.numerator
+                    den *= value.denominator
+                    monomial += raised
+                by_den = acc.setdefault(tuple(sorted(monomial)), {})
+                by_den[den] = by_den.get(den, 0) + num
     codim = expr.ambient.dimension - expr.degree()
     for combo in itertools.combinations_with_replacement(range(len(labels)), codim):
-        b = tuple(combo.count(i) for i in range(len(labels)))
-        yield b, _integral(expr, dict(zip(labels, b)))
+        yield (tuple(combo.count(i) for i in range(len(labels))),
+               sum([Fraction(n, d) for d, n in acc.get(combo, {}).items()], Fraction(0)))
 
 
 def pair_with_psi_monomials(expr):
     """All pairings of the expression against complementary psi monomials.
 
     Returns (exponent tuple over ambient legs, integral) pairs; a zero class
-    pairs to zero against everything.  Each pairing adds the monomial's
-    powers to the leg exponents of every term and integrates the vertices of
-    each term, without keying the product.  A pairing is an intersection
+    pairs to zero against everything.  Each term adds to the monomials that
+    bring its vertices to their dimensions (see ``_pairings``), without
+    keying the product.  A pairing is an intersection
     number, so psi elimination, which rewrites a class into an equal one,
     leaves every pairing as it was.
     """

@@ -26,7 +26,7 @@ vertex whose psi load exceeds the dimension of its moduli factor dies too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .graphs import _canonical_search, leg_kind
@@ -44,8 +44,7 @@ def _as_weights(d):
     return weights
 
 
-@dataclass(frozen=True)
-class TreeShape:
+class TreeShape(namedtuple("TreeShape", "genera legs parent children")):
     """A rooted tree in the shape family; the root is always vertex 0.
 
     ``genera[v]`` is the genus of vertex ``v``, ``legs[v]`` the labels of its
@@ -53,10 +52,7 @@ class TreeShape:
     children in increasing order.
     """
 
-    genera: tuple
-    legs: tuple
-    parent: tuple
-    children: tuple
+    __slots__ = ()
 
     def records(self, legs, down):
         """The records of the shape whose vertex ``v`` carries the sorted

@@ -6,9 +6,12 @@ string-equation recursion, genus-1 integrals from string plus dilaton
 anchored at 1/24, and tree shapes from exhaustive parent-array enumeration.
 The genus-0 closed form and the genus-1 splitting recursion that computed
 vertex integrals before the DVV recursion replaced them stay here as
-references.  ``closure`` grows a relation closure by a number of rounds, and
-``relation_expression`` reads a relation of a closure's basis back over
-graph keys.  ``local_basis_by_elimination`` finds the basis of
+references.  ``closure`` grows a relation closure by a number of rounds,
+``restored`` lists its relations as dicts, ``relation_expression`` reads
+one back over graph keys, and ``transposed`` and ``solve_columns`` hand the
+span solver a system of hand-made columns by its rows, as the solver built
+them from the relations each round before a closure grew its rows.
+``local_basis_by_elimination`` finds the basis of
 the exchange relations at a vertex by the exact elimination that ran before
 ``_local_basis`` wrote it down.
 ``RootedTreeView`` is the graph-level rooted-tree walk that tree classes
@@ -19,7 +22,9 @@ computed on as records: ``genus``, ``is_stable``, ``is_connected``,
 ``multiply_by_leg_psi``, ``relabel_legs``, ``distribute`` and
 ``shape_class`` are library functions that no command used, and
 ``psi_free`` was a method of ``Expression`` that no command used; they stay
-here as references for the tests that use them.
+here as references for the tests that use them.  ``halves_at``,
+``leg_labels`` and ``leg_with_label`` were methods of ``DualGraph`` that
+only tests called.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from tautrel.graphs import (
     canonical_key,
     half_edges,
     key_records,
+    label_sort_key,
     leg_kind,
     validate,
 )
@@ -59,7 +65,9 @@ from tautrel.reduce import (
     RelationBasis,
     _exchange_relation,
     _only_term,
+    _restored,
     _sides,
+    _solve_exact,
     generate_wdvv_relations,
 )
 from tautrel.treeclass import _as_weights, _leg_weights, _shape_terms
@@ -75,6 +83,25 @@ def fixture_text(name):
 @pytest.fixture
 def fixtures():
     return fixture_text
+
+
+def halves_at(g, v):
+    """The half-edges at vertex ``v`` of the dual graph ``g``, in order."""
+    return [h for h, w in enumerate(g.vertex_of) if w == v]
+
+
+def leg_labels(g):
+    """The sorted non-extra leg labels of the dual graph ``g``."""
+    return sorted((lab for lab in g.labels if lab is not None and lab != EXTRA),
+                  key=label_sort_key)
+
+
+def leg_with_label(g, label):
+    """The first half-edge of the dual graph ``g`` with leg label ``label``."""
+    for h, lab in enumerate(g.labels):
+        if lab == label:
+            return h
+    raise KeyError(label)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +139,7 @@ def valid_term(dg):
     """Whether ``dg`` is a valid term of the ambient of its genus and legs."""
     g = dg.graph
     return (not validate(g) and min(g.genera) >= 0 and is_connected(g) and is_stable(dg)
-            and 2 * genus(g) - 2 + len(g.leg_labels()) > 0)
+            and 2 * genus(g) - 2 + len(leg_labels(g)) > 0)
 
 
 def vertex_overweight(dg):
@@ -235,7 +262,7 @@ def brute_force_automorphism_order(dg):
             continue
         count += 1
     # vertices without half-edges can permute freely among equals
-    bare = [v for v in range(g.n_vertices) if not g.halves_at(v)]
+    bare = [v for v in range(g.n_vertices) if not halves_at(g, v)]
     groups = {}
     for v in bare:
         groups.setdefault((g.genera[v], extras[v]), []).append(v)
@@ -337,12 +364,33 @@ def closure(support, rounds):
     return basis
 
 
+def restored(basis):
+    """The relations of a ``RelationBasis`` as id -> int dicts, in order."""
+    return [_restored(sig, scale) for sig, scale in basis.relations.items()]
+
+
 def relation_expression(basis, i):
     """Relation ``i`` of a ``RelationBasis`` as an ``Expression`` over graph
     keys, read back through the basis's key table, with ``Fraction``
     coefficients, on the genus and legs of its graphs."""
-    terms = {basis.keys[k]: Fraction(n) for k, n in basis.relations[i].items()}
+    terms = {basis.keys[k]: Fraction(n) for k, n in restored(basis)[i].items()}
     return Expression(_ambient_of([(1, *next(iter(terms)))]), _raw=terms)
+
+
+def transposed(columns):
+    """The rows of ``columns``, key -> int dicts: key -> {column index:
+    entry}, entries in column order.  ``_solve_exact`` built its rows so
+    from a closure's relations every round before the closure grew them."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, val in col.items():
+            rows.setdefault(key, {})[j] = val
+    return rows
+
+
+def solve_columns(columns, target):
+    """``_solve_exact`` on hand-made columns, handed over by their rows."""
+    return _solve_exact(transposed(columns), target, columns)
 
 
 def local_basis_by_elimination(k):
@@ -406,13 +454,13 @@ def brute_force_shape_keys(genus_value, n_regular, n_frozen):
                         b.add_leg(0, "V%d" % j)
                     dg = b.build()
                     g = dg.graph
-                    counts = [len(g.halves_at(v)) for v in range(nv)]
+                    counts = [len(halves_at(g, v)) for v in range(nv)]
                     if any(2 * genera[v] - 2 + counts[v] <= 0 for v in range(nv)):
                         continue
                     leaf_ok = all(
                         children[v] or any(
                             g.labels[h] is not None and leg_kind(g.labels[h]) == "regular"
-                            for h in g.halves_at(v))
+                            for h in halves_at(g, v))
                         for v in range(nv))
                     if not leaf_ok:
                         continue
@@ -446,7 +494,7 @@ class RootedTreeView:
         frontier = [root]
         while frontier:
             v = frontier.pop(0)
-            for h in graph.halves_at(v):
+            for h in halves_at(graph, v):
                 p = graph.involution[h]
                 if p == h:
                     continue

@@ -35,6 +35,7 @@ from conftest import (
     brute_force_shape_keys,
     fixture_text,
     genus0_integral_by_string,
+    halves_at,
     random_decorated_graph,
     relabeled,
 )
@@ -207,7 +208,7 @@ def test_criterion_6_psi_reduction_identities():
         v = dg.graph.vertex_of[target]
         if dg.graph.genera[v] == 0:
             (key,) = e.support()
-            halves = dg.graph.halves_at(v)
+            halves = halves_at(dg.graph, v)
             pair = choose_partner_pair(half_edges(*key_records(key), v),
                                        halves.index(target))
             out = psi_reduce_genus0(e, v, target, [halves[n] for n in pair])

@@ -793,3 +793,15 @@ def test_console_entry_point():
     proc = run_child("enumerate", "--g", "1", "--n", "1", "--m", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"]["count"] == 2
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """The library's records are named tuples, so a CLI process never loads
+    ``dataclasses``, nor ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    which ``dataclasses`` would load with it.  ``-S`` keeps the ``.pth``
+    files of the environment's site-packages from importing anything."""
+    code = ("import sys, tautrel.cli; print(sorted({'dataclasses', 'inspect', 'ast',"
+            " 'dis', 'tokenize'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, env=child_env(), check=True)
+    assert out.stdout == "[]\n"

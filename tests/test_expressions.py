@@ -40,6 +40,8 @@ from conftest import (
     fixture_text,
     genus,
     graph_automorphism_order,
+    halves_at,
+    leg_labels,
     multiply_by_leg_psi,
     random_decorated_graph,
     relabel_legs,
@@ -479,7 +481,7 @@ def test_json_from_keys_matches_graph_json_on_pool_classes(g, m, d, psi_free):
 @given(st.randoms(use_true_random=False))
 def test_json_from_keys_matches_graph_json_on_random_keys(rng):
     dg = random_decorated_graph(rng)
-    expr = Expression(Ambient(genus(dg.graph), tuple(dg.graph.leg_labels())),
+    expr = Expression(Ambient(genus(dg.graph), tuple(leg_labels(dg.graph))),
                       _raw={canonical_key(dg): Fraction(rng.randint(-5, 5) or 1,
                                                         rng.randint(1, 4))})
     got = json.dumps(expression_to_json(expr), sort_keys=True)
@@ -497,7 +499,7 @@ def test_latex_render_smoke():
 def random_expression(rng):
     """A random sum of nonzero stable terms on one ambient and in one degree."""
     def signature(dg):
-        return genus(dg.graph), dg.graph.leg_labels(), dg.degree()
+        return genus(dg.graph), leg_labels(dg.graph), dg.degree()
 
     terms = []
     for _ in range(12):
@@ -572,7 +574,7 @@ def reference_display_layout(dg):
     for v in range(g.n_vertices):
         items = []
         n_extras = 0
-        for h in g.halves_at(v):
+        for h in halves_at(g, v):
             lab = g.labels[h]
             if lab == EXTRA:
                 n_extras += 1
@@ -728,7 +730,7 @@ def test_render_from_keys_matches_graph_render_on_random_graphs(rng):
     dg = random_decorated_graph(rng)
     key = canonical_key(dg)
     assert automorphism_order(key) == graph_automorphism_order(dg)
-    expr = Expression(Ambient(genus(dg.graph), tuple(dg.graph.leg_labels())),
+    expr = Expression(Ambient(genus(dg.graph), tuple(leg_labels(dg.graph))),
                       _raw={key: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))})
     assert_render_matches_reference(expr)
 

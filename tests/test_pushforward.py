@@ -21,6 +21,7 @@ from tautrel.treeclass import weighted_tree_class
 from conftest import (
     builder_copy_of,
     genus0_integral_by_string,
+    halves_at,
     random_decorated_graph,
     relabel_legs,
     valid_term,
@@ -38,7 +39,7 @@ def reference_push_at_vertices(coeff, dg, counts, drop):
     g = dg.graph
     choices = []
     for v, count in sorted(counts.items()):
-        slots = [h for h in g.halves_at(v) if h not in drop]
+        slots = [h for h in halves_at(g, v) if h not in drop]
         table = string_table(tuple(dg.exponents[h] for h in slots), count)
         choices.append((slots, table))
     out = []
@@ -67,7 +68,7 @@ def reference_forget(expr, ambient, doomed):
                     "cannot forget leg %s carrying a psi exponent" % g.labels[h])
         counts = Counter(g.vertex_of[h] for h in drop)
         for v, count in counts.items():
-            if 2 * g.genera[v] - 2 + len(g.halves_at(v)) - count <= 0:
+            if 2 * g.genera[v] - 2 + len(halves_at(g, v)) - count <= 0:
                 raise ValueError(
                     "vertex %d becomes unstable after forgetting legs" % v)
         out.extend(reference_push_at_vertices(coeff, dg, counts, set(drop)))

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import heapq
 import itertools
@@ -66,12 +65,18 @@ from conftest import (
     genus0_integral_by_string,
     genus1_integral_by_string_dilaton,
     genus1_splitting_recursion,
+    halves_at,
+    leg_labels,
+    leg_with_label,
     local_basis_by_elimination,
     multiply_by_leg_psi,
     psi_free,
     random_decorated_graph,
     relabel_legs,
     relation_expression,
+    restored,
+    solve_columns,
+    transposed,
     valid_term,
     vertex_overweight,
 )
@@ -80,13 +85,13 @@ from test_graphs import contract_edge, single_term, split_vertex
 
 def half_by_label(expr, label):
     (_c, dg), = expr.terms()
-    return dg.graph.leg_with_label(label)
+    return leg_with_label(dg.graph, label)
 
 
 def keyed_relations(basis):
     """The basis relations as key -> int dicts, mapped back through its key table."""
     keys = basis.keys
-    return [{keys[i]: n for i, n in rel.items()} for rel in basis.relations]
+    return [{keys[i]: n for i, n in rel.items()} for rel in restored(basis)]
 
 
 def as_expressions(basis):
@@ -151,12 +156,12 @@ def test_single_term_rewrite_errors(genus, text, at, target, partners, message):
     half-edges, in the graph of the first term."""
     e = parse_bracket(text)
     graph = e.terms()[0][1].graph
-    vertex = graph.vertex_of[graph.leg_with_label(at)]
-    half = graph.leg_with_label(target)
+    vertex = graph.vertex_of[leg_with_label(graph, at)]
+    half = leg_with_label(graph, target)
     with pytest.raises(ValueError, match=re.escape(message)):
         if genus == 0:
             psi_reduce_genus0(e, vertex, half,
-                              tuple(graph.leg_with_label(x) for x in partners))
+                              tuple(leg_with_label(graph, x) for x in partners))
         else:
             psi_reduce_genus1(e, vertex, half)
 
@@ -242,7 +247,7 @@ def reference_psi_terms(dg, vertex, half, away):
     lowered = DecoratedGraph(g, tuple(exponents))
     genus_v = g.genera[vertex]
     out = [(1, split_vertex(lowered, vertex, side, 0, genus_v))
-           for side in reduce._sides(g.halves_at(vertex), (half,), away)]
+           for side in reduce._sides(halves_at(g, vertex), (half,), away)]
     if genus_v == 1:
         loop = builder_copy_of(lowered)
         loop.genera[vertex] = 0
@@ -261,7 +266,7 @@ def reference_choose_partner_pair(dg, vertex, half):
         order = {"frozen": 0, "regular": 1, "named": 2, "extra": 3}[leg_kind(lab)]
         return (order, label_sort_key(lab), h)
 
-    candidates = sorted((h for h in g.halves_at(vertex) if h != half), key=rank)
+    candidates = sorted((h for h in halves_at(g, vertex) if h != half), key=rank)
     legs = [h for h in candidates if g.labels[h] is not None]
     if len(legs) >= 2:
         return legs[0], legs[1]
@@ -327,7 +332,7 @@ def graph_partner_pair(expr, vertex, half):
     of the graph ``expr.terms()`` gives."""
     (key,) = expr.support()
     (_c, dg), = expr.terms()
-    halves = dg.graph.halves_at(vertex)
+    halves = halves_at(dg.graph, vertex)
     pair = choose_partner_pair(half_edges(*key_records(key), vertex), halves.index(half))
     return tuple(halves[n] for n in pair)
 
@@ -378,7 +383,7 @@ def test_rewritten_graphs_are_valid_terms(g, m, d, monkeypatch):
             kept += 1
             assert valid_term(term)
             assert genus(term.graph) == expr.ambient.genus
-            assert tuple(term.graph.leg_labels()) == expr.ambient.labels
+            assert tuple(leg_labels(term.graph)) == expr.ambient.labels
             assert term.graph.n_edges() == dg.graph.n_edges() + 1
             assert sum(term.exponents) == sum(dg.exponents) - 1
     assert kept > 0
@@ -450,7 +455,7 @@ def test_elimination_lists_each_psi_site_once(monkeypatch):
 def test_partner_pair_prefers_frozen_then_legs():
     e = parse_bracket("<V1 V2 P^1(U2) a>_0 <a* P^2(U1)>_1")
     (_c, dg), = e.terms()
-    target = dg.graph.leg_with_label("U2")
+    target = leg_with_label(dg.graph, "U2")
     pair = graph_partner_pair(e, 0, target)
     labels = {dg.graph.labels[h] for h in pair}
     assert labels == {"V1", "V2"}
@@ -459,7 +464,7 @@ def test_partner_pair_prefers_frozen_then_legs():
 def test_partner_pair_avoids_loop_halves():
     e = parse_bracket("<P^1(x1) b a a*>_0 <b* x2 x3>_0")
     (_c, dg), = e.terms()
-    target = dg.graph.leg_with_label("x1")
+    target = leg_with_label(dg.graph, "x1")
     pair = graph_partner_pair(e, 0, target)
     assert dg.graph.involution[pair[0]] != pair[1]
 
@@ -472,7 +477,7 @@ def test_partner_pair_avoids_loop_halves():
 def test_partner_pair_ranks_extra_legs_after_named_legs(text, labels):
     e = parse_bracket(text)
     (_c, dg), = e.terms()
-    target = dg.graph.leg_with_label("U1")
+    target = leg_with_label(dg.graph, "U1")
     v = dg.graph.vertex_of[target]
     pair = graph_partner_pair(e, v, target)
     assert tuple(dg.graph.labels[h] for h in pair) == labels
@@ -507,9 +512,9 @@ def psi_features(expr):
         found.add("leg psi" if g.labels[h] is not None else "edge-end psi")
         if g.genera[v] == 1:
             found.add("genus-1 loop term")
-        at_v = [g.labels[x] for x in g.halves_at(v)]
+        at_v = [g.labels[x] for x in halves_at(g, v)]
         if any(g.vertex_of[g.involution[x]] == v and g.involution[x] != x
-               for x in g.halves_at(v)):
+               for x in halves_at(g, v)):
             found.add("loop at the split vertex")
         for lab in at_v:
             if lab is not None:
@@ -559,10 +564,10 @@ def test_record_site_and_partner_pair_match_graph_references(rng):
         assert reference_reduction_site(dg) is None
     else:
         v, n, halves = site
-        assert reference_reduction_site(dg) == (v, dg.graph.halves_at(v)[n])
+        assert reference_reduction_site(dg) == (v, halves_at(dg.graph, v)[n])
         assert halves == half_edges(base, edges, v)
     for v in range(dg.graph.n_vertices):
-        halves = dg.graph.halves_at(v)
+        halves = halves_at(dg.graph, v)
         if len(halves) < 3:
             continue
         for h in halves:
@@ -611,7 +616,7 @@ def test_wdvv_four_points():
     support = parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0").support()
     basis = closure(support, 1)
     assert len(basis.relations) == 2
-    assert all(len(rel) == 2 for rel in basis.relations)
+    assert all(len(rel) == 2 for rel in restored(basis))
     # the relations identify all three pairings of the four labels
     d12 = parse_bracket("<x1 x2 a>_0 <a* x3 x4>_0")
     d13 = parse_bracket("<x1 x3 a>_0 <a* x2 x4>_0")
@@ -622,7 +627,7 @@ def test_wdvv_four_points():
 
 def test_wdvv_empty_support():
     basis = closure(frozenset(), 2)
-    assert basis.relations == []
+    assert basis.relations == {} and basis.rows == {}
 
 
 def test_chain_class_is_symmetric_modulo_relations():
@@ -750,9 +755,9 @@ def test_span_test_solves_only_after_a_round_that_adds_relations(name, solves):
         expr = eliminate_all_psi(parse_bracket(fixture_text(name)))
     calls = []
 
-    def spy(relations, target):
-        calls.append(len(relations))
-        return _solve_exact(relations, target)
+    def spy(rows, target, columns):
+        calls.append(len(set().union(*rows.values())))     # the relations
+        return _solve_exact(rows, target, columns)
 
     with mock.patch.object(reduce, "_solve_exact", spy):
         cert = span_zero_test(expr, budget=3)
@@ -784,9 +789,9 @@ def closure_only_span_test(expr, budget=3):
         generate_wdvv_relations(basis)
         if len(basis.relations) == count:
             continue
-        if not set().union(*basis.relations).issuperset(target):
+        if not all(basis.rows[key] for key in target):
             continue
-        if _solve_exact(basis.relations, target) is not None:
+        if _solve_exact(basis.rows, target, restored(basis)) is not None:
             return True, rounds
     return False, budget
 
@@ -840,8 +845,8 @@ def test_span_test_adds_its_seconds_to_the_callers_stages():
     """The closure and solve seconds go into the ``stages`` the caller passes,
     those spent before a budget overflow too; neither the certificate nor
     the error carries seconds."""
-    assert [f.name for f in dataclasses.fields(reduce.ZeroCertificate)] == [
-        "zero", "combination", "budget_spent", "reason"]
+    assert reduce.ZeroCertificate._fields == (
+        "zero", "combination", "budget_spent", "reason")
     b122 = eliminate_all_psi(weighted_tree_class(1, 2, (2, 1, 1)))
     proved = {}
     assert span_zero_test(b122, stages=proved).zero
@@ -869,7 +874,7 @@ def test_relation_closure_rejects_a_psi_decorated_support(text):
 def test_reduction_path_independence_modulo_relations():
     e = parse_bracket("<P^1(x1) x2 x3 x4 x5>_0")
     (_c, dg), = e.terms()
-    h = {lab: dg.graph.leg_with_label(lab) for lab in ("x1", "x2", "x3", "x4", "x5")}
+    h = {lab: leg_with_label(dg.graph, lab) for lab in ("x1", "x2", "x3", "x4", "x5")}
     seen = []
     for pair in [(h["x2"], h["x3"]), (h["x3"], h["x4"]), (h["x4"], h["x5"])]:
         seen.append(psi_reduce_genus0(e, 0, h["x1"], pair))
@@ -906,7 +911,7 @@ def test_integrate_counts_extra_legs(text):
         g = dg.graph
         value = coeff
         for v in range(g.n_vertices):
-            exps = tuple(sorted(dg.exponents[h] for h in g.halves_at(v)))
+            exps = tuple(sorted(dg.exponents[h] for h in halves_at(g, v)))
             value *= (genus0_integral_by_string if g.genera[v] == 0
                       else genus1_integral_by_string_dilaton)(exps)
         total += value
@@ -1074,6 +1079,61 @@ def test_pairings_equal_integrals_of_multiplied_classes(name):
     assert dropped > 0             # some monomial makes some vertex overweight
 
 
+def monomial_by_monomial_pairings(expr):
+    """Reference oracle: the pairings as they were computed before the terms
+    were walked once, one monomial at a time in
+    ``combinations_with_replacement`` order, integrating the vertices of
+    every term with the monomial's powers added to their legs."""
+    labels = expr.ambient.labels
+    codim = expr.ambient.dimension - expr.degree()
+    out = []
+    for combo in itertools.combinations_with_replacement(range(len(labels)), codim):
+        b = tuple(combo.count(i) for i in range(len(labels)))
+        powers = dict(zip(labels, b))
+        total = Fraction(0)
+        for key, coeff in expr._terms.items():
+            value = coeff
+            for genus_v, legs, intexp in key[0]:
+                exps = [e + powers.get(label, 0) for label, e in legs]
+                value *= vertex_integral(genus_v, tuple(sorted(exps + [*intexp])))
+            total += value
+        out.append((b, total))
+    return out
+
+
+def wdvv_divisor_text(middle):
+    """The WDVV relation on M_{0,4+len(middle)} that the divisors separating
+    {U1, U2} from {U8, U9} minus those separating {U1, U8} from {U2, U9}
+    make, each side taking a subset of ``middle``."""
+    items = []
+    for sign, near, far in [("+", "U1 U2", "U8 U9"), ("-", "U1 U8", "U2 U9")]:
+        for r in range(len(middle) + 1):
+            for side in itertools.combinations(middle, r):
+                rest = [u for u in middle if u not in side]
+                items.append("%s <%s e>_0 <e* %s>_0" % (sign, " ".join([near, *side]),
+                                                       " ".join([far, *rest])))
+    return "\n".join(items)
+
+
+@pytest.mark.parametrize("name", ["h", "i", "b2_2_4", "b13_111", "b06_1111", "wdvv7",
+                                  "extra", "point"])
+def test_pairings_walk_the_terms_once_like_the_monomial_loop(name):
+    """The same pairings in the same order, zeros included, on raw tree
+    classes of genus 0, 1 and 2, on the fixtures, on a WDVV relation whose
+    pairings all vanish, on a class with extra legs and at top degree."""
+    expr = {"b2_2_4": lambda: weighted_tree_class(2, 2, (4,)),
+            "b13_111": lambda: weighted_tree_class(1, 3, (1, 1, 1)),
+            "b06_1111": lambda: weighted_tree_class(0, 6, (1, 1, 1, 1)),
+            "wdvv7": lambda: parse_bracket(wdvv_divisor_text(["U3", "U4", "U5"])),
+            "extra": lambda: parse_bracket("<U1 U2 a>_0 <a* U3 U4 U5 W>_0"),
+            "point": lambda: parse_bracket("3/4 * <P^2(x1) x2 x3 x4 x5>_0"),
+            }.get(name, lambda: parse_bracket(fixture_text(name)))()
+    got = list(reduce._pairings(expr))
+    assert got == monomial_by_monomial_pairings(expr)
+    assert all(type(value) is Fraction for _b, value in got)
+    assert any(value for _b, value in got) == (name not in ("wdvv7", "extra"))
+
+
 def test_single_reduction_steps_preserve_pairings():
     cases = [
         ("<P^1(x1) x2 x3 x4>_0", "genus0"),
@@ -1188,6 +1248,26 @@ def reference_solve_exact(columns, target):
         solution[c] = value
     return {j: v for j, v in solution.items() if v != 0}
 
+
+
+def reference_span_system(columns, target):
+    """Reference oracle: the (rows, rhs) that ``_solve_exact`` built from a
+    closure's relations every round before the closure grew its rows: the
+    target divided by its content, and the columns transposed into one row
+    per key, in sorted key order, each with its entries in column order."""
+    target = {key: v for key, v in target.items() if v}
+    content = Fraction(math.gcd(*(v.numerator for v in target.values())),
+                       math.lcm(*(v.denominator for v in target.values()))) or 1
+    target = {key: (v / content).numerator for key, v in target.items()}
+    row_of = {key: {} for key in target}
+    for j, col in enumerate(columns):
+        for key, val in col.items():
+            row = row_of.get(key)
+            if row is None:
+                row = row_of[key] = {}
+            row[j] = val
+    keys = sorted(row_of)
+    return [row_of[key] for key in keys], [target.get(key, 0) for key in keys]
 
 
 def reference_relation_signature(rel):
@@ -1333,7 +1413,7 @@ def test_solve_exact_matches_left_looking_oracle(system, seed):
     columns, target, kind = system
     expected = left_looking_solve(columns, target)
     assert reference_solve_exact(columns, target) == expected
-    got = _solve_exact(columns, target)
+    got = solve_columns(columns, target)
     assert (got is None) == (expected is None)
     if kind == "image":
         assert got is not None
@@ -1343,13 +1423,13 @@ def test_solve_exact_matches_left_looking_oracle(system, seed):
     # the insertion order of keys changes nothing
     rng = random.Random(seed)
     shuffled = [shuffled_dict(col, rng) for col in columns]
-    assert _solve_exact(shuffled, shuffled_dict(target, rng)) == got
+    assert solve_columns(shuffled, shuffled_dict(target, rng)) == got
     # renaming the keys permutes the rows: still a valid, equally consistent result
     keys = sorted(set(target).union(*columns))
     renamed = dict(zip(keys, rng.sample(keys, len(keys))))
     columns = [{renamed[k]: v for k, v in col.items()} for col in columns]
     target = {renamed[k]: v for k, v in target.items()}
-    again = _solve_exact(columns, target)
+    again = solve_columns(columns, target)
     assert (again is None) == (got is None)
     assert_valid(columns, target, again)
 
@@ -1358,14 +1438,14 @@ def test_solve_exact_matches_left_looking_oracle(system, seed):
 @given(system=sparse_systems(), data=st.data())
 def test_zero_target_entries_are_ignored(system, data):
     columns, target, _kind = system
-    expected = _solve_exact(columns, target)
+    expected = solve_columns(columns, target)
     # a key that some column touches and the target leaves out, and a key
     # that no column touches
     free = sorted(set().union(*columns) - set(target))
     untouched = max(set(target).union(*columns), default=0) + 1
     zeros = [untouched] + ([data.draw(st.sampled_from(free))] if free else [])
     for key in zeros:
-        assert _solve_exact(columns, {**target, key: Fraction(0)}) == expected
+        assert solve_columns(columns, {**target, key: Fraction(0)}) == expected
 
 
 @pytest.mark.parametrize("name", ["f", "h1", "i1"])
@@ -1377,11 +1457,11 @@ def test_solve_exact_matches_oracle_on_wdvv_systems(name, rounds):
     target = dict(expr._terms)
     expected = left_looking_solve(columns, target)
     assert expected is not None and reference_solve_exact(columns, target) == expected
-    solution = _solve_exact(columns, target)
+    solution = solve_columns(columns, target)
     assert solution is not None
     assert rebuild(columns, solution) == target
     shuffled = [shuffled_dict(col, random.Random(rounds)) for col in columns]
-    assert _solve_exact(shuffled, target) == solution
+    assert solve_columns(shuffled, target) == solution
 
 
 def reachable_relations(basis, target_keys):
@@ -1414,7 +1494,7 @@ def solve_over_component(basis, expr):
     """The solution restricted to the target's component, by relation index."""
     usable = reachable_relations(basis, expr.support())
     relations = keyed_relations(basis)
-    solution = _solve_exact([relations[i] for i in usable], dict(expr._terms))
+    solution = solve_columns([relations[i] for i in usable], dict(expr._terms))
     if solution is None:
         return None
     return {usable[j]: v for j, v in solution.items()}
@@ -1430,7 +1510,7 @@ def test_whole_closure_solves_like_target_component(name, rounds):
     else:
         expr = parse_bracket(fixture_text(name))
     basis = closure(expr.support(), rounds)
-    whole = _solve_exact(keyed_relations(basis), dict(expr._terms))
+    whole = solve_columns(keyed_relations(basis), dict(expr._terms))
     assert whole is not None
     assert whole == solve_over_component(basis, expr)
 
@@ -1439,7 +1519,7 @@ def test_whole_closure_and_component_agree_on_inconsistent_system():
     expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1)))
     basis = closure(expr.support(), 2)
     assert len(reachable_relations(basis, expr.support())) < len(basis.relations)
-    assert _solve_exact(keyed_relations(basis), dict(expr._terms)) is None
+    assert solve_columns(keyed_relations(basis), dict(expr._terms)) is None
     assert solve_over_component(basis, expr) is None
 
 
@@ -1473,9 +1553,10 @@ def test_primes_are_the_largest_below_2_to_the_61():
     assert not any(is_probable_prime(n) for n in between)
 
 
-def solve_recording_eliminations(columns, target):
-    """_solve_exact, with the (rows, rhs, p, result) of each elimination it
-    ran, in order."""
+def solve_recording_eliminations(columns, target, rows=None):
+    """_solve_exact on ``columns`` by ``rows``, their transpose when not
+    given, with the (rows, rhs, p, result) of each elimination it ran, in
+    order."""
     calls = []
     eliminate = reduce._eliminate
 
@@ -1484,8 +1565,9 @@ def solve_recording_eliminations(columns, target):
         calls.append((rows, rhs, p, result))
         return result
 
+    rows = transposed(columns) if rows is None else rows
     with mock.patch.object(reduce, "_eliminate", spy):
-        return _solve_exact(columns, target), calls
+        return _solve_exact(rows, target, columns), calls
 
 
 def solve_recording_primes(columns, target):
@@ -1541,7 +1623,7 @@ def test_inconsistency_mod_the_first_prime_is_only_a_hint():
     # which fails the exact check on the second column
     columns = [{"a": 1, "b": 1}, {"a": 1, "b": 1 + P}]
     target = {"a": Fraction(1), "b": Fraction(2)}
-    got = _solve_exact(columns, target)
+    got = solve_columns(columns, target)
     assert got == reference_solve_exact(columns, target)
     assert got == {0: 1 - Fraction(1, P), 1: Fraction(1, P)}
 
@@ -1564,7 +1646,7 @@ def test_exhausted_prime_list_raises():
     for p in PRIMES:
         every *= p
     with pytest.raises(ArithmeticError):
-        _solve_exact([{"a": 1}, {"b": 1}],
+        solve_columns([{"a": 1}, {"b": 1}],
                      {"a": Fraction(1, every), "b": Fraction(1)})
 
 
@@ -1582,7 +1664,7 @@ def test_eliminate_ignores_row_order_on_span_systems(name):
         expr, rounds = parse_bracket(fixture_text(name)), 2
     basis = closure(expr.support(), rounds)
     target = {basis.ids[key]: v for key, v in expr._terms.items()}
-    got, calls = solve_recording_eliminations(basis.relations, target)
+    got, calls = solve_recording_eliminations(restored(basis), target, basis.rows)
     results = [result for _rows, _rhs, _p, result in calls]
     if name == "b13_211":
         assert got is None
@@ -1618,7 +1700,7 @@ def test_min_column_pivots_on_a_hand_built_system():
     assert list(got) == [0, 2]                 # reverse pivot order: 2, then 0
     columns = [{"a": 1, "b": 1}, {"a": 1, "b": 2}, {"b": 1}, {"a": 1, "b": 1}]
     target = {"a": Fraction(1), "b": Fraction(2)}
-    assert _solve_exact(columns, target) == {0: 1, 2: 1}
+    assert solve_columns(columns, target) == {0: 1, 2: 1}
     assert left_looking_solve(columns, target) == {1: 1}
 
 
@@ -1629,7 +1711,7 @@ def test_eliminate_is_deterministic_on_a_span_system():
     expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1)))
     basis = closure(expr.support(), 1)
     target = {basis.ids[key]: v for key, v in expr._terms.items()}
-    _got, calls = solve_recording_eliminations(basis.relations, target)
+    _got, calls = solve_recording_eliminations(restored(basis), target, basis.rows)
     rows, rhs, p, result = calls[1]
     assert isinstance(result, dict)
     again = reduce._eliminate(rows, rhs, p)
@@ -1718,12 +1800,14 @@ def assert_eliminates_like_reference(rows, rhs, p):
 def test_eliminate_matches_reference_on_span_systems(g, m, d, monkeypatch):
     """Every elimination of the span test, witness systems included, on the
     classes that the ``prove`` benchmark proves and on both rounds of the
-    psi-free (1, 3, 2,1,1) class, whose round 1 is inconsistent."""
+    psi-free (1, 3, 2,1,1) class, whose round 1 is inconsistent.  A primal
+    system holds the closure's rows, which the next round grows, so each
+    call is recorded as a copy."""
     calls = []
     eliminate = reduce._eliminate
 
     def recording(rows, rhs, p):
-        calls.append((rows, rhs, p))
+        calls.append((copy.deepcopy(rows), list(rhs), p))
         return eliminate(rows, rhs, p)
 
     monkeypatch.setattr(reduce, "_eliminate", recording)
@@ -1771,10 +1855,11 @@ def test_eliminate_reads_a_column_list_with_a_stale_and_a_live_entry():
     assert list(got.items()) == [(1, 5), (2, 6), (0, 3), (3, 5)]
 
 
-def solve_recording_witnesses(columns, target):
-    """_solve_exact, with every solution of a witness system that passed the
-    exact check.  The primal system is the first one built; any later one
-    is the witness system."""
+def solve_recording_witnesses(columns, target, rows=None):
+    """_solve_exact on ``columns`` by ``rows``, their transpose when not
+    given, with every solution of a witness system that passed the exact
+    check.  The primal system is the first one built; any later one is the
+    witness system."""
     systems, witnesses = [], []
 
     class Recording(reduce._System):
@@ -1788,8 +1873,9 @@ def solve_recording_witnesses(columns, target):
                 witnesses.append(x)
             return ok
 
+    rows = transposed(columns) if rows is None else rows
     with mock.patch.object(reduce, "_System", Recording):
-        return _solve_exact(columns, target), witnesses
+        return _solve_exact(rows, target, columns), witnesses
 
 
 @settings(max_examples=200, deadline=None)
@@ -1809,9 +1895,9 @@ def test_inconsistency_is_reported_only_with_an_exact_witness(system):
 
 @pytest.mark.parametrize("name,budget,proved", [("f", 2, True), ("b13_211", 1, False)])
 def test_span_solves_never_mutate_the_rows_they_share(name, budget, proved, monkeypatch):
-    # the primal system shares its rows with nothing but _solve_exact's
-    # transpose; the witness system of an inconsistent round holds the
-    # closure's relation dicts themselves
+    # the primal system holds the closure's own rows, which the next round
+    # grows; the witness system of an inconsistent round holds relations
+    # restored for it
     if name == "b13_211":
         expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1)))
     else:
@@ -1823,11 +1909,11 @@ def test_span_solves_never_mutate_the_rows_they_share(name, budget, proved, monk
             super().__init__(rows, rhs)
             systems.append(self)
 
-    def checked(columns, target):
-        before = copy.deepcopy((columns, target))
-        got = _solve_exact(columns, target)
+    def checked(rows, target, columns):
+        before = copy.deepcopy((rows, target))
+        got = _solve_exact(rows, target, columns)
         solves.append(got)
-        assert (columns, target) == before
+        assert (rows, target) == before
         return got
 
     monkeypatch.setattr(reduce, "_System", Recording)
@@ -1861,8 +1947,8 @@ def test_untouched_target_key_ends_the_solve_before_any_system(monkeypatch):
     monkeypatch.setattr(reduce, "_System", refuse)
     monkeypatch.setattr(reduce, "_eliminate", refuse)
     columns = [{"a": 1, "b": 1}, {"b": -1}]
-    assert _solve_exact(columns, {"a": Fraction(1), "c": Fraction(1, 2)}) is None
-    assert _solve_exact([], {"a": Fraction(3)}) is None
+    assert solve_columns(columns, {"a": Fraction(1), "c": Fraction(1, 2)}) is None
+    assert solve_columns([], {"a": Fraction(3)}) is None
 
 
 @pytest.mark.parametrize("g, m, d", [(0, 4, (1, 1, 1, 1)), (0, 5, (1, 1, 2)),
@@ -1898,14 +1984,9 @@ def closure_target(name):
     return parse_bracket(fixture_text(name))
 
 
-def relation_lists(basis):
-    """Every relation as its (key, coefficient) list, in stored order."""
-    return [list(rel.items()) for rel in keyed_relations(basis)]
-
-
 def supported_keys(basis):
     """The keys of the basis's support, mapped back through its key table."""
-    return frozenset(basis.keys[i] for i in basis.support)
+    return frozenset(basis.keys[i] for i in basis.rows)
 
 
 def keyed_relations_at(key, vertex):
@@ -1915,10 +1996,15 @@ def keyed_relations_at(key, vertex):
     return [{basis.keys[i]: n for i, n in rel.items()} for rel in relations]
 
 
-def reference_keyed_closure(support, rounds):
+def int_signature(rel):
+    """The flat tuple that ``_relation_signature`` normalizes a relation to."""
+    return reduce._relation_signature(rel)[0]
+
+
+def reference_keyed_closure(support, rounds, signature=int_signature):
     """The relation closure as it ran before it numbered keys: relations,
-    signatures and support over graph keys.  The relations and the support
-    after each round."""
+    signatures and support over graph keys, a relation dropped when its
+    ``signature`` is known.  The relations and the support after each round."""
     known = set(support)
     frontier = set(support)
     processed, signatures, relations, after = set(), set(), [], []
@@ -1936,7 +2022,7 @@ def reference_keyed_closure(support, rounds):
             processed.add(skey)
             for v in range(len(skey[0])):
                 for rel in keyed_relations_at(skey, v):
-                    sig = reduce._relation_signature(rel)
+                    sig = signature(rel)
                     if sig not in signatures:
                         signatures.add(sig)
                         relations.append(rel)
@@ -1956,15 +2042,111 @@ def test_key_table_closure_matches_reference_keyed_closure(name):
     for rounds in (1, 2, 3):
         basis = closure(expr.support(), rounds)
         relations, keys = after[min(rounds, len(after)) - 1]
-        assert relation_lists(basis) == [list(rel.items()) for rel in relations]
+        assert keyed_relations(basis) == relations
         assert supported_keys(basis) == keys
         # one id per key, dense, the support first in key order
         assert list(basis.keys[:len(support)]) == support
         assert len(set(basis.keys)) == len(basis.keys)
         assert basis.ids == {key: i for i, key in enumerate(basis.keys)}
         assert list(basis.ids) == list(basis.keys)
-        used = set(basis.support).union(*basis.relations)
+        used = set(basis.rows).union(*restored(basis))
         assert used <= set(range(len(basis.keys)))
+
+
+def rows_after_each_round(expr, rounds):
+    """The closure of the support of ``expr`` after each of ``rounds``
+    rounds, with the relations that ``wdvv_relations_at`` produced in it."""
+    produced = []
+
+    def recording(*args):
+        out = wdvv_relations_at(*args)
+        produced.extend(out)
+        return out
+
+    with mock.patch.object(reduce, "wdvv_relations_at", recording):
+        basis = RelationBasis(expr.support())
+        for _ in range(rounds):
+            generate_wdvv_relations(basis)
+            yield basis, list(produced)
+
+
+@pytest.mark.parametrize("name, generated, kept", [("divisor", 5, 5), ("b1211", 1283, 1009)])
+def test_rows_are_the_transpose_of_the_restored_relations(name, generated, kept):
+    """After each round the rows hold exactly the kept relations, transposed
+    in relation order, and each restored relation is the first of its
+    proportionality class that ``wdvv_relations_at`` produced.  The genus-0
+    divisor's closure closes in round 2; the psi-free (1, 2, 2,1,1) class
+    drops proportional duplicates."""
+    if name == "divisor":
+        expr = parse_bracket("<x1 x2 a>_0 <a* x3 x4 x5>_0")
+    else:
+        expr = eliminate_all_psi(weighted_tree_class(1, 2, (2, 1, 1)))
+    n = len(expr.support())
+    for basis, produced in rows_after_each_round(expr, 3):
+        relations = restored(basis)
+        expected = {i: {} for i in range(n)}
+        expected.update(transposed(relations))
+        assert [(i, list(row.items())) for i, row in sorted(basis.rows.items())] == \
+            [(i, list(row.items())) for i, row in sorted(expected.items())]
+        first = {}
+        for rel in produced:
+            first.setdefault(reference_relation_signature(rel), rel)
+        assert relations == list(first.values())
+    assert (len(produced), len(relations)) == (generated, kept)
+    assert any(scale < 0 for scale in basis.relations.values()) == (name == "b1211")
+
+
+@pytest.mark.parametrize("relation, signature, scale", [
+    ({5: -4, 2: 6, 9: -2}, (2, 3, 5, -2, 9, -1), 2),
+    ({7: 4, 3: -2}, (3, 1, 7, -2), -2),
+    ({4: -1, 1: -1}, (1, 1, 4, 1), -1),
+])
+def test_a_signature_and_its_scale_restore_the_relation(relation, signature, scale):
+    """A gcd above 1 and a negative lead entry, which no closure of the
+    tests gives, by hand."""
+    assert reduce._relation_signature(relation) == (signature, scale)
+    assert reduce._restored(signature, scale) == relation
+
+
+@pytest.mark.parametrize("name, rounds", [("f", 2), ("h1", 2), ("b13_211", 1)])
+def test_rows_give_the_pivots_of_the_transposed_relations(name, rounds):
+    """The closure's rows are the system that ``_solve_exact`` once built by
+    transposing the relations every round (``reference_span_system``), and
+    they give the same pivots and residues, the witness system's of the
+    inconsistent round 1 of the psi-free (1, 3, 2,1,1) class too."""
+    if name == "b13_211":
+        expr = eliminate_all_psi(weighted_tree_class(1, 3, (2, 1, 1)))
+    else:
+        expr = parse_bracket(fixture_text(name))
+    basis = closure(expr.support(), rounds)
+    target = {basis.ids[key]: v for key, v in expr._terms.items()}
+    got, calls = solve_recording_eliminations(restored(basis), target, basis.rows)
+    rows, rhs = reference_span_system(restored(basis), target)
+    assert [list(row.items()) for row in calls[0][0]] == [list(row.items()) for row in rows]
+    assert calls[0][1] == rhs
+    expected, oracle_calls = solve_recording_eliminations(restored(basis), target)
+    assert got == expected and (got is None) == (name == "b13_211")
+
+    def pivots(calls):
+        return [(p, list(result.items()) if isinstance(result, dict) else result)
+                for _rows, _rhs, p, result in calls]
+
+    assert pivots(calls) == pivots(oracle_calls)
+
+
+def test_the_witness_settles_round_1_of_0_5_112():
+    """Round 1 of the psi-free (0, 5, 1,1,2) class, the ``prove`` pool's
+    largest system, is inconsistent, and the witness system built from the
+    restored relations gives an exact witness; round 2 proves the class."""
+    expr = eliminate_all_psi(weighted_tree_class(0, 5, (1, 1, 2)))
+    basis = closure(expr.support(), 1)
+    target = {basis.ids[key]: v for key, v in expr._terms.items()}
+    assert all(basis.rows[key] for key in target)
+    got, witnesses = solve_recording_witnesses(restored(basis), target, basis.rows)
+    assert got is None and len(witnesses) == 1
+    assert_exact_witness(restored(basis), target, witnesses)
+    cert = span_zero_test(expr)
+    assert cert.zero and cert.budget_spent == 2
 
 
 def test_interning_keeps_the_key_table_and_shares_parts(monkeypatch):
@@ -2010,10 +2192,10 @@ def test_resumed_closure_equals_fresh_closure(name):
     basis = RelationBasis(expr.support())
     for expected in fresh:
         assert generate_wdvv_relations(basis) is basis
-        assert relation_lists(basis) == relation_lists(expected)
         assert basis.relations == expected.relations
+        assert list(basis.relations.values()) == list(expected.relations.values())
         assert basis.keys == expected.keys
-        assert basis.support == expected.support
+        assert basis.rows == expected.rows
         assert basis.rounds == expected.rounds
     first, second = len(fresh[0].relations), len(fresh[1].relations)
     assert overflow_round(expr, first // 2) == 1
@@ -2025,22 +2207,23 @@ def test_a_round_on_a_closed_closure_changes_nothing():
     expr = closure_target("i1")
     basis = closure(expr.support(), 1)
     assert basis.rounds == 1 and not basis.frontier
-    relations, keys, support = list(basis.relations), list(basis.keys), set(basis.support)
+    relations, keys, rows = dict(basis.relations), list(basis.keys), copy.deepcopy(basis.rows)
     assert generate_wdvv_relations(basis) is basis
     assert basis.relations == relations and basis.rounds == 1
-    assert basis.keys == keys and basis.support == support
+    assert basis.keys == keys and basis.rows == rows
     assert closure(expr.support(), 3).rounds == 1
 
 
 @pytest.mark.parametrize("name", ["f", "h1", "i1", "b1211"])
 @pytest.mark.parametrize("rounds", [1, 2])
-def test_int_closure_keeps_the_reference_signature_relations(name, rounds, monkeypatch):
+def test_int_closure_keeps_the_reference_signature_relations(name, rounds):
     expr = closure_target(name)
     basis = closure(expr.support(), rounds)
-    monkeypatch.setattr(reduce, "_relation_signature", reference_relation_signature)
-    reference = closure(expr.support(), rounds)
-    assert relation_lists(basis) == relation_lists(reference)
-    assert basis.support == reference.support
+    after = reference_keyed_closure(sorted(expr.support()), rounds,
+                                    reference_relation_signature)
+    relations, keys = after[min(rounds, len(after)) - 1]
+    assert keyed_relations(basis) == relations
+    assert supported_keys(basis) == keys
 
 
 def contracted_sources(keys):
@@ -2058,7 +2241,7 @@ def contracted_sources(keys):
 def graph_wdvv_relations_at(dg, vertex):
     """The basis relations at a vertex, split by graph surgery on ``dg``."""
     g = dg.graph
-    halves = g.halves_at(vertex)
+    halves = halves_at(g, vertex)
     if g.genera[vertex] != 0 or len(halves) < 4:
         return []
     key_of_side = {}
@@ -2092,7 +2275,7 @@ def graph_closure(support, rounds):
             source = graph_from_key(skey)
             for v in range(source.graph.n_vertices):
                 for rel in graph_wdvv_relations_at(source, v):
-                    sig = reduce._relation_signature(rel)
+                    sig = int_signature(rel)
                     if sig not in signatures:
                         signatures.add(sig)
                         relations.append(rel)
@@ -2111,13 +2294,13 @@ def test_record_closure_matches_graph_closure(name):
     for rounds in (1, 2, 3):
         basis = closure(expr.support(), rounds)
         relations, support = after[min(rounds, len(after)) - 1]
-        assert relation_lists(basis) == [list(rel.items()) for rel in relations]
+        assert keyed_relations(basis) == relations
         assert supported_keys(basis) == support
 
 
 def split_sum_reference(dg, vertex, pair_a, pair_b):
     g = dg.graph
-    pool = [h for h in g.halves_at(vertex)
+    pool = [h for h in halves_at(g, vertex)
             if h not in pair_a and h not in pair_b]
     terms = []
     for r in range(len(pool) + 1):
@@ -2130,10 +2313,10 @@ def split_sum_reference(dg, vertex, pair_a, pair_b):
 def wdvv_relations_reference(dg, vertex):
     """Reference oracle: every term goes through the validating constructor."""
     g = dg.graph
-    halves = g.halves_at(vertex)
+    halves = halves_at(g, vertex)
     if g.genera[vertex] != 0 or len(halves) < 4:
         return []
-    ambient = make_ambient(genus(g), g.leg_labels())
+    ambient = make_ambient(genus(g), leg_labels(g))
     out = []
     for a, b, c, d in itertools.combinations(sorted(halves), 4):
         base = split_sum_reference(dg, vertex, (a, b), (c, d))
@@ -2148,7 +2331,7 @@ def wdvv_relations_reference(dg, vertex):
 def reference_exchange(dg, vertex, quad, e):
     """Exchange relation ``e`` of one quadruple, built as the reference does."""
     g = dg.graph
-    ambient = make_ambient(genus(g), g.leg_labels())
+    ambient = make_ambient(genus(g), leg_labels(g))
     a, b, c, d = quad
     base = split_sum_reference(dg, vertex, (a, b), (c, d))
     swapped = split_sum_reference(dg, vertex, *(((a, c), (b, d)), ((a, d), (b, c)))[e])
@@ -2184,7 +2367,7 @@ def test_trusted_relations_match_validating_construction(name):
         for v in range(source.graph.n_vertices):
             if source.graph.genera[v] != 0:
                 continue
-            halves = source.graph.halves_at(v)
+            halves = halves_at(source.graph, v)
             raw = keyed_relations_at(skey, v)
             everything = wdvv_relations_reference(source, v)
             ordered = sorted(halves)
@@ -2195,7 +2378,7 @@ def test_trusted_relations_match_validating_construction(name):
             expected = [indexed[pair] for pair in reduce._local_basis(len(halves))
                         if not indexed[pair].is_zero()]
             assert all(type(n) is int for r in raw for n in r.values())
-            ambient = make_ambient(genus(source.graph), source.graph.leg_labels())
+            ambient = make_ambient(genus(source.graph), leg_labels(source.graph))
             got = [Expression(ambient, _raw={k: Fraction(n) for k, n in r.items()})
                    for r in raw]
             assert got == expected

@@ -28,6 +28,8 @@ from conftest import (
     builder_copy_of,
     fixture_text,
     genus,
+    halves_at,
+    leg_labels,
     relabel_legs,
     shape_class,
 )
@@ -38,7 +40,7 @@ from conftest import (
 
 
 def _extras_at(g, v):
-    return sum(1 for h in g.halves_at(v) if g.labels[h] == EXTRA)
+    return sum(1 for h in halves_at(g, v) if g.labels[h] == EXTRA)
 
 
 def shape_graph(shape):
@@ -100,7 +102,7 @@ def reference_weight_decoration(tree_dg, weights):
 def reference_shape_class(shape, weights):
     """Each acceptable tree as a one-term Expression, then forget its extras."""
     g = shape_graph(shape)
-    ambient = make_ambient(genus(g), g.leg_labels())
+    ambient = make_ambient(genus(g), leg_labels(g))
     acc = {}
     for assignment in acceptable_assignments(shape, weights):
         tree = reference_add_extras(shape, assignment)
@@ -162,7 +164,7 @@ def reference_assignments(graph, weights):
 
     def branch(v):
         child_options = [branch(w) for _h, w in view.children[v]]
-        halves = graph.halves_at(v)
+        halves = halves_at(graph, v)
         for combo in itertools.product(*child_options):
             assignment = {}
             total = sum(exps[h] for h in halves)
@@ -190,7 +192,7 @@ def assert_shape_is_graph(shape, graph):
             parent[w] = v
     assert shape.genera == graph.genera
     assert [sorted(labels) for labels in shape.legs] == \
-        [sorted(graph.labels[h] for h in graph.halves_at(v) if graph.labels[h] is not None)
+        [sorted(graph.labels[h] for h in halves_at(graph, v) if graph.labels[h] is not None)
          for v in range(nv)]
     assert shape.parent == tuple(parent)
     assert shape.children == tuple(tuple(w for _h, w in view.children[v])
@@ -442,7 +444,7 @@ def forced_shape_class(shape, weights, assignment):
     """Shape contribution from one forced extra-leg assignment (may be zero)."""
     tree = reference_add_extras(shape, assignment)
     dg = reference_weight_decoration(tree, weights)
-    ambient = make_ambient(1, [lab for lab in shape_graph(shape).leg_labels()])
+    ambient = make_ambient(1, [lab for lab in leg_labels(shape_graph(shape))])
     term = Expression(ambient, [(1, dg)])
     if term.is_zero():
         return term
