@@ -204,45 +204,56 @@ def _records(dg):
 
 
 def _sorted_runs(value):
-    """The vertices sorted by ``value`` (stably) and cut into runs of equal
-    values, each run in increasing order."""
+    """The vertices sorted by ``value`` (stably), and its runs of more than one
+    equal value as (start, vertices) pairs: the run's first position in that
+    order and its vertices, in increasing order."""
     order = sorted(range(len(value)), key=value.__getitem__)
-    return [list(run) for _value, run in itertools.groupby(order, value.__getitem__)]
+    tied, start = [], 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or value[order[i]] != value[order[i - 1]]:
+            if i - start > 1:
+                tied.append((start, order[start:i]))
+            start = i
+    return order, tied
 
 
 def _refined_groups(base, edges):
-    """Vertex groups under iterated neighborhood refinement, in canonical order.
+    """Vertex groups under iterated neighborhood refinement, in canonical order:
+    the vertices in that order, and the groups of more than one vertex as
+    (start, vertices) pairs (see ``_sorted_runs``); every other vertex is a
+    group of its own.
 
     The first groups are the runs of equal base classes among the vertices
     sorted by base class.  While some group holds more than one vertex, a
-    pass sorts the vertices by their group's rank and the sorted (own
-    exponent, far exponent, far group's rank) of their edge ends, and takes
-    the runs as the new groups.  Ranks keep the order of the values they
-    stand for, so the groups come in the order of the fully nested values,
-    and no value is hashed.  Refinement only ever splits groups and is
-    isomorphism-invariant, so restricting the canonical search to
-    within-group permutations is sound.  It has converged once a pass no
-    longer adds a group, or once every group holds one vertex, when no pass
-    can split a group.
+    pass sorts the vertices by their group's rank, the group's first
+    position, and the sorted (own exponent, far exponent, far group's rank)
+    of their edge ends, and takes the runs as the new groups.  Ranks keep the
+    order of the values they stand for, so the groups come in the order of
+    the fully nested values, and no value is hashed.  Refinement only ever
+    splits groups and is isomorphism-invariant, so restricting the canonical
+    search to within-group permutations is sound.  It has converged once a
+    pass no longer adds a group, or once every group holds one vertex, when
+    no pass can split a group.
     """
-    nv = len(base)
-    groups = _sorted_runs(base)
-    if len(groups) < nv:
-        at = [[] for _ in range(nv)]   # (own exponent, far exponent, far vertex)
+    order, tied = _sorted_runs(base)
+    if tied:
+        at = [[] for _ in base]    # (own exponent, far exponent, far vertex)
         for v1, e1, v2, e2 in edges:
             at[v1].append((e1, e2, v2))
             at[v2].append((e2, e1, v1))
-        rank = [0] * nv
-        while len(groups) < nv:
-            for r, grp in enumerate(groups):
+        rank = [0] * len(base)
+        while tied:
+            for i, v in enumerate(order):
+                rank[v] = i
+            for start, grp in tied:
                 for v in grp:
-                    rank[v] = r
-            new = _sorted_runs([(rank[v], sorted((e, f, rank[w]) for e, f, w in at[v]))
-                                for v in range(nv)])
-            if len(new) == len(groups):
+                    rank[v] = start
+            order, new = _sorted_runs([(rank[v], sorted((e, f, rank[w]) for e, f, w in at[v]))
+                                       for v in range(len(base))])
+            if new == tied:        # no group split, so the order is the same too
                 break
-            groups = new
-    return groups
+            tied = new
+    return order, tied
 
 
 def _twin_classes(grp, incidences):
@@ -296,37 +307,34 @@ def _canonical_search(base, edges):
     maps the edges onto themselves, so the count of ties is the order of the
     vertex part of the automorphism group.
 
-    Orders that differ only inside a class of twins (see ``_twin_classes``)
-    differ by an automorphism and give the same records.  So only the
-    distinct arrangements of the twin classes are tried, and their ties are
-    multiplied by m! for every class of m twins.  A group without twins has
-    singleton classes, and its arrangements are all of its orders.
+    A one-vertex group is placed once, and only the larger groups' orders are
+    enumerated.  Orders that differ only inside a class of twins (see
+    ``_twin_classes``) differ by an automorphism and give the same records.
+    So only the distinct arrangements of the twin classes are tried, and
+    their ties are multiplied by m! for every class of m twins.  A group
+    without twins has singleton classes, and its arrangements are all of its
+    orders.
     """
-    groups = _refined_groups(base, edges)
-    vpart = tuple(base[v] for grp in groups for v in grp)
-    choices = []
-    twin_orders = 1
-    if len(groups) < len(base):    # some group holds more than one vertex
-        incidences = [[] for _ in range(len(base))]
+    order, tied = _refined_groups(base, edges)
+    pos = [0] * len(base)
+    for i, v in enumerate(order):
+        pos[v] = i
+    choices, twin_orders = [], 1
+    if tied:
+        incidences = [[] for _ in base]
         for v1, e1, v2, e2 in edges:
             incidences[v1].append((e1, e2, -1 if v1 == v2 else v2))
             incidences[v2].append((e2, e1, -1 if v1 == v2 else v1))
-    for grp in groups:
-        if len(grp) == 1:
-            choices.append((grp,))
-            continue
+    for _start, grp in tied:
         classes = _twin_classes(grp, incidences)
         for cls in classes:
             twin_orders *= factorial(len(cls))
         choices.append(_arrangements(classes))
     best, ties = None, 0
-    pos = [0] * len(base)
-    for combo in itertools.product(*choices):
-        i = 0
-        for grp in combo:
-            for v in grp:
+    for combo in itertools.product(*choices) if choices else ((),):
+        for (start, _grp), arrangement in zip(tied, combo):
+            for i, v in enumerate(arrangement, start):
                 pos[v] = i
-                i += 1
         recs = []
         for v1, e1, v2, e2 in edges:
             p1, p2 = pos[v1], pos[v2]
@@ -336,7 +344,7 @@ def _canonical_search(base, edges):
             ties += 1
         elif best is None or recs < best:
             best, ties = recs, 1
-    return (vpart, best), ties * twin_orders
+    return (tuple([base[v] for v in order]), best), ties * twin_orders
 
 
 @lru_cache(maxsize=None)
@@ -448,11 +456,12 @@ def split_records(base, edges, v, halves, side, genus):
     caller for every side it splits.  The half-edges in ``side``, positions
     in that list, stay on ``v``, which gets genus 0; the rest move to a new
     last vertex of genus ``genus``.  Legs and edge ends keep their exponents.
+    The records of edges that do not move stay the caller's.
     """
     nv = len(base)
     legs_a, legs_b = [], []
     int_a, int_b = [0], [0]
-    out = [list(rec) for rec in edges]
+    out = list(edges)
     for n, (_v, label, exp, end) in enumerate(halves):
         stays = n in side
         if end is None:
@@ -460,8 +469,10 @@ def split_records(base, edges, v, halves, side, genus):
             continue
         (int_a if stays else int_b).append(exp)
         if not stays:
-            out[end[0]][end[1]] = nv
-    out.append([v, 0, nv, 0])
+            i, j = end
+            out[i] = rec = list(out[i])
+            rec[j] = nv
+    out.append((v, 0, nv, 0))
     base = list(base)
     base[v] = (0, tuple(legs_a), tuple(sorted(int_a)))
     base.append((genus, tuple(legs_b), tuple(sorted(int_b))))

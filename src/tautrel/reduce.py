@@ -322,23 +322,6 @@ def _interned(key, parts):
             tuple([parts.setdefault(r, r) for r in edges]))
 
 
-def _exchange_relation(split, quad, e):
-    """Exchange relation ``e`` of the quadruple a < b < c < d, as a dict.
-
-    ``split(pair_a, pair_b)`` lists the splittings that separate pair_a from
-    pair_b, one entry each.  The relation is the splittings separating {a, b}
-    from {c, d}, minus those separating {a, c} from {b, d} (e = 0) or {a, d}
-    from {b, c} (e = 1), with zero entries dropped.
-    """
-    a, b, c, d = quad
-    acc = {}
-    for key in split((a, b), (c, d)):
-        acc[key] = acc.get(key, 0) + 1
-    for key in split(*(((a, c), (b, d)), ((a, d), (b, c)))[e]):
-        acc[key] = acc.get(key, 0) - 1
-    return {k: n for k, n in acc.items() if n}
-
-
 def _local_basis(k):
     """A basis of the exchange relations among k points, as (quadruple,
     exchange index) pairs in generation order: each quadruple (0, 1, i, j)
@@ -357,6 +340,25 @@ def _local_basis(k):
             yield (0, 1, i, j), 1
 
 
+@lru_cache(maxsize=None)
+def _local_table(k):
+    """The relations of ``_local_basis(k)`` over the sides they split along:
+    (sides, relations), the sides as ``_sides`` gives them, each once, in the
+    order the relations first use them, and each relation a tuple of (side
+    index, +1 or -1) pairs.  Exchange relation e of the quadruple
+    a < b < c < d is the splittings separating {a, b} from {c, d}, minus
+    those separating {a, c} from {b, d} (e = 0) or {a, d} from {b, c} (e = 1).
+    """
+    index, relations = {}, []
+    for (a, b, c, d), e in _local_basis(k):
+        minus = (((a, c), (b, d)), ((a, d), (b, c)))[e]
+        relations.append(tuple(
+            (index.setdefault(side, len(index)), n)
+            for pairs, n in ((((a, b), (c, d)), 1), (minus, -1))
+            for side in _sides(range(k), *pairs)))
+    return tuple(index), tuple(relations)
+
+
 def wdvv_relations_at(key, vertex, basis):
     """A basis of the WDVV relations from one genus-0 vertex of the graph with
     key ``key``, as id -> int dicts over the key table of the closure
@@ -366,13 +368,14 @@ def wdvv_relations_at(key, vertex, basis):
     them (see ``half_edges``).  Of the two exchange relations of each
     unordered quadruple of them, only the (quadruple, exchange) pairs that
     ``_local_basis`` yields are emitted: k(k-3)/2 of them for k half-edges,
-    in generation order.  Pushing the splittings of the vertex into the graph
-    is linear, so they span every exchange relation there.  Every relation
-    is an integer combination of graph keys that vanishes as a class.
-    Splitting a stable, psi-free genus-0 vertex (every key of a closure is
-    psi-free) so that each side keeps two of the quadruple yields valid
-    stable graphs of the same genus and legs, so the relations are assembled
-    from the canonical keys of the split records directly.
+    in generation order, summed over the sides of ``_local_table(k)``, each
+    keyed once, in its order.  Pushing the splittings of the vertex into the
+    graph is linear, so they span every exchange relation there.  Every
+    relation is an integer combination of graph keys that vanishes as a
+    class.  Splitting a stable, psi-free genus-0 vertex (every key of a
+    closure is psi-free) so that each side keeps two of the quadruple yields
+    valid stable graphs of the same genus and legs, so the relations are
+    assembled from the canonical keys of the split records directly.
     """
     base, edges = key
     genus_v, legs, intexp = base[vertex]
@@ -380,20 +383,15 @@ def wdvv_relations_at(key, vertex, basis):
     if genus_v != 0 or k < 4:
         return []
     halves = half_edges(base, edges, vertex)
-    id_of_side = {}
-
-    def split_ids(pair_a, pair_b):
-        """Key ids of the splittings separating pair_a from pair_b."""
-        for side in _sides(range(k), pair_a, pair_b):
-            split_id = id_of_side.get(side)
-            if split_id is None:
-                split_id = id_of_side[side] = basis.id_of(_canonical_search(
-                    *split_records(base, edges, vertex, halves, side, 0))[0])
-            yield split_id
-
+    sides, table = _local_table(k)
+    ids = [basis.id_of(_canonical_search(*split_records(base, edges, vertex, halves, side, 0))[0])
+           for side in sides]
     out = []
-    for quad, e in _local_basis(k):
-        relation = _exchange_relation(split_ids, quad, e)
+    for entries in table:
+        relation = {}
+        for s, n in entries:
+            relation[ids[s]] = relation.get(ids[s], 0) + n
+        relation = {i: n for i, n in relation.items() if n}
         if relation:
             out.append(relation)
     return out
@@ -477,9 +475,13 @@ class ZeroCertificate(namedtuple("ZeroCertificate", "zero combination budget_spe
     __slots__ = ()
 
 
-# The moduli of the span solver, tried in this order: the eight largest primes
-# below 2**61, the first being the Mersenne prime 2**61 - 1.
-PRIMES = tuple(2**61 - d for d in (1, 31, 45, 229, 259, 283, 339, 391))
+# The moduli of the span solver, tried in this order until one settles the
+# system: the 32 largest primes below 2**61, the first being the Mersenne prime
+# 2**61 - 1.  The first settles every real system measured; the rest let CRT
+# reconstruct solutions with entries up to about 10**290.
+PRIMES = tuple(2**61 - d for d in (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799, 819, 829,
+    843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351, 1371, 1425, 1489, 1525))
 
 _INCONSISTENT = "inconsistent"
 

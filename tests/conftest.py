@@ -13,7 +13,10 @@ span solver a system of hand-made columns by its rows, as the solver built
 them from the relations each round before a closure grew its rows.
 ``local_basis_by_elimination`` finds the basis of
 the exchange relations at a vertex by the exact elimination that ran before
-``_local_basis`` wrote it down.
+``_local_basis`` wrote it down.  ``exchange_relation`` and
+``reference_wdvv_relations_at`` build the relations at a vertex side by
+side, as the closure did before ``_local_table`` listed the sides per vertex
+size.
 ``RootedTreeView`` is the graph-level rooted-tree walk that tree classes
 used before they were assembled on records; it stays here as a reference.
 So do the graph-level helpers that ``tautrel`` used before every term was
@@ -59,11 +62,12 @@ from tautrel.graphs import (
     key_records,
     label_sort_key,
     leg_kind,
+    split_records,
     validate,
 )
 from tautrel.reduce import (
     RelationBasis,
-    _exchange_relation,
+    _local_basis,
     _only_term,
     _restored,
     _sides,
@@ -393,6 +397,45 @@ def solve_columns(columns, target):
     return _solve_exact(transposed(columns), target, columns)
 
 
+def exchange_relation(split, quad, e):
+    """Exchange relation ``e`` of the quadruple a < b < c < d, as a dict.
+
+    ``split(pair_a, pair_b)`` lists the splittings that separate pair_a from
+    pair_b, one entry each.  The relation is the splittings separating {a, b}
+    from {c, d}, minus those separating {a, c} from {b, d} (e = 0) or {a, d}
+    from {b, c} (e = 1), with zero entries dropped.
+    """
+    a, b, c, d = quad
+    acc = {}
+    for key in split((a, b), (c, d)):
+        acc[key] = acc.get(key, 0) + 1
+    for key in split(*(((a, c), (b, d)), ((a, d), (b, c)))[e]):
+        acc[key] = acc.get(key, 0) - 1
+    return {k: n for k, n in acc.items() if n}
+
+
+def reference_wdvv_relations_at(key, vertex, basis):
+    """``wdvv_relations_at`` as it keyed each side when a relation first
+    reached it, through the lazy ``_sides`` of each pair of the quadruple."""
+    base, edges = key
+    genus_v, legs, intexp = base[vertex]
+    k = len(legs) + len(intexp)
+    if genus_v != 0 or k < 4:
+        return []
+    halves = half_edges(base, edges, vertex)
+    id_of_side = {}
+
+    def split_ids(pair_a, pair_b):
+        for side in _sides(range(k), pair_a, pair_b):
+            if side not in id_of_side:
+                id_of_side[side] = basis.id_of(_canonical_search(
+                    *split_records(base, edges, vertex, halves, side, 0))[0])
+            yield id_of_side[side]
+
+    relations = (exchange_relation(split_ids, quad, e) for quad, e in _local_basis(k))
+    return [relation for relation in relations if relation]
+
+
 def local_basis_by_elimination(k):
     """The (quadruple, exchange index) pairs of the exchange relations among k
     points that are independent of the relations before them in generation
@@ -412,7 +455,7 @@ def local_basis_by_elimination(k):
     basis = []
     for quad in itertools.combinations(range(k), 4):
         for e in (0, 1):
-            row = {j: Fraction(n) for j, n in _exchange_relation(split, quad, e).items()}
+            row = {j: Fraction(n) for j, n in exchange_relation(split, quad, e).items()}
             while row:             # reduce the row; a new leading column keeps it
                 c = min(row)
                 if c not in echelon:

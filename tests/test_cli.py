@@ -362,11 +362,25 @@ def test_large_multiple_of_a_relation_proves(capsys, tmp_path):
     assert replay_certificate(cert, cert["target"])
 
 
-def test_span_system_that_outruns_the_primes_is_a_clean_error(tmp_path):
+def test_span_system_beyond_the_first_primes_proves(capsys, tmp_path):
     """10^100 R1 + R2 has content 1 and needs a coefficient near 10^100, which
-    no list of primes reconstructs: one error line and exit 1."""
+    the first eight primes cannot reconstruct: the solve goes on through
+    ``PRIMES`` until the exact check passes, at the eleventh, and the
+    certificate replays."""
     path = tmp_path / "mixed.bracket"
     path.write_text(bracket((BIG, R1), (1, R2)))
+    code, report = run_json(capsys, "reduce", str(path), "--mode", "zero-test")
+    assert code == 0
+    cert = report["outcome"]["certificate"]
+    assert sorted(entry["coefficient"]["num"] for entry in cert["combination"]) == [1, BIG]
+    assert replay_certificate(cert, cert["target"])
+
+
+def test_span_system_that_outruns_the_primes_is_a_clean_error(tmp_path):
+    """10^2000 R1 + R2 needs a coefficient near 10^2000, beyond what all of
+    ``PRIMES`` reconstruct: one error line and exit 1."""
+    path = tmp_path / "mixed.bracket"
+    path.write_text(bracket((10**2000, R1), (1, R2)))
     proc = run_child("reduce", str(path), "--mode", "zero-test")
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -301,11 +301,29 @@ def nested_record(end1, end2):
     return (end1, end2)
 
 
+def all_groups(base, edges):
+    """Every group of ``_refined_groups``, one-vertex groups too, in order."""
+    order, tied = _refined_groups(base, edges)
+    starts = dict(tied)
+    groups, i = [], 0
+    while i < len(order):
+        groups.append(list(starts.get(i, [order[i]])))
+        i += len(groups[-1])
+    return groups
+
+
+def order_and_tied(groups):
+    """A list of every group in the form ``_refined_groups`` returns."""
+    order = [v for grp in groups for v in grp]
+    starts = itertools.accumulate(map(len, groups), initial=0)
+    return order, [(start, grp) for start, grp in zip(starts, groups) if len(grp) > 1]
+
+
 def reference_canonical_key(dg, record=flat_record):
     """Least edge records over all within-group vertex orders, ``record``
     writing each from its two (vertex, exponent) ends, the lower one first."""
     base, edges = _records(dg)
-    groups = _refined_groups(base, edges)
+    groups = all_groups(base, edges)
     order = [v for grp in groups for v in grp]
     vpart = tuple(base[v] for v in order)
     best = None
@@ -327,7 +345,7 @@ def reference_canonical_key(dg, record=flat_record):
 def reference_automorphism_order(dg):
     """Count the within-group vertex permutations that keep the edge multiset."""
     base, edges = _records(dg)
-    groups = _refined_groups(base, edges)
+    groups = all_groups(base, edges)
     recs = [tuple(sorted(((v1, e1), (v2, e2)))) for v1, e1, v2, e2 in edges]
     counts = Counter(recs)
     per_valid = 1
@@ -382,7 +400,15 @@ def reference_refined_groups(dg):
 def test_refinement_matches_reference_loop_on_random_graphs(rng):
     dg = random_decorated_graph(rng, max_vertices=6)
     base, edges = _records(dg)
-    assert (base, _refined_groups(base, edges)) == reference_refined_groups(dg)
+    assert (base, all_groups(base, edges)) == reference_refined_groups(dg)
+
+
+def check_one_tie_when_distinct(dg):
+    """A graph whose base classes are pairwise distinct has one vertex order,
+    so its search counts one tie."""
+    base, edges = _records(dg)
+    if len(set(base)) == len(base):
+        assert _canonical_search(base, edges)[1] == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,6 +417,7 @@ def test_canonical_search_matches_reference_loops_on_random_graphs(rng):
     dg = random_decorated_graph(rng, max_vertices=6)
     assert canonical_key(dg) == reference_canonical_key(dg)
     assert automorphism_order(canonical_key(dg)) == reference_automorphism_order(dg)
+    check_one_tie_when_distinct(dg)
 
 
 def flattened(nested_key):
@@ -447,10 +474,13 @@ def test_flat_keys_are_the_nested_keys_flattened_in_the_same_order(rng):
 @settings(max_examples=150, deadline=None)
 @given(tails=st.lists(st.sampled_from([(1, 0), (1, 1), (2, 0)]), max_size=6),
        p=st.integers(0, 2), rng=st.randoms(use_true_random=False))
+@example(tails=[(1, 0), (1, 1), (2, 0)], p=1, rng=random.Random(0))   # distinct
+@example(tails=[(1, 1), (2, 0), (1, 1)], p=0, rng=random.Random(1))   # one tied pair
 def test_canonical_search_matches_reference_loops_on_stars(tails, p, rng):
     dg = relabeled(star(tails, p), rng)
     assert canonical_key(dg) == reference_canonical_key(dg)
     assert automorphism_order(canonical_key(dg)) == reference_automorphism_order(dg)
+    check_one_tie_when_distinct(dg)
 
 
 # Tails that hang off the centres: (genus, exponent on the tail's end of its
@@ -502,7 +532,7 @@ def twin_heavy_graphs(draw):
         joins = draw(st.lists(st.tuples(tail, end, st.integers(0, 1), st.integers(0, 1)),
                               max_size=2))
     dg = twin_heavy_graph(n_centres, p, centre_of, tail_lists, joins)
-    groups = _refined_groups(*_records(dg))
+    groups = all_groups(*_records(dg))
     assume(prod(factorial(len(grp)) for grp in groups) <= 5040)
     return relabeled(dg, draw(st.randoms(use_true_random=False)))
 
@@ -514,16 +544,26 @@ JOINED_TWINS = twin_heavy_graph(1, 0, [], [[(1, 0, 0)] * 4], [(1, 2, 0, 0), (3, 
 # tails nor the centres 1, 2 are twins.
 CROSSED = twin_heavy_graph(3, 0, [0, 0], [[], [(1, 0, 0), (1, 1, 0)], []],
                            [(3, 2, 1, 0), (4, 2, 0, 0)])
+# Pairwise distinct base classes: a chain of centres whose tails and edge
+# ends all differ, with a loop and an edge between two tails.
+DISTINCT = twin_heavy_graph(2, 1, [0], [[(1, 0, 0), (1, 1, 0)], [(2, 0, 0), (0, 0, 2)]],
+                            [(2, 5, 1, 0), (4, 4, 0, 1)])
+# Exactly one tied pair, two genus-1 tails on different centres: refinement
+# splits the pair, and no arrangement is left.
+ONE_TIED_PAIR = twin_heavy_graph(2, 0, [0], [[(1, 0, 0)], [(1, 0, 0), (2, 0, 0)]], [])
 
 
 @settings(max_examples=200, deadline=None)
 @given(twin_heavy_graphs())
 @example(JOINED_TWINS)
 @example(CROSSED)
+@example(DISTINCT)
+@example(ONE_TIED_PAIR)
 def test_canonical_search_matches_reference_loops_on_twin_heavy_graphs(dg):
     assert canonical_key(dg) == reference_canonical_key(dg)
     order = automorphism_order(canonical_key(dg))
     assert order == reference_automorphism_order(dg)
+    check_one_tie_when_distinct(dg)
     if sum(1 for lab in dg.graph.labels if lab != EXTRA) <= 7:
         assert order == brute_force_automorphism_order(dg)
 
@@ -558,8 +598,9 @@ def check_sorted_grouping(dg):
     """Grouping by sorting gives the hashed grouping's groups, and the search
     over them its key and tie count."""
     base, edges = _records(dg)
-    assert _refined_groups(base, edges) == hashed_refined_groups(base, edges)
-    with mock.patch.object(graphs, "_refined_groups", hashed_refined_groups):
+    assert all_groups(base, edges) == hashed_refined_groups(base, edges)
+    with mock.patch.object(graphs, "_refined_groups",
+                           lambda base, edges: order_and_tied(hashed_refined_groups(base, edges))):
         expected = _canonical_search(base, edges)
     assert _canonical_search(base, edges) == expected
 

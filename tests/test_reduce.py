@@ -59,6 +59,7 @@ from conftest import (
     builder_copy_of,
     closure,
     distribute,
+    exchange_relation,
     fixture_text,
     genus,
     genus0_closed_form,
@@ -72,6 +73,7 @@ from conftest import (
     multiply_by_leg_psi,
     psi_free,
     random_decorated_graph,
+    reference_wdvv_relations_at,
     relabel_legs,
     relation_expression,
     restored,
@@ -2255,7 +2257,7 @@ def graph_wdvv_relations_at(dg, vertex):
     ordered = sorted(halves)
     out = []
     for quad, e in reduce._local_basis(len(halves)):
-        relation = reduce._exchange_relation(split_keys, [ordered[n] for n in quad], e)
+        relation = exchange_relation(split_keys, [ordered[n] for n in quad], e)
         if relation:
             out.append(relation)
     return out
@@ -2432,3 +2434,65 @@ def test_local_basis_spans_every_abstract_exchange_relation(k):
 @pytest.mark.parametrize("k", [0, 3, 4, 5, 6, 7, 8, 9])
 def test_local_basis_is_the_basis_found_by_elimination(k):
     assert list(reduce._local_basis(k)) == local_basis_by_elimination(k)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9])
+def test_local_table_lists_the_exchange_relations_of_the_local_basis(k):
+    """Read back over its sides, each relation of ``_local_table(k)`` is the
+    exchange relation of its (quadruple, exchange) pair of ``_local_basis``,
+    entry by entry in order, and the sides are each side that ``_sides``
+    gives those relations, once, in the order they first use them."""
+    sides, table = reduce._local_table(k)
+    basis = list(reduce._local_basis(k))
+    assert len(table) == len(basis)
+
+    def split(pair_a, pair_b):
+        return list(reduce._sides(range(k), pair_a, pair_b))
+
+    used = []
+    for (quad, e), entries in zip(basis, table):
+        relation = exchange_relation(split, quad, e)
+        assert [(sides[s], n) for s, n in entries] == list(relation.items())
+        used += relation
+    assert list(sides) == list(dict.fromkeys(used))
+
+
+def star_key(n_legs, tails):
+    """The key of a genus-0 centre with ``n_legs`` regular legs and an edge to
+    a tail of each genus in ``tails``."""
+    b = GraphBuilder()
+    b.add_vertex(0)
+    for i in range(1, n_legs + 1):
+        b.add_leg(0, "U%d" % i)
+    for genus_t in tails:
+        b.add_edge(0, b.add_vertex(genus_t))
+    return canonical_key(b.build())
+
+
+# Stars of k = 4 .. 8 half-edges at the centre; equal tails make splittings
+# along different sides isomorphic, so a relation's entries add up or cancel.
+STARS = [(4, ()), (2, (1, 1)), (2, (1, 2, 1)), (3, (1, 1, 1)), (0, (1,) * 6),
+         (2, (1, 2, 1, 2, 1)), (1, (1, 1, 1, 1, 1, 1, 1))]
+
+
+def test_relations_at_a_vertex_match_the_side_by_side_reference():
+    """``wdvv_relations_at`` gives the relations that
+    ``reference_wdvv_relations_at`` gives, entry by entry in order, and hands
+    out key ids in the same order, into one key table for all vertices.  The
+    genus-0 vertices have 4 to 8 half-edges, at the contracted sources of
+    round 1 of the closure of the psi-free (0, 5, 1,1,2) class, and at the
+    centres of ``STARS``."""
+    expr = eliminate_all_psi(weighted_tree_class(0, 5, (1, 1, 2)))
+    keys = sorted(closure(expr.support(), 1).processed) + [star_key(*s) for s in STARS]
+    got, expected = RelationBasis(()), RelationBasis(())
+    sizes, merged = set(), 0
+    for key in keys:
+        for v, (genus_v, legs, intexp) in enumerate(key[0]):
+            relations = wdvv_relations_at(key, v, got)
+            assert [list(r.items()) for r in relations] == \
+                [list(r.items()) for r in reference_wdvv_relations_at(key, v, expected)]
+            assert got.keys == expected.keys
+            if genus_v == 0:
+                sizes.add(len(legs) + len(intexp))
+            merged += any(abs(n) > 1 for r in relations for n in r.values())
+    assert set(range(4, 9)) <= sizes and merged
