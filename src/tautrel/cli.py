@@ -19,7 +19,9 @@ from collections.abc import Iterator
 
 from .graphs import EXTRA
 from .expressions import (
+    _coefficient_json,
     _listed,
+    _render,
     _term_order,
     _terms_json,
     parse_bracket,
@@ -71,9 +73,7 @@ def _positive(text):
 def _format_expression(expr, fmt):
     if fmt == "json":
         return _terms_json(expr.ambient, expr.items())
-    if fmt == "latex":
-        return render_latex(expr)
-    return render_bracket(expr)
+    return render_latex(expr) if fmt == "latex" else render_bracket(expr)
 
 
 def _certificate_json(expr, cert):
@@ -85,7 +85,7 @@ def _certificate_json(expr, cert):
     if cert.reason == "wdvv-span":
         out["target"] = _format_expression(expr, "json")
         out["combination"] = (
-            {"coefficient": {"num": c.numerator, "den": c.denominator},
+            {"coefficient": _coefficient_json(c),
              "relation": _listed(_terms_json(expr.ambient, (
                  (key, rel[key]) for key in sorted(rel, key=_term_order))))}
             for c, rel in cert.combination)
@@ -119,7 +119,7 @@ def _vanishing_check(expr, args, stages):
             for label, _e in part[1]):
         outcome = {"proved": not value, "method": "top-degree-integral"}
         if value:
-            outcome["integral"] = {"num": value.numerator, "den": value.denominator}
+            outcome["integral"] = _coefficient_json(value)
         return outcome
     if value:
         return {"proved": False, "method": "wdvv-span",
@@ -152,34 +152,34 @@ def _report(args, inputs, outcome, started, stages=None):
                     "max_relations": getattr(args, "max_relations", None)},
         "timing": timing,
     }
-    _emit(args, lambda out: _write_json(out, report))
+    _emit(args, _json_pieces(report))
     return 0 if outcome.get("proved", outcome.get("equal", True)) else 2
 
 
-def _write_json(out, value):
-    """Write ``json.dumps(value, separators=(",", ":"), sort_keys=True)`` to
-    ``out`` in pieces: dicts in key order, and each item of a list, or of an
+def _json_pieces(value):
+    """The text of ``json.dumps(value, separators=(",", ":"), sort_keys=True)``
+    in pieces: dicts in key order, and each item of a list, or of an
     iterator that stands for one, encoded alone as it is produced."""
     if isinstance(value, dict):
-        out.write("{")
+        yield "{"
         for i, key in enumerate(sorted(value)):
-            out.write("," * bool(i) + _ENCODER.encode(key) + ":")
-            _write_json(out, value[key])
-        out.write("}")
+            yield "," * bool(i) + _ENCODER.encode(key) + ":"
+            yield from _json_pieces(value[key])
+        yield "}"
     elif isinstance(value, (list, Iterator)):
-        out.write("[")
+        yield "["
         for i, item in enumerate(value):
-            out.write("," * bool(i) + _ENCODER.encode(item))
-        out.write("]")
+            yield "," * bool(i) + _ENCODER.encode(item)
+        yield "]"
     else:
-        out.write(_ENCODER.encode(value))
+        yield _ENCODER.encode(value)
 
 
-def _emit(args, write):
-    """Call ``write`` on the ``--out`` file if given, else on stdout; end the line."""
+def _emit(args, pieces):
+    """Write ``pieces`` to the ``--out`` file if given, else to stdout; end the line."""
     with (open(args.out, "w") if getattr(args, "out", None)
           else contextlib.nullcontext(sys.stdout)) as out:
-        write(out)
+        out.writelines(pieces)
         out.write("\n")
 
 
@@ -189,13 +189,13 @@ def cmd_compute_b(args):
     expr = _timed(stages, "assemble_s", weighted_tree_class, args.g, args.m, args.d)
     if args.stage == "psi-free":
         expr = _timed(stages, "psi_s", eliminate_all_psi, expr)
-    payload = _format_expression(expr, args.format)
     if args.format != "json":
-        _emit(args, lambda out: out.write(payload))
+        _emit(args, _render(expr, args.format))
         return 0
     return _report(args, {"g": args.g, "m": args.m, "d": list(args.d),
                           "stage": args.stage},
-                   {"expression": payload, "terms": len(expr)}, started, stages)
+                   {"expression": _format_expression(expr, "json"), "terms": len(expr)},
+                   started, stages)
 
 
 def cmd_verify(args):
@@ -279,8 +279,7 @@ def cmd_reduce(args):
     if args.mode == "pair":
         pairings = pair_with_psi_monomials(expr)
         return _report(args, inputs,
-                       {"pairings": [{"monomial": list(b),
-                                      "value": {"num": v.numerator, "den": v.denominator}}
+                       {"pairings": [{"monomial": list(b), "value": _coefficient_json(v)}
                                      for b, v in pairings],
                         "all_zero": all(v == 0 for _b, v in pairings)}, started)
     # zero-test

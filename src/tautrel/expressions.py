@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .graphs import (
     EXTRA,
-    FROZEN_FIRST,
     _canonical_search,
     _records,
     automorphism_order,
@@ -35,6 +34,7 @@ from .graphs import (
     key_records,
     label_sort_key,
     leg_kind,
+    leg_rank,
     symmetry_order,
     validate,
 )
@@ -108,6 +108,11 @@ def _check_graph(base, edges):
         raise ValueError("invalid graph in term: %s" % "; ".join(problems))
 
 
+def _records_genus(base, edges):
+    """The genus of a connected graph given by its records."""
+    return 1 + len(edges) - len(base) + sum(part[0] for part in base)
+
+
 def _checked(ambient, terms):
     """The nonzero terms of (coefficient, base, edges) terms from outside.
 
@@ -123,7 +128,7 @@ def _checked(ambient, terms):
         if any(2 * genus_v - 2 + len(legs) + len(intexp) <= 0
                for genus_v, legs, intexp in base):
             raise ValueError("unstable graph in term")
-        genus_t = 1 + len(edges) - len(base) + sum(part[0] for part in base)
+        genus_t = _records_genus(base, edges)
         if genus_t != ambient.genus:
             raise ValueError("term genus %d does not match ambient genus %d"
                              % (genus_t, ambient.genus))
@@ -276,9 +281,8 @@ def _ambient_of(terms):
         raise ValueError("cannot infer the ambient of an empty expression")
     _coeff, base, edges = terms[0]
     _check_graph(base, edges)
-    genus_t = 1 + len(edges) - len(base) + sum(part[0] for part in base)
-    return make_ambient(genus_t, [label for part in base for label, _e in part[1]
-                                  if label != EXTRA])
+    return make_ambient(_records_genus(base, edges), [
+        label for part in base for label, _e in part[1] if label != EXTRA])
 
 
 def _from_records(terms, ambient=None):
@@ -441,54 +445,11 @@ def _layout(key):
         if end is not None:
             ends[v].append((names[end], exp))
         elif label != EXTRA:
-            legs[v].append(((FROZEN_FIRST[leg_kind(label)], label_sort_key(label)),
-                            label, exp))
+            legs[v].append((leg_rank(label), label, exp))
     return [[(label, exp) for _k, label, exp in sorted(legs[v])]
             + [("W%d" % j, 0) for j in range(1, part[1].count((EXTRA, 0)) + 1)]
             + sorted(ends[v])
             for v, part in enumerate(base)]
-
-
-def _coefficient_str(coeff):
-    if coeff.denominator == 1:
-        return str(coeff.numerator)
-    return "%d/%d" % (coeff.numerator, coeff.denominator)
-
-
-def _render(expr, factor, item, prefix):
-    """Shared body of the bracket and LaTeX renderers.
-
-    ``factor(items, genus)`` prints one vertex from its joined items,
-    ``item(name, exponent)`` prints one half-edge, and ``prefix(magnitude)``
-    prints a coefficient magnitude other than 1 in front of its term.
-    """
-    if expr.is_zero():
-        return "0"
-    chunks = []
-    for key, coeff in expr.items():
-        shown = coeff * automorphism_order(key)
-        body = " ".join(
-            factor(" ".join(item(name, exp) for name, exp in items), key[0][v][0])
-            for v, items in enumerate(_layout(key)))
-        mag = abs(shown)
-        if mag != 1:
-            body = prefix(mag) + body
-        chunks.append(("-" if shown < 0 else "+", body))
-    sign, first = chunks[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, body in chunks[1:]:
-        out += " %s %s" % (sign, body)
-    return out
-
-
-def render_bracket(expr):
-    """Render in the ASCII bracket grammar with Aut-normalized coefficients."""
-    return _render(expr, lambda items, genus_v: "<%s>_%d" % (items, genus_v),
-                   _item_str, lambda mag: _coefficient_str(mag) + " * ")
-
-
-def _item_str(name, exp):
-    return name if exp == 0 else "P^%d(%s)" % (exp, name)
 
 
 _LATEX_NAME = re.compile(r"^([A-Za-z]+)(\d*)(\*?)$")
@@ -509,20 +470,45 @@ def _latex_name(name):
     return out
 
 
+# Per text format: a vertex from its items and genus, the name of a
+# half-edge, a half-edge from its psi exponent and name, and a coefficient
+# magnitude other than 1 before its term, whole or as a fraction.
+_TEXT_FORMATS = {
+    "bracket": ("<%s>_%d", str, "P^%d(%s)", "%d * ", "%d/%d * "),
+    "latex": (r"\left< %s \right>_{%d}", _latex_name, r"\Psi^{%d}(%s)", r"%d \, ",
+              r"\frac{%d}{%d} \, "),
+}
+
+
+def _render(expr, fmt):
+    """The text of ``expr`` in the format ``fmt`` of ``_TEXT_FORMATS``, one
+    piece per term, made when it is read.  Each piece starts with the sign
+    that joins it to the term before, or "-" on a negative first term."""
+    if expr.is_zero():
+        yield "0"
+        return
+    vertex, name_of, psi, whole, fraction = _TEXT_FORMATS[fmt]
+    for i, (key, coeff) in enumerate(expr.items()):
+        shown = coeff * automorphism_order(key)
+        piece = (" - " if shown < 0 else " + ") if i else "-" * (shown < 0)
+        mag = abs(shown)
+        if mag.denominator != 1:
+            piece += fraction % (mag.numerator, mag.denominator)
+        elif mag != 1:
+            piece += whole % mag.numerator
+        yield piece + " ".join(
+            vertex % (" ".join(psi % (exp, name_of(name)) if exp else name_of(name)
+                               for name, exp in items), key[0][v][0])
+            for v, items in enumerate(_layout(key)))
+
+
+def render_bracket(expr):
+    """Render in the ASCII bracket grammar with Aut-normalized coefficients."""
+    return "".join(_render(expr, "bracket"))
+
+
 def render_latex(expr):
-    return _render(expr, lambda items, genus_v: r"\left< %s \right>_{%d}" % (items, genus_v),
-                   _latex_item, _latex_prefix)
-
-
-def _latex_prefix(mag):
-    if mag.denominator == 1:
-        return "%d \\, " % mag.numerator
-    return "\\frac{%d}{%d} \\, " % (mag.numerator, mag.denominator)
-
-
-def _latex_item(name, exp):
-    tex = _latex_name(name)
-    return tex if exp == 0 else r"\Psi^{%d}(%s)" % (exp, tex)
+    return "".join(_render(expr, "latex"))
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +540,25 @@ def _key_json(key):
     }
 
 
+def _json_int(value):
+    """``value``, which must be a JSON integer: a float or a bool is not one."""
+    if type(value) is not int:
+        raise TypeError("expected an integer, got %r" % (value,))
+    return value
+
+
+def _json_pair(entry):
+    """The two half-edge ids of an involution entry, which must be a pair."""
+    if type(entry) is not list or len(entry) != 2:
+        raise TypeError("expected a pair, got %r" % (entry,))
+    return map(_json_int, entry)
+
+
 def _json_label(entry):
     """The label of a JSON leg, which must be the leg ``_leg_json`` writes."""
     kind = entry["kind"]
     if kind in ("regular", "frozen"):
-        label = "%s%d" % ("U" if kind == "regular" else "V", entry["index"])
+        label = "%s%d" % ("U" if kind == "regular" else "V", _json_int(entry["index"]))
     else:
         label = EXTRA if kind == "extra" else entry["name"]
     if _leg_json(entry["id"], label) != entry:
@@ -569,16 +569,23 @@ def _json_label(entry):
 def _json_records(data):
     """The records of a JSON graph object: paired half-edges make the edges,
     the legs are the rest."""
-    vertex = {entry["id"]: v for v, entry in enumerate(data["vertices"])}
-    labels = {entry["id"]: _json_label(entry) for entry in data["legs"]}
-    at = {entry["id"]: (vertex[entry["vertex"]], entry["exponent"])
+    vertex = {_json_int(entry["id"]): v for v, entry in enumerate(data["vertices"])}
+    labels = {_json_int(entry["id"]): _json_label(entry) for entry in data["legs"]}
+    at = {_json_int(entry["id"]): (vertex[_json_int(entry["vertex"])],
+                                   _json_int(entry["exponent"]))
           for entry in data["half_edges"]}
-    edges = [at.pop(h) + at.pop(p) for h, p in data["involution"]]
+    edges = [at.pop(h) + at.pop(p) for h, p in map(_json_pair, data["involution"])]
     if set(at) != set(labels):
         raise ValueError("legs and involution fixed points disagree")
     halves = [(v, labels[h], e) for h, (v, e) in at.items()]
     halves += [(v, None, e) for v1, e1, v2, e2 in edges for v, e in ((v1, e1), (v2, e2))]
-    return base_classes([entry["genus"] for entry in data["vertices"]], halves), edges
+    return base_classes([_json_int(entry["genus"]) for entry in data["vertices"]],
+                        halves), edges
+
+
+def _coefficient_json(c):
+    """The JSON object of a rational coefficient."""
+    return {"num": c.numerator, "den": c.denominator}
 
 
 def _terms_json(ambient, items):
@@ -587,7 +594,7 @@ def _terms_json(ambient, items):
     graph and all, is made when it is read."""
     return {
         "ambient": {"genus": ambient.genus, "labels": list(ambient.labels)},
-        "terms": ({"coefficient": {"num": c.numerator, "den": c.denominator},
+        "terms": ({"coefficient": _coefficient_json(c),
                    "graph": _key_json(key)} for key, c in items),
     }
 
@@ -603,11 +610,14 @@ def expression_to_json(expr):
 
 def expression_from_json(data):
     """The expression of a JSON object as ``expression_to_json`` writes it; a
-    missing entry, an entry of the wrong type or a zero denominator raises
-    ``ValueError``."""
+    missing entry, an entry of the wrong type (an id, genus, exponent, index or
+    coefficient part that is not a JSON integer, or an involution entry that
+    is not a pair) or a zero denominator raises ``ValueError``."""
     try:
-        ambient = make_ambient(data["ambient"]["genus"], data["ambient"]["labels"])
-        terms = [(Fraction(t["coefficient"]["num"], t["coefficient"]["den"]),
+        ambient = make_ambient(_json_int(data["ambient"]["genus"]),
+                               data["ambient"]["labels"])
+        terms = [(Fraction(_json_int(t["coefficient"]["num"]),
+                           _json_int(t["coefficient"]["den"])),
                   *_json_records(t["graph"])) for t in data["terms"]]
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError("malformed expression JSON: %r" % exc) from None

@@ -28,7 +28,6 @@ from math import factorial
 EXTRA = "W"
 
 _KIND_ORDER = {"regular": 0, "frozen": 1, "named": 2, "extra": 3}
-# the order in which a vertex shows its legs and offers them as partners
 FROZEN_FIRST = {"frozen": 0, "regular": 1, "named": 2, "extra": 3}
 
 
@@ -50,6 +49,13 @@ def label_sort_key(label):
     if kind in ("regular", "frozen"):
         return (_KIND_ORDER[kind], int(label[1:]), label)
     return (_KIND_ORDER[kind], 0, label)
+
+
+def leg_rank(label):
+    """The rank of a leg in the order in which a vertex shows its legs and
+    offers them as partners: frozen, regular, named, then extra legs, each
+    kind in ``label_sort_key`` order."""
+    return FROZEN_FIRST[leg_kind(label)], label_sort_key(label)
 
 
 class DualGraph(namedtuple("DualGraph", "genera vertex_of involution labels")):

@@ -44,10 +44,9 @@ from .graphs import (
     _canonical_search,
     contract_records,
     half_edges,
-    leg_kind,
+    leg_rank,
     split_records,
 )
-from . import graphs
 from .expressions import Expression, _base_overweight, _summed
 
 
@@ -183,9 +182,7 @@ def choose_partner_pair(halves, half):
 
     def rank(n):
         label = halves[n][1]
-        if label is None:
-            return (4, (), n)
-        return (graphs.FROZEN_FIRST[leg_kind(label)], graphs.label_sort_key(label), n)
+        return ((4,) if label is None else leg_rank(label)), n
 
     candidates = sorted((n for n in range(len(halves)) if n != half), key=rank)
     for a, b in itertools.combinations(candidates, 2):

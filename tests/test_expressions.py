@@ -590,8 +590,22 @@ def reference_display_layout(dg):
     return vertices
 
 
-def reference_render(expr, factor, item, prefix):
-    """The renderer that laid out the graph of every term."""
+def reference_render(expr, fmt):
+    """The renderer that laid out the graph of every term, in the format
+    ``fmt`` of ``expressions._TEXT_FORMATS``, and joined the terms whole."""
+    vertex, name_of, psi, whole, fraction = expressions._TEXT_FORMATS[fmt]
+
+    def factor(items, genus_v):
+        return vertex % (items, genus_v)
+
+    def item(name, exp):
+        return name_of(name) if exp == 0 else psi % (exp, name_of(name))
+
+    def prefix(mag):
+        if mag.denominator == 1:
+            return whole % mag.numerator
+        return fraction % (mag.numerator, mag.denominator)
+
     if expr.is_zero():
         return "0"
     chunks = []
@@ -612,15 +626,11 @@ def reference_render(expr, factor, item, prefix):
 
 
 def reference_render_bracket(expr):
-    return reference_render(expr, lambda items, genus_v: "<%s>_%d" % (items, genus_v),
-                            expressions._item_str,
-                            lambda mag: expressions._coefficient_str(mag) + " * ")
+    return reference_render(expr, "bracket")
 
 
 def reference_render_latex(expr):
-    return reference_render(
-        expr, lambda items, genus_v: r"\left< %s \right>_{%d}" % (items, genus_v),
-        expressions._latex_item, expressions._latex_prefix)
+    return reference_render(expr, "latex")
 
 
 def reference_graph_from_json(data):
@@ -656,6 +666,8 @@ def assert_render_matches_reference(expr):
         assert automorphism_order(key) == graph_automorphism_order(graph_from_key(key))
     assert render_bracket(expr) == reference_render_bracket(expr)
     assert render_latex(expr) == reference_render_latex(expr)
+    # one piece per term, the zero class one "0"
+    assert len(list(expressions._render(expr, "latex"))) == max(len(expr), 1)
 
 
 def _pinned_g_names():
@@ -824,9 +836,16 @@ def replace_first_leg(**fields):
     replace_first_leg(kind="regular", index=-1),
     replace_first_leg(kind="named", name="U1"),
     replace_first_leg(kind="regular", index=1.5),
+    lambda term: term["graph"]["vertices"][0].__setitem__("genus", "0"),
+    lambda term: term["graph"]["half_edges"][0].__setitem__("exponent", "1"),
+    lambda term: term["graph"]["half_edges"][0].__setitem__("exponent", 1.5),
+    lambda term: term["graph"]["vertices"][0].__setitem__("genus", 0.0),
+    lambda term: term["graph"]["involution"].__setitem__(0, [4, 5, 6]),
 ], ids=["unknown-half-edge", "leg-without-kind", "zero-denominator",
         "half-edge-paired-twice", "string-denominator", "unknown-kind",
-        "negative-index", "regular-label-as-named", "fractional-index"])
+        "negative-index", "regular-label-as-named", "fractional-index",
+        "string-genus", "string-exponent", "fractional-exponent", "float-genus",
+        "involution-triple"])
 def test_malformed_expression_json_raises_value_error(edit):
     blob = expression_to_json(parse_bracket("<U1 U2 a>_0 <a* U3 b>_0 <b* U4 U5>_0"))
     edit(blob["terms"][0])
